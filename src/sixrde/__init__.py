@@ -70,7 +70,6 @@ from .symmetry import (
     LscSample,
     Q1,
     Q2,
-    characteristic_value,
     counterfeit_characteristic,
     generator_annihilates_invariant,
     lsc_residual,

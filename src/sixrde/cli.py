@@ -84,21 +84,24 @@ class ProblemSpec:
     horizon: int
 
 
+def _rational_list(data: dict, key: str) -> list[Fraction]:
+    """data[key] as rationals; it must be a JSON list of rational strings."""
+    values = data[key]
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise ValueError(f"{key!r} must be a list of rational strings")
+    return [parse_rational(v) for v in values]
+
+
 def parse_problem_spec(data: dict) -> ProblemSpec:
     try:
-        initial_raw = data["initial"]
+        initial = InitialConditions(tuple(_rational_list(data, "initial")))
         coeffs_raw = data["coeffs"]
         horizon = data["horizon"]
-        if not isinstance(initial_raw, list) or len(initial_raw) != 6:
-            raise ValueError("'initial' must be a list of six rational strings")
-        initial = InitialConditions(
-            tuple(parse_rational(s) for s in initial_raw)
-        )
         if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0:
             raise ValueError("'horizon' must be a nonnegative integer")
         kind = coeffs_raw["kind"]
-        a = [parse_rational(s) for s in coeffs_raw["a"]]
-        b = [parse_rational(s) for s in coeffs_raw["b"]]
+        a = _rational_list(coeffs_raw, "a")
+        b = _rational_list(coeffs_raw, "b")
         if kind == "constant":
             if len(a) != 1 or len(b) != 1:
                 raise ValueError("constant coefficients take one a and one b value")
@@ -250,24 +253,17 @@ def _cmd_iterate(args) -> int:
 
 
 def _auto_engine(spec: ProblemSpec):
-    """Dedicated special-case solver for the spec's coefficient kind, or None."""
+    """Special-case solver for constant or 1-, 2- or 4-periodic coefficients,
+    or None for any other kind."""
     coeffs = spec.coeffs
-    if coeffs.kind == "constant" or (coeffs.kind == "periodic" and coeffs.period == 1):
-        a = coeffs.a_at(0)
-        b = coeffs.b_at(0)
-        if a == 1:
-            return lambda m: specialcases.term_const_a1(m, spec.initial, b)
-        if a == -1:
-            return lambda m: specialcases.term_const_a_neg1(m, spec.initial, b)
-        cc = specialcases.ConstantCoeffs(a, b)
-        return lambda m: specialcases.term_const_general(m, spec.initial, cc)
-    if coeffs.kind == "periodic" and coeffs.period == 2:
-        pc2 = specialcases.PeriodicCoeffs2(coeffs.a_values(), coeffs.b_values())
-        return lambda m: specialcases.term_periodic2(m, spec.initial, pc2)
-    if coeffs.kind == "periodic" and coeffs.period == 4:
-        pc4 = specialcases.PeriodicCoeffs4(coeffs.a_values(), coeffs.b_values())
-        return lambda m: specialcases.term_periodic4(m, spec.initial, pc4)
-    return None
+    if coeffs.kind not in ("constant", "periodic") or 4 % coeffs.period:
+        return None
+    a, b = coeffs.a_values(), coeffs.b_values()
+    if a == (-1,):
+        return lambda m: specialcases.term_const_a_neg1(m, spec.initial, b[0])
+    tile = 4 // coeffs.period
+    pc = specialcases.PeriodicCoeffs4(a * tile, b * tile)
+    return lambda m: specialcases.term_periodic4(m, spec.initial, pc)
 
 
 def _parse_range(text: str) -> tuple[int, int]:

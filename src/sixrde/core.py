@@ -390,14 +390,6 @@ class CoefficientSequence:
             return self.pair_at(n)[1]
         return self._b[self._index(n)]
 
-    def coeff_at(self, n: int, which: str) -> Fraction:
-        """Return a_n or b_n according to ``which`` in {'a', 'b'}."""
-        if which == "a":
-            return self.a_at(n)
-        if which == "b":
-            return self.b_at(n)
-        raise ValueError(f"which must be 'a' or 'b', got {which!r}")
-
     def pair_at(self, n: int) -> tuple[Fraction, Fraction]:
         if self._kind == "closure":
             if n < 0:

@@ -1,10 +1,22 @@
 """Dedicated closed forms for constant, 2-periodic, and 4-periodic coefficients.
 
-Each operation transcribes the per-class displayed product formula for its
-coefficient case directly (rather than routing through the general path),
-with the seeds written c = x_(-5), d = x_(-4), e = x_(-3), f = x_(-2),
-g = x_(-1), h = x_0.  Every formula is cross-checked against direct
-iteration and the general closed form by the test suite.
+With the seeds u_0..u_5 = x_(-5)..x_0 (written c, d, e, f, g, h in the
+examples below), every case except a = -1 is one product over per-class
+coefficients (a_r, b_r), r = 0..3:
+
+    x_(4n-5+j) = u_j * (u_top/u_bottom)^n
+                 * prod( F_j(s) / F_(j+2 mod 4)(s + j//2), s < n ),
+
+    F_r(t) = a_r^t + b_r*u_r*u_(r+2) * (1 - a_r^t)/(1 - a_r)
+
+(the geometric sum is t when a_r = 1), where (top, bottom) is (4, 0),
+(5, 1), (0, 4), (1, 5) for j = 0, 1, 2, 3.  The sum is closed and a_r^t is
+a running power, so x_m costs O(m) multiplications.  The public functions
+tile their coefficients to four classes: constant (a, b) becomes
+a_r = a, b_r = b; 2-periodic (a_0, a_1) becomes (a_0, a_1, a_0, a_1); a
+4-periodic sequence is used as given.  The product is evaluated here
+rather than through the general closed form, so the test suite can
+cross-check the two against each other and against direct iteration.
 
 For a = -1 the four per-class formulas collapse to a ratio raised to a
 parity-counting exponent.  The shipped exponents are floor(n/2) for the
@@ -100,76 +112,82 @@ def _as_tuple(values, size: int) -> tuple[Fraction, ...]:
     return vals
 
 
-def _product(
-    j: int,
-    n: int,
-    prefix: Fraction,
-    num_factor,
-    den_factor,
+# ---------------------------------------------------------------------------
+# The shared product
+# ---------------------------------------------------------------------------
+
+#: (top, bottom) seed indices of the prefix u_j * (u_top/u_bottom)^n.
+_TOP_BOTTOM = ((4, 0), (5, 1), (0, 4), (1, 5))
+
+
+def _factor(a: Fraction, k: Fraction, power: Fraction, t: int) -> Fraction:
+    """F(t) = a^t + k*(1 - a^t)/(1 - a), or a^t + k*t when a = 1; power = a^t."""
+    return power + k * (t if a == 1 else (1 - power) / (1 - a))
+
+
+def _term(
+    m: int,
+    ic: InitialConditions,
+    a: tuple[Fraction, ...],
+    b: tuple[Fraction, ...],
 ) -> Fraction:
-    """prefix * prod(num_factor(s)/den_factor(s), s < n) with singular checks."""
-    value = prefix
+    """x_m from four per-class coefficient pairs (a_r, b_r), r = 0..3."""
+    ti = decompose_index(m)
+    j, n = ti.j, ti.n
+    u = ic.values
+    if n == 0:
+        return u[j]
+    q, shift = (j + 2) % 4, j // 2
+    top, bottom = _TOP_BOTTOM[j]
+    num_a, num_k = a[j], b[j] * ic.seed_product(j)
+    den_a, den_k = a[q], b[q] * ic.seed_product(q)
+    num_power, den_power = Fraction(1), den_a**shift
+    value = u[j] * (u[top] / u[bottom]) ** n
     for s in range(n):
-        den = den_factor(s)
+        den = _factor(den_a, den_k, den_power, s + shift)
         if den == 0:
             raise SingularClosedForm(j=j, s=s, v_index=4 * s + j + 2)
-        num = num_factor(s)
+        num = _factor(num_a, num_k, num_power, s)
         if num == 0:
             raise SingularClosedForm.from_v_index(4 * s + j)
         value *= num / den
+        num_power *= num_a
+        den_power *= den_a
     return value
 
-
-# ---------------------------------------------------------------------------
-# Constant coefficients, a != 1: geometric sums (1 - a^s)/(1 - a)
-# ---------------------------------------------------------------------------
 
 def term_const_general(
     m: int, ic: InitialConditions, cc: ConstantCoeffs
 ) -> Fraction:
-    """x_m for constant (a, b) with a != 1.
-
-    Per residue class, e.g.
+    """x_m for constant (a, b) with a != 1, e.g.
 
         x_(4n-5) = g^n / c^(n-1)
                    * prod( (a^s + b*c*e*(1-a^s)/(1-a))
                          / (a^s + b*e*g*(1-a^s)/(1-a)), s < n ).
     """
-    a, b = cc.a, cc.b
-    if a == 1:
+    if cc.a == 1:
         raise WrongCase("constant-coefficient general form requires a != 1")
-    ti = decompose_index(m)
-    j, n = ti.j, ti.n
-    if n == 0:
-        return ic.u(j)
-    c, d, e, f, g, h = ic.values
+    return _term(m, ic, (cc.a,) * 4, (cc.b,) * 4)
 
-    def sigma(t: int) -> Fraction:
-        return (1 - a**t) / (1 - a)
 
-    if j == 0:
-        return _product(
-            j, n, g**n / c ** (n - 1),
-            lambda s: a**s + b * c * e * sigma(s),
-            lambda s: a**s + b * e * g * sigma(s),
-        )
-    if j == 1:
-        return _product(
-            j, n, h**n / d ** (n - 1),
-            lambda s: a**s + b * d * f * sigma(s),
-            lambda s: a**s + b * f * h * sigma(s),
-        )
-    if j == 2:
-        return _product(
-            j, n, c**n * e / g**n,
-            lambda s: a**s + b * e * g * sigma(s),
-            lambda s: a ** (s + 1) + b * c * e * sigma(s + 1),
-        )
-    return _product(
-        j, n, d**n * f / h**n,
-        lambda s: a**s + b * f * h * sigma(s),
-        lambda s: a ** (s + 1) + b * d * f * sigma(s + 1),
-    )
+def term_const_a1(m: int, ic: InitialConditions, b: RationalLike) -> Fraction:
+    """x_m for constant coefficients a = 1, b, e.g.
+
+        x_(4n-3) = c^n * e / g^n * prod((1 + b*e*g*s)/(1 + b*c*e*(s+1)), s < n).
+    """
+    return _term(m, ic, (Fraction(1),) * 4, (as_rational(b),) * 4)
+
+
+def term_periodic2(m: int, ic: InitialConditions, pc: PeriodicCoeffs2) -> Fraction:
+    """x_m for 2-periodic coefficients: classes x_(4n-5), x_(4n-3) only ever
+    consume (a_0, b_0) and classes x_(4n-4), x_(4n-2) only (a_1, b_1)."""
+    return _term(m, ic, pc.a * 2, pc.b * 2)
+
+
+def term_periodic4(m: int, ic: InitialConditions, pc: PeriodicCoeffs4) -> Fraction:
+    """x_m for 4-periodic coefficients: each residue class pairs its own
+    coefficient index with the one two steps later."""
+    return _term(m, ic, pc.a, pc.b)
 
 
 # ---------------------------------------------------------------------------
@@ -226,144 +244,3 @@ def term_const_a_neg1(m: int, ic: InitialConditions, b: RationalLike) -> Fractio
         return c**n * e / g**n * ratio
     ratio = _ratio_power(-1 + b * f * h, -1 + b * d * f, half, half_up, 7, 5)
     return d**n * f / h**n * ratio
-
-
-# ---------------------------------------------------------------------------
-# Constant coefficients, a = 1: arithmetic progressions
-# ---------------------------------------------------------------------------
-
-def term_const_a1(m: int, ic: InitialConditions, b: RationalLike) -> Fraction:
-    """x_m for constant coefficients a = 1, b.
-
-    Per residue class, e.g.
-
-        x_(4n-5) = g^n / c^(n-1) * prod((1 + b*c*e*s)/(1 + b*e*g*s), s < n)
-        x_(4n-3) = c^n * e / g^n * prod((1 + b*e*g*s)/(1 + b*c*e*(s+1)), s < n).
-    """
-    b = as_rational(b)
-    ti = decompose_index(m)
-    j, n = ti.j, ti.n
-    if n == 0:
-        return ic.u(j)
-    c, d, e, f, g, h = ic.values
-    if j == 0:
-        return _product(
-            j, n, g**n / c ** (n - 1),
-            lambda s: 1 + b * c * e * s,
-            lambda s: 1 + b * e * g * s,
-        )
-    if j == 1:
-        return _product(
-            j, n, h**n / d ** (n - 1),
-            lambda s: 1 + b * d * f * s,
-            lambda s: 1 + b * f * h * s,
-        )
-    if j == 2:
-        return _product(
-            j, n, c**n * e / g**n,
-            lambda s: 1 + b * e * g * s,
-            lambda s: 1 + b * c * e * (s + 1),
-        )
-    return _product(
-        j, n, d**n * f / h**n,
-        lambda s: 1 + b * f * h * s,
-        lambda s: 1 + b * d * f * (s + 1),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Periodic coefficients: explicit power sums
-# ---------------------------------------------------------------------------
-
-def _power_sum(a: Fraction, t: int) -> Fraction:
-    """sum(a^l, l = 0..t-1), evaluated literally."""
-    total = Fraction(0)
-    power = Fraction(1)
-    for _ in range(t):
-        total += power
-        power *= a
-    return total
-
-
-def term_periodic2(m: int, ic: InitialConditions, pc: PeriodicCoeffs2) -> Fraction:
-    """x_m for 2-periodic coefficients.
-
-    Classes x_(4n-5), x_(4n-3) only ever consume (a_0, b_0) and classes
-    x_(4n-4), x_(4n-2) only (a_1, b_1), e.g.
-
-        x_(4n-5) = g^n / c^(n-1)
-                   * prod( (a_0^s + b_0*c*e*sum(a_0^l, l < s))
-                         / (a_0^s + b_0*e*g*sum(a_0^l, l < s)), s < n ).
-    """
-    a0, a1 = pc.a
-    b0, b1 = pc.b
-    ti = decompose_index(m)
-    j, n = ti.j, ti.n
-    if n == 0:
-        return ic.u(j)
-    c, d, e, f, g, h = ic.values
-    if j == 0:
-        return _product(
-            j, n, g**n / c ** (n - 1),
-            lambda s: a0**s + b0 * c * e * _power_sum(a0, s),
-            lambda s: a0**s + b0 * e * g * _power_sum(a0, s),
-        )
-    if j == 1:
-        return _product(
-            j, n, h**n / d ** (n - 1),
-            lambda s: a1**s + b1 * d * f * _power_sum(a1, s),
-            lambda s: a1**s + b1 * f * h * _power_sum(a1, s),
-        )
-    if j == 2:
-        return _product(
-            j, n, c**n * e / g**n,
-            lambda s: a0**s + b0 * e * g * _power_sum(a0, s),
-            lambda s: a0 ** (s + 1) + b0 * c * e * _power_sum(a0, s + 1),
-        )
-    return _product(
-        j, n, d**n * f / h**n,
-        lambda s: a1**s + b1 * f * h * _power_sum(a1, s),
-        lambda s: a1 ** (s + 1) + b1 * d * f * _power_sum(a1, s + 1),
-    )
-
-
-def term_periodic4(m: int, ic: InitialConditions, pc: PeriodicCoeffs4) -> Fraction:
-    """x_m for 4-periodic coefficients.
-
-    Each residue class pairs its own coefficient index with the one two
-    steps later, e.g.
-
-        x_(4n-5) = g^n / c^(n-1)
-                   * prod( (a_0^s + b_0*c*e*sum(a_0^l, l < s))
-                         / (a_2^s + b_2*e*g*sum(a_2^l, l < s)), s < n ).
-    """
-    a0, a1, a2, a3 = pc.a
-    b0, b1, b2, b3 = pc.b
-    ti = decompose_index(m)
-    j, n = ti.j, ti.n
-    if n == 0:
-        return ic.u(j)
-    c, d, e, f, g, h = ic.values
-    if j == 0:
-        return _product(
-            j, n, g**n / c ** (n - 1),
-            lambda s: a0**s + b0 * c * e * _power_sum(a0, s),
-            lambda s: a2**s + b2 * e * g * _power_sum(a2, s),
-        )
-    if j == 1:
-        return _product(
-            j, n, h**n / d ** (n - 1),
-            lambda s: a1**s + b1 * d * f * _power_sum(a1, s),
-            lambda s: a3**s + b3 * f * h * _power_sum(a3, s),
-        )
-    if j == 2:
-        return _product(
-            j, n, c**n * e / g**n,
-            lambda s: a2**s + b2 * e * g * _power_sum(a2, s),
-            lambda s: a0 ** (s + 1) + b0 * c * e * _power_sum(a0, s + 1),
-        )
-    return _product(
-        j, n, d**n * f / h**n,
-        lambda s: a3**s + b3 * f * h * _power_sum(a3, s),
-        lambda s: a1 ** (s + 1) + b1 * d * f * _power_sum(a1, s + 1),
-    )

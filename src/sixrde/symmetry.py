@@ -34,7 +34,6 @@ __all__ = [
     "Q1",
     "Q2",
     "counterfeit_characteristic",
-    "characteristic_value",
     "LscSample",
     "lsc_residual",
     "RootCheckFailure",
@@ -79,13 +78,6 @@ def counterfeit_characteristic(n: int, u: RationalLike) -> GaussianRational:
     residual must come out nonzero on generic samples.
     """
     return GaussianRational(as_rational(u))
-
-
-def characteristic_value(
-    c: CharacteristicFn, n: int, u: RationalLike
-) -> GaussianRational:
-    """Evaluate a characteristic at (n, u)."""
-    return c(n, as_rational(u))
 
 
 @dataclass(frozen=True)

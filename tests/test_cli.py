@@ -83,6 +83,9 @@ def test_emit_spec_output_reparses_equal(tmp_path, capsys):
         lambda d: d["coeffs"].update(kind="mystery"),
         lambda d: d.update(horizon=-1),
         lambda d: d["coeffs"].update(a=["1", "2"]),
+        lambda d: d["coeffs"].update(a="2"),
+        lambda d: d["coeffs"].update(b="0"),
+        lambda d: d["initial"].__setitem__(0, 1),
     ],
 )
 def test_malformed_specs_exit_64(tmp_path, mutate, capsys):
@@ -165,17 +168,26 @@ def test_solve_general_matches_iterate(tmp_path):
     assert out_it.read_bytes() == out_sv.read_bytes()
 
 
-def test_solve_auto_dispatches_each_kind(tmp_path, capsys):
-    # a = 1 routes to the arithmetic-progression formulas
-    path = write_spec(tmp_path, ones_spec(a="1", b="2", horizon=8))
-    assert cli.main(["solve", "--spec", path, "--engine", "auto"]) == EXIT_OK
-    capsys.readouterr()
-    # 2-periodic routes to the 2-periodic formulas
-    data = ones_spec(horizon=8)
-    data["coeffs"] = {"kind": "periodic", "period": 2, "a": ["2", "3"], "b": ["1", "0"]}
-    path = write_spec(tmp_path, data, "p2.json")
-    assert cli.main(["solve", "--spec", path, "--engine", "auto"]) == EXIT_OK
-    capsys.readouterr()
+def test_solve_auto_dispatches_each_kind(tmp_path):
+    initial = ["2", "3", "5", "7", "11", "13"]
+    for name, coeffs in {
+        "a2": {"kind": "constant", "a": ["2"], "b": ["3"]},
+        "a1": {"kind": "constant", "a": ["1"], "b": ["2"]},
+        "aneg1": {"kind": "constant", "a": ["-1"], "b": ["2"]},
+        "p2": {"kind": "periodic", "period": 2, "a": ["2", "3"], "b": ["1", "-1/2"]},
+        "p4": {"kind": "periodic", "period": 4,
+               "a": ["1", "2", "-1/2", "3"], "b": ["1", "0", "2", "-1"]},
+    }.items():
+        path = write_spec(
+            tmp_path, {"initial": initial, "coeffs": coeffs, "horizon": 24}, f"{name}.json"
+        )
+        outs = {}
+        for engine in ("general", "auto"):
+            outs[engine] = tmp_path / f"{name}-{engine}.csv"
+            assert cli.main([
+                "solve", "--spec", path, "--engine", engine, "--out", str(outs[engine])
+            ]) == EXIT_OK, (name, engine)
+        assert outs["auto"].read_bytes() == outs["general"].read_bytes(), name
 
 
 def test_solve_auto_rejects_unsupported_kind(tmp_path, capsys):

@@ -133,14 +133,14 @@ def test_gaussian_rational_scalar_mixing():
 
 def test_constant_sequence_is_total():
     seq = CoefficientSequence.constant(3, Fraction(1, 2))
-    assert seq.coeff_at(17, "a") == 3
-    assert seq.coeff_at(0, "b") == Fraction(1, 2)
+    assert seq.a_at(17) == 3
+    assert seq.b_at(0) == Fraction(1, 2)
     assert seq.kind == "constant"
 
 
 def test_periodic_sequence_wraps():
     seq = CoefficientSequence.periodic([5, 7], [1, 2])
-    assert seq.coeff_at(3, "a") == 7
+    assert seq.a_at(3) == 7
     assert seq.a_at(4) == 5
     assert seq.b_at(5) == 2
     assert seq.period == 2
@@ -150,7 +150,7 @@ def test_explicit_list_reports_horizon():
     seq = CoefficientSequence.explicit([1, 2, 3, 4], [0, 0, 0, 0])
     assert seq.a_at(3) == 4
     with pytest.raises(OutOfHorizon) as exc:
-        seq.coeff_at(9, "a")
+        seq.a_at(9)
     assert exc.value.n == 9
     assert seq.horizon == 4
 
@@ -168,9 +168,7 @@ def test_sequence_rejects_bad_inputs():
     with pytest.raises(ValueError):
         CoefficientSequence.periodic([1], [1, 2])
     with pytest.raises(ValueError):
-        CoefficientSequence.constant(1, 0).coeff_at(-1, "a")
-    with pytest.raises(ValueError):
-        CoefficientSequence.constant(1, 0).coeff_at(0, "c")
+        CoefficientSequence.constant(1, 0).a_at(-1)
 
 
 def test_sequence_structural_equality():

@@ -1,6 +1,7 @@
 """Dedicated special-case formulas against the oracle and the general path."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -196,7 +197,17 @@ def test_periodic4_matches_oracle_and_general_path():
         )
         return (lambda m: term_periodic4(m, ic, pc)), pc.as_sequence()
 
+    def build_mixed(rng, ic):
+        # a_0 = a_2 = 1: two classes take the arithmetic sum, two the geometric
+        pc = PeriodicCoeffs4(
+            (1, 2, 1, Fraction(-1, 2)),
+            tuple(random_rational(rng, lo=-5, hi=5, max_den=5, nonzero=True)
+                  for _ in range(4)),
+        )
+        return (lambda m: term_periodic4(m, ic, pc)), pc.as_sequence()
+
     _check_case(rng, build)
+    _check_case(rng, build_mixed, trials=10)
 
 
 def test_a_neg1_parity_matches_oracle_on_all_classes():
@@ -215,3 +226,52 @@ def test_a_neg1_parity_matches_oracle_on_all_classes():
                 m = 4 * n - 5 + j
                 assert term_const_a_neg1(m, ic, b) == orbit.x(m), (n, j)
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# Singular positions
+# ---------------------------------------------------------------------------
+
+def test_singular_position_matches_general_path():
+    """Where iteration halts, each case that shares the product evaluator
+    raises at the same (j, s, v_index) as the general closed form."""
+    rng = random.Random(106)
+
+    def const_general(ic):
+        a = small_coeff(rng)
+        while a == 1:
+            a = small_coeff(rng)
+        cc = ConstantCoeffs(a, small_coeff(rng))
+        return (lambda m: term_const_general(m, ic, cc)), cc.as_sequence()
+
+    def const_a1(ic):
+        b = small_coeff(rng)
+        return (lambda m: term_const_a1(m, ic, b)), CoefficientSequence.constant(1, b)
+
+    def periodic2(ic):
+        pc = PeriodicCoeffs2((small_coeff(rng), small_coeff(rng)),
+                             (small_coeff(rng), small_coeff(rng)))
+        return (lambda m: term_periodic2(m, ic, pc)), pc.as_sequence()
+
+    def periodic4(ic):
+        pc = PeriodicCoeffs4(tuple(small_coeff(rng) for _ in range(4)),
+                             tuple(small_coeff(rng) for _ in range(4)))
+        return (lambda m: term_periodic4(m, ic, pc)), pc.as_sequence()
+
+    for build in (const_general, const_a1, periodic2, periodic4):
+        halted = 0
+        while halted < 10:
+            ic = random_initial_conditions(rng)
+            solver, coeffs = build(ic)
+            orbit = iterate(ic, coeffs, 55)
+            if orbit.halt is None:
+                continue
+            m = orbit.last_m + 1
+            with pytest.raises(SingularClosedForm) as want:
+                term(m, ic, coeffs)
+            with pytest.raises(SingularClosedForm) as got:
+                solver(m)
+            position = (got.value.j, got.value.s, got.value.v_index)
+            assert position == (want.value.j, want.value.s, want.value.v_index), (
+                build.__name__, m)
+            halted += 1

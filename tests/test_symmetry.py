@@ -13,7 +13,6 @@ from sixrde import (
     LscSample,
     Q1,
     Q2,
-    characteristic_value,
     counterfeit_characteristic,
     generator_annihilates_invariant,
     i_power,
@@ -46,9 +45,9 @@ def random_sample(rng):
 
 def test_characteristic_values():
     u = Fraction(3, 2)
-    assert characteristic_value(Q1, 0, u) == GaussianRational(u)
-    assert characteristic_value(Q1, 2, u) == GaussianRational(-u)
-    assert characteristic_value(Q2, 1, 3) == GaussianRational(0, -3)
+    assert Q1(0, u) == GaussianRational(u)
+    assert Q1(2, u) == GaussianRational(-u)
+    assert Q2(1, 3) == GaussianRational(0, -3)
 
 
 def test_characteristics_have_period_four_and_kill_zero():
