@@ -47,6 +47,7 @@ from .closedform import (
     canonical_coordinate,
     gamma,
     term,
+    terms,
     unified_constants,
     unified_exponent,
     unified_magnitude,

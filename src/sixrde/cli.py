@@ -253,17 +253,20 @@ def _cmd_iterate(args) -> int:
 
 
 def _auto_engine(spec: ProblemSpec):
-    """Special-case solver for constant or 1-, 2- or 4-periodic coefficients,
-    or None for any other kind."""
+    """Special-case range solver (lo, hi) -> x_lo..x_hi for constant or 1-,
+    2- or 4-periodic coefficients, or None for any other kind."""
     coeffs = spec.coeffs
     if coeffs.kind not in ("constant", "periodic") or 4 % coeffs.period:
         return None
     a, b = coeffs.a_values(), coeffs.b_values()
     if a == (-1,):
-        return lambda m: specialcases.term_const_a_neg1(m, spec.initial, b[0])
+        return lambda lo, hi: (
+            specialcases.term_const_a_neg1(m, spec.initial, b[0])
+            for m in range(lo, hi + 1)
+        )
     tile = 4 // coeffs.period
     pc = specialcases.PeriodicCoeffs4(a * tile, b * tile)
-    return lambda m: specialcases.term_periodic4(m, spec.initial, pc)
+    return lambda lo, hi: specialcases.terms_periodic4(lo, hi, spec.initial, pc)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -289,7 +292,7 @@ def _cmd_solve(args) -> int:
         print(f"error: invalid index range {lo}..{hi}", file=sys.stderr)
         return EXIT_USAGE
     if args.engine == "general":
-        solver = lambda m: closedform.term(m, spec.initial, spec.coeffs)
+        solver = lambda lo, hi: closedform.terms(lo, hi, spec.initial, spec.coeffs)
     else:
         solver = _auto_engine(spec)
         if solver is None:
@@ -299,17 +302,17 @@ def _cmd_solve(args) -> int:
             )
             return EXIT_USAGE
     rows = []
-    for m in range(lo, hi + 1):
-        try:
-            rows.append((m, solver(m)))
-        except SingularClosedForm as exc:
-            _write_csv(args.out, rows)
-            print(
-                f"singular closed form at x_{m}: j={exc.j}, s={exc.s} "
-                f"(V_{exc.v_index} = 0, iteration dies at step {exc.halt_step})",
-                file=sys.stderr,
-            )
-            return EXIT_SINGULAR
+    try:
+        for m, value in enumerate(solver(lo, hi), lo):
+            rows.append((m, value))
+    except SingularClosedForm as exc:
+        _write_csv(args.out, rows)
+        print(
+            f"singular closed form at x_{lo + len(rows)}: j={exc.j}, s={exc.s} "
+            f"(V_{exc.v_index} = 0, iteration dies at step {exc.halt_step})",
+            file=sys.stderr,
+        )
+        return EXIT_SINGULAR
     _write_csv(args.out, rows)
     return EXIT_OK
 
@@ -321,19 +324,19 @@ def _cmd_compare(args) -> int:
     count = spec.horizon if args.n is None else args.n
     orbit = oracle.iterate(spec.initial, spec.coeffs, count)
     special = _auto_engine(spec)
+    closed_values = closedform.terms(-5, orbit.last_m, spec.initial, spec.coeffs)
+    special_values = special(-5, orbit.last_m) if special is not None else None
     rows = []
     first_mismatch = None
-    for m in range(-5, orbit.last_m + 1):
-        expected = orbit.x(m)
-        closed = closedform.term(m, spec.initial, spec.coeffs)
+    for m, (expected, closed) in enumerate(zip(orbit.terms, closed_values), -5):
         row = {
             "m": m,
             "oracle": format_rational(expected),
             "closed_form": format_rational(closed),
             "match": closed == expected,
         }
-        if special is not None:
-            value = special(m)
+        if special_values is not None:
+            value = next(special_values)
             row["special"] = format_rational(value)
             row["match"] = row["match"] and value == expected
         if not row["match"] and first_mismatch is None:

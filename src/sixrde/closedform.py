@@ -12,6 +12,14 @@ telescoping:
 
     u_(4n+j) = u_j * prod(V_(4s+j) / V_(4s+j+2), s < n),   j = 0..3.
 
+`v_closed` and `v_at` transcribe the product/sum literally (O(n^2) per V)
+and serve as the independent check.  Everything else reads V from one
+lazily extended table: one column per residue class, grown by the affine
+step itself at one multiply-add per block.  Since u_(4(n+1)+j) is u_(4n+j)
+times one more ratio, `terms` evaluates a whole range x_lo..x_hi in one
+pass, keeping a running value per class, so each term after the first of
+its class costs O(1) rational operations; `term` is the one-term range.
+
 A vanishing V in a denominator is exactly the well-definedness failure of
 the closed form, and corresponds one-to-one with the direct iteration
 hitting a zero denominator (at step v_index - 4).
@@ -27,6 +35,7 @@ magnitudes only (in floating point); signs live on the exact path.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,6 +58,7 @@ __all__ = [
     "v_closed",
     "v_at",
     "term",
+    "terms",
     "WellDefViolation",
     "WellDefinednessReport",
     "well_defined",
@@ -132,27 +142,6 @@ def v_closed(
     return acc
 
 
-def _v_values(
-    j: int, count: int, ic: InitialConditions, coeffs: CoefficientSequence
-) -> list[Fraction]:
-    """V_(4t+j) for t = 0..count-1 via running product/sum accumulators.
-
-    Transparent evaluation of the same product/sum expression as `v_closed`
-    (the tail sum telescopes), at O(1) work per block.
-    """
-    v_seed = 1 / ic.seed_product(j)
-    out = [v_seed]
-    prod = Fraction(1)
-    tail = Fraction(0)
-    for t in range(1, count):
-        a = coeffs.a_at(4 * (t - 1) + j)
-        b = coeffs.b_at(4 * (t - 1) + j)
-        prod *= a
-        tail = tail * a + b
-        out.append(v_seed * prod + tail)
-    return out
-
-
 def v_at(index: int, ic: InitialConditions, coeffs: CoefficientSequence) -> Fraction:
     """V at an arbitrary index >= 0, dispatching on its residue class."""
     if index < 0:
@@ -164,34 +153,70 @@ def v_at(index: int, ic: InitialConditions, coeffs: CoefficientSequence) -> Frac
 # Closed form for orbit terms
 # ---------------------------------------------------------------------------
 
+class _InvariantTable:
+    """V_k for k >= 0, one column per residue class, extended on demand.
+
+    Column j starts at the seed invariant V_j and grows by the affine step
+    V_(k+4) = a_k * V_k + b_k, one coefficient pair per block, so it reads
+    no coefficient beyond what the largest requested V needs.
+    """
+
+    def __init__(self, ic: InitialConditions, coeffs: CoefficientSequence):
+        self._coeffs = coeffs
+        self._columns = [[1 / ic.seed_product(j)] for j in range(4)]
+
+    def v(self, k: int) -> Fraction:
+        j, block = k % 4, k // 4
+        column = self._columns[j]
+        while len(column) <= block:
+            a, b = self._coeffs.pair_at(4 * (len(column) - 1) + j)
+            column.append(a * column[-1] + b)
+        return column[block]
+
+
+def terms(
+    lo: int, hi: int, ic: InitialConditions, coeffs: CoefficientSequence
+) -> Iterator[Fraction]:
+    """Exact x_lo, ..., x_hi from the telescoping product over one V table.
+
+    Each residue class keeps its running value and block count, so after
+    the first term of a class every further one costs one V ratio.  At the
+    first index that fails, raises what `term` raises there: every V the
+    product needs is computed before any is checked (a short explicit list
+    raises `OutOfHorizon` first), then at each new factor s the denominator
+    V_(4s+j+2) is checked before the numerator V_(4s+j).
+    """
+    table = _InvariantTable(ic, coeffs)
+    state = [(ic.u(j), 0) for j in range(4)]  # (x at block done, done)
+    for m in range(lo, hi + 1):
+        ti = decompose_index(m)
+        j, n = ti.j, ti.n
+        value, done = state[j]
+        if n > done:
+            # Numerators are V_(4s+j), denominators V_(4s+j+2), s < n.
+            table.v(4 * (n - 1) + j)
+            table.v(4 * (n - 1) + j + 2)
+        for s in range(done, n):
+            den = table.v(4 * s + j + 2)
+            if den == 0:
+                raise SingularClosedForm(j=j, s=s, v_index=4 * s + j + 2)
+            num = table.v(4 * s + j)
+            if num == 0:
+                # A zero numerator V means the orbit already died on the class
+                # where this V sits in a denominator; report it canonically.
+                raise SingularClosedForm.from_v_index(4 * s + j)
+            value *= num / den
+        state[j] = (value, n)
+        yield value
+
+
 def term(m: int, ic: InitialConditions, coeffs: CoefficientSequence) -> Fraction:
     """Exact x_m from the telescoping product of closed-form V values.
 
     Raises `SingularClosedForm` when a required V vanishes; that happens
     iff direct iteration halts on a zero denominator at step v_index - 4.
     """
-    ti = decompose_index(m)
-    j, n = ti.j, ti.n
-    if n == 0:
-        return ic.u(j)
-    # Numerators are class j at blocks 0..n-1.  Denominators are V_(4s+j+2):
-    # class j+2 at blocks 0..n-1 for j in {0,1}, class j-2 at blocks 1..n
-    # for j in {2,3}.
-    nums = _v_values(j, n, ic, coeffs)
-    if j <= 1:
-        dens = _v_values(j + 2, n, ic, coeffs)
-    else:
-        dens = _v_values(j - 2, n + 1, ic, coeffs)[1:]
-    value = ic.u(j)
-    for s in range(n):
-        if dens[s] == 0:
-            raise SingularClosedForm(j=j, s=s, v_index=4 * s + j + 2)
-        if nums[s] == 0:
-            # A zero numerator V means the orbit already died on the class
-            # where this V sits in a denominator; report it canonically.
-            raise SingularClosedForm.from_v_index(4 * s + j)
-        value *= nums[s] / dens[s]
-    return value
+    return next(terms(m, m, ic, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -253,26 +278,21 @@ def well_defined(
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
+    table = _InvariantTable(ic, coeffs)
     violations = []
     for j in range(4):
         i_off = 0 if j <= 1 else 1
-        seed_prod = ic.seed_product(j)
-        prod = Fraction(1)
-        tail = Fraction(0)
         # upper = s - i_off runs 0, 1, ... ; upper < 0 cases are the trivial
         # 0 != 1 inequalities and cannot fail.
         for upper in range(0, horizon - i_off + 1):
+            v_index = 4 * (upper + 1) + j
             try:
-                a = coeffs.a_at(4 * upper + j)
-                b = coeffs.b_at(4 * upper + j)
+                v = table.v(v_index)
             except OutOfHorizon:
                 break
-            prod *= a
-            tail = tail * a + b
-            if -seed_prod * tail == prod:
-                s = upper + i_off
+            if v == 0:
                 violations.append(
-                    WellDefViolation(j=j, s=s, v_index=4 * (upper + 1) + j)
+                    WellDefViolation(j=j, s=upper + i_off, v_index=v_index)
                 )
     violations.sort(key=lambda v: (v.halt_step, v.j, v.s))
     return WellDefinednessReport(
@@ -325,18 +345,18 @@ def unified_exponent(
         raise OutOfRange("orbit term u", n)
     consts = unified_constants(ic)
     total = _complex_i_power(n) * consts.c1 + _complex_i_power(-n) * consts.c2
-    if n > 0:
-        blocks = (n + 3) // 4
-        per_class = [
-            _v_values(j, blocks + 1, ic, coeffs) for j in range(4)
-        ]
-        for k in range(n):
-            re_gamma = gamma(n, k).real
-            v_k = per_class[k % 4][k // 4]
-            if v_k == 0:
-                raise SingularClosedForm.from_v_index(k)
-            if re_gamma != 0:
-                total += float(re_gamma) * log_abs(v_k)
+    table = _InvariantTable(ic, coeffs)
+    # Extend every column before checking any V, so a short explicit list
+    # raises OutOfHorizon ahead of a singularity, as in `terms`.
+    for k in range(max(n - 4, 0), n):
+        table.v(k)
+    for k in range(n):
+        re_gamma = gamma(n, k).real
+        v_k = table.v(k)
+        if v_k == 0:
+            raise SingularClosedForm.from_v_index(k)
+        if re_gamma != 0:
+            total += float(re_gamma) * log_abs(v_k)
     return total
 
 

@@ -8,8 +8,11 @@ after construction and safe to use from multiple threads.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re as _re
+import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -141,17 +144,52 @@ class DegenerateSample(SixrdeError):
 _RATIONAL_RE = _re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
 
+_DIGIT_LIMIT_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _int_digit_limit_lifted():
+    """Lift the interpreter's int<->str digit limit, restoring it on exit.
+
+    The limit is process-wide; the lock keeps two threads from saving each
+    other's lifted value as the one to restore.
+    """
+    with _DIGIT_LIMIT_LOCK:
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(previous)
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse an exact rational literal of the form ``p`` or ``p/q``."""
+    """Parse an exact rational literal of the form ``p`` or ``p/q``.
+
+    Literals of any length are accepted, so every `format_rational` output
+    reads back as a seed or coefficient.
+    """
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not an exact rational literal: {text!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ValueError:  # longer than the int<->str digit limit
+        with _int_digit_limit_lifted():
+            return Fraction(s)
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical ``p/q`` rendering; integers keep an explicit ``/1``."""
-    return f"{value.numerator}/{value.denominator}"
+    """Canonical ``p/q`` rendering; integers keep an explicit ``/1``.
+
+    Values of any height are rendered in full; the interpreter's digit limit
+    is lifted only for those that exceed it.
+    """
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # longer than the int<->str digit limit
+        with _int_digit_limit_lifted():
+            return f"{value.numerator}/{value.denominator}"
 
 
 def as_rational(value: RationalLike) -> Fraction:

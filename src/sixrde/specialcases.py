@@ -11,7 +11,9 @@ coefficients (a_r, b_r), r = 0..3:
 
 (the geometric sum is t when a_r = 1), where (top, bottom) is (4, 0),
 (5, 1), (0, 4), (1, 5) for j = 0, 1, 2, 3.  The sum is closed and a_r^t is
-a running power, so x_m costs O(m) multiplications.  The public functions
+a running power, so x_m costs O(m) multiplications; a range x_lo..x_hi
+(`terms_periodic4`) carries each class's product forward, one factor per
+term after the first of its class.  The public functions
 tile their coefficients to four classes: constant (a, b) becomes
 a_r = a, b_r = b; 2-periodic (a_0, a_1) becomes (a_0, a_1, a_0, a_1); a
 4-periodic sequence is used as given.  The product is evaluated here
@@ -27,6 +29,7 @@ that match direct iteration on all four residue classes.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,6 +52,7 @@ __all__ = [
     "term_const_a1",
     "term_periodic2",
     "term_periodic4",
+    "terms_periodic4",
 ]
 
 
@@ -125,35 +129,41 @@ def _factor(a: Fraction, k: Fraction, power: Fraction, t: int) -> Fraction:
     return power + k * (t if a == 1 else (1 - power) / (1 - a))
 
 
-def _term(
-    m: int,
+def _terms(
+    lo: int,
+    hi: int,
     ic: InitialConditions,
     a: tuple[Fraction, ...],
     b: tuple[Fraction, ...],
-) -> Fraction:
-    """x_m from four per-class coefficient pairs (a_r, b_r), r = 0..3."""
-    ti = decompose_index(m)
-    j, n = ti.j, ti.n
+) -> Iterator[Fraction]:
+    """x_lo..x_hi from four per-class coefficient pairs (a_r, b_r), r = 0..3.
+
+    Each class keeps its running value, factor count s and the two running
+    powers, so after the first term of a class every further one costs one
+    factor ratio.
+    """
     u = ic.values
-    if n == 0:
-        return u[j]
-    q, shift = (j + 2) % 4, j // 2
-    top, bottom = _TOP_BOTTOM[j]
-    num_a, num_k = a[j], b[j] * ic.seed_product(j)
-    den_a, den_k = a[q], b[q] * ic.seed_product(q)
-    num_power, den_power = Fraction(1), den_a**shift
-    value = u[j] * (u[top] / u[bottom]) ** n
-    for s in range(n):
-        den = _factor(den_a, den_k, den_power, s + shift)
-        if den == 0:
-            raise SingularClosedForm(j=j, s=s, v_index=4 * s + j + 2)
-        num = _factor(num_a, num_k, num_power, s)
-        if num == 0:
-            raise SingularClosedForm.from_v_index(4 * s + j)
-        value *= num / den
-        num_power *= num_a
-        den_power *= den_a
-    return value
+    # Per class: (x at block done, done, a_j^done, a_q^(done + shift)).
+    state = [(u[j], 0, Fraction(1), a[(j + 2) % 4] ** (j // 2)) for j in range(4)]
+    for m in range(lo, hi + 1):
+        ti = decompose_index(m)
+        j, n = ti.j, ti.n
+        q, shift = (j + 2) % 4, j // 2
+        value, done, num_power, den_power = state[j]
+        top, bottom = _TOP_BOTTOM[j]
+        num_k, den_k = b[j] * ic.seed_product(j), b[q] * ic.seed_product(q)
+        for s in range(done, n):
+            den = _factor(a[q], den_k, den_power, s + shift)
+            if den == 0:
+                raise SingularClosedForm(j=j, s=s, v_index=4 * s + j + 2)
+            num = _factor(a[j], num_k, num_power, s)
+            if num == 0:
+                raise SingularClosedForm.from_v_index(4 * s + j)
+            value *= u[top] * num / (u[bottom] * den)
+            num_power *= a[j]
+            den_power *= a[q]
+        state[j] = (value, n, num_power, den_power)
+        yield value
 
 
 def term_const_general(
@@ -167,7 +177,7 @@ def term_const_general(
     """
     if cc.a == 1:
         raise WrongCase("constant-coefficient general form requires a != 1")
-    return _term(m, ic, (cc.a,) * 4, (cc.b,) * 4)
+    return next(_terms(m, m, ic, (cc.a,) * 4, (cc.b,) * 4))
 
 
 def term_const_a1(m: int, ic: InitialConditions, b: RationalLike) -> Fraction:
@@ -175,19 +185,27 @@ def term_const_a1(m: int, ic: InitialConditions, b: RationalLike) -> Fraction:
 
         x_(4n-3) = c^n * e / g^n * prod((1 + b*e*g*s)/(1 + b*c*e*(s+1)), s < n).
     """
-    return _term(m, ic, (Fraction(1),) * 4, (as_rational(b),) * 4)
+    return next(_terms(m, m, ic, (Fraction(1),) * 4, (as_rational(b),) * 4))
 
 
 def term_periodic2(m: int, ic: InitialConditions, pc: PeriodicCoeffs2) -> Fraction:
     """x_m for 2-periodic coefficients: classes x_(4n-5), x_(4n-3) only ever
     consume (a_0, b_0) and classes x_(4n-4), x_(4n-2) only (a_1, b_1)."""
-    return _term(m, ic, pc.a * 2, pc.b * 2)
+    return next(_terms(m, m, ic, pc.a * 2, pc.b * 2))
 
 
 def term_periodic4(m: int, ic: InitialConditions, pc: PeriodicCoeffs4) -> Fraction:
     """x_m for 4-periodic coefficients: each residue class pairs its own
     coefficient index with the one two steps later."""
-    return _term(m, ic, pc.a, pc.b)
+    return next(terms_periodic4(m, m, ic, pc))
+
+
+def terms_periodic4(
+    lo: int, hi: int, ic: InitialConditions, pc: PeriodicCoeffs4
+) -> Iterator[Fraction]:
+    """x_lo..x_hi for 4-periodic coefficients in one pass; raises at the
+    first singular index what `term_periodic4` raises there."""
+    return _terms(lo, hi, ic, pc.a, pc.b)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from sixrde import CoefficientSequence, InitialConditions, iterate
+from sixrde import CoefficientSequence, InitialConditions, SixrdeError, iterate
 
 
 def random_rational(rng: random.Random, lo=-10, hi=10, max_den=10, nonzero=False):
@@ -55,3 +55,25 @@ def nonsingular_instance(rng: random.Random, steps: int, kind=None):
         orbit = iterate(ic, coeffs, steps)
         if orbit.halt is None:
             return ic, coeffs, orbit
+
+
+def range_window(rng: random.Random, orbit, top: int) -> tuple[int, int]:
+    """An index window lo..hi, lo >= -5: anywhere up to `top` for an orbit that
+    survived, and one reaching past the first singular index for a halted one."""
+    if orbit.halt is None:
+        lo = rng.randint(-5, top - 20)
+        return lo, rng.randint(lo, top)
+    singular = orbit.last_m + 1
+    return rng.randint(-5, singular), singular + rng.randint(0, 8)
+
+
+def values_until_error(values):
+    """The values an iterable yields, and the sixrde error that ends it as
+    (type name, message, attributes), or None if it runs out."""
+    got = []
+    try:
+        for value in values:
+            got.append(value)
+    except SixrdeError as exc:
+        return got, (type(exc).__name__, str(exc), vars(exc))
+    return got, None

@@ -2,10 +2,11 @@
 
 import json
 import random
+import sys
 
 import pytest
 
-from sixrde import cli, format_rational
+from sixrde import cli, format_rational, iterate, parse_rational
 from sixrde.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -131,6 +132,26 @@ def test_iterate_one_step_value(tmp_path, capsys):
     assert last == "1,1/2,0.5"
 
 
+def test_iterate_past_int_str_digit_limit(tmp_path):
+    # At horizon 900 the last terms have more than 4300 decimal digits,
+    # Python's default limit for int<->str conversion.
+    data = ones_spec(a="2", b="1/3", horizon=900)
+    data["initial"] = ["1", "1", "1", "1", "2", "1"]
+    path = write_spec(tmp_path, data)
+    out = tmp_path / "orbit.csv"
+    limit = sys.get_int_max_str_digits()
+    assert cli.main(["iterate", "--spec", path, "--out", str(out)]) == EXIT_OK
+    assert sys.get_int_max_str_digits() == limit
+    spec = load_problem_spec(path)
+    orbit = iterate(spec.initial, spec.coeffs, 900)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [int(m) for m, _, _ in rows] == list(range(-5, 901))
+    assert max(len(exact) for _, exact, _ in rows) > limit
+    # Every value, the last and the longest (x_899) included, reads back.
+    assert [parse_rational(exact) for _, exact, _ in rows] == list(orbit.terms)
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_iterate_writes_csv_file_with_lf(tmp_path):
     path = write_spec(tmp_path, ones_spec(horizon=2))
     out = tmp_path / "orbit.csv"
@@ -202,6 +223,20 @@ def test_solve_singular_prints_position_and_exits_2(tmp_path, capsys):
     assert cli.main(["solve", "--spec", path, "--range", "-5..6"]) == EXIT_SINGULAR
     captured = capsys.readouterr()
     assert "j=2" in captured.err and "s=0" in captured.err
+    # Both engines write every row before the singular x_m, then stop; a
+    # range that starts at x_m writes only the header.
+    for a, b, m, position in (("1", "-1", 1, "j=2, s=0"), ("2", "-4/3", 5, "j=2, s=1")):
+        path = write_spec(tmp_path, ones_spec(a=a, b=b))
+        for engine in ("general", "auto"):
+            for lo, rows in ((-5, list(range(-5, m))), (m, [])):
+                code = cli.main(["solve", "--spec", path, "--engine", engine,
+                                 "--range", f"{lo}..{m + 4}"])
+                assert code == EXIT_SINGULAR, (b, engine, lo)
+                captured = capsys.readouterr()
+                lines = captured.out.splitlines()
+                assert lines[0] == "m,exact,float"
+                assert [int(line.split(",")[0]) for line in lines[1:]] == rows
+                assert f"at x_{m}: {position}" in captured.err
 
 
 def test_solve_bad_range_is_usage_error(tmp_path, capsys):
@@ -238,13 +273,13 @@ def test_compare_detects_corrupted_engine(tmp_path, monkeypatch, capsys):
     import sixrde.closedform as cf
 
     path = write_spec(tmp_path, ones_spec(a="2", b="3", horizon=6))
-    real_term = cf.term
+    real_terms = cf.terms
 
-    def corrupted(m, ic, coeffs):
-        value = real_term(m, ic, coeffs)
-        return value + 1 if m == 3 else value
+    def corrupted(lo, hi, ic, coeffs):
+        for m, value in enumerate(real_terms(lo, hi, ic, coeffs), lo):
+            yield value + 1 if m == 3 else value
 
-    monkeypatch.setattr(cli.closedform, "term", corrupted)
+    monkeypatch.setattr(cli.closedform, "terms", corrupted)
     assert cli.main(["compare", "--spec", path]) == EXIT_MISMATCH
     report = json.loads(capsys.readouterr().out)
     assert report["summary"]["first_mismatch"] == 3

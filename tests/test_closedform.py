@@ -11,6 +11,7 @@ from sixrde import (
     GaussianRational,
     I,
     IndexBelowSeed,
+    OutOfHorizon,
     SingularClosedForm,
     canonical_coordinate,
     gamma,
@@ -18,6 +19,7 @@ from sixrde import (
     iterate,
     make_initial_conditions,
     term,
+    terms,
     unified_constants,
     unified_exponent,
     unified_magnitude,
@@ -27,7 +29,13 @@ from sixrde import (
     well_defined,
 )
 
-from conftest import nonsingular_instance, random_instance
+from conftest import (
+    COEFF_KINDS,
+    nonsingular_instance,
+    random_instance,
+    range_window,
+    values_until_error,
+)
 
 ONES = make_initial_conditions([1] * 6)
 TRIVIAL = CoefficientSequence.constant(1, 0)
@@ -119,6 +127,52 @@ def test_term_raises_singular_closed_form_with_position():
         term(1, ONES, coeffs)
     assert (exc.value.j, exc.value.s, exc.value.v_index) == (2, 0, 4)
     assert exc.value.halt_step == 0
+
+
+@pytest.mark.parametrize("kind", COEFF_KINDS)
+def test_terms_range_equals_point_evaluation(kind):
+    """A range yields what `term` gives index by index, and on a halting
+    instance raises at the first singular index with the same position."""
+    rng = random.Random(130 + COEFF_KINDS.index(kind))
+    cases = {False: 0, True: 0}  # by whether the orbit halts
+    while min(cases.values()) < 5:
+        ic, coeffs = random_instance(rng, kind)
+        orbit = iterate(ic, coeffs, 60)
+        halted = orbit.halt is not None
+        if cases[halted] == 5:
+            continue
+        cases[halted] += 1
+        lo, hi = range_window(rng, orbit, 60)
+        want = values_until_error(term(m, ic, coeffs) for m in range(lo, hi + 1))
+        assert values_until_error(terms(lo, hi, ic, coeffs)) == want
+        if halted:
+            assert len(want[0]) == orbit.last_m + 1 - lo
+            assert want[1][0] == "SingularClosedForm"
+
+
+def test_terms_past_explicit_horizon_raises_like_term():
+    rng = random.Random(137)
+    for _ in range(6):
+        ic, base, _orbit = nonsingular_instance(rng, 30)
+        length = rng.randint(8, 24)
+        coeffs = CoefficientSequence.explicit(
+            [base.a_at(k) for k in range(length)],
+            [base.b_at(k) for k in range(length)],
+        )
+        lo, hi = rng.randint(-5, length), length + 12
+        want = values_until_error(term(m, ic, coeffs) for m in range(lo, hi + 1))
+        assert want[1][0] == "OutOfHorizon"
+        assert values_until_error(terms(lo, hi, ic, coeffs)) == want
+
+
+def test_term_past_explicit_horizon_raises_before_singular_check():
+    # V_4 = a_0 + b_0 = 0 sits in x_13's product, but x_13 also needs
+    # coefficients 6 and 8 past the list's end: every V is formed first.
+    coeffs = CoefficientSequence.explicit([1] * 4, [-1, 0, 0, 0])
+    with pytest.raises(OutOfHorizon, match="coefficient index 6 is past"):
+        term(13, ONES, coeffs)
+    with pytest.raises(OutOfHorizon, match="coefficient index 6 is past"):
+        list(terms(13, 20, ONES, coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,14 @@ from sixrde import (
     term_periodic2,
     term_periodic4,
 )
+from sixrde.specialcases import terms_periodic4
 
-from conftest import random_initial_conditions, random_rational
+from conftest import (
+    random_initial_conditions,
+    random_rational,
+    range_window,
+    values_until_error,
+)
 
 ONES = make_initial_conditions([1] * 6)
 
@@ -275,3 +281,23 @@ def test_singular_position_matches_general_path():
             assert position == (want.value.j, want.value.s, want.value.v_index), (
                 build.__name__, m)
             halted += 1
+
+
+def test_terms_periodic4_range_equals_point_evaluation():
+    rng = random.Random(107)
+    cases = {False: 0, True: 0}  # by whether the orbit halts
+    while min(cases.values()) < 8:
+        ic = random_initial_conditions(rng)
+        pc = PeriodicCoeffs4(tuple(small_coeff(rng) for _ in range(4)),
+                             tuple(small_coeff(rng) for _ in range(4)))
+        orbit = iterate(ic, pc.as_sequence(), 60)
+        halted = orbit.halt is not None
+        if cases[halted] == 8:
+            continue
+        cases[halted] += 1
+        lo, hi = range_window(rng, orbit, 60)
+        want = values_until_error(term_periodic4(m, ic, pc) for m in range(lo, hi + 1))
+        assert values_until_error(terms_periodic4(lo, hi, ic, pc)) == want
+        if halted:
+            assert len(want[0]) == orbit.last_m + 1 - lo
+            assert want[1][0] == "SingularClosedForm"
