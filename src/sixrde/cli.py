@@ -380,17 +380,17 @@ def _cmd_verify_symmetry(args) -> int:
         print("error: --samples must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     rng = Lcg(args.seed)
-    characteristics = [("Q1", symmetry.Q1), ("Q2", symmetry.Q2)]
+    characteristics = [symmetry.Q1, symmetry.Q2]
     if args.counterfeit:
-        characteristics = [("counterfeit", symmetry.counterfeit_characteristic)]
+        characteristics = [symmetry.counterfeit_characteristic]
     failed = False
     samples = [rng.lsc_sample() for _ in range(args.samples)]
-    for name, q in characteristics:
+    for q in characteristics:
         nonzero = sum(1 for s in samples if symmetry.lsc_residual(q, s))
         ok = nonzero == 0
         failed = failed or not ok
         print(
-            f"lsc {name}: samples={args.samples} nonzero_residuals={nonzero} "
+            f"lsc {q.name}: samples={args.samples} nonzero_residuals={nonzero} "
             f"{'ok' if ok else 'FAIL'}"
         )
     reduced = symmetry.verify_reduced_system(50)
@@ -427,6 +427,17 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _re.compile(r"^-\d")
 
 
+def _step_count(text: str) -> int:
+    """argparse type of --n: a nonnegative integer (a usage error otherwise)."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="sixrde",
@@ -437,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_it = sub.add_parser("iterate", help="direct iteration to CSV")
     p_it.add_argument("--spec", required=True, help="problem spec JSON file")
-    p_it.add_argument("--n", type=int, default=None, help="steps (default: spec horizon)")
+    p_it.add_argument("--n", type=_step_count, default=None,
+                      help="steps (default: spec horizon)")
     p_it.add_argument("--out", default="-", help="output CSV path (default stdout)")
     p_it.add_argument(
         "--emit-spec", action="store_true",
@@ -459,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cp = sub.add_parser("compare", help="oracle vs closed form, JSON report")
     p_cp.add_argument("--spec", required=True, help="problem spec JSON file")
-    p_cp.add_argument("--n", type=int, default=None, help="steps (default: spec horizon)")
+    p_cp.add_argument("--n", type=_step_count, default=None,
+                      help="steps (default: spec horizon)")
     p_cp.add_argument("--out", default="-", help="output JSON path (default stdout)")
     p_cp.add_argument("--emit-spec", action="store_true",
                       help="echo the parsed spec as canonical JSON and exit")

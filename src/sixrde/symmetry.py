@@ -1,15 +1,17 @@
 """Verification layer for the shift-symmetry structure of the recurrence.
 
 The recurrence admits a two-dimensional algebra of point symmetries with
-characteristics Q(n, u) = phase^n * u where phase is the imaginary unit i or
-its conjugate -i.  This module evaluates the linearized symmetry condition
-residual exactly at sampled points (the residual is a rational function that
-must vanish identically, so vanishing at generic rational samples is the
-verification standard), checks the reduced determining system
-beta_n + beta_(n+2) = 0 for both roots i^n and (-i)^n, checks that the
-prolonged generators annihilate the logarithmic invariant
-ln|u_n| + ln|u_(n+2)| (whose coefficient sum is phase^n + phase^(n+2) = 0),
-and bridges that invariant to V_n = 1/(u_n * u_(n+2)) numerically.
+characteristics Q(n, u) = (+-i)^n * u.  Each characteristic is a whole number
+of quarter turns of i per step, so every phase it takes is read from the
+four-cycle `core.i_power`.  This module evaluates the linearized symmetry
+condition residual exactly at sampled points (the residual is a rational
+function that must vanish identically, so vanishing at generic rational
+samples is the verification standard), and runs one phase-sum check,
+beta_n + beta_(n+2) = 0 for n <= n_max, both for the reduced determining
+system (roots i^n and (-i)^n) and for the prolonged generators applied to the
+logarithmic invariant ln|u_n| + ln|u_(n+2)| (coefficient sum
+phase^n + phase^(n+2)).  It also bridges that invariant to
+V_n = 1/(u_n * u_(n+2)) numerically.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Callable, Sequence
 from .core import (
     DegenerateSample,
     GaussianRational,
-    I,
     RationalLike,
     as_rational,
     i_power,
@@ -37,9 +38,8 @@ __all__ = [
     "LscSample",
     "lsc_residual",
     "RootCheckFailure",
-    "ReducedSystemReport",
+    "PhaseSumReport",
     "verify_reduced_system",
-    "GeneratorReport",
     "generator_annihilates_invariant",
     "tilde_v",
 ]
@@ -48,36 +48,37 @@ CharacteristicFn = Callable[[int, RationalLike], GaussianRational]
 
 
 class Characteristic:
-    """A symmetry characteristic Q(n, u) = phase^n * u over Gaussian rationals.
+    """A symmetry characteristic Q(n, u) = i^(turns*n) * u over Gaussian rationals.
 
-    Periodic of period 4 in n, linear in u, and Q(n, 0) = 0.
+    Its phase is i^turns, a whole number of quarter turns of i, so Q is
+    periodic of period 4 in n, linear in u, and Q(n, 0) = 0.
     """
 
-    __slots__ = ("name", "phase")
+    __slots__ = ("name", "turns")
 
-    def __init__(self, name: str, phase: GaussianRational):
+    def __init__(self, name: str, turns: int):
         self.name = name
-        self.phase = phase
+        self.turns = turns
+
+    def phase_power(self, n: int) -> GaussianRational:
+        """phase^n = i^(turns*n), read from the four-cycle of i."""
+        return i_power(self.turns * n)
 
     def __call__(self, n: int, u: RationalLike) -> GaussianRational:
-        return self.phase**n * as_rational(u)
+        return self.phase_power(n) * as_rational(u)
 
     def __repr__(self) -> str:
-        return f"Characteristic({self.name}, phase={self.phase})"
+        return f"Characteristic({self.name}, turns={self.turns})"
 
 
 #: The two independent characteristics: phases i and -i.
-Q1 = Characteristic("Q1", I)
-Q2 = Characteristic("Q2", I.conjugate())
+Q1 = Characteristic("Q1", 1)
+Q2 = Characteristic("Q2", -1)
 
-
-def counterfeit_characteristic(n: int, u: RationalLike) -> GaussianRational:
-    """Deliberately wrong characteristic Q(n, u) = u, for detector sanity.
-
-    It is not a symmetry of the recurrence, so the linearized-condition
-    residual must come out nonzero on generic samples.
-    """
-    return GaussianRational(as_rational(u))
+#: Deliberately wrong characteristic Q(n, u) = u, for detector sanity.
+#: It is not a symmetry of the recurrence, so the linearized-condition
+#: residual must come out nonzero on generic samples.
+counterfeit_characteristic = Characteristic("counterfeit", 0)
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ def lsc_residual(q: CharacteristicFn, sample: LscSample) -> GaussianRational:
 
 
 # ---------------------------------------------------------------------------
-# Reduced determining system
+# Phase-sum check: reduced determining system and generators
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -143,88 +144,70 @@ class RootCheckFailure:
 
 
 @dataclass(frozen=True)
-class ReducedSystemReport:
-    """Outcome of checking beta_n + beta_(n+2) = 0 over n <= n_max.
-
-    The companion equation of the reduced system forces the quadratic part
-    of the characteristic to vanish identically; there is nothing to
-    evaluate for it, which `quadratic_part_zero` records.
-    """
+class PhaseSumReport:
+    """Outcome of checking beta_n + beta_(n+2) = 0 over n <= n_max."""
 
     n_max: int
     failures: tuple[RootCheckFailure, ...]
-    quadratic_part_zero: bool = True
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-_DEFAULT_ROOTS: tuple[tuple[str, Callable[[int], GaussianRational]], ...] = (
-    ("i^n", lambda n: i_power(n)),
-    ("(-i)^n", lambda n: i_power(-n)),
-)
+RootFn = Callable[[int], GaussianRational]
 
 
-def verify_reduced_system(
-    n_max: int,
-    roots: "Sequence[tuple[str, Callable[[int], GaussianRational]]] | None" = None,
-) -> ReducedSystemReport:
-    """Check beta_n + beta_(n+2) = 0 exactly for every root and n <= n_max.
-
-    The default roots are the two solutions i^n and (-i)^n; passing a
-    counterfeit root (e.g. the constant 1) exercises the detector.
-    """
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
+def _phase_sum_check(n_max: int, roots: "Sequence[tuple[str, RootFn]]") -> PhaseSumReport:
     failures = []
-    for name, beta in roots if roots is not None else _DEFAULT_ROOTS:
+    for name, beta in roots:
         for n in range(n_max + 1):
             value = beta(n) + beta(n + 2)
             if value:
                 failures.append(RootCheckFailure(root=name, n=n, value=value))
-    return ReducedSystemReport(n_max=n_max, failures=tuple(failures))
+    return PhaseSumReport(n_max=n_max, failures=tuple(failures))
 
 
-# ---------------------------------------------------------------------------
-# Generators applied to the invariant
-# ---------------------------------------------------------------------------
+_DEFAULT_ROOTS = (("i^n", Q1.phase_power), ("(-i)^n", Q2.phase_power))
 
-@dataclass(frozen=True)
-class GeneratorReport:
-    variant: str
-    n_max: int
-    failures: tuple[RootCheckFailure, ...]
+_GENERATORS = {"X1": Q1, "X2": Q2}
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+
+def verify_reduced_system(
+    n_max: int,
+    roots: "Sequence[tuple[str, RootFn]] | None" = None,
+) -> PhaseSumReport:
+    """Check beta_n + beta_(n+2) = 0 exactly for every root and n <= n_max.
+
+    The default roots are the two solutions i^n and (-i)^n, the phase powers
+    of Q1 and Q2; passing a counterfeit root (e.g. the constant 1) exercises
+    the detector.  The companion equation of the reduced system forces the
+    quadratic part of the characteristic to vanish identically, so there is
+    nothing to evaluate for it.
+    """
+    if n_max < 2:
+        raise ValueError(f"n_max must be >= 2, got {n_max}")
+    return _phase_sum_check(n_max, _DEFAULT_ROOTS if roots is None else roots)
 
 
 def generator_annihilates_invariant(
     variant: str,
     n_max: int,
     phase: "GaussianRational | None" = None,
-) -> GeneratorReport:
+) -> PhaseSumReport:
     """Check that the prolonged generator kills the logarithmic invariant.
 
     Applying the generator to S_n*phase^n + S_(n+2)*phase^(n+2) leaves the
     coefficient sum phase^n + phase^(n+2), which must vanish exactly for
-    every n <= n_max.  Variant "X1" uses phase i, "X2" uses phase -i; an
-    explicit `phase` override (e.g. 1) exercises the detector.
+    every n <= n_max.  Variant "X1" uses the phase of Q1 (i), "X2" that of
+    Q2 (-i); an explicit `phase` override (e.g. 1) exercises the detector.
     """
-    if variant not in ("X1", "X2"):
+    if variant not in _GENERATORS:
         raise ValueError(f"variant must be 'X1' or 'X2', got {variant!r}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if phase is None:
-        phase = I if variant == "X1" else I.conjugate()
-    failures = []
-    for n in range(n_max + 1):
-        value = phase**n + phase ** (n + 2)
-        if value:
-            failures.append(RootCheckFailure(root=variant, n=n, value=value))
-    return GeneratorReport(variant=variant, n_max=n_max, failures=tuple(failures))
+    beta = _GENERATORS[variant].phase_power if phase is None else (lambda n: phase**n)
+    return _phase_sum_check(n_max, ((variant, beta),))
 
 
 # ---------------------------------------------------------------------------

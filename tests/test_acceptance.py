@@ -35,6 +35,7 @@ from sixrde import (
     term_const_general,
     term_periodic2,
     term_periodic4,
+    terms,
     unified_exponent,
     unified_magnitude,
     verify_gamma_identities,
@@ -146,10 +147,11 @@ def test_criterion_3_special_case_fidelity():
             for ic, solver, coeffs, orbit in _special_case_instances(
                 seed, 100, builder, steps=55
             ):
+                general = list(terms(-5, 55, ic, coeffs))
                 for m in range(-5, 56):
                     value = solver(m)
                     assert value == orbit.x(m)
-                    assert value == term(m, ic, coeffs)
+                    assert value == general[m + 5]
 
         # a = -1: parity-exponent family against the oracle, n <= 30, all classes
         rng = random.Random(35)

@@ -1,10 +1,16 @@
 """CLI contract: spec files, CSV/JSON outputs, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
+import os
 import random
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sixrde import cli, format_rational, iterate, parse_rational
 from sixrde.cli import (
@@ -326,10 +332,82 @@ def test_verify_symmetry_rejects_bad_sample_count(capsys):
 # Exit-code contract
 # ---------------------------------------------------------------------------
 
-def test_usage_errors_exit_65(capsys):
+def test_usage_errors_exit_65(tmp_path, capsys):
     assert cli.main([]) == EXIT_USAGE
     assert cli.main(["bogus"]) == EXIT_USAGE
     assert cli.main(["solve"]) == EXIT_USAGE  # missing --spec
+    path = write_spec(tmp_path, ones_spec())
+    capsys.readouterr()
+    for command in ("iterate", "compare"):
+        assert cli.main([command, "--spec", path, "--n", "-1"]) == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed spec/argv boundary
+# ---------------------------------------------------------------------------
+
+_RATIONALS = st.sampled_from(["1", "-1", "2", "-2", "1/2", "-1/2", "3/2", "1/3"])
+_MALFORMED = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=4),
+    st.lists(st.integers(-2, 2), max_size=3), st.just(["1/0"]), st.just(["0.5"]),
+)
+
+
+@st.composite
+def _fuzzed_specs(draw):
+    """Problem specs, mostly valid (so the run reaches the engines), sometimes
+    singular, sometimes with one field replaced by malformed JSON."""
+    kind = draw(st.sampled_from(["constant", "periodic", "list"]))
+    length = {"constant": 1, "periodic": draw(st.integers(1, 4)),
+              "list": draw(st.integers(0, 30))}[kind]
+    a = draw(st.lists(st.sampled_from(["1", "-1", "2", "1/2", "0"]),
+                      min_size=length, max_size=length))
+    b = draw(st.lists(st.sampled_from(["0", "1", "-1", "1/3"]),
+                      min_size=length, max_size=length))
+    coeffs = {"kind": kind, "a": a, "b": b}
+    if kind == "periodic":
+        coeffs["period"] = length
+    spec = {
+        "initial": draw(st.lists(_RATIONALS, min_size=6, max_size=6)),
+        "coeffs": coeffs,
+        "horizon": draw(st.integers(0, 30)),
+    }
+    if draw(st.integers(0, 4)) == 0:
+        where = draw(st.sampled_from(["initial", "horizon", "coeffs", "kind", "a", "b"]))
+        target = coeffs if where in ("kind", "a", "b") else spec
+        target[where] = draw(_MALFORMED)
+    return spec
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    command = draw(st.sampled_from(["iterate", "solve", "compare"]))
+    argv = [command]
+    if command == "solve":
+        if draw(st.booleans()):
+            lo, hi = draw(st.integers(-8, 30)), draw(st.integers(-8, 30))
+            argv += ["--range", f"{lo}..{hi}"]
+        argv += ["--engine", draw(st.sampled_from(["general", "auto"]))]
+    elif draw(st.booleans()):
+        argv += ["--n", str(draw(st.integers(-8, 30)))]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append("--emit-spec")
+    return argv
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(spec=_fuzzed_specs(), argv=_fuzzed_argv())
+def test_cli_contract_holds_for_fuzzed_specs_and_argv(spec, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv[:1] + ["--spec", path] + argv[1:])
+    assert code in (EXIT_OK, EXIT_SINGULAR, EXIT_MISMATCH, EXIT_SPEC, EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_lcg_is_deterministic():
