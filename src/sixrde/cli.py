@@ -269,28 +269,11 @@ def _auto_engine(spec: ProblemSpec):
     return lambda lo, hi: specialcases.terms_periodic4(lo, hi, spec.initial, pc)
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise ValueError(f"range must look like A..B, got {text!r}")
-    return int(lo), int(hi)
-
-
 def _cmd_solve(args) -> int:
     spec = load_problem_spec(args.spec)
     if _emit_spec_requested(args, spec):
         return EXIT_OK
-    if args.range is None:
-        lo, hi = -5, spec.horizon
-    else:
-        try:
-            lo, hi = _parse_range(args.range)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    if lo < -5 or hi < lo:
-        print(f"error: invalid index range {lo}..{hi}", file=sys.stderr)
-        return EXIT_USAGE
+    lo, hi = (-5, spec.horizon) if args.range is None else args.range
     if args.engine == "general":
         solver = lambda lo, hi: closedform.terms(lo, hi, spec.initial, spec.coeffs)
     else:
@@ -438,6 +421,17 @@ def _step_count(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
 
 
+def _index_range(text: str) -> tuple[int, int]:
+    """argparse type of --range: A..B with -5 <= A <= B (a usage error otherwise)."""
+    lo, sep, hi = text.partition("..")
+    try:
+        if sep and -5 <= int(lo) <= int(hi):
+            return int(lo), int(hi)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be A..B with -5 <= A <= B, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="sixrde",
@@ -459,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sv = sub.add_parser("solve", help="closed-form terms to CSV")
     p_sv.add_argument("--spec", required=True, help="problem spec JSON file")
-    p_sv.add_argument("--range", default=None, help="index range A..B (default -5..horizon)")
+    p_sv.add_argument("--range", type=_index_range, default=None,
+                      help="index range A..B (default -5..horizon)")
     p_sv.add_argument(
         "--engine", choices=("general", "auto"), default="general",
         help="general closed form, or the dedicated special-case formula",
@@ -501,10 +496,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     except ProblemSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    except SixrdeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (SixrdeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -22,14 +22,18 @@ its class costs O(1) rational operations; `term` is the one-term range.
 
 A vanishing V in a denominator is exactly the well-definedness failure of
 the closed form, and corresponds one-to-one with the direct iteration
-hitting a zero denominator (at step v_index - 4).
+hitting a zero denominator (at step v_index - 4).  Every breakdown is
+therefore reported as `SingularClosedForm(v_index)`, the index of the one
+vanishing V, from which the class, factor and halt step follow; the guard
+`well_defined` scans V_4, ..., V_(4*horizon+5) in that order.
 
 There is also a unified magnitude formula over the complex unit i:
 
     |u_n| = exp( i^n c1 + (-i)^n c2 + sum(Re[i^(n-k)] * ln|V_k|, k < n) )
 
 with c1 + c2 = ln|u_0| and i*(c1 - c2) = ln|u_1|.  That path recovers
-magnitudes only (in floating point); signs live on the exact path.
+magnitudes only (in floating point); signs live on the exact path.  Every
+phase, exact or floating, is read from the one cycle `core.i_power`.
 """
 
 from __future__ import annotations
@@ -69,13 +73,6 @@ __all__ = [
     "unified_magnitude",
 ]
 
-_I_COMPLEX = (1 + 0j, 1j, -1 + 0j, -1j)
-
-
-def _complex_i_power(k: int) -> complex:
-    return _I_COMPLEX[k % 4]
-
-
 # ---------------------------------------------------------------------------
 # The phase kernel
 # ---------------------------------------------------------------------------
@@ -89,7 +86,8 @@ def verify_gamma_identities(limit: int) -> list[str]:
     """Check all seven structural identities of the phase kernel.
 
     Returns a list of human-readable failures (empty when everything holds)
-    for all n, k in 0..limit.
+    for all n, k in 0..limit.  The kernel is `i_power(n - k)`, a lookup on
+    (n - k) mod 4, so one period, n, k in 0..min(limit, 3), covers them all.
     """
     failures = []
     one = GaussianRational(1)
@@ -97,8 +95,9 @@ def verify_gamma_identities(limit: int) -> list[str]:
         failures.append("gamma(0,1) != conj(i)")
     if gamma(1, 0) != i_power(1):
         failures.append("gamma(1,0) != i")
-    for n in range(limit + 1):
-        for k in range(limit + 1):
+    period = range(min(limit, 3) + 1)
+    for n in period:
+        for k in period:
             g = gamma(n, k)
             if n == k and g != one:
                 failures.append(f"gamma({n},{n}) != 1")
@@ -173,6 +172,13 @@ class _InvariantTable:
             column.append(a * column[-1] + b)
         return column[block]
 
+    def nonzero(self, k: int) -> Fraction:
+        """V_k, or `SingularClosedForm(k)` when it vanishes."""
+        v = self.v(k)
+        if v == 0:
+            raise SingularClosedForm(k)
+        return v
+
 
 def terms(
     lo: int, hi: int, ic: InitialConditions, coeffs: CoefficientSequence
@@ -197,15 +203,10 @@ def terms(
             table.v(4 * (n - 1) + j)
             table.v(4 * (n - 1) + j + 2)
         for s in range(done, n):
-            den = table.v(4 * s + j + 2)
-            if den == 0:
-                raise SingularClosedForm(j=j, s=s, v_index=4 * s + j + 2)
-            num = table.v(4 * s + j)
-            if num == 0:
-                # A zero numerator V means the orbit already died on the class
-                # where this V sits in a denominator; report it canonically.
-                raise SingularClosedForm.from_v_index(4 * s + j)
-            value *= num / den
+            # A zero numerator V means the orbit already died on the class
+            # where that V sits in a denominator; its own index reports it.
+            den = table.nonzero(4 * s + j + 2)
+            value *= table.nonzero(4 * s + j) / den
         state[j] = (value, n)
         yield value
 
@@ -244,6 +245,8 @@ class WellDefViolation:
 
 @dataclass(frozen=True)
 class WellDefinednessReport:
+    """Outcome of `well_defined`; violations are in ascending `v_index`."""
+
     horizon: int
     violations: tuple[WellDefViolation, ...]
     seeds_nonzero: bool = True
@@ -256,7 +259,7 @@ class WellDefinednessReport:
     def first_halt_step(self) -> "int | None":
         if not self.violations:
             return None
-        return min(v.halt_step for v in self.violations)
+        return self.violations[0].halt_step
 
 
 def well_defined(
@@ -270,31 +273,28 @@ def well_defined(
         -u_j * u_(j+2) * sum(b_(4l+j) * prod(a_(4k+j), l < k <= s-i), l <= s-i)
             != prod(a_(4k+j), k <= s-i),
 
-    i.e. u_j*u_(j+2)*V_(4(s-i+1)+j) != 0.  Violations are data, not errors;
-    each one pinpoints the iteration step where the orbit must die.  The six
+    i.e. u_j*u_(j+2)*V_(4(s-i+1)+j) != 0 (s - i < 0 gives the trivial
+    0 != 1).  Over every j and s these are exactly V_4, ..., V_(4*horizon+5)
+    != 0, so the guard scans that range in ascending order, which is also
+    ascending halt step.  Violations are data, not errors; each one
+    pinpoints the iteration step where the orbit must die.  The six
     nonzero-seed requirement (already enforced at construction) is reported
-    alongside.  For explicit coefficient lists the scan of a class stops
-    where the coefficients run out.
+    alongside.  For explicit coefficient lists the scan stops where the
+    coefficients run out (V_k needs coefficient k - 4).
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     table = _InvariantTable(ic, coeffs)
     violations = []
-    for j in range(4):
-        i_off = 0 if j <= 1 else 1
-        # upper = s - i_off runs 0, 1, ... ; upper < 0 cases are the trivial
-        # 0 != 1 inequalities and cannot fail.
-        for upper in range(0, horizon - i_off + 1):
-            v_index = 4 * (upper + 1) + j
-            try:
-                v = table.v(v_index)
-            except OutOfHorizon:
-                break
-            if v == 0:
-                violations.append(
-                    WellDefViolation(j=j, s=upper + i_off, v_index=v_index)
-                )
-    violations.sort(key=lambda v: (v.halt_step, v.j, v.s))
+    for v_index in range(4, 4 * horizon + 6):
+        try:
+            v = table.v(v_index)
+        except OutOfHorizon:
+            break
+        if v == 0:
+            violations.append(
+                WellDefViolation(j=v_index % 4, s=(v_index - 2) // 4, v_index=v_index)
+            )
     return WellDefinednessReport(
         horizon=horizon, violations=tuple(violations), seeds_nonzero=True
     )
@@ -308,7 +308,7 @@ def canonical_coordinate(n: int, orbit: Orbit) -> complex:
     """S_n = i^(-n) * ln|u_n| in complex floating point."""
     if n < 0:
         raise OutOfRange("orbit term u", n)
-    return _complex_i_power(-n) * log_abs(orbit.u(n))
+    return complex(i_power(-n)) * log_abs(orbit.u(n))
 
 
 @dataclass(frozen=True)
@@ -344,7 +344,7 @@ def unified_exponent(
     if n < 0:
         raise OutOfRange("orbit term u", n)
     consts = unified_constants(ic)
-    total = _complex_i_power(n) * consts.c1 + _complex_i_power(-n) * consts.c2
+    total = complex(i_power(n)) * consts.c1 + complex(i_power(-n)) * consts.c2
     table = _InvariantTable(ic, coeffs)
     # Extend every column before checking any V, so a short explicit list
     # raises OutOfHorizon ahead of a singularity, as in `terms`.
@@ -352,9 +352,7 @@ def unified_exponent(
         table.v(k)
     for k in range(n):
         re_gamma = gamma(n, k).real
-        v_k = table.v(k)
-        if v_k == 0:
-            raise SingularClosedForm.from_v_index(k)
+        v_k = table.nonzero(k)
         if re_gamma != 0:
             total += float(re_gamma) * log_abs(v_k)
     return total

@@ -99,28 +99,22 @@ class TooShort(SixrdeError):
 class SingularClosedForm(SixrdeError):
     """A closed-form product needs an invariant value V that is zero.
 
-    Attributes carry the position of the broken factor: `j` is the residue
-    class (mod 4) of the term family whose product contains the vanishing V
-    as a denominator, `s` the factor index within that product, and
-    `v_index` the index of the vanishing V itself (v_index = 4*s + j + 2).
-    `halt_step` is the iteration step at which direct iteration hits the
-    same zero denominator.
+    Built from `v_index`, the index of the vanishing V itself; the rest of
+    the position follows from it.  `j` is the residue class (mod 4) of the
+    term family whose product contains that V as a denominator and `s` the
+    factor index within that product (v_index = 4*s + j + 2).  `halt_step`
+    is the iteration step at which direct iteration hits the same zero
+    denominator.
     """
 
-    def __init__(self, j: int, s: int, v_index: int):
-        self.j = j
-        self.s = s
+    def __init__(self, v_index: int):
         self.v_index = v_index
+        self.j = (v_index - 2) % 4
+        self.s = (v_index - 2) // 4
         super().__init__(
             f"closed form is singular: V_{v_index} = 0 "
-            f"(class j={j}, factor s={s})"
+            f"(class j={self.j}, factor s={self.s})"
         )
-
-    @classmethod
-    def from_v_index(cls, v_index: int) -> "SingularClosedForm":
-        j = (v_index - 2) % 4
-        s = (v_index - 2 - j) // 4
-        return cls(j, s, v_index)
 
     @property
     def halt_step(self) -> int:
@@ -246,6 +240,9 @@ class GaussianRational:
 
     def __bool__(self) -> bool:
         return bool(self.real) or bool(self.imag)
+
+    def __complex__(self) -> complex:
+        return complex(self.real, self.imag)
 
     def __add__(self, other):
         other = self._coerce(other)

@@ -155,10 +155,10 @@ def _terms(
         for s in range(done, n):
             den = _factor(a[q], den_k, den_power, s + shift)
             if den == 0:
-                raise SingularClosedForm(j=j, s=s, v_index=4 * s + j + 2)
+                raise SingularClosedForm(4 * s + j + 2)
             num = _factor(a[j], num_k, num_power, s)
             if num == 0:
-                raise SingularClosedForm.from_v_index(4 * s + j)
+                raise SingularClosedForm(4 * s + j)
             value *= u[top] * num / (u[bottom] * den)
             num_power *= a[j]
             den_power *= a[q]
@@ -222,9 +222,9 @@ def _ratio_power(
 ) -> Fraction:
     """numerator_base^num_count / denominator_base^den_count, guarded."""
     if den_count > 0 and denominator_base == 0:
-        raise SingularClosedForm.from_v_index(den_v_index)
+        raise SingularClosedForm(den_v_index)
     if num_count > 0 and numerator_base == 0:
-        raise SingularClosedForm.from_v_index(num_v_index)
+        raise SingularClosedForm(num_v_index)
     return numerator_base**num_count / denominator_base**den_count
 
 

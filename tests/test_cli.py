@@ -249,6 +249,10 @@ def test_solve_bad_range_is_usage_error(tmp_path, capsys):
     path = write_spec(tmp_path, ones_spec())
     assert cli.main(["solve", "--spec", path, "--range", "oops"]) == EXIT_USAGE
     assert cli.main(["solve", "--spec", path, "--range", "3..-3"]) == EXIT_USAGE
+    for bad in ("-6..0", "5", "1.."):
+        capsys.readouterr()
+        assert cli.main(["solve", "--spec", path, "--range", bad]) == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from sixrde import (
     unified_exponent,
     unified_magnitude,
     v_at,
+    i_power,
     v_closed,
     verify_gamma_identities,
     well_defined,
@@ -61,6 +62,25 @@ def test_gamma_identity_checker_detects_breakage(monkeypatch):
 
     monkeypatch.setattr(cf, "gamma", lambda n, k: GaussianRational(1))
     assert cf.verify_gamma_identities(2) != []
+
+
+@pytest.mark.parametrize("r", range(4))
+def test_gamma_identity_checker_catches_each_wrong_residue(monkeypatch, r):
+    import sixrde.closedform as cf
+
+    for wrong in (lambda g: -g, lambda g: I * g):
+        def broken(n, k, wrong=wrong):
+            g = i_power(n - k)
+            return wrong(g) if (n - k) % 4 == r else g
+
+        monkeypatch.setattr(cf, "gamma", broken)
+        for limit in (0, 1, 3, 16):
+            assert cf.verify_gamma_identities(limit) != []
+
+
+def test_gamma_identities_hold_at_every_limit():
+    for limit in range(21):
+        assert verify_gamma_identities(limit) == []
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +229,56 @@ def test_well_defined_matches_oracle_halts():
             assert min(steps) == orbit.halt.step
             halted += 1
         agree += 1
+
+
+def per_class_guard_scan(ic, coeffs, horizon):
+    """The guard as one scan per residue class j over s <= horizon, reading
+    each V from `v_closed`; (j, s, v_index, halt_step) by halt step."""
+    found = []
+    for j in range(4):
+        i_off = 0 if j <= 1 else 1
+        for upper in range(horizon - i_off + 1):
+            try:
+                v = v_closed(j, upper + 1, ic, coeffs)
+            except OutOfHorizon:
+                break
+            if v == 0:
+                v_index = 4 * (upper + 1) + j
+                found.append((j, upper + i_off, v_index, v_index - 4))
+    return sorted(found, key=lambda f: (f[3], f[0], f[1]))
+
+
+def test_well_defined_equals_per_class_scan():
+    rng = random.Random(71)
+    small = [Fraction(k, d) for k in (-2, -1, 1, 2) for d in (1, 2)]
+    pick = lambda values: [rng.choice(values) for _ in range(rng.randint(1, 4))]
+    coeff_a, coeff_b = small + [Fraction(0)], small + [Fraction(0)] * 2
+    classes = set()
+    total = 0
+    for trial in range(600):
+        ic = make_initial_conditions([rng.choice(small) for _ in range(6)])
+        kind = trial % 3
+        if kind == 0:
+            coeffs = CoefficientSequence.constant(rng.choice(coeff_a), rng.choice(coeff_b))
+        elif kind == 1:
+            a = pick(coeff_a)
+            coeffs = CoefficientSequence.periodic(a, [rng.choice(coeff_b) for _ in a])
+        else:
+            length = rng.randint(0, 40)
+            coeffs = CoefficientSequence.explicit(
+                [rng.choice(coeff_a) for _ in range(length)],
+                [rng.choice(coeff_b) for _ in range(length)],
+            )
+        horizon = rng.randint(0, 12)
+        report = well_defined(ic, coeffs, horizon)
+        got = [(v.j, v.s, v.v_index, v.halt_step) for v in report.violations]
+        want = per_class_guard_scan(ic, coeffs, horizon)
+        assert got == want
+        assert report.first_halt_step == (want[0][3] if want else None)
+        classes.update(f[0] for f in want)
+        total += len(want)
+    assert classes == {0, 1, 2, 3}
+    assert total > 300
 
 
 def test_well_defined_stops_at_explicit_horizon():

@@ -13,6 +13,7 @@ from sixrde import (
     IndexBelowSeed,
     InitialConditions,
     OutOfHorizon,
+    SingularClosedForm,
     ZeroInitialValue,
     as_rational,
     decompose_index,
@@ -117,6 +118,12 @@ def test_gaussian_negative_powers():
 @pytest.mark.parametrize("k", range(-9, 10))
 def test_i_power_matches_repeated_multiplication(k):
     assert i_power(k) == I**k
+
+
+def test_gaussian_rational_converts_to_complex():
+    assert complex(GaussianRational(Fraction(-3, 4), Fraction(1, 8))) == complex(-0.75, 0.125)
+    for k in range(-9, 10):
+        assert complex(i_power(k)) == 1j**k
 
 
 def test_gaussian_rational_scalar_mixing():
@@ -238,3 +245,22 @@ def test_decompose_index_is_a_bijection():
 def test_decompose_index_recomposes(m):
     ti = decompose_index(m)
     assert 4 * ti.n - 5 + ti.j == m
+
+
+# ---------------------------------------------------------------------------
+# Singular position
+# ---------------------------------------------------------------------------
+
+def test_singular_position_follows_from_the_vanishing_v_index():
+    for v in range(4, 44):
+        exc = SingularClosedForm(v)
+        assert exc.v_index == v
+        assert 0 <= exc.j <= 3 and exc.s >= 0
+        assert 4 * exc.s + exc.j + 2 == v
+        assert exc.halt_step == v - 4
+        assert str(exc) == (
+            f"closed form is singular: V_{v} = 0 (class j={exc.j}, factor s={exc.s})"
+        )
+    for v, position in ((4, "j=2, factor s=0"), (13, "j=3, factor s=2")):
+        want = f"closed form is singular: V_{v} = 0 (class {position})"
+        assert str(SingularClosedForm(v)) == want

@@ -16,6 +16,7 @@ from sixrde import (
     iterate,
     lsc_residual,
     make_initial_conditions,
+    term_const_a_neg1,
 )
 
 sp = pytest.importorskip("sympy")
@@ -81,3 +82,76 @@ def test_map_matches_one_oracle_step():
     orbit = iterate(make_initial_conditions(seeds),
                     CoefficientSequence.constant(AT[a], AT[b]), 1)
     assert next_term().subs(AT) == sp.Rational(orbit.x(1))
+
+
+# ---------------------------------------------------------------------------
+# Constant a = -1: the parity exponents, by two-block induction
+# ---------------------------------------------------------------------------
+
+#: The seeds x_(-5)..x_0 = u_0..u_5 under the names the formulas use.
+SEEDS = sp.symbols("c d e f g h", nonzero=True)
+c, d, e, f, g, h = SEEDS
+t = sp.Symbol("t", integer=True, nonnegative=True)
+
+
+def a_neg1_invariants(count):
+    """V_0..V_(count-1) for a = -1: seeds V_j = 1/(u_j u_(j+2)), V_(k+4) = -V_k + b."""
+    v = [1 / (SEEDS[j] * SEEDS[j + 2]) for j in range(4)]
+    while len(v) < count:
+        v.append(-v[-4] + b)
+    return v
+
+
+def a_neg1_formula(j, n, half, half_up):
+    """x_(4n-5+j) as `term_const_a_neg1` states it, with half = floor(n/2)
+    and half_up = ceil(n/2) passed in so that n may be symbolic."""
+    if j == 0:
+        return c ** (1 - n) * g**n * ((-1 + b * c * e) / (-1 + b * e * g)) ** half
+    if j == 1:
+        return d ** (1 - n) * h**n * ((-1 + b * d * f) / (-1 + b * f * h)) ** half
+    if j == 2:
+        return c**n * e / g**n * (-1 + b * e * g) ** half / (-1 + b * c * e) ** half_up
+    return d**n * f / h**n * (-1 + b * f * h) ** half / (-1 + b * d * f) ** half_up
+
+
+def at_parity(j, t, p):
+    """`a_neg1_formula` at n = 2t + p, p in {0, 1}."""
+    return a_neg1_formula(j, 2 * t + p, t, t + p)
+
+
+def test_a_neg1_invariant_has_period_eight():
+    # Two affine steps V -> -V + b are the identity, so V_(k+8) = V_k.
+    v = sp.Symbol("v")
+    step = lambda w: -w + b
+    assert sp.expand(step(step(v)) - v) == 0
+
+
+@pytest.mark.parametrize("j", range(4))
+def test_a_neg1_parity_formula_equals_the_telescoping_product(j):
+    # The product u_(4n+j) = u_j prod(V_(4s+j) / V_(4s+j+2), s < n) gains the
+    # factors s = n, n+1 from n to n+2.  V has period 8, so those two factors
+    # depend only on the parity p of n and equal the two at s = p, p+1.
+    v = a_neg1_invariants(14)
+
+    def product(n):
+        return SEEDS[j] * sp.Mul(*(v[4 * s + j] / v[4 * s + j + 2] for s in range(n)))
+
+    for p in (0, 1):
+        # Base: n = p.
+        assert sp.simplify(at_parity(j, 0, p) - product(p)) == 0
+        # Step: n = 2t + p -> n + 2, for every t.
+        two_blocks = product(p + 2) / product(p)
+        ratio = sp.powsimp(at_parity(j, t + 1, p) / at_parity(j, t, p))
+        assert sp.simplify(ratio - two_blocks) == 0
+
+
+def test_a_neg1_parity_formula_matches_the_code():
+    values = [Fraction(3, 7), Fraction(-2, 5), Fraction(9, 4), Fraction(5), Fraction(1, 2),
+              Fraction(-6)]
+    coeff_b = Fraction(-4, 5)
+    ic = make_initial_conditions(values)
+    at = {**dict(zip(SEEDS, values)), b: coeff_b}
+    for j in range(4):
+        for n in range(8):
+            formula = a_neg1_formula(j, n, n // 2, (n + 1) // 2).subs(at)
+            assert formula == sp.Rational(term_const_a_neg1(4 * n - 5 + j, ic, coeff_b))

@@ -106,6 +106,23 @@ def test_a_neg1_flags_singular_base():
     assert exc.value.v_index == 4
 
 
+def test_vanishing_numerator_is_reported_by_its_own_index():
+    # x_3 (class 0) meets V_4 = 0 as the numerator of factor s = 1, behind the
+    # nonzero denominator V_6; every engine names V_4 (class 2, factor 0).
+    ic = make_initial_conditions([1, 1, 1, 1, 2, 1])
+    a, b = (1, 1, 1, 1), (-1, 0, 0, 0)
+    engines = (
+        lambda: term(3, ic, CoefficientSequence.periodic(a, b)),
+        lambda: term_periodic4(3, ic, PeriodicCoeffs4(a, b)),
+        lambda: term(3, ic, CoefficientSequence.constant(-1, 1)),
+        lambda: term_const_a_neg1(3, ic, 1),
+    )
+    for engine in engines:
+        with pytest.raises(SingularClosedForm) as exc:
+            engine()
+        assert (exc.value.j, exc.value.s, exc.value.v_index) == (2, 0, 4)
+
+
 # ---------------------------------------------------------------------------
 # Geometric-sum identity: all periods equal collapse to the a != 1 form
 # ---------------------------------------------------------------------------
