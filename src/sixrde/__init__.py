@@ -51,7 +51,6 @@ from .closedform import (
     unified_constants,
     unified_exponent,
     unified_magnitude,
-    v_at,
     v_closed,
     verify_gamma_identities,
     well_defined,

@@ -37,6 +37,7 @@ from typing import Sequence
 from . import closedform, oracle, specialcases, symmetry
 from .core import (
     CoefficientSequence,
+    DegenerateSample,
     InitialConditions,
     SingularClosedForm,
     SixrdeError,
@@ -190,8 +191,10 @@ class Lcg:
             u4 = self.rational(nonzero=True)
             a = self.rational()
             b = self.rational()
-            if a + b * u0 * u2 != 0:
+            try:
                 return symmetry.LscSample(n=n, u0=u0, u2=u2, u4=u4, a=a, b=b)
+            except DegenerateSample:  # a + b*u0*u2 = 0: draw again
+                continue
 
 
 # ---------------------------------------------------------------------------

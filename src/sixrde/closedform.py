@@ -12,8 +12,8 @@ telescoping:
 
     u_(4n+j) = u_j * prod(V_(4s+j) / V_(4s+j+2), s < n),   j = 0..3.
 
-`v_closed` and `v_at` transcribe the product/sum literally (O(n^2) per V)
-and serve as the independent check.  Everything else reads V from one
+`v_closed` transcribes the product/sum literally (O(n^2) per V) and
+serves as the independent check.  Everything else reads V from one
 lazily extended table: one column per residue class, grown by the affine
 step itself at one multiply-add per block.  Since u_(4(n+1)+j) is u_(4n+j)
 times one more ratio, `terms` evaluates a whole range x_lo..x_hi in one
@@ -60,7 +60,6 @@ __all__ = [
     "gamma",
     "verify_gamma_identities",
     "v_closed",
-    "v_at",
     "term",
     "terms",
     "WellDefViolation",
@@ -139,13 +138,6 @@ def v_closed(
             tail *= coeffs.a_at(4 * k2 + j)
         acc += coeffs.b_at(4 * l + j) * tail
     return acc
-
-
-def v_at(index: int, ic: InitialConditions, coeffs: CoefficientSequence) -> Fraction:
-    """V at an arbitrary index >= 0, dispatching on its residue class."""
-    if index < 0:
-        raise OutOfRange("invariant index", index)
-    return v_closed(index % 4, index // 4, ic, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +241,10 @@ class WellDefinednessReport:
 
     horizon: int
     violations: tuple[WellDefViolation, ...]
-    seeds_nonzero: bool = True
 
     @property
     def ok(self) -> bool:
-        return self.seeds_nonzero and not self.violations
+        return not self.violations
 
     @property
     def first_halt_step(self) -> "int | None":
@@ -278,9 +269,9 @@ def well_defined(
     != 0, so the guard scans that range in ascending order, which is also
     ascending halt step.  Violations are data, not errors; each one
     pinpoints the iteration step where the orbit must die.  The six
-    nonzero-seed requirement (already enforced at construction) is reported
-    alongside.  For explicit coefficient lists the scan stops where the
-    coefficients run out (V_k needs coefficient k - 4).
+    nonzero-seed requirement is enforced by `InitialConditions` itself.
+    For explicit coefficient lists the scan stops where the coefficients
+    run out (V_k needs coefficient k - 4).
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -295,9 +286,7 @@ def well_defined(
             violations.append(
                 WellDefViolation(j=v_index % 4, s=(v_index - 2) // 4, v_index=v_index)
             )
-    return WellDefinednessReport(
-        horizon=horizon, violations=tuple(violations), seeds_nonzero=True
-    )
+    return WellDefinednessReport(horizon=horizon, violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -361,5 +350,13 @@ def unified_exponent(
 def unified_magnitude(
     n: int, ic: InitialConditions, coeffs: CoefficientSequence
 ) -> float:
-    """|u_n| = |x_(n-5)| from the unified exponential formula (float path)."""
-    return math.exp(unified_exponent(n, ic, coeffs).real)
+    """|u_n| = |x_(n-5)| from the unified exponential formula (float path).
+
+    Past the float range the value saturates: `math.inf` when the exponent
+    overflows `math.exp`, as the CLI's float column does for huge terms, and
+    0.0 when it underflows.  `unified_exponent` keeps the exact logarithm.
+    """
+    try:
+        return math.exp(unified_exponent(n, ic, coeffs).real)
+    except OverflowError:
+        return math.inf

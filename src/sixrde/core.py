@@ -15,7 +15,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 # Canonical exact rational: gcd-reduced, positive denominator, exact +,-,*,/.
 Rational = Fraction
@@ -212,8 +212,8 @@ def log_abs(value: Fraction) -> float:
 class GaussianRational:
     """Complex number with exact rational real and imaginary parts.
 
-    Field arithmetic is exact; conjugation is an involution.  The imaginary
-    unit is available as the module constant `I`.
+    Ring arithmetic (+, -, *) is exact.  The imaginary unit is available as
+    the module constant `I`.
     """
 
     real: Fraction = Fraction(0)
@@ -230,13 +230,6 @@ class GaussianRational:
         if isinstance(value, (Fraction, int)):
             return GaussianRational(as_rational(value))
         return None
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.real, -self.imag)
-
-    def norm(self) -> Fraction:
-        """Field norm real^2 + imag^2 (a nonnegative rational)."""
-        return self.real * self.real + self.imag * self.imag
 
     def __bool__(self) -> bool:
         return bool(self.real) or bool(self.imag)
@@ -278,46 +271,6 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        n = other.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        num = self * other.conjugate()
-        return GaussianRational(num.real / n, num.imag / n)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, exponent: int) -> "GaussianRational":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return (GaussianRational(1) / self) ** (-exponent)
-        result = GaussianRational(1)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __str__(self) -> str:
-        if self.imag == 0:
-            return str(self.real)
-        imag = f"{abs(self.imag)}i" if abs(self.imag) != 1 else "i"
-        if self.real == 0:
-            return imag if self.imag > 0 else f"-{imag}"
-        sign = "+" if self.imag > 0 else "-"
-        return f"{self.real}{sign}{imag}"
-
     def __repr__(self) -> str:
         return f"GaussianRational({self.real!s}, {self.imag!s})"
 
@@ -345,19 +298,17 @@ def i_power(k: int) -> GaussianRational:
 class CoefficientSequence:
     """The coefficient pair (a_n, b_n) for steps n >= 0.
 
-    Four kinds are supported: ``constant``, ``periodic`` (any period >= 1),
-    ``list`` (explicit finite list), and ``closure`` (an arbitrary function
-    of n).  Lookups past the end of an explicit list raise `OutOfHorizon`;
-    the other kinds are total on n >= 0.
+    Three kinds are supported: ``constant``, ``periodic`` (any period >= 1)
+    and ``list`` (explicit finite list).  Lookups past the end of an
+    explicit list raise `OutOfHorizon`; the other kinds are total on n >= 0.
     """
 
-    __slots__ = ("_kind", "_a", "_b", "_fn", "_period")
+    __slots__ = ("_kind", "_a", "_b", "_period")
 
-    def __init__(self, kind, a, b, fn=None, period=None):
+    def __init__(self, kind, a, b, period=None):
         self._kind = kind
         self._a = a
         self._b = b
-        self._fn = fn
         self._period = period
 
     @classmethod
@@ -384,13 +335,6 @@ class CoefficientSequence:
             raise ValueError("explicit a/b value lists must have equal length")
         return cls("list", a, b)
 
-    @classmethod
-    def from_function(
-        cls, fn: Callable[[int], tuple[RationalLike, RationalLike]]
-    ) -> "CoefficientSequence":
-        """Sequence defined by a function n -> (a_n, b_n)."""
-        return cls("closure", None, None, fn=fn)
-
     @property
     def kind(self) -> str:
         return self._kind
@@ -416,43 +360,27 @@ class CoefficientSequence:
         return n
 
     def a_at(self, n: int) -> Fraction:
-        if self._kind == "closure":
-            return self.pair_at(n)[0]
         return self._a[self._index(n)]
 
     def b_at(self, n: int) -> Fraction:
-        if self._kind == "closure":
-            return self.pair_at(n)[1]
         return self._b[self._index(n)]
 
     def pair_at(self, n: int) -> tuple[Fraction, Fraction]:
-        if self._kind == "closure":
-            if n < 0:
-                raise ValueError(f"coefficient index must be >= 0, got {n}")
-            a, b = self._fn(n)
-            return as_rational(a), as_rational(b)
         i = self._index(n)
         return self._a[i], self._b[i]
 
     def a_values(self) -> tuple[Fraction, ...]:
-        if self._kind == "closure":
-            raise ValueError("closure sequences have no stored values")
         return self._a
 
     def b_values(self) -> tuple[Fraction, ...]:
-        if self._kind == "closure":
-            raise ValueError("closure sequences have no stored values")
         return self._b
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoefficientSequence):
             return NotImplemented
-        if self._kind != other._kind:
-            return False
-        if self._kind == "closure":
-            return self._fn is other._fn
         return (
-            self._period == other._period
+            self._kind == other._kind
+            and self._period == other._period
             and self._a == other._a
             and self._b == other._b
         )
@@ -460,8 +388,6 @@ class CoefficientSequence:
     __hash__ = None  # mutable-looking API surface; equality is structural
 
     def __repr__(self) -> str:
-        if self._kind == "closure":
-            return f"CoefficientSequence.from_function({self._fn!r})"
         a = ", ".join(str(v) for v in self._a)
         b = ", ".join(str(v) for v in self._b)
         return f"CoefficientSequence({self._kind}, a=[{a}], b=[{b}])"

@@ -39,8 +39,8 @@ __all__ = [
 
 
 class SingularityCause(enum.Enum):
-    # x_(n-1) = 0 cannot occur with nonzero seeds, but is guarded anyway.
-    ZERO_PREDECESSOR = "ZeroPredecessor"
+    # The only cause: seeds are nonzero and every new term is a quotient of
+    # nonzero values, so x_(n-1) never vanishes.
     ZERO_DENOMINATOR_FACTOR = "ZeroDenominatorFactor"
 
 
@@ -103,9 +103,6 @@ def iterate(
         u_n2 = terms[n + 2]
         u_n4 = terms[n + 4]
         a, b = coeffs.pair_at(n)
-        if u_n4 == 0:
-            halt = SingularityReport(n, SingularityCause.ZERO_PREDECESSOR)
-            break
         factor = a + b * u_n * u_n2
         if factor == 0:
             halt = SingularityReport(n, SingularityCause.ZERO_DENOMINATOR_FACTOR)

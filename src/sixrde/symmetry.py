@@ -193,21 +193,22 @@ def verify_reduced_system(
 def generator_annihilates_invariant(
     variant: str,
     n_max: int,
-    phase: "GaussianRational | None" = None,
+    characteristic: "Characteristic | None" = None,
 ) -> PhaseSumReport:
     """Check that the prolonged generator kills the logarithmic invariant.
 
     Applying the generator to S_n*phase^n + S_(n+2)*phase^(n+2) leaves the
     coefficient sum phase^n + phase^(n+2), which must vanish exactly for
     every n <= n_max.  Variant "X1" uses the phase of Q1 (i), "X2" that of
-    Q2 (-i); an explicit `phase` override (e.g. 1) exercises the detector.
+    Q2 (-i); an explicit `characteristic` override (e.g.
+    `counterfeit_characteristic`, phase 1) exercises the detector.
     """
     if variant not in _GENERATORS:
         raise ValueError(f"variant must be 'X1' or 'X2', got {variant!r}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    beta = _GENERATORS[variant].phase_power if phase is None else (lambda n: phase**n)
-    return _phase_sum_check(n_max, ((variant, beta),))
+    q = _GENERATORS[variant] if characteristic is None else characteristic
+    return _phase_sum_check(n_max, ((variant, q.phase_power),))
 
 
 # ---------------------------------------------------------------------------

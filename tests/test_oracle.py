@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sixrde import (
     CoefficientSequence,
@@ -131,3 +133,40 @@ def test_random_orbits_conserve_the_affine_invariant():
         assert all(r == 0 for r in check_invariant_recurrence(v, coeffs))
     # plenty of both outcomes should occur
     assert 0 < halted < 200
+
+
+# Small values make zero denominator factors common.
+_SMALL = st.sampled_from([Fraction(v) for v in ("-2", "-1", "-1/2", "0", "1/2", "1", "2")])
+
+
+@st.composite
+def _coefficients(draw):
+    kind = draw(st.sampled_from(["constant", "periodic", "list"]))
+    length = {"constant": 1, "periodic": draw(st.integers(1, 4)),
+              "list": draw(st.integers(0, 40))}[kind]
+    a = draw(st.lists(_SMALL, min_size=length, max_size=length))
+    b = draw(st.lists(_SMALL, min_size=length, max_size=length))
+    if kind == "constant":
+        return CoefficientSequence.constant(a[0], b[0])
+    if kind == "periodic":
+        return CoefficientSequence.periodic(a, b)
+    return CoefficientSequence.explicit(a, b)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    seeds=st.lists(_SMALL.filter(bool), min_size=6, max_size=6),
+    coeffs=_coefficients(),
+    count=st.integers(0, 40),
+)
+def test_terms_stay_nonzero_and_only_a_zero_factor_halts(seeds, coeffs, count):
+    """Nonzero seeds and nonzero quotients: x_(n-1) can never vanish."""
+    if coeffs.horizon is not None:
+        count = min(count, coeffs.horizon)
+    orbit = iterate(make_initial_conditions(seeds), coeffs, count)
+    assert all(t != 0 for t in orbit.terms)
+    if orbit.halt is not None:
+        n = orbit.halt.step
+        assert orbit.halt.cause == SingularityCause.ZERO_DENOMINATOR_FACTOR
+        a, b = coeffs.pair_at(n)
+        assert a + b * orbit.u(n) * orbit.u(n + 2) == 0
