@@ -7,6 +7,9 @@ Subcommands:
   compare          oracle vs closed form (and special case), JSON report
   verify-symmetry  run the symmetry verification suite on random samples
 
+The first three read a problem spec (--spec; --emit-spec echoes it as
+canonical JSON and exits) and write one output to --out, stdout by default.
+
 Problem instances are JSON files with exact rational strings::
 
     {"initial": ["1/1", ...six...],
@@ -25,14 +28,13 @@ reports.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import re as _re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import closedform, oracle, specialcases, symmetry
 from .core import (
@@ -208,43 +210,31 @@ def _as_float(value: Fraction) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _open_out(path: str):
+def _csv(rows: Iterable[tuple[int, Fraction]]) -> Iterator[str]:
+    """CSV lines, one per (m, value) row and made lazily, under the header
+    m,exact,float.  No field (an int, p/q, a float repr) can need quoting."""
+    yield "m,exact,float\n"
+    for m, value in rows:
+        yield f"{m},{format_rational(value)},{_as_float(value)!r}\n"
+
+
+def _write(path: str, chunks: Iterable[str]) -> None:
+    """Write `chunks` to stdout for `-`, otherwise to the file at `path`."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
-def _write_csv(path: str, rows: list[tuple[int, Fraction]]) -> None:
-    fh, owned = _open_out(path)
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["m", "exact", "float"])
-        for m, value in rows:
-            writer.writerow([m, format_rational(value), repr(_as_float(value))])
-    finally:
-        if owned:
-            fh.close()
-
-
-def _emit_spec_requested(args, spec: ProblemSpec) -> bool:
-    if getattr(args, "emit_spec", False):
-        sys.stdout.write(canonical_spec_json(spec))
-        return True
-    return False
+        sys.stdout.writelines(chunks)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_iterate(args) -> int:
-    spec = load_problem_spec(args.spec)
-    if _emit_spec_requested(args, spec):
-        return EXIT_OK
+def _cmd_iterate(spec: ProblemSpec, args) -> int:
     count = spec.horizon if args.n is None else args.n
     orbit = oracle.iterate(spec.initial, spec.coeffs, count)
-    rows = [(i - 5, v) for i, v in enumerate(orbit.terms)]
-    _write_csv(args.out, rows)
+    _write(args.out, _csv(enumerate(orbit.terms, -5)))
     if orbit.halt is not None:
         print(
             f"singular at step {orbit.halt.step} ({orbit.halt.cause.value}); "
@@ -272,10 +262,7 @@ def _auto_engine(spec: ProblemSpec):
     return lambda lo, hi: specialcases.terms_periodic4(lo, hi, spec.initial, pc)
 
 
-def _cmd_solve(args) -> int:
-    spec = load_problem_spec(args.spec)
-    if _emit_spec_requested(args, spec):
-        return EXIT_OK
+def _cmd_solve(spec: ProblemSpec, args) -> int:
     lo, hi = (-5, spec.horizon) if args.range is None else args.range
     if args.engine == "general":
         solver = lambda lo, hi: closedform.terms(lo, hi, spec.initial, spec.coeffs)
@@ -288,46 +275,41 @@ def _cmd_solve(args) -> int:
             )
             return EXIT_USAGE
     rows = []
+    message = None
     try:
-        for m, value in enumerate(solver(lo, hi), lo):
-            rows.append((m, value))
+        for row in enumerate(solver(lo, hi), lo):
+            rows.append(row)
     except SingularClosedForm as exc:
-        _write_csv(args.out, rows)
-        print(
+        message = (
             f"singular closed form at x_{lo + len(rows)}: j={exc.j}, s={exc.s} "
-            f"(V_{exc.v_index} = 0, iteration dies at step {exc.halt_step})",
-            file=sys.stderr,
+            f"(V_{exc.v_index} = 0, iteration dies at step {exc.halt_step})"
         )
-        return EXIT_SINGULAR
-    _write_csv(args.out, rows)
-    return EXIT_OK
-
-
-def _cmd_compare(args) -> int:
-    spec = load_problem_spec(args.spec)
-    if _emit_spec_requested(args, spec):
+    _write(args.out, _csv(rows))
+    if message is None:
         return EXIT_OK
+    print(message, file=sys.stderr)
+    return EXIT_SINGULAR
+
+
+def _cmd_compare(spec: ProblemSpec, args) -> int:
     count = spec.horizon if args.n is None else args.n
     orbit = oracle.iterate(spec.initial, spec.coeffs, count)
+    engines = {
+        "closed_form": closedform.terms(-5, orbit.last_m, spec.initial, spec.coeffs)
+    }
     special = _auto_engine(spec)
-    closed_values = closedform.terms(-5, orbit.last_m, spec.initial, spec.coeffs)
-    special_values = special(-5, orbit.last_m) if special is not None else None
+    if special is not None:
+        engines["special"] = special(-5, orbit.last_m)
     rows = []
-    first_mismatch = None
-    for m, (expected, closed) in enumerate(zip(orbit.terms, closed_values), -5):
-        row = {
-            "m": m,
-            "oracle": format_rational(expected),
-            "closed_form": format_rational(closed),
-            "match": closed == expected,
-        }
-        if special_values is not None:
-            value = next(special_values)
-            row["special"] = format_rational(value)
-            row["match"] = row["match"] and value == expected
-        if not row["match"] and first_mismatch is None:
-            first_mismatch = m
+    for m, (expected, *values) in enumerate(zip(orbit.terms, *engines.values()), -5):
+        # Format each row's oracle value once; an engine value equal to it
+        # reuses the string, so only a mismatching value is formatted again.
+        text = format_rational(expected)
+        row = {"m": m, "oracle": text, "match": all(v == expected for v in values)}
+        for name, value in zip(engines, values):
+            row[name] = text if value == expected else format_rational(value)
         rows.append(row)
+    first_mismatch = next((row["m"] for row in rows if not row["match"]), None)
     guard = closedform.well_defined(
         spec.initial, spec.coeffs, horizon=count // 4 + 2
     )
@@ -351,13 +333,7 @@ def _cmd_compare(args) -> int:
             ],
         },
     }
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    fh, owned = _open_out(args.out)
-    try:
-        fh.write(text)
-    finally:
-        if owned:
-            fh.close()
+    _write(args.out, [json.dumps(report, indent=2, sort_keys=True) + "\n"])
     return EXIT_OK if first_mismatch is None else EXIT_MISMATCH
 
 
@@ -443,19 +419,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_it = sub.add_parser("iterate", help="direct iteration to CSV")
-    p_it.add_argument("--spec", required=True, help="problem spec JSON file")
+    spec_options = argparse.ArgumentParser(add_help=False)
+    spec_options.add_argument("--spec", required=True, help="problem spec JSON file")
+    spec_options.add_argument("--emit-spec", action="store_true",
+                              help="echo the parsed spec as canonical JSON and exit")
+
+    p_it = sub.add_parser("iterate", parents=[spec_options], help="direct iteration to CSV")
     p_it.add_argument("--n", type=_step_count, default=None,
                       help="steps (default: spec horizon)")
     p_it.add_argument("--out", default="-", help="output CSV path (default stdout)")
-    p_it.add_argument(
-        "--emit-spec", action="store_true",
-        help="echo the parsed spec as canonical JSON and exit",
-    )
     p_it.set_defaults(func=_cmd_iterate)
 
-    p_sv = sub.add_parser("solve", help="closed-form terms to CSV")
-    p_sv.add_argument("--spec", required=True, help="problem spec JSON file")
+    p_sv = sub.add_parser("solve", parents=[spec_options], help="closed-form terms to CSV")
     p_sv.add_argument("--range", type=_index_range, default=None,
                       help="index range A..B (default -5..horizon)")
     p_sv.add_argument(
@@ -463,17 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="general closed form, or the dedicated special-case formula",
     )
     p_sv.add_argument("--out", default="-", help="output CSV path (default stdout)")
-    p_sv.add_argument("--emit-spec", action="store_true",
-                      help="echo the parsed spec as canonical JSON and exit")
     p_sv.set_defaults(func=_cmd_solve)
 
-    p_cp = sub.add_parser("compare", help="oracle vs closed form, JSON report")
-    p_cp.add_argument("--spec", required=True, help="problem spec JSON file")
+    p_cp = sub.add_parser("compare", parents=[spec_options],
+                          help="oracle vs closed form, JSON report")
     p_cp.add_argument("--n", type=_step_count, default=None,
                       help="steps (default: spec horizon)")
     p_cp.add_argument("--out", default="-", help="output JSON path (default stdout)")
-    p_cp.add_argument("--emit-spec", action="store_true",
-                      help="echo the parsed spec as canonical JSON and exit")
     p_cp.set_defaults(func=_cmd_compare)
 
     p_vs = sub.add_parser("verify-symmetry", help="run the symmetry suite")
@@ -495,7 +466,13 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        if "spec" not in args:  # verify-symmetry reads no spec
+            return args.func(args)
+        spec = load_problem_spec(args.spec)
+        if args.emit_spec:
+            sys.stdout.write(canonical_spec_json(spec))
+            return EXIT_OK
+        return args.func(spec, args)
     except ProblemSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC

@@ -220,15 +220,21 @@ def term(m: int, ic: InitialConditions, coeffs: CoefficientSequence) -> Fraction
 class WellDefViolation:
     """One failed well-definedness inequality.
 
-    `j` is the residue class of the vanishing V, `s` the block parameter of
-    the inequality, `v_index` the index of the vanishing V, and `halt_step`
-    the iteration step at which direct iteration hits the matching zero
-    denominator (always v_index - 4).
+    Built from `v_index`, the index of the vanishing V, alone.  `j` is that
+    V's residue class, `s` the block parameter of the inequality, and
+    `halt_step` the iteration step at which direct iteration hits the
+    matching zero denominator (always v_index - 4).
     """
 
-    j: int
-    s: int
     v_index: int
+
+    @property
+    def j(self) -> int:
+        return self.v_index % 4
+
+    @property
+    def s(self) -> int:
+        return (self.v_index - 2) // 4
 
     @property
     def halt_step(self) -> int:
@@ -283,9 +289,7 @@ def well_defined(
         except OutOfHorizon:
             break
         if v == 0:
-            violations.append(
-                WellDefViolation(j=v_index % 4, s=(v_index - 2) // 4, v_index=v_index)
-            )
+            violations.append(WellDefViolation(v_index))
     return WellDefinednessReport(horizon=horizon, violations=tuple(violations))
 
 

@@ -1,8 +1,10 @@
 """CLI contract: spec files, CSV/JSON outputs, exit codes, reproducibility."""
 
 import contextlib
+import csv
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -168,6 +170,61 @@ def test_iterate_writes_csv_file_with_lf(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Output writer
+# ---------------------------------------------------------------------------
+
+def _csv_module_rendering(terms):
+    """Reference CSV bytes for x_-5, x_-4, ... from the standard csv module."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["m", "exact", "float"])
+    for m, value in enumerate(terms, -5):
+        try:
+            approx = float(value)
+        except OverflowError:
+            approx = math.inf if value > 0 else -math.inf
+        writer.writerow([m, format_rational(value), repr(approx)])
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("command", [
+    ["iterate"],
+    ["solve", "--engine", "general"],
+    ["solve", "--engine", "auto"],
+    ["compare"],
+], ids=["iterate", "solve-general", "solve-auto", "compare"])
+def test_out_dash_writes_the_same_bytes_as_out_file(tmp_path, capsys, command):
+    data = ones_spec(a="2", b="1/3", horizon=30)
+    data["initial"] = ["3", "-1/2", "1", "5/7", "2", "1"]
+    path = write_spec(tmp_path, data)
+    out = tmp_path / "out"
+    assert cli.main([command[0], "--spec", path, *command[1:], "--out", "-"]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert cli.main([command[0], "--spec", path, *command[1:], "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert printed.encode("utf-8") == out.read_bytes()
+
+
+@pytest.mark.parametrize("seeds, horizon", [
+    # +-10^400 seeds: the float column reads inf and -inf.
+    (["1" + "0" * 400, "-1" + "0" * 400, "1", "1", "2", "1"], 20),
+    # Past the int<->str digit limit (see test_iterate_past_int_str_digit_limit).
+    (["1", "1", "1", "1", "2", "1"], 900),
+], ids=["seeds-1e400", "horizon-900"])
+def test_csv_bytes_equal_the_csv_module_rendering(tmp_path, seeds, horizon):
+    data = ones_spec(a="2", b="1/3", horizon=horizon)
+    data["initial"] = seeds
+    path = write_spec(tmp_path, data)
+    out = tmp_path / "orbit.csv"
+    assert cli.main(["iterate", "--spec", path, "--out", str(out)]) == EXIT_OK
+    spec = load_problem_spec(path)
+    want = _csv_module_rendering(iterate(spec.initial, spec.coeffs, horizon).terms)
+    assert out.read_bytes() == want
+    if horizon == 20:
+        assert b",inf\n" in want and b",-inf\n" in want
+
+
+# ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
 
@@ -279,20 +336,46 @@ def test_compare_random_specs_exit_0(tmp_path):
         ran += 1
 
 
-def test_compare_detects_corrupted_engine(tmp_path, monkeypatch, capsys):
-    import sixrde.closedform as cf
-
-    path = write_spec(tmp_path, ones_spec(a="2", b="3", horizon=6))
-    real_terms = cf.terms
-
-    def corrupted(lo, hi, ic, coeffs):
-        for m, value in enumerate(real_terms(lo, hi, ic, coeffs), lo):
+def _corrupting(real_terms):
+    """A range engine like `real_terms` whose x_3 is off by one."""
+    def corrupted(lo, hi, *args):
+        for m, value in enumerate(real_terms(lo, hi, *args), lo):
             yield value + 1 if m == 3 else value
+    return corrupted
 
-    monkeypatch.setattr(cli.closedform, "terms", corrupted)
+
+def _assert_x3_mismatch_reported(path, engine, capsys):
+    """compare exits 3 at x_3 and prints the corrupted engine's own value."""
     assert cli.main(["compare", "--spec", path]) == EXIT_MISMATCH
     report = json.loads(capsys.readouterr().out)
     assert report["summary"]["first_mismatch"] == 3
+    spec = load_problem_spec(path)
+    x3 = iterate(spec.initial, spec.coeffs, 6).x(3)
+    other = {"closed_form": "special", "special": "closed_form"}[engine]
+    for row in report["rows"]:
+        assert row[other] == row["oracle"]
+        assert row["match"] == (row["m"] != 3)
+        if row["m"] == 3:
+            assert row["oracle"] == format_rational(x3)
+            assert row[engine] == format_rational(x3 + 1) != row["oracle"]
+        else:
+            assert row[engine] == row["oracle"]
+
+
+def test_compare_detects_corrupted_engine(tmp_path, monkeypatch, capsys):
+    path = write_spec(tmp_path, ones_spec(a="2", b="3", horizon=6))
+    monkeypatch.setattr(cli.closedform, "terms", _corrupting(cli.closedform.terms))
+    _assert_x3_mismatch_reported(path, "closed_form", capsys)
+
+
+def test_compare_detects_corrupted_special_engine(tmp_path, monkeypatch, capsys):
+    data = ones_spec(horizon=6)
+    data["coeffs"] = {"kind": "periodic", "period": 4,
+                      "a": ["1", "2", "-1/2", "3"], "b": ["1", "0", "2", "-1"]}
+    path = write_spec(tmp_path, data)
+    monkeypatch.setattr(cli.specialcases, "terms_periodic4",
+                        _corrupting(cli.specialcases.terms_periodic4))
+    _assert_x3_mismatch_reported(path, "special", capsys)
 
 
 def test_compare_near_singular_reports_violations(tmp_path, capsys):

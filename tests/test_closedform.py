@@ -324,10 +324,15 @@ def test_unified_magnitude_matches_oracle():
     for _ in range(8):
         ic, coeffs, orbit = nonsingular_instance(rng, 45)
         for n in range(0, 46):
-            want = abs(float(orbit.u(n)))
+            exponent = unified_exponent(n, ic, coeffs)
+            assert math.isclose(exponent.real, log_abs(orbit.u(n)), abs_tol=1e-9)
+            assert abs(exponent.imag) < 1e-12
+            try:
+                want = abs(float(orbit.u(n)))
+            except OverflowError:  # past the float range only the exponent is checked
+                continue
             got = unified_magnitude(n, ic, coeffs)
             assert got == pytest.approx(want, rel=1e-9)
-            assert abs(unified_exponent(n, ic, coeffs).imag) < 1e-12
 
 
 def test_unified_exponent_is_the_log_magnitude_past_the_float_range():

@@ -1,11 +1,16 @@
-"""The package runs on the standard library alone, and its exports resolve."""
+"""The package runs on the standard library alone, its exports resolve, and
+README's examples run as written."""
 
 import ast
 import importlib
+import re
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
+
+from sixrde import cli
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -53,3 +58,28 @@ def test_package_reexports_only_exported_names():
             exported = importlib.import_module(f"sixrde.{node.module}").__all__
             for alias in node.names:
                 assert alias.name in exported, f"sixrde.{node.module} does not export {alias.name}"
+
+
+def _readme_blocks(section: str, language: str) -> list[str]:
+    """Fenced `language` blocks under README's `## section` heading."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(rf"```{language}\n(.*?)```", body, flags=re.DOTALL)
+
+
+def test_readme_command_line_examples_exit_0(tmp_path, monkeypatch, capsys):
+    [spec] = _readme_blocks("Command line", "json")
+    [commands] = _readme_blocks("Command line", "sh")
+    (tmp_path / "problem.json").write_text(spec, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    lines = commands.splitlines()
+    assert lines
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "sixrde", line
+        assert cli.main(argv[1:]) == 0, line
+
+
+def test_readme_library_quick_start_runs(capsys):
+    [code] = _readme_blocks("Library quick start", "python")
+    exec(compile(code, "README.md", "exec"), {})
