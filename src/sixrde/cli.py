@@ -43,6 +43,7 @@ from .core import (
     InitialConditions,
     SingularClosedForm,
     SixrdeError,
+    WrongCase,
     format_rational,
     parse_rational,
 )
@@ -111,8 +112,8 @@ def parse_problem_spec(data: dict) -> ProblemSpec:
             coeffs = CoefficientSequence.constant(a[0], b[0])
         elif kind == "periodic":
             period = coeffs_raw.get("period", len(a))
-            if period != len(a) or period != len(b):
-                raise ValueError("'period' must equal the a/b list lengths")
+            if type(period) is not int or period != len(a) or period != len(b):
+                raise ValueError("'period' must be an integer equal to the a/b lengths")
             coeffs = CoefficientSequence.periodic(a, b)
         elif kind == "list":
             coeffs = CoefficientSequence.explicit(a, b)
@@ -245,39 +246,14 @@ def _cmd_iterate(spec: ProblemSpec, args) -> int:
     return EXIT_OK
 
 
-def _auto_engine(spec: ProblemSpec):
-    """Special-case range solver (lo, hi) -> x_lo..x_hi for constant or 1-,
-    2- or 4-periodic coefficients, or None for any other kind."""
-    coeffs = spec.coeffs
-    if coeffs.kind not in ("constant", "periodic") or 4 % coeffs.period:
-        return None
-    a, b = coeffs.a_values(), coeffs.b_values()
-    if a == (-1,):
-        return lambda lo, hi: (
-            specialcases.term_const_a_neg1(m, spec.initial, b[0])
-            for m in range(lo, hi + 1)
-        )
-    tile = 4 // coeffs.period
-    pc = specialcases.PeriodicCoeffs4(a * tile, b * tile)
-    return lambda lo, hi: specialcases.terms_periodic4(lo, hi, spec.initial, pc)
-
-
 def _cmd_solve(spec: ProblemSpec, args) -> int:
     lo, hi = (-5, spec.horizon) if args.range is None else args.range
-    if args.engine == "general":
-        solver = lambda lo, hi: closedform.terms(lo, hi, spec.initial, spec.coeffs)
-    else:
-        solver = _auto_engine(spec)
-        if solver is None:
-            print(
-                "error: --engine auto needs constant or 2-/4-periodic coefficients",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+    engine = closedform if args.engine == "general" else specialcases
+    values = engine.terms(lo, hi, spec.initial, spec.coeffs)
     rows = []
     message = None
     try:
-        for row in enumerate(solver(lo, hi), lo):
+        for row in enumerate(values, lo):
             rows.append(row)
     except SingularClosedForm as exc:
         message = (
@@ -297,9 +273,12 @@ def _cmd_compare(spec: ProblemSpec, args) -> int:
     engines = {
         "closed_form": closedform.terms(-5, orbit.last_m, spec.initial, spec.coeffs)
     }
-    special = _auto_engine(spec)
-    if special is not None:
-        engines["special"] = special(-5, orbit.last_m)
+    try:
+        engines["special"] = specialcases.terms(
+            -5, orbit.last_m, spec.initial, spec.coeffs
+        )
+    except WrongCase:  # no special case covers these coefficients
+        pass
     rows = []
     for m, (expected, *values) in enumerate(zip(orbit.terms, *engines.values()), -5):
         # Format each row's oracle value once; an engine value equal to it

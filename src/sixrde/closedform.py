@@ -221,9 +221,10 @@ class WellDefViolation:
     """One failed well-definedness inequality.
 
     Built from `v_index`, the index of the vanishing V, alone.  `j` is that
-    V's residue class, `s` the block parameter of the inequality, and
-    `halt_step` the iteration step at which direct iteration hits the
-    matching zero denominator (always v_index - 4).
+    V's residue class, j = v_index mod 4 (`SingularClosedForm` instead names
+    the product class (v_index - 2) mod 4), `s` the block parameter of the
+    inequality, and `halt_step` the iteration step at which direct iteration
+    hits the matching zero denominator (always v_index - 4).
     """
 
     v_index: int

@@ -102,9 +102,10 @@ class SingularClosedForm(SixrdeError):
     Built from `v_index`, the index of the vanishing V itself; the rest of
     the position follows from it.  `j` is the residue class (mod 4) of the
     term family whose product contains that V as a denominator and `s` the
-    factor index within that product (v_index = 4*s + j + 2).  `halt_step`
-    is the iteration step at which direct iteration hits the same zero
-    denominator.
+    factor index within that product (v_index = 4*s + j + 2, so
+    j = (v_index - 2) mod 4; `closedform.WellDefViolation` names the V's own
+    class, v_index mod 4, with the same `s`).  `halt_step` is the iteration
+    step at which direct iteration hits the same zero denominator.
     """
 
     def __init__(self, v_index: int):

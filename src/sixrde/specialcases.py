@@ -12,13 +12,14 @@ coefficients (a_r, b_r), r = 0..3:
 (the geometric sum is t when a_r = 1), where (top, bottom) is (4, 0),
 (5, 1), (0, 4), (1, 5) for j = 0, 1, 2, 3.  The sum is closed and a_r^t is
 a running power, so x_m costs O(m) multiplications; a range x_lo..x_hi
-(`terms_periodic4`) carries each class's product forward, one factor per
-term after the first of its class.  The public functions
-tile their coefficients to four classes: constant (a, b) becomes
+(`terms`) carries each class's product forward, one factor per term after
+the first of its class.  Every case takes the `CoefficientSequence` the
+other engines take and tiles it to four classes: constant (a, b) becomes
 a_r = a, b_r = b; 2-periodic (a_0, a_1) becomes (a_0, a_1, a_0, a_1); a
-4-periodic sequence is used as given.  The product is evaluated here
-rather than through the general closed form, so the test suite can
-cross-check the two against each other and against direct iteration.
+4-periodic sequence is used as given; any other raises `WrongCase`.  The
+product is evaluated here rather than through the general closed form, so
+the test suite can cross-check the two against each other and against
+direct iteration.
 
 For a = -1 the four per-class formulas collapse to a ratio raised to a
 parity-counting exponent.  The shipped exponents are floor(n/2) for the
@@ -30,7 +31,6 @@ that match direct iteration on all four residue classes.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -52,68 +52,28 @@ __all__ = [
     "term_const_a1",
     "term_periodic2",
     "term_periodic4",
-    "terms_periodic4",
+    "terms",
 ]
 
 
-@dataclass(frozen=True)
-class ConstantCoeffs:
-    """Constant coefficient pair (a, b).
-
-    The classical setting takes both nonzero; that is deliberately not
-    enforced here (b = 0 is a useful telescoping sanity case).
-    """
-
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_rational(self.a))
-        object.__setattr__(self, "b", as_rational(self.b))
-
-    def as_sequence(self) -> CoefficientSequence:
-        return CoefficientSequence.constant(self.a, self.b)
+#: Special-case constructor names; each builds a `CoefficientSequence`.
+ConstantCoeffs = CoefficientSequence.constant
+PeriodicCoeffs2 = PeriodicCoeffs4 = CoefficientSequence.periodic
 
 
-@dataclass(frozen=True)
-class PeriodicCoeffs2:
-    """2-periodic coefficients (a_0, a_1), (b_0, b_1).
-
-    The classical hypotheses a_0 != a_1 and b_0 != b_1 are recorded but not
-    enforced; the formulas stay valid when they coincide.
-    """
-
-    a: tuple[Fraction, Fraction]
-    b: tuple[Fraction, Fraction]
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _as_tuple(self.a, 2))
-        object.__setattr__(self, "b", _as_tuple(self.b, 2))
-
-    def as_sequence(self) -> CoefficientSequence:
-        return CoefficientSequence.periodic(self.a, self.b)
-
-
-@dataclass(frozen=True)
-class PeriodicCoeffs4:
-    """4-periodic coefficients (a_0..a_3), (b_0..b_3)."""
-
-    a: tuple[Fraction, Fraction, Fraction, Fraction]
-    b: tuple[Fraction, Fraction, Fraction, Fraction]
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _as_tuple(self.a, 4))
-        object.__setattr__(self, "b", _as_tuple(self.b, 4))
-
-    def as_sequence(self) -> CoefficientSequence:
-        return CoefficientSequence.periodic(self.a, self.b)
-
-
-def _as_tuple(values, size: int) -> tuple[Fraction, ...]:
-    vals = tuple(as_rational(v) for v in values)
-    if len(vals) != size:
-        raise ValueError(f"expected {size} values, got {len(vals)}")
-    return vals
+def _classes(coeffs: CoefficientSequence) -> tuple[tuple, tuple]:
+    """Per-class (a_r), (b_r), r = 0..3, tiled from a constant or 1-, 2- or
+    4-periodic sequence; `WrongCase` for any other sequence."""
+    if coeffs.kind not in ("constant", "periodic"):
+        got = f"kind {coeffs.kind!r}"
+    elif 4 % coeffs.period:
+        got = f"period {coeffs.period}"
+    else:
+        tile = 4 // coeffs.period
+        return coeffs.a_values() * tile, coeffs.b_values() * tile
+    raise WrongCase(
+        f"special cases need constant or 1-, 2- or 4-periodic coefficients, got {got}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +127,7 @@ def _terms(
 
 
 def term_const_general(
-    m: int, ic: InitialConditions, cc: ConstantCoeffs
+    m: int, ic: InitialConditions, cc: CoefficientSequence
 ) -> Fraction:
     """x_m for constant (a, b) with a != 1, e.g.
 
@@ -175,9 +135,9 @@ def term_const_general(
                    * prod( (a^s + b*c*e*(1-a^s)/(1-a))
                          / (a^s + b*e*g*(1-a^s)/(1-a)), s < n ).
     """
-    if cc.a == 1:
-        raise WrongCase("constant-coefficient general form requires a != 1")
-    return next(_terms(m, m, ic, (cc.a,) * 4, (cc.b,) * 4))
+    if cc.kind != "constant" or cc.a_values() == (1,):
+        raise WrongCase("constant-coefficient general form requires constant a != 1")
+    return next(_terms(m, m, ic, *_classes(cc)))
 
 
 def term_const_a1(m: int, ic: InitialConditions, b: RationalLike) -> Fraction:
@@ -188,24 +148,29 @@ def term_const_a1(m: int, ic: InitialConditions, b: RationalLike) -> Fraction:
     return next(_terms(m, m, ic, (Fraction(1),) * 4, (as_rational(b),) * 4))
 
 
-def term_periodic2(m: int, ic: InitialConditions, pc: PeriodicCoeffs2) -> Fraction:
+def term_periodic2(m: int, ic: InitialConditions, pc: CoefficientSequence) -> Fraction:
     """x_m for 2-periodic coefficients: classes x_(4n-5), x_(4n-3) only ever
     consume (a_0, b_0) and classes x_(4n-4), x_(4n-2) only (a_1, b_1)."""
-    return next(_terms(m, m, ic, pc.a * 2, pc.b * 2))
+    return next(_terms(m, m, ic, *_classes(pc)))
 
 
-def term_periodic4(m: int, ic: InitialConditions, pc: PeriodicCoeffs4) -> Fraction:
+def term_periodic4(m: int, ic: InitialConditions, pc: CoefficientSequence) -> Fraction:
     """x_m for 4-periodic coefficients: each residue class pairs its own
     coefficient index with the one two steps later."""
-    return next(terms_periodic4(m, m, ic, pc))
+    return next(_terms(m, m, ic, *_classes(pc)))
 
 
-def terms_periodic4(
-    lo: int, hi: int, ic: InitialConditions, pc: PeriodicCoeffs4
+def terms(
+    lo: int, hi: int, ic: InitialConditions, coeffs: CoefficientSequence
 ) -> Iterator[Fraction]:
-    """x_lo..x_hi for 4-periodic coefficients in one pass; raises at the
-    first singular index what `term_periodic4` raises there."""
-    return _terms(lo, hi, ic, pc.a, pc.b)
+    """x_lo..x_hi by the special case covering `coeffs` (`--engine auto`):
+    the parity formula for a = -1 (constant or period 1), else the shared
+    product.  Raises `WrongCase` at once for a sequence no case covers, and
+    at the first singular index what the matching `term_*` raises there."""
+    a, b = _classes(coeffs)
+    if coeffs.a_values() == (-1,):
+        return (term_const_a_neg1(m, ic, b[0]) for m in range(lo, hi + 1))
+    return _terms(lo, hi, ic, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def test_criterion_3_special_case_fidelity():
             if a in (0, 1):
                 return None
             cc = ConstantCoeffs(a, coeff(rng, nonzero=True))
-            return (lambda m: term_const_general(m, ic, cc)), cc.as_sequence()
+            return (lambda m: term_const_general(m, ic, cc)), cc
 
         def build_a1(rng, ic):
             b = coeff(rng, nonzero=True)
@@ -133,14 +133,14 @@ def test_criterion_3_special_case_fidelity():
             pc = PeriodicCoeffs2(
                 (coeff(rng), coeff(rng)), (coeff(rng), coeff(rng))
             )
-            return (lambda m: term_periodic2(m, ic, pc)), pc.as_sequence()
+            return (lambda m: term_periodic2(m, ic, pc)), pc
 
         def build_p4(rng, ic):
             pc = PeriodicCoeffs4(
                 tuple(coeff(rng) for _ in range(4)),
                 tuple(coeff(rng) for _ in range(4)),
             )
-            return (lambda m: term_periodic4(m, ic, pc)), pc.as_sequence()
+            return (lambda m: term_periodic4(m, ic, pc)), pc
 
         for seed, builder in (
             (31, build_general), (32, build_a1), (33, build_p2), (34, build_p4)

@@ -95,6 +95,8 @@ def test_emit_spec_output_reparses_equal(tmp_path, capsys):
         lambda d: d["coeffs"].update(a="2"),
         lambda d: d["coeffs"].update(b="0"),
         lambda d: d["initial"].__setitem__(0, 1),
+        lambda d: d.update(coeffs={"kind": "periodic", "period": True, "a": ["1"], "b": ["0"]}),
+        lambda d: d.update(coeffs={"kind": "periodic", "period": 1.0, "a": ["1"], "b": ["0"]}),
     ],
 )
 def test_malformed_specs_exit_64(tmp_path, mutate, capsys):
@@ -275,10 +277,21 @@ def test_solve_auto_dispatches_each_kind(tmp_path):
 
 
 def test_solve_auto_rejects_unsupported_kind(tmp_path, capsys):
-    data = ones_spec(horizon=8)
-    data["coeffs"] = {"kind": "periodic", "period": 3, "a": ["1", "2", "3"], "b": ["0", "0", "0"]}
-    path = write_spec(tmp_path, data)
-    assert cli.main(["solve", "--spec", path, "--engine", "auto"]) == EXIT_USAGE
+    for coeffs, got in (
+        ({"kind": "periodic", "period": 3, "a": ["1", "2", "3"], "b": ["0", "0", "0"]},
+         "period 3"),
+        ({"kind": "list", "a": ["1"] * 8, "b": ["0"] * 8}, "kind 'list'"),
+    ):
+        data = ones_spec(horizon=8)
+        data["coeffs"] = coeffs
+        path = write_spec(tmp_path, data)
+        assert cli.main(["solve", "--spec", path, "--engine", "auto"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: special cases need constant or 1-, 2- or 4-periodic coefficients, "
+            f"got {got}\n"
+        )
 
 
 def test_solve_singular_prints_position_and_exits_2(tmp_path, capsys):
@@ -373,9 +386,44 @@ def test_compare_detects_corrupted_special_engine(tmp_path, monkeypatch, capsys)
     data["coeffs"] = {"kind": "periodic", "period": 4,
                       "a": ["1", "2", "-1/2", "3"], "b": ["1", "0", "2", "-1"]}
     path = write_spec(tmp_path, data)
-    monkeypatch.setattr(cli.specialcases, "terms_periodic4",
-                        _corrupting(cli.specialcases.terms_periodic4))
+    monkeypatch.setattr(cli.specialcases, "terms", _corrupting(cli.specialcases.terms))
     _assert_x3_mismatch_reported(path, "special", capsys)
+
+
+@pytest.mark.parametrize("kind", ["constant", "periodic"])
+def test_compare_runs_the_parity_formula_for_a_neg1(tmp_path, monkeypatch, capsys, kind):
+    # Constant and period-1 a = -1 reach `term_const_a_neg1`, not the product.
+    data = ones_spec(a="-1", b="2", horizon=6)
+    data["coeffs"]["kind"] = kind
+    path = write_spec(tmp_path, data)
+    real = cli.specialcases.term_const_a_neg1
+
+    def corrupted(m, ic, b):
+        value = real(m, ic, b)
+        return value + 1 if m == 3 else value
+
+    monkeypatch.setattr(cli.specialcases, "term_const_a_neg1", corrupted)
+    _assert_x3_mismatch_reported(path, "special", capsys)
+
+
+@pytest.mark.parametrize("coeffs, special", [
+    ({"kind": "periodic", "period": 1, "a": ["2"], "b": ["1"]}, True),
+    ({"kind": "periodic", "period": 2, "a": ["2", "3"], "b": ["1", "-1/2"]}, True),
+    ({"kind": "periodic", "period": 4,
+      "a": ["1", "2", "-1/2", "3"], "b": ["1", "0", "2", "-1"]}, True),
+    ({"kind": "periodic", "period": 3, "a": ["1", "2", "3"], "b": ["0", "1", "0"]}, False),
+    ({"kind": "list", "a": ["2"] * 8, "b": ["1"] * 8}, False),
+], ids=["period1", "period2", "period4", "period3", "list"])
+def test_compare_has_a_special_column_iff_a_special_case_covers_the_spec(
+    tmp_path, capsys, coeffs, special
+):
+    data = ones_spec(horizon=8)
+    data["coeffs"] = coeffs
+    path = write_spec(tmp_path, data)
+    assert cli.main(["compare", "--spec", path]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 14
+    assert all(("special" in row) == special for row in rows)
 
 
 def test_compare_near_singular_reports_violations(tmp_path, capsys):

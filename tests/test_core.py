@@ -14,6 +14,7 @@ from sixrde import (
     InitialConditions,
     OutOfHorizon,
     SingularClosedForm,
+    WellDefViolation,
     ZeroInitialValue,
     as_rational,
     decompose_index,
@@ -236,6 +237,11 @@ def test_singular_position_follows_from_the_vanishing_v_index():
         assert str(exc) == (
             f"closed form is singular: V_{v} = 0 (class j={exc.j}, factor s={exc.s})"
         )
+        # The guard's violation names the V's own class, the product its
+        # denominator's class; both give the same factor and halt step.
+        violation = WellDefViolation(v)
+        assert violation.j == v % 4
+        assert (violation.s, violation.halt_step) == (exc.s, exc.halt_step)
     for v, position in ((4, "j=2, factor s=0"), (13, "j=3, factor s=2")):
         want = f"closed form is singular: V_{v} = 0 (class {position})"
         assert str(SingularClosedForm(v)) == want

@@ -21,7 +21,7 @@ from sixrde import (
     term_periodic2,
     term_periodic4,
 )
-from sixrde.specialcases import terms_periodic4
+from sixrde import specialcases
 
 from conftest import (
     random_initial_conditions,
@@ -62,7 +62,7 @@ def test_b_zero_telescoping():
         assert term_const_a1(m, ic, 0) == expected
     # cross-check the whole b = 0 orbit against direct iteration
     cc = ConstantCoeffs(3, 0)
-    orbit = iterate(ic, cc.as_sequence(), 30)
+    orbit = iterate(ic, cc, 30)
     for m in range(-5, 31):
         assert term_const_general(m, ic, cc) == orbit.x(m)
 
@@ -83,8 +83,26 @@ def test_periodic_identity_coefficients_telescope():
 # ---------------------------------------------------------------------------
 
 def test_general_form_rejects_a_equal_one():
-    with pytest.raises(WrongCase):
-        term_const_general(3, ONES, ConstantCoeffs(1, 2))
+    # ... and every sequence that is not constant, even with a constant a.
+    for coeffs in (
+        ConstantCoeffs(1, 2),
+        CoefficientSequence.periodic([2], [3]),
+        CoefficientSequence.periodic([2, 2], [3, 3]),
+        CoefficientSequence.explicit([2] * 12, [3] * 12),
+    ):
+        with pytest.raises(WrongCase):
+            term_const_general(3, ONES, coeffs)
+
+
+def test_special_terms_rejects_uncovered_sequences_when_called():
+    for coeffs, got in (
+        (CoefficientSequence.explicit([2] * 12, [3] * 12), "got kind 'list'"),
+        (CoefficientSequence.periodic([2, 3, 4], [1, 1, 1]), "got period 3"),
+        (CoefficientSequence.periodic([-1] * 3, [1] * 3), "got period 3"),
+    ):
+        with pytest.raises(WrongCase) as exc:
+            specialcases.terms(-5, 10, ONES, coeffs)  # nothing iterated
+        assert str(exc.value).endswith(got)
 
 
 def test_a1_flags_singular_factor():
@@ -180,7 +198,7 @@ def test_const_general_matches_oracle_and_general_path():
                 break
         b = random_rational(rng, lo=-5, hi=5, max_den=5, nonzero=True)
         cc = ConstantCoeffs(a, b)
-        return (lambda m: term_const_general(m, ic, cc)), cc.as_sequence()
+        return (lambda m: term_const_general(m, ic, cc)), cc
 
     _check_case(rng, build)
 
@@ -205,7 +223,7 @@ def test_periodic2_matches_oracle_and_general_path():
             (small_coeff(rng), small_coeff(rng)),
             (small_coeff(rng), small_coeff(rng)),
         )
-        return (lambda m: term_periodic2(m, ic, pc)), pc.as_sequence()
+        return (lambda m: term_periodic2(m, ic, pc)), pc
 
     _check_case(rng, build)
 
@@ -218,7 +236,7 @@ def test_periodic4_matches_oracle_and_general_path():
             tuple(small_coeff(rng) for _ in range(4)),
             tuple(small_coeff(rng) for _ in range(4)),
         )
-        return (lambda m: term_periodic4(m, ic, pc)), pc.as_sequence()
+        return (lambda m: term_periodic4(m, ic, pc)), pc
 
     def build_mixed(rng, ic):
         # a_0 = a_2 = 1: two classes take the arithmetic sum, two the geometric
@@ -227,7 +245,7 @@ def test_periodic4_matches_oracle_and_general_path():
             tuple(random_rational(rng, lo=-5, hi=5, max_den=5, nonzero=True)
                   for _ in range(4)),
         )
-        return (lambda m: term_periodic4(m, ic, pc)), pc.as_sequence()
+        return (lambda m: term_periodic4(m, ic, pc)), pc
 
     _check_case(rng, build)
     _check_case(rng, build_mixed, trials=10)
@@ -265,7 +283,7 @@ def test_singular_position_matches_general_path():
         while a == 1:
             a = small_coeff(rng)
         cc = ConstantCoeffs(a, small_coeff(rng))
-        return (lambda m: term_const_general(m, ic, cc)), cc.as_sequence()
+        return (lambda m: term_const_general(m, ic, cc)), cc
 
     def const_a1(ic):
         b = small_coeff(rng)
@@ -274,12 +292,12 @@ def test_singular_position_matches_general_path():
     def periodic2(ic):
         pc = PeriodicCoeffs2((small_coeff(rng), small_coeff(rng)),
                              (small_coeff(rng), small_coeff(rng)))
-        return (lambda m: term_periodic2(m, ic, pc)), pc.as_sequence()
+        return (lambda m: term_periodic2(m, ic, pc)), pc
 
     def periodic4(ic):
         pc = PeriodicCoeffs4(tuple(small_coeff(rng) for _ in range(4)),
                              tuple(small_coeff(rng) for _ in range(4)))
-        return (lambda m: term_periodic4(m, ic, pc)), pc.as_sequence()
+        return (lambda m: term_periodic4(m, ic, pc)), pc
 
     for build in (const_general, const_a1, periodic2, periodic4):
         halted = 0
@@ -300,21 +318,21 @@ def test_singular_position_matches_general_path():
             halted += 1
 
 
-def test_terms_periodic4_range_equals_point_evaluation():
+def test_special_terms_range_equals_point_evaluation():
     rng = random.Random(107)
     cases = {False: 0, True: 0}  # by whether the orbit halts
     while min(cases.values()) < 8:
         ic = random_initial_conditions(rng)
         pc = PeriodicCoeffs4(tuple(small_coeff(rng) for _ in range(4)),
                              tuple(small_coeff(rng) for _ in range(4)))
-        orbit = iterate(ic, pc.as_sequence(), 60)
+        orbit = iterate(ic, pc, 60)
         halted = orbit.halt is not None
         if cases[halted] == 8:
             continue
         cases[halted] += 1
         lo, hi = range_window(rng, orbit, 60)
         want = values_until_error(term_periodic4(m, ic, pc) for m in range(lo, hi + 1))
-        assert values_until_error(terms_periodic4(lo, hi, ic, pc)) == want
+        assert values_until_error(specialcases.terms(lo, hi, ic, pc)) == want
         if halted:
             assert len(want[0]) == orbit.last_m + 1 - lo
             assert want[1][0] == "SingularClosedForm"

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import sixrde
 from sixrde import cli
 
 tomllib = pytest.importorskip("tomllib")
@@ -58,6 +59,16 @@ def test_package_reexports_only_exported_names():
             exported = importlib.import_module(f"sixrde.{node.module}").__all__
             for alias in node.names:
                 assert alias.name in exported, f"sixrde.{node.module} does not export {alias.name}"
+
+
+def test_readme_names_resolve_on_the_package():
+    names = re.findall(r"\bsixrde((?:\.\w+)+)", (ROOT / "README.md").read_text())
+    assert names
+    for dotted in names:
+        obj = sixrde
+        for part in dotted.split(".")[1:]:
+            assert hasattr(obj, part), f"README names sixrde{dotted}"
+            obj = getattr(obj, part)
 
 
 def _readme_blocks(section: str, language: str) -> list[str]:
