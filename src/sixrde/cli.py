@@ -119,6 +119,11 @@ def parse_problem_spec(data: dict) -> ProblemSpec:
             coeffs = CoefficientSequence.explicit(a, b)
         else:
             raise ValueError(f"unknown coefficient kind {kind!r}")
+        allowed = {"kind", "a", "b"} | ({"period"} if kind == "periodic" else set())
+        unknown = sorted(data.keys() - {"initial", "coeffs", "horizon"})
+        unknown += sorted(coeffs_raw.keys() - allowed)
+        if unknown:
+            raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}")
     except ProblemSpecError:
         raise
     except (KeyError, TypeError, ValueError, SixrdeError) as exc:
@@ -169,6 +174,7 @@ class Lcg:
     _MULT = 6364136223846793005
     _INC = 1442695040888963407
     _MASK = (1 << 64) - 1
+    _LIMIT = 9  # `rational` draws numerators in -9..9 and denominators in 1..9
 
     def __init__(self, seed: int):
         self.state = seed & self._MASK
@@ -180,11 +186,11 @@ class Lcg:
     def below(self, bound: int) -> int:
         return self.next_u64() % bound
 
-    def rational(self, limit: int = 9, nonzero: bool = False) -> Fraction:
+    def rational(self, nonzero: bool = False) -> Fraction:
         while True:
-            num = self.below(2 * limit + 1) - limit
+            num = self.below(2 * self._LIMIT + 1) - self._LIMIT
             if num or not nonzero:
-                return Fraction(num, self.below(limit) + 1)
+                return Fraction(num, self.below(self._LIMIT) + 1)
 
     def lsc_sample(self) -> symmetry.LscSample:
         while True:

@@ -21,11 +21,11 @@ product is evaluated here rather than through the general closed form, so
 the test suite can cross-check the two against each other and against
 direct iteration.
 
-For a = -1 the four per-class formulas collapse to a ratio raised to a
-parity-counting exponent.  The shipped exponents are floor(n/2) for the
-x_(4n-5) and x_(4n-4) families and floor(n/2)/ceil(n/2) for the numerator/
-denominator of the x_(4n-3) and x_(4n-2) families; these are the assignments
-that match direct iteration on all four residue classes.
+For a = -1, F_r(t) is 1 at even t and b*u_r*u_(r+2) - 1 at odd t, so the
+product collapses to one ratio power: x_(4n-5+j) is the same prefix times
+num^floor(n/2) / den^floor((n + j//2)/2), with num = b*u_j*u_(j+2) - 1 and
+den = b*u_q*u_(q+2) - 1 for q = (j+2) mod 4.  num vanishes exactly when
+V_(4+j) does and den exactly when V_(4+q) does.
 """
 
 from __future__ import annotations
@@ -80,8 +80,9 @@ def _classes(coeffs: CoefficientSequence) -> tuple[tuple, tuple]:
 # The shared product
 # ---------------------------------------------------------------------------
 
-#: (top, bottom) seed indices of the prefix u_j * (u_top/u_bottom)^n.
-_TOP_BOTTOM = ((4, 0), (5, 1), (0, 4), (1, 5))
+#: Per class j: (top, bottom) seed indices of the prefix u_j * (u_top/u_bottom)^n,
+#: the paired class q = (j+2) mod 4 and the shift j//2 of its factor index.
+_CLASSES = ((4, 0, 2, 0), (5, 1, 3, 0), (0, 4, 0, 1), (1, 5, 1, 1))
 
 
 def _factor(a: Fraction, k: Fraction, power: Fraction, t: int) -> Fraction:
@@ -104,13 +105,13 @@ def _terms(
     """
     u = ic.values
     # Per class: (x at block done, done, a_j^done, a_q^(done + shift)).
-    state = [(u[j], 0, Fraction(1), a[(j + 2) % 4] ** (j // 2)) for j in range(4)]
+    state = [(u[j], 0, Fraction(1), a[q] ** shift)
+             for j, (_, _, q, shift) in enumerate(_CLASSES)]
     for m in range(lo, hi + 1):
         ti = decompose_index(m)
         j, n = ti.j, ti.n
-        q, shift = (j + 2) % 4, j // 2
+        top, bottom, q, shift = _CLASSES[j]
         value, done, num_power, den_power = state[j]
-        top, bottom = _TOP_BOTTOM[j]
         num_k, den_k = b[j] * ic.seed_product(j), b[q] * ic.seed_product(q)
         for s in range(done, n):
             den = _factor(a[q], den_k, den_power, s + shift)
@@ -177,53 +178,26 @@ def terms(
 # Constant coefficients, a = -1: parity powers
 # ---------------------------------------------------------------------------
 
-def _ratio_power(
-    numerator_base: Fraction,
-    denominator_base: Fraction,
-    num_count: int,
-    den_count: int,
-    num_v_index: int,
-    den_v_index: int,
-) -> Fraction:
-    """numerator_base^num_count / denominator_base^den_count, guarded."""
-    if den_count > 0 and denominator_base == 0:
-        raise SingularClosedForm(den_v_index)
-    if num_count > 0 and numerator_base == 0:
-        raise SingularClosedForm(num_v_index)
-    return numerator_base**num_count / denominator_base**den_count
-
-
 def term_const_a_neg1(m: int, ic: InitialConditions, b: RationalLike) -> Fraction:
-    """x_m for constant coefficients a = -1, b.
-
-    Only factors at odd blocks differ from 1, so each class reduces to a
-    single ratio power, e.g.
+    """x_m for constant coefficients a = -1, b: the shared prefix times one
+    ratio power, e.g.
 
         x_(4n-5) = c^(1-n) * g^n * ((-1 + b*c*e)/(-1 + b*e*g))^floor(n/2)
         x_(4n-3) = c^n * e / g^n * (-1 + b*e*g)^floor(n/2)
                                  / (-1 + b*c*e)^ceil(n/2).
 
-    Valid whenever b * x_(-5+j) * x_(-3+j) != 1 for the classes the power
-    actually uses.
+    Raises `SingularClosedForm` when a base the power uses vanishes, the
+    denominator's first.
     """
     b = as_rational(b)
     ti = decompose_index(m)
     j, n = ti.j, ti.n
-    if n == 0:
-        return ic.u(j)
-    c, d, e, f, g, h = ic.values
-    half = n // 2
-    half_up = (n + 1) // 2
-    # First vanishing V per base: class 0 (-1+bce) -> V_4, class 1 (-1+bdf)
-    # -> V_5, class 2 (-1+beg) -> V_6, class 3 (-1+bfh) -> V_7.
-    if j == 0:
-        ratio = _ratio_power(-1 + b * c * e, -1 + b * e * g, half, half, 4, 6)
-        return c ** (1 - n) * g**n * ratio
-    if j == 1:
-        ratio = _ratio_power(-1 + b * d * f, -1 + b * f * h, half, half, 5, 7)
-        return d ** (1 - n) * h**n * ratio
-    if j == 2:
-        ratio = _ratio_power(-1 + b * e * g, -1 + b * c * e, half, half_up, 6, 4)
-        return c**n * e / g**n * ratio
-    ratio = _ratio_power(-1 + b * f * h, -1 + b * d * f, half, half_up, 7, 5)
-    return d**n * f / h**n * ratio
+    top, bottom, q, shift = _CLASSES[j]
+    num, den = b * ic.seed_product(j) - 1, b * ic.seed_product(q) - 1
+    num_count, den_count = n // 2, (n + shift) // 2
+    if den_count > 0 and den == 0:
+        raise SingularClosedForm(4 + q)
+    if num_count > 0 and num == 0:
+        raise SingularClosedForm(4 + j)
+    u = ic.values
+    return u[j] * (u[top] / u[bottom]) ** n * num**num_count / den**den_count

@@ -97,6 +97,10 @@ def test_emit_spec_output_reparses_equal(tmp_path, capsys):
         lambda d: d["initial"].__setitem__(0, 1),
         lambda d: d.update(coeffs={"kind": "periodic", "period": True, "a": ["1"], "b": ["0"]}),
         lambda d: d.update(coeffs={"kind": "periodic", "period": 1.0, "a": ["1"], "b": ["0"]}),
+        lambda d: d.update(horzion=9),
+        lambda d: d["coeffs"].update(extra=1),
+        lambda d: d["coeffs"].update(period=1),
+        lambda d: d.update(coeffs={"kind": "list", "period": 3, "a": ["1"] * 3, "b": ["0"] * 3}),
     ],
 )
 def test_malformed_specs_exit_64(tmp_path, mutate, capsys):
@@ -104,6 +108,17 @@ def test_malformed_specs_exit_64(tmp_path, mutate, capsys):
     mutate(data)
     path = write_spec(tmp_path, data)
     assert cli.main(["iterate", "--spec", path]) == EXIT_SPEC
+
+
+def test_unknown_spec_keys_are_named_on_one_error_line(tmp_path, capsys):
+    data = ones_spec()
+    data["horzion"] = 9
+    data["coeffs"]["extra"] = 1
+    path = write_spec(tmp_path, data)
+    assert cli.main(["iterate", "--spec", path, "--emit-spec"]) == EXIT_SPEC
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: malformed problem spec: unknown key(s) 'horzion', 'extra'\n"
 
 
 def test_unreadable_and_non_json_specs_exit_64(tmp_path):

@@ -103,8 +103,9 @@ def a_neg1_invariants(count):
 
 
 def a_neg1_formula(j, n, half, half_up):
-    """x_(4n-5+j) as `term_const_a_neg1` states it, with half = floor(n/2)
-    and half_up = ceil(n/2) passed in so that n may be symbolic."""
+    """x_(4n-5+j) by the paper's four explicit a = -1 formulas, with
+    half = floor(n/2) and half_up = ceil(n/2) passed in so that n may be
+    symbolic."""
     if j == 0:
         return c ** (1 - n) * g**n * ((-1 + b * c * e) / (-1 + b * e * g)) ** half
     if j == 1:

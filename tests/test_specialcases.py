@@ -1,5 +1,6 @@
 """Dedicated special-case formulas against the oracle and the general path."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -141,6 +142,18 @@ def test_vanishing_numerator_is_reported_by_its_own_index():
         assert (exc.value.j, exc.value.s, exc.value.v_index) == (2, 0, 4)
 
 
+def test_a_neg1_checks_the_denominator_base_first():
+    # With all seeds 1 and b = 1 both bases of every class vanish; x_3 meets
+    # the denominator V_6 before the numerator V_4, as the shared product does.
+    coeffs = CoefficientSequence.constant(-1, 1)
+    for m in range(1, 13):
+        with pytest.raises(SingularClosedForm) as want:
+            specialcases.term_periodic4(m, ONES, coeffs)
+        with pytest.raises(SingularClosedForm) as got:
+            term_const_a_neg1(m, ONES, 1)
+        assert got.value.v_index == want.value.v_index == 4 + (m + 3) % 4, m
+
+
 # ---------------------------------------------------------------------------
 # Geometric-sum identity: all periods equal collapse to the a != 1 form
 # ---------------------------------------------------------------------------
@@ -274,9 +287,11 @@ def test_a_neg1_parity_matches_oracle_on_all_classes():
 # ---------------------------------------------------------------------------
 
 def test_singular_position_matches_general_path():
-    """Where iteration halts, each case that shares the product evaluator
-    raises at the same (j, s, v_index) as the general closed form."""
+    """Where iteration halts, each special case raises at the same
+    (j, s, v_index) as the general closed form; a = -1 reaches each of the
+    four first vanishing V_4..V_7."""
     rng = random.Random(106)
+    classes = itertools.cycle(range(4))
 
     def const_general(ic):
         a = small_coeff(rng)
@@ -299,7 +314,12 @@ def test_singular_position_matches_general_path():
                              tuple(small_coeff(rng) for _ in range(4)))
         return (lambda m: term_periodic4(m, ic, pc)), pc
 
-    for build in (const_general, const_a1, periodic2, periodic4):
+    def const_a_neg1(ic):
+        b = 1 / ic.seed_product(next(classes))  # V_(4+r) = 0 for the drawn class r
+        return (lambda m: term_const_a_neg1(m, ic, b)), CoefficientSequence.constant(-1, b)
+
+    positions = set()
+    for build in (const_general, const_a1, periodic2, periodic4, const_a_neg1):
         halted = 0
         while halted < 10:
             ic = random_initial_conditions(rng)
@@ -315,7 +335,10 @@ def test_singular_position_matches_general_path():
             position = (got.value.j, got.value.s, got.value.v_index)
             assert position == (want.value.j, want.value.s, want.value.v_index), (
                 build.__name__, m)
+            if build is const_a_neg1:
+                positions.add(position)
             halted += 1
+    assert positions == {(2, 0, 4), (3, 0, 5), (0, 1, 6), (1, 1, 7)}
 
 
 def test_special_terms_range_equals_point_evaluation():

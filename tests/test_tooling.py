@@ -4,7 +4,9 @@ README's examples run as written."""
 import ast
 import importlib
 import re
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -69,6 +71,18 @@ def test_readme_names_resolve_on_the_package():
         for part in dotted.split(".")[1:]:
             assert hasattr(obj, part), f"README names sixrde{dotted}"
             obj = getattr(obj, part)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["verify-symmetry", "--samples", "3"], 0), (["iterate", "--spec", "missing.json"], 64)],
+)
+def test_python_dash_m_entry_point_exits_with_the_cli_code(tmp_path, argv, code):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "sixrde", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def _readme_blocks(section: str, language: str) -> list[str]:
