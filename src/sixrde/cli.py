@@ -9,6 +9,8 @@ Subcommands:
 
 The first three read a problem spec (--spec; --emit-spec echoes it as
 canonical JSON and exits) and write one output to --out, stdout by default.
+A file is made before the command computes and renamed into place when it
+finishes, so a failed run leaves none.
 
 Problem instances are JSON files with exact rational strings::
 
@@ -28,13 +30,15 @@ reports.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import re as _re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import closedform, oracle, specialcases, symmetry
 from .core import (
@@ -225,23 +229,44 @@ def _csv(rows: Iterable[tuple[int, Fraction]]) -> Iterator[str]:
         yield f"{m},{format_rational(value)},{_as_float(value)!r}\n"
 
 
-def _write(path: str, chunks: Iterable[str]) -> None:
-    """Write `chunks` to stdout for `-`, otherwise to the file at `path`."""
+@contextlib.contextmanager
+def _output(path: str) -> Iterator[TextIO]:
+    """The stream a subcommand writes to: stdout for `-`, else a new file
+    beside `path`, made before any computation and renamed onto `path` when
+    the subcommand returns, so an unwritable path fails at once and a run
+    that raises leaves no file.  A path that exists as something other than
+    a regular file (a device, a pipe) is written directly."""
     if path == "-":
-        sys.stdout.writelines(chunks)
+        yield sys.stdout
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(chunks)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)  # through a symlink, not over it
+    temp = f"{target}.{os.urandom(6).hex()}.tmp"
+    try:
+        fh = open(temp, "x", encoding="utf-8", newline="")
+    except OSError as exc:  # name the path asked for, not the temp file
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(temp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_iterate(spec: ProblemSpec, args) -> int:
+def _cmd_iterate(spec: ProblemSpec, args, out: TextIO) -> int:
     count = spec.horizon if args.n is None else args.n
     orbit = oracle.iterate(spec.initial, spec.coeffs, count)
-    _write(args.out, _csv(enumerate(orbit.terms, -5)))
+    out.writelines(_csv(enumerate(orbit.terms, -5)))
     if orbit.halt is not None:
         print(
             f"singular at step {orbit.halt.step} ({orbit.halt.cause.value}); "
@@ -252,7 +277,7 @@ def _cmd_iterate(spec: ProblemSpec, args) -> int:
     return EXIT_OK
 
 
-def _cmd_solve(spec: ProblemSpec, args) -> int:
+def _cmd_solve(spec: ProblemSpec, args, out: TextIO) -> int:
     lo, hi = (-5, spec.horizon) if args.range is None else args.range
     engine = closedform if args.engine == "general" else specialcases
     values = engine.terms(lo, hi, spec.initial, spec.coeffs)
@@ -266,14 +291,14 @@ def _cmd_solve(spec: ProblemSpec, args) -> int:
             f"singular closed form at x_{lo + len(rows)}: j={exc.j}, s={exc.s} "
             f"(V_{exc.v_index} = 0, iteration dies at step {exc.halt_step})"
         )
-    _write(args.out, _csv(rows))
+    out.writelines(_csv(rows))
     if message is None:
         return EXIT_OK
     print(message, file=sys.stderr)
     return EXIT_SINGULAR
 
 
-def _cmd_compare(spec: ProblemSpec, args) -> int:
+def _cmd_compare(spec: ProblemSpec, args, out: TextIO) -> int:
     count = spec.horizon if args.n is None else args.n
     orbit = oracle.iterate(spec.initial, spec.coeffs, count)
     engines = {
@@ -318,7 +343,7 @@ def _cmd_compare(spec: ProblemSpec, args) -> int:
             ],
         },
     }
-    _write(args.out, [json.dumps(report, indent=2, sort_keys=True) + "\n"])
+    out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if first_mismatch is None else EXIT_MISMATCH
 
 
@@ -457,7 +482,8 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         if args.emit_spec:
             sys.stdout.write(canonical_spec_json(spec))
             return EXIT_OK
-        return args.func(spec, args)
+        with _output(args.out) as out:
+            return args.func(spec, args, out)
     except ProblemSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC

@@ -16,9 +16,15 @@ telescoping:
 serves as the independent check.  Everything else reads V from one
 lazily extended table: one column per residue class, grown by the affine
 step itself at one multiply-add per block.  Since u_(4(n+1)+j) is u_(4n+j)
-times one more ratio, `terms` evaluates a whole range x_lo..x_hi in one
-pass, keeping a running value per class, so each term after the first of
-its class costs O(1) rational operations; `term` is the one-term range.
+times one more ratio, each class also keeps x at every block formed so
+far, and a term past them costs one V ratio per missing block.
+
+Table and terms belong to the last instance solved on the calling thread:
+each thread keeps one slot, reused while `term`, `terms`, `well_defined`
+and `unified_exponent` are asked about an equal (ic, coeffs) and replaced
+by the first call on a different one.  So x_lo..x_hi costs O(1) rational
+operations per term whether asked as one range or index by index, in any
+order.  The slot holds every x formed, O(N^3) bits up to x_N.
 
 A vanishing V in a denominator is exactly the well-definedness failure of
 the closed form, and corresponds one-to-one with the direct iteration
@@ -39,6 +45,7 @@ phase, exact or floating, is read from the one cycle `core.i_power`.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -172,35 +179,64 @@ class _InvariantTable:
         return v
 
 
+class _Solution:
+    """One instance solved so far: its V table and, per residue class j,
+    x_(4n-5+j) at every block n formed so far (block 0 is the seed u_j)."""
+
+    def __init__(self, ic: InitialConditions, coeffs: CoefficientSequence):
+        self.ic = ic
+        self.coeffs = coeffs
+        self.table = _InvariantTable(ic, coeffs)
+        self._blocks = [[ic.u(j)] for j in range(4)]
+
+    def x(self, m: int) -> Fraction:
+        """Exact x_m, extending its class by one V ratio per missing block.
+
+        Every V the product needs is formed before any is checked (a short
+        explicit list raises `OutOfHorizon` first); then at each new factor
+        s the denominator V_(4s+j+2) is checked before the numerator
+        V_(4s+j).  A block is stored only once its factor passed both
+        checks, so a failed query raises the same error when repeated.
+        """
+        ti = decompose_index(m)
+        j, n = ti.j, ti.n
+        blocks = self._blocks[j]
+        if n >= len(blocks):
+            table = self.table
+            # Numerators are V_(4s+j), denominators V_(4s+j+2), s < n.
+            table.v(4 * (n - 1) + j)
+            table.v(4 * (n - 1) + j + 2)
+            for s in range(len(blocks) - 1, n):
+                # A zero numerator V means the orbit already died on the class
+                # where that V sits in a denominator; its own index reports it.
+                den = table.nonzero(4 * s + j + 2)
+                blocks.append(blocks[-1] * table.nonzero(4 * s + j) / den)
+        return blocks[n]
+
+
+_LAST = threading.local()
+
+
+def _solution(ic: InitialConditions, coeffs: CoefficientSequence) -> _Solution:
+    """This thread's last solved instance if it equals (ic, coeffs), else a
+    fresh `_Solution` that replaces it."""
+    last = getattr(_LAST, "solution", None)
+    if last is None or last.ic != ic or last.coeffs != coeffs:
+        last = _LAST.solution = _Solution(ic, coeffs)
+    return last
+
+
 def terms(
     lo: int, hi: int, ic: InitialConditions, coeffs: CoefficientSequence
 ) -> Iterator[Fraction]:
     """Exact x_lo, ..., x_hi from the telescoping product over one V table.
 
-    Each residue class keeps its running value and block count, so after
-    the first term of a class every further one costs one V ratio.  At the
-    first index that fails, raises what `term` raises there: every V the
-    product needs is computed before any is checked (a short explicit list
-    raises `OutOfHorizon` first), then at each new factor s the denominator
-    V_(4s+j+2) is checked before the numerator V_(4s+j).
+    Each term after the first of its class costs one V ratio.  At the first
+    index that fails, raises what `term` raises there.  The iterator extends
+    the calling thread's slot, so consume it on that thread.
     """
-    table = _InvariantTable(ic, coeffs)
-    state = [(ic.u(j), 0) for j in range(4)]  # (x at block done, done)
-    for m in range(lo, hi + 1):
-        ti = decompose_index(m)
-        j, n = ti.j, ti.n
-        value, done = state[j]
-        if n > done:
-            # Numerators are V_(4s+j), denominators V_(4s+j+2), s < n.
-            table.v(4 * (n - 1) + j)
-            table.v(4 * (n - 1) + j + 2)
-        for s in range(done, n):
-            # A zero numerator V means the orbit already died on the class
-            # where that V sits in a denominator; its own index reports it.
-            den = table.nonzero(4 * s + j + 2)
-            value *= table.nonzero(4 * s + j) / den
-        state[j] = (value, n)
-        yield value
+    solution = _solution(ic, coeffs)
+    return (solution.x(m) for m in range(lo, hi + 1))
 
 
 def term(m: int, ic: InitialConditions, coeffs: CoefficientSequence) -> Fraction:
@@ -209,7 +245,7 @@ def term(m: int, ic: InitialConditions, coeffs: CoefficientSequence) -> Fraction
     Raises `SingularClosedForm` when a required V vanishes; that happens
     iff direct iteration halts on a zero denominator at step v_index - 4.
     """
-    return next(terms(m, m, ic, coeffs))
+    return _solution(ic, coeffs).x(m)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +318,7 @@ def well_defined(
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    table = _InvariantTable(ic, coeffs)
+    table = _solution(ic, coeffs).table
     violations = []
     for v_index in range(4, 4 * horizon + 6):
         try:
@@ -339,7 +375,7 @@ def unified_exponent(
         raise OutOfRange("orbit term u", n)
     consts = unified_constants(ic)
     total = complex(i_power(n)) * consts.c1 + complex(i_power(-n)) * consts.c2
-    table = _InvariantTable(ic, coeffs)
+    table = _solution(ic, coeffs).table
     # Extend every column before checking any V, so a short explicit list
     # raises OutOfHorizon ahead of a singularity, as in `terms`.
     for k in range(max(n - 4, 0), n):

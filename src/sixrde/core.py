@@ -4,6 +4,11 @@ All quantities are exact: real values are arbitrary-precision rationals
 (`fractions.Fraction`, always in canonical form), complex values are Gaussian
 rationals (rational real and imaginary parts).  Everything here is immutable
 after construction and safe to use from multiple threads.
+
+`InitialConditions` and `CoefficientSequence` compare by value.  The
+closed-form and special-case engines key their per-thread slot for the last
+solved instance on that equality, so an equal copy reuses the state an
+earlier call built.
 """
 
 from __future__ import annotations

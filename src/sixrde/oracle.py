@@ -99,15 +99,13 @@ def iterate(
     terms = list(ic.values)
     halt = None
     for n in range(count):
-        u_n = terms[n]
-        u_n2 = terms[n + 2]
-        u_n4 = terms[n + 4]
+        p = terms[n] * terms[n + 2]
         a, b = coeffs.pair_at(n)
-        factor = a + b * u_n * u_n2
+        factor = a + b * p
         if factor == 0:
             halt = SingularityReport(n, SingularityCause.ZERO_DENOMINATOR_FACTOR)
             break
-        terms.append(u_n * u_n2 / (u_n4 * factor))
+        terms.append(p / (terms[n + 4] * factor))
     return Orbit(tuple(terms), halt)
 
 

@@ -11,9 +11,13 @@ coefficients (a_r, b_r), r = 0..3:
 
 (the geometric sum is t when a_r = 1), where (top, bottom) is (4, 0),
 (5, 1), (0, 4), (1, 5) for j = 0, 1, 2, 3.  The sum is closed and a_r^t is
-a running power, so x_m costs O(m) multiplications; a range x_lo..x_hi
-(`terms`) carries each class's product forward, one factor per term after
-the first of its class.  Every case takes the `CoefficientSequence` the
+a running power, so each block costs one factor ratio.  Each class keeps x
+at every block formed so far, in one slot per thread holding the last
+instance solved (the closed-form engine keeps its own): `term_*` and
+`terms` calls on an equal (ic, a_r, b_r) extend it, and the first call on
+a different one replaces it.  So x_lo..x_hi costs O(1) rational
+operations per term whether asked as one range or index by index, in any
+order.  Every case takes the `CoefficientSequence` the
 other engines take and tiles it to four classes: constant (a, b) becomes
 a_r = a, b_r = b; 2-periodic (a_0, a_1) becomes (a_0, a_1, a_0, a_1); a
 4-periodic sequence is used as given; any other raises `WrongCase`.  The
@@ -25,11 +29,13 @@ For a = -1, F_r(t) is 1 at even t and b*u_r*u_(r+2) - 1 at odd t, so the
 product collapses to one ratio power: x_(4n-5+j) is the same prefix times
 num^floor(n/2) / den^floor((n + j//2)/2), with num = b*u_j*u_(j+2) - 1 and
 den = b*u_q*u_(q+2) - 1 for q = (j+2) mod 4.  num vanishes exactly when
-V_(4+j) does and den exactly when V_(4+q) does.
+V_(4+j) does and den exactly when V_(4+q) does.  That formula costs O(1)
+rational operations per term and keeps no state.
 """
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -90,41 +96,56 @@ def _factor(a: Fraction, k: Fraction, power: Fraction, t: int) -> Fraction:
     return power + k * (t if a == 1 else (1 - power) / (1 - a))
 
 
-def _terms(
-    lo: int,
-    hi: int,
-    ic: InitialConditions,
-    a: tuple[Fraction, ...],
-    b: tuple[Fraction, ...],
-) -> Iterator[Fraction]:
-    """x_lo..x_hi from four per-class coefficient pairs (a_r, b_r), r = 0..3.
+class _Product:
+    """The shared product of one instance, solved so far.
 
-    Each class keeps its running value, factor count s and the two running
-    powers, so after the first term of a class every further one costs one
-    factor ratio.
+    Per class j it keeps x_(4n-5+j) at every block n formed so far (block 0
+    is the seed u_j) and, at its last block n = done, the two running powers
+    a_j^done and a_q^(done + shift), so each further block costs one factor
+    ratio.
     """
-    u = ic.values
-    # Per class: (x at block done, done, a_j^done, a_q^(done + shift)).
-    state = [(u[j], 0, Fraction(1), a[q] ** shift)
-             for j, (_, _, q, shift) in enumerate(_CLASSES)]
-    for m in range(lo, hi + 1):
+
+    def __init__(self, ic: InitialConditions, a: tuple, b: tuple):
+        self.ic, self.a, self.b = ic, a, b
+        self._blocks = [[ic.values[j]] for j in range(4)]
+        self._powers = [(Fraction(1), a[q] ** shift) for _, _, q, shift in _CLASSES]
+
+    def x(self, m: int) -> Fraction:
+        """x_m; at each new factor the denominator is checked before the
+        numerator, and a block is stored only once both passed."""
         ti = decompose_index(m)
         j, n = ti.j, ti.n
-        top, bottom, q, shift = _CLASSES[j]
-        value, done, num_power, den_power = state[j]
-        num_k, den_k = b[j] * ic.seed_product(j), b[q] * ic.seed_product(q)
-        for s in range(done, n):
-            den = _factor(a[q], den_k, den_power, s + shift)
-            if den == 0:
-                raise SingularClosedForm(4 * s + j + 2)
-            num = _factor(a[j], num_k, num_power, s)
-            if num == 0:
-                raise SingularClosedForm(4 * s + j)
-            value *= u[top] * num / (u[bottom] * den)
-            num_power *= a[j]
-            den_power *= a[q]
-        state[j] = (value, n, num_power, den_power)
-        yield value
+        blocks = self._blocks[j]
+        if n >= len(blocks):
+            u, a = self.ic.values, self.a
+            top, bottom, q, shift = _CLASSES[j]
+            num_k = self.b[j] * self.ic.seed_product(j)
+            den_k = self.b[q] * self.ic.seed_product(q)
+            num_power, den_power = self._powers[j]
+            for s in range(len(blocks) - 1, n):
+                den = _factor(a[q], den_k, den_power, s + shift)
+                if den == 0:
+                    raise SingularClosedForm(4 * s + j + 2)
+                num = _factor(a[j], num_k, num_power, s)
+                if num == 0:
+                    raise SingularClosedForm(4 * s + j)
+                blocks.append(blocks[-1] * u[top] * num / (u[bottom] * den))
+                num_power *= a[j]
+                den_power *= a[q]
+                self._powers[j] = (num_power, den_power)
+        return blocks[n]
+
+
+_LAST = threading.local()
+
+
+def _product(ic: InitialConditions, a: tuple, b: tuple) -> _Product:
+    """This thread's last solved product if it equals (ic, a, b), else a
+    fresh `_Product` that replaces it."""
+    last = getattr(_LAST, "product", None)
+    if last is None or last.ic != ic or last.a != a or last.b != b:
+        last = _LAST.product = _Product(ic, a, b)
+    return last
 
 
 def term_const_general(
@@ -138,7 +159,7 @@ def term_const_general(
     """
     if cc.kind != "constant" or cc.a_values() == (1,):
         raise WrongCase("constant-coefficient general form requires constant a != 1")
-    return next(_terms(m, m, ic, *_classes(cc)))
+    return _product(ic, *_classes(cc)).x(m)
 
 
 def term_const_a1(m: int, ic: InitialConditions, b: RationalLike) -> Fraction:
@@ -146,19 +167,19 @@ def term_const_a1(m: int, ic: InitialConditions, b: RationalLike) -> Fraction:
 
         x_(4n-3) = c^n * e / g^n * prod((1 + b*e*g*s)/(1 + b*c*e*(s+1)), s < n).
     """
-    return next(_terms(m, m, ic, (Fraction(1),) * 4, (as_rational(b),) * 4))
+    return _product(ic, (Fraction(1),) * 4, (as_rational(b),) * 4).x(m)
 
 
 def term_periodic2(m: int, ic: InitialConditions, pc: CoefficientSequence) -> Fraction:
     """x_m for 2-periodic coefficients: classes x_(4n-5), x_(4n-3) only ever
     consume (a_0, b_0) and classes x_(4n-4), x_(4n-2) only (a_1, b_1)."""
-    return next(_terms(m, m, ic, *_classes(pc)))
+    return _product(ic, *_classes(pc)).x(m)
 
 
 def term_periodic4(m: int, ic: InitialConditions, pc: CoefficientSequence) -> Fraction:
     """x_m for 4-periodic coefficients: each residue class pairs its own
     coefficient index with the one two steps later."""
-    return next(_terms(m, m, ic, *_classes(pc)))
+    return _product(ic, *_classes(pc)).x(m)
 
 
 def terms(
@@ -167,11 +188,13 @@ def terms(
     """x_lo..x_hi by the special case covering `coeffs` (`--engine auto`):
     the parity formula for a = -1 (constant or period 1), else the shared
     product.  Raises `WrongCase` at once for a sequence no case covers, and
-    at the first singular index what the matching `term_*` raises there."""
+    at the first singular index what the matching `term_*` raises there.
+    The iterator extends the calling thread's slot; consume it there."""
     a, b = _classes(coeffs)
     if coeffs.a_values() == (-1,):
         return (term_const_a_neg1(m, ic, b[0]) for m in range(lo, hi + 1))
-    return _terms(lo, hi, ic, a, b)
+    product = _product(ic, a, b)
+    return (product.x(m) for m in range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ import json
 import math
 import os
 import random
+import stat
 import sys
 import tempfile
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -220,6 +222,92 @@ def test_out_dash_writes_the_same_bytes_as_out_file(tmp_path, capsys, command):
     assert cli.main([command[0], "--spec", path, *command[1:], "--out", str(out)]) == EXIT_OK
     assert capsys.readouterr().out == ""
     assert printed.encode("utf-8") == out.read_bytes()
+
+
+def _refuse_to_compute(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("computed before --out was opened")
+
+    for engine in (cli.oracle, cli.closedform, cli.specialcases):
+        for name in ("iterate", "terms"):
+            if hasattr(engine, name):
+                monkeypatch.setattr(engine, name, refuse)
+
+
+@pytest.mark.parametrize("command", [["iterate"], ["solve"], ["compare"]], ids=str)
+def test_unwritable_out_fails_before_any_computation(tmp_path, monkeypatch, capsys,
+                                                     command):
+    path = write_spec(tmp_path, ones_spec())
+    _refuse_to_compute(monkeypatch)
+    missing = tmp_path / "missing" / "out"
+    for out, reason in ((missing, "[Errno 2] No such file or directory"),
+                        (tmp_path, "[Errno 21] Is a directory")):
+        assert cli.main([*command, "--spec", path, "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {reason}: '{out}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
+def test_a_failed_run_leaves_no_file_and_keeps_the_old_one(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out.csv"
+    # The explicit list runs out at x_5: solve fails after computing rows.
+    data = ones_spec(horizon=12)
+    data["coeffs"] = {"kind": "list", "a": ["1"] * 3, "b": ["0"] * 3}
+    short = write_spec(tmp_path, data, "short.json")
+    assert cli.main(["solve", "--spec", short, "--out", str(out)]) == EXIT_USAGE
+    assert "past the explicit horizon" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["short.json"]
+    # A run that fails while writing leaves the earlier file as it was.
+    out.write_text("earlier\n")
+    path = write_spec(tmp_path, ones_spec())
+    calls = []
+
+    def failing_format(value):
+        calls.append(value)
+        if len(calls) == 4:
+            raise OSError("no space left on device")
+        return format_rational(value)
+
+    monkeypatch.setattr(cli, "format_rational", failing_format)
+    assert cli.main(["iterate", "--spec", path, "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: no space left on device\n"
+    assert out.read_text() == "earlier\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "short.json", "spec.json"]
+
+
+def test_out_writes_through_a_pipe_and_a_symlink(tmp_path, capsys):
+    path = write_spec(tmp_path, ones_spec(a="2", b="1/3"))
+    assert cli.main(["iterate", "--spec", path]) == EXIT_OK
+    want = capsys.readouterr().out.encode("utf-8")
+    # A named pipe is written as it is, not replaced by a regular file.
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()),
+                              daemon=True)
+    reader.start()
+    assert cli.main(["iterate", "--spec", path, "--out", str(pipe)]) == EXIT_OK
+    reader.join(timeout=30)
+    assert received == [want]
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+    # A symlink keeps pointing at its target, which gets the output.
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("earlier\n")
+    link.symlink_to(target)
+    assert cli.main(["iterate", "--spec", path, "--out", str(link)]) == EXIT_OK
+    assert link.is_symlink() and target.read_bytes() == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "link.csv", "pipe", "spec.json", "target.csv"]
+
+
+def test_a_singular_solve_keeps_the_rows_before_the_singular_index(tmp_path):
+    path = write_spec(tmp_path, ones_spec(a="1", b="-1"))
+    out = tmp_path / "out.csv"
+    assert cli.main(["solve", "--spec", path, "--range", "-5..6",
+                     "--out", str(out)]) == EXIT_SINGULAR
+    assert out.read_text() == "m,exact,float\n" + "".join(
+        f"{m},1/1,1.0\n" for m in range(-5, 1))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "spec.json"]
 
 
 @pytest.mark.parametrize("seeds, horizon", [

@@ -35,6 +35,7 @@ from conftest import (
     nonsingular_instance,
     random_instance,
     range_window,
+    start_cold,
     values_until_error,
 )
 
@@ -162,8 +163,11 @@ def test_terms_range_equals_point_evaluation(kind):
             continue
         cases[halted] += 1
         lo, hi = range_window(rng, orbit, 60)
+        start_cold()
         want = values_until_error(term(m, ic, coeffs) for m in range(lo, hi + 1))
+        start_cold()
         assert values_until_error(terms(lo, hi, ic, coeffs)) == want
+        assert want[0] == list(orbit.terms[lo + 5:lo + 5 + len(want[0])])
         if halted:
             assert len(want[0]) == orbit.last_m + 1 - lo
             assert want[1][0] == "SingularClosedForm"
@@ -179,8 +183,10 @@ def test_terms_past_explicit_horizon_raises_like_term():
             [base.b_at(k) for k in range(length)],
         )
         lo, hi = rng.randint(-5, length), length + 12
+        start_cold()
         want = values_until_error(term(m, ic, coeffs) for m in range(lo, hi + 1))
         assert want[1][0] == "OutOfHorizon"
+        start_cold()
         assert values_until_error(terms(lo, hi, ic, coeffs)) == want
 
 

@@ -28,6 +28,7 @@ from conftest import (
     random_initial_conditions,
     random_rational,
     range_window,
+    start_cold,
     values_until_error,
 )
 
@@ -354,8 +355,11 @@ def test_special_terms_range_equals_point_evaluation():
             continue
         cases[halted] += 1
         lo, hi = range_window(rng, orbit, 60)
+        start_cold()
         want = values_until_error(term_periodic4(m, ic, pc) for m in range(lo, hi + 1))
+        start_cold()
         assert values_until_error(specialcases.terms(lo, hi, ic, pc)) == want
+        assert want[0] == list(orbit.terms[lo + 5:lo + 5 + len(want[0])])
         if halted:
             assert len(want[0]) == orbit.last_m + 1 - lo
             assert want[1][0] == "SingularClosedForm"
