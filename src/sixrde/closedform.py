@@ -17,7 +17,7 @@ serves as the independent check.  Everything else reads V from one
 lazily extended table: one column per residue class, grown by the affine
 step itself at one multiply-add per block.  Since u_(4(n+1)+j) is u_(4n+j)
 times one more ratio, each class also keeps x at every block formed so
-far, and a term past them costs one V ratio per missing block.
+far; a term past them costs one V ratio per missing block, formed first.
 
 Table and terms belong to the last instance solved on the calling thread:
 each thread keeps one slot, reused while `term`, `terms`, `well_defined`
@@ -210,7 +210,7 @@ class _Solution:
                 # A zero numerator V means the orbit already died on the class
                 # where that V sits in a denominator; its own index reports it.
                 den = table.nonzero(4 * s + j + 2)
-                blocks.append(blocks[-1] * table.nonzero(4 * s + j) / den)
+                blocks.append(blocks[-1] * (table.nonzero(4 * s + j) / den))
         return blocks[n]
 
 

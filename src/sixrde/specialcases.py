@@ -7,11 +7,14 @@ coefficients (a_r, b_r), r = 0..3:
     x_(4n-5+j) = u_j * (u_top/u_bottom)^n
                  * prod( F_j(s) / F_(j+2 mod 4)(s + j//2), s < n ),
 
-    F_r(t) = a_r^t + b_r*u_r*u_(r+2) * (1 - a_r^t)/(1 - a_r)
+    F_r(t) = a_r^t + k_r*(1 - a_r^t)/(1 - a_r) = C_r + D_r*a_r^t
 
-(the geometric sum is t when a_r = 1), where (top, bottom) is (4, 0),
-(5, 1), (0, 4), (1, 5) for j = 0, 1, 2, 3.  The sum is closed and a_r^t is
-a running power, so each block costs one factor ratio.  Each class keeps x
+with k_r = b_r*u_r*u_(r+2), C_r = k_r/(1 - a_r), D_r = 1 - C_r (1 + k_r*t
+when a_r = 1), where (top, bottom) is (4, 0), (5, 1), (0, 4), (1, 5) for
+j = 0, 1, 2, 3.  With C, D and a running D*a_r^t, each F costs one add and
+one multiply by a_r (F is never stepped by its affine recurrence, so the
+engine stays independent of the closed form's V table), and a block one
+multiply of the full-height x by the small factor ratio.  Each class keeps x
 at every block formed so far, in one slot per thread holding the last
 instance solved (the closed-form engine keeps its own): `term_*` and
 `terms` calls on an equal (ic, a_r, b_r) extend it, and the first call on
@@ -91,24 +94,36 @@ def _classes(coeffs: CoefficientSequence) -> tuple[tuple, tuple]:
 _CLASSES = ((4, 0, 2, 0), (5, 1, 3, 0), (0, 4, 0, 1), (1, 5, 1, 1))
 
 
-def _factor(a: Fraction, k: Fraction, power: Fraction, t: int) -> Fraction:
-    """F(t) = a^t + k*(1 - a^t)/(1 - a), or a^t + k*t when a = 1; power = a^t."""
-    return power + k * (t if a == 1 else (1 - power) / (1 - a))
+def _line(a: Fraction, k: Fraction, seed: Fraction) -> tuple:
+    """seed*(C, D, E(0)) for F(t) = C + E(t), E(t) = D*a^t, C = k/(1 - a),
+    D = 1 - C, or E(t) = D*t, C = 1, D = k when a = 1."""
+    c, d = (1, k) if a == 1 else (k / (1 - a), 1 - k / (1 - a))
+    return seed * c, seed * d, 0 if a == 1 else seed * d
 
 
 class _Product:
     """The shared product of one instance, solved so far.
 
     Per class j it keeps x_(4n-5+j) at every block n formed so far (block 0
-    is the seed u_j) and, at its last block n = done, the two running powers
-    a_j^done and a_q^(done + shift), so each further block costs one factor
-    ratio.
+    is the seed u_j) and u_top*F_j(t) at every t formed so far; u_top of
+    class q is u_bottom of class j, so a block's factor ratio reads both.
     """
 
     def __init__(self, ic: InitialConditions, a: tuple, b: tuple):
         self.ic, self.a, self.b = ic, a, b
         self._blocks = [[ic.values[j]] for j in range(4)]
-        self._powers = [(Fraction(1), a[q] ** shift) for _, _, q, shift in _CLASSES]
+        self._factors = [[] for _ in range(4)]
+        self._lines = [_line(a[r], b[r] * ic.seed_product(r), ic.values[top])
+                       for r, (top, *_) in enumerate(_CLASSES)]
+
+    def _factor(self, r: int, t: int) -> Fraction:
+        """u_top*F_r(t) = C + E(t), extending class r's column."""
+        factors, (c, d, e), a = self._factors[r], self._lines[r], self.a[r]
+        while len(factors) <= t:
+            factors.append(c + e)
+            e = e + d if a == 1 else e * a
+        self._lines[r] = (c, d, e)
+        return factors[t]
 
     def x(self, m: int) -> Fraction:
         """x_m; at each new factor the denominator is checked before the
@@ -117,22 +132,15 @@ class _Product:
         j, n = ti.j, ti.n
         blocks = self._blocks[j]
         if n >= len(blocks):
-            u, a = self.ic.values, self.a
-            top, bottom, q, shift = _CLASSES[j]
-            num_k = self.b[j] * self.ic.seed_product(j)
-            den_k = self.b[q] * self.ic.seed_product(q)
-            num_power, den_power = self._powers[j]
+            _, _, q, shift = _CLASSES[j]
             for s in range(len(blocks) - 1, n):
-                den = _factor(a[q], den_k, den_power, s + shift)
+                den = self._factor(q, s + shift)
                 if den == 0:
                     raise SingularClosedForm(4 * s + j + 2)
-                num = _factor(a[j], num_k, num_power, s)
+                num = self._factor(j, s)
                 if num == 0:
                     raise SingularClosedForm(4 * s + j)
-                blocks.append(blocks[-1] * u[top] * num / (u[bottom] * den))
-                num_power *= a[j]
-                den_power *= a[q]
-                self._powers[j] = (num_power, den_power)
+                blocks.append(blocks[-1] * (num / den))
         return blocks[n]
 
 

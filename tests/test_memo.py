@@ -176,3 +176,28 @@ def test_point_queries_look_up_no_more_coefficients_than_one_range():
     start_cold()
     assert [term(m, ic, pointed) for m in range(-5, 201)] == values
     assert 0 < pointed.lookups <= ranged.lookups
+
+
+class CountingSeeds(InitialConditions):
+    """Initial conditions that count their `seed_product` calls."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "calls", 0)
+
+    def seed_product(self, j):
+        object.__setattr__(self, "calls", self.calls + 1)
+        return super().seed_product(j)
+
+
+def test_special_case_constants_are_formed_once_per_instance():
+    # Each block reads the per-class constants; re-forming them per block
+    # would make the count grow with the range.
+    coeffs = CoefficientSequence.periodic((2, Fraction(-1, 3)), (1, Fraction(5, 7)))
+    counts = []
+    for top in (50, 400):
+        ic = CountingSeeds((2, 3, 5, 7, 11, 13))
+        start_cold()
+        assert len(list(specialcases.terms(-5, top, ic, coeffs))) == top + 6
+        counts.append(ic.calls)
+    assert counts[0] == counts[1] > 0

@@ -15,7 +15,9 @@ from sixrde import (
     counterfeit_characteristic,
     iterate,
     lsc_residual,
+    closedform,
     make_initial_conditions,
+    specialcases,
     term_const_a_neg1,
 )
 
@@ -85,13 +87,64 @@ def test_map_matches_one_oracle_step():
 
 
 # ---------------------------------------------------------------------------
+# The special-case factor F_r(t) = C + D*a^t, by one-step induction
+# ---------------------------------------------------------------------------
+
+# k = b_r*u_r*u_(r+2), v a value of V, and t a block index.
+k, v = sp.symbols("k v")
+t = sp.Symbol("t", integer=True, nonnegative=True)
+
+
+def geometric_factor(t):
+    """F(t) = C + D*a^t with C = k/(1 - a), D = 1 - C, for a != 1."""
+    C = k / (1 - a)
+    return C + (1 - C) * a**t
+
+
+def arithmetic_factor(t):
+    """F(t) = 1 + k*t, for a = 1."""
+    return 1 + k * t
+
+
+def test_seed_product_times_v_takes_the_factor_step():
+    # W(t) = u_r u_(r+2) V_(4t+r) has W(0) = 1, and the affine step of V
+    # (test_invariant_recurrence_is_an_identity) makes W(t+1) = a*W(t) + k.
+    p = u0 * u2
+    assert sp.simplify(p * (1 / p)) == 1
+    assert sp.expand(p * (a * v + b) - (a * (p * v) + b * p)) == 0
+
+
+@pytest.mark.parametrize("factor, slope", [(geometric_factor, a), (arithmetic_factor, 1)],
+                         ids=["a!=1", "a=1"])
+def test_factor_takes_the_same_step_from_the_same_start(factor, slope):
+    # So by induction on t, F_r(t) = u_r u_(r+2) V_(4t+r) for every t >= 0.
+    assert sp.simplify(factor(0) - 1) == 0
+    assert sp.simplify(factor(t + 1) - (slope * factor(t) + k)) == 0
+
+
+@pytest.mark.parametrize("coeff_a", [AT[a], Fraction(1)], ids=["a!=1", "a=1"])
+def test_factor_matches_the_code(coeff_a):
+    seeds = [AT[u0], Fraction(5), AT[u2], Fraction(1, 2), AT[u4], Fraction(1)]
+    ic = make_initial_conditions(seeds)
+    coeffs = CoefficientSequence.constant(coeff_a, AT[b])
+    product = specialcases._Product(ic, *specialcases._classes(coeffs))
+    table = closedform._InvariantTable(ic, coeffs)
+    factor = arithmetic_factor if coeff_a == 1 else geometric_factor
+    for r, (top, *_) in enumerate(specialcases._CLASSES):
+        at = {a: coeff_a, k: AT[b] * ic.seed_product(r)}
+        for step in range(6):
+            code = product._factor(r, step) / seeds[top]  # kept times u_top
+            assert code == table.v(4 * step + r) * ic.seed_product(r)
+            assert sp.Rational(code) == factor(step).subs(at)
+
+
+# ---------------------------------------------------------------------------
 # Constant a = -1: the parity exponents, by two-block induction
 # ---------------------------------------------------------------------------
 
 #: The seeds x_(-5)..x_0 = u_0..u_5 under the names the formulas use.
 SEEDS = sp.symbols("c d e f g h", nonzero=True)
 c, d, e, f, g, h = SEEDS
-t = sp.Symbol("t", integer=True, nonnegative=True)
 
 
 def a_neg1_invariants(count):

@@ -22,7 +22,7 @@ from sixrde import (
     term_periodic2,
     term_periodic4,
 )
-from sixrde import specialcases
+from sixrde import closedform, specialcases
 
 from conftest import (
     random_initial_conditions,
@@ -340,6 +340,51 @@ def test_singular_position_matches_general_path():
                 positions.add(position)
             halted += 1
     assert positions == {(2, 0, 4), (3, 0, 5), (0, 1, 6), (1, 1, 7)}
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_a_zero_planted_at_block_40_is_found_by_every_engine(r):
+    # Constant a = 2: V_(4t+r) = 2^t*V_r + b*(2^t - 1), so this b zeroes
+    # V_(160+r); the orbit halting at step 156 + r shows no earlier V
+    # vanishes.  The special cases meet it as an exact zero of C + D*2^40;
+    # a range meets it first as a denominator, a cold point query on class
+    # r at block 41 as its own numerator.
+    ic = make_initial_conditions([1, 2, 3, 1, 2, 3])
+    v_r = 1 / ic.seed_product(r)
+    coeffs = ConstantCoeffs(2, -(2**40) * v_r / (2**40 - 1))
+    v_index = 160 + r
+    orbit = iterate(ic, coeffs, v_index)
+    assert orbit.halt.step == v_index - 4
+    positions = set()
+    for engine in (specialcases.terms, closedform.terms):
+        start_cold()
+        got, error = values_until_error(engine(-5, v_index, ic, coeffs))
+        assert got == list(orbit.terms)
+        start_cold()
+        with pytest.raises(SingularClosedForm) as point:
+            next(engine(4 * 41 - 5 + r, 4 * 41 - 5 + r, ic, coeffs))
+        for exc in (SingularClosedForm(error[2]["v_index"]), point.value):
+            positions.add((exc.j, exc.s, exc.v_index, exc.halt_step))
+    assert positions == {((v_index - 2) % 4, 39 + r // 2, v_index, orbit.halt.step)}
+
+
+@pytest.mark.parametrize("coeffs", [
+    ConstantCoeffs(0, Fraction(2, 3)),
+    ConstantCoeffs(1, Fraction(-3, 4)),
+    PeriodicCoeffs2((0, 1), (Fraction(1, 2), 3)),
+    PeriodicCoeffs4((1, 0, Fraction(5, 2), 1), (-2, Fraction(1, 3), 1, Fraction(-1, 2))),
+], ids=["a=0", "a=1", "periodic2-0,1", "periodic4-1,0"])
+def test_a_zero_and_one_ranges_match_the_closed_form_and_iteration(coeffs):
+    # a = 0 takes 0^0 = 1 in C + D*a^t; a = 1 takes the line 1 + k*t.
+    rng = random.Random(108)
+    for _ in range(12):
+        ic = random_initial_conditions(rng)
+        orbit = iterate(ic, coeffs, 55)
+        start_cold()
+        want = values_until_error(closedform.terms(-5, 55, ic, coeffs))
+        start_cold()
+        assert values_until_error(specialcases.terms(-5, 55, ic, coeffs)) == want
+        assert want[0] == list(orbit.terms)
 
 
 def test_special_terms_range_equals_point_evaluation():
