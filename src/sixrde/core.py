@@ -5,6 +5,11 @@ All quantities are exact: real values are arbitrary-precision rationals
 rationals (rational real and imaginary parts).  Everything here is immutable
 after construction and safe to use from multiple threads.
 
+`GaussianRational` is a slotted immutable value type rather than a
+dataclass: its public constructor coerces each part with `as_rational`, while
+results of its own arithmetic are built from parts already known to be
+Fractions, without coercion.
+
 `InitialConditions` and `CoefficientSequence` compare by value.  The
 closed-form and special-case engines key their per-thread slot for the last
 solved instance on that equality, so an equal copy reuses the state an
@@ -214,28 +219,39 @@ def log_abs(value: Fraction) -> float:
 # Gaussian rationals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class GaussianRational:
     """Complex number with exact rational real and imaginary parts.
 
-    Ring arithmetic (+, -, *) is exact.  The imaginary unit is available as
-    the module constant `I`.
+    A slotted immutable value: equal values compare and hash equal, and
+    `real`/`imag` cannot be assigned or deleted.  Ring arithmetic (+, -, *)
+    is exact, against another Gaussian rational or a real scalar (int or
+    Fraction); a scalar operand costs one operation per part.  The imaginary
+    unit is available as the module constant `I`.
     """
 
-    real: Fraction = Fraction(0)
-    imag: Fraction = Fraction(0)
+    __slots__ = ("real", "imag")
+    __match_args__ = ("real", "imag")
 
-    def __post_init__(self):
-        object.__setattr__(self, "real", as_rational(self.real))
-        object.__setattr__(self, "imag", as_rational(self.imag))
+    def __init__(self, real: RationalLike = 0, imag: RationalLike = 0):
+        _set_real(self, as_rational(real))
+        _set_imag(self, as_rational(imag))
 
-    @staticmethod
-    def _coerce(value) -> "GaussianRational | None":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (Fraction, int)):
-            return GaussianRational(as_rational(value))
-        return None
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GaussianRational is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GaussianRational is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return GaussianRational, (self.real, self.imag)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.real, self.imag) == (other.real, other.imag)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.real, self.imag))
 
     def __bool__(self) -> bool:
         return bool(self.real) or bool(self.imag)
@@ -244,41 +260,56 @@ class GaussianRational:
         return complex(self.real, self.imag)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.real + other.real, self.imag + other.imag)
+        if isinstance(other, GaussianRational):
+            return _gaussian(self.real + other.real, self.imag + other.imag)
+        if isinstance(other, (Fraction, int)):
+            return _gaussian(self.real + other, self.imag)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.real, -self.imag)
+        return _gaussian(-self.real, -self.imag)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.real - other.real, self.imag - other.imag)
+        if isinstance(other, GaussianRational):
+            return _gaussian(self.real - other.real, self.imag - other.imag)
+        if isinstance(other, (Fraction, int)):
+            return _gaussian(self.real - other, self.imag)
+        return NotImplemented
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        if isinstance(other, (Fraction, int)):
+            return _gaussian(other - self.real, -self.imag)
+        return NotImplemented
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.real * other.real - self.imag * other.imag,
-            self.real * other.imag + self.imag * other.real,
-        )
+        if isinstance(other, GaussianRational):
+            return _gaussian(
+                self.real * other.real - self.imag * other.imag,
+                self.real * other.imag + self.imag * other.real,
+            )
+        if isinstance(other, (Fraction, int)):
+            return _gaussian(self.real * other, self.imag * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.real!s}, {self.imag!s})"
+
+
+_set_real = GaussianRational.real.__set__
+_set_imag = GaussianRational.imag.__set__
+_new_gaussian = object.__new__
+
+
+def _gaussian(real: Fraction, imag: Fraction) -> GaussianRational:
+    """Trusted constructor: both parts are already Fractions, so no coercion."""
+    z = _new_gaussian(GaussianRational)
+    _set_real(z, real)
+    _set_imag(z, imag)
+    return z
 
 
 #: The imaginary unit, exact.

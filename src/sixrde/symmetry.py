@@ -3,10 +3,12 @@
 The recurrence admits a two-dimensional algebra of point symmetries with
 characteristics Q(n, u) = (+-i)^n * u.  Each characteristic is a whole number
 of quarter turns of i per step, so every phase it takes is read from the
-four-cycle `core.i_power`.  This module evaluates the linearized symmetry
-condition residual exactly at sampled points (the residual is a rational
-function that must vanish identically, so vanishing at generic rational
-samples is the verification standard), and runs one phase-sum check,
+four-cycle `core.i_power`, and Q(n, u) is applied as a quarter-turn rotation
+of u: (u, 0), (0, u), (-u, 0) or (0, -u), with no Gaussian multiply.  This
+module evaluates the linearized symmetry condition residual exactly at
+sampled points (the residual is a rational function that must vanish
+identically, so vanishing at generic rational samples is the verification
+standard), and runs one phase-sum check,
 beta_n + beta_(n+2) = 0 for n <= n_max, both for the reduced determining
 system (roots i^n and (-i)^n) and for the prolonged generators applied to the
 logarithmic invariant ln|u_n| + ln|u_(n+2)| (coefficient sum
@@ -24,6 +26,7 @@ from .core import (
     DegenerateSample,
     GaussianRational,
     RationalLike,
+    _gaussian,
     as_rational,
     i_power,
     log_abs,
@@ -46,6 +49,8 @@ __all__ = [
 
 CharacteristicFn = Callable[[int, RationalLike], GaussianRational]
 
+_ZERO = Fraction(0)
+
 
 class Characteristic:
     """A symmetry characteristic Q(n, u) = i^(turns*n) * u over Gaussian rationals.
@@ -65,7 +70,16 @@ class Characteristic:
         return i_power(self.turns * n)
 
     def __call__(self, n: int, u: RationalLike) -> GaussianRational:
-        return self.phase_power(n) * as_rational(u)
+        """i^(turns*n) * u, applied as a rotation of u by whole quarter turns."""
+        u = as_rational(u)
+        turn = self.turns * n % 4
+        if turn == 0:
+            return _gaussian(u, _ZERO)
+        if turn == 1:
+            return _gaussian(_ZERO, u)
+        if turn == 2:
+            return _gaussian(-u, _ZERO)
+        return _gaussian(_ZERO, -u)
 
     def __repr__(self) -> str:
         return f"Characteristic({self.name}, turns={self.turns})"
@@ -119,17 +133,23 @@ def lsc_residual(q: CharacteristicFn, sample: LscSample) -> GaussianRational:
           - a*u_n*Q(n+2, u_(n+2)) / (u_(n+4) * D^2)
           - a*u_(n+2)*Q(n, u_n) / (u_(n+4) * D^2)
 
-    and vanishes identically for the true characteristics Q1 and Q2.
+    and vanishes identically for the true characteristics Q1 and Q2.  Each
+    real coefficient is formed once: P/(u_(n+4)^2 * D) = Psi/u_(n+4), and
+    a/(u_(n+4) * D^2) is shared by the last two terms.  `q` is called at
+    n, n+2, n+4 and n+6, so any characteristic is evaluated exactly.
     """
-    n = sample.n
-    p = sample.u0 * sample.u2
+    n, u0, u2, u4 = sample.n, sample.u0, sample.u2, sample.u4
+    p = u0 * u2
     d = sample.a + sample.b * p
-    psi = p / (sample.u4 * d)
-    residual = q(n + 6, psi)
-    residual = residual + q(n + 4, sample.u4) * (p / (sample.u4**2 * d))
-    residual = residual - q(n + 2, sample.u2) * (sample.a * sample.u0 / (sample.u4 * d**2))
-    residual = residual - q(n, sample.u0) * (sample.a * sample.u2 / (sample.u4 * d**2))
-    return residual
+    u4d = u4 * d
+    psi = p / u4d
+    c = sample.a / (u4d * d)
+    return (
+        q(n + 6, psi)
+        + q(n + 4, u4) * (psi / u4)
+        - q(n + 2, u2) * (c * u0)
+        - q(n, u0) * (c * u2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +179,13 @@ RootFn = Callable[[int], GaussianRational]
 
 
 def _phase_sum_check(n_max: int, roots: "Sequence[tuple[str, RootFn]]") -> PhaseSumReport:
+    """Test beta_n against -beta_(n+2); the sum is formed only for a failure."""
     failures = []
     for name, beta in roots:
         for n in range(n_max + 1):
-            value = beta(n) + beta(n + 2)
-            if value:
-                failures.append(RootCheckFailure(root=name, n=n, value=value))
+            first, second = beta(n), beta(n + 2)
+            if first != -second:
+                failures.append(RootCheckFailure(root=name, n=n, value=first + second))
     return PhaseSumReport(n_max=n_max, failures=tuple(failures))
 
 

@@ -547,19 +547,34 @@ def test_compare_near_singular_reports_violations(tmp_path, capsys):
 # verify-symmetry
 # ---------------------------------------------------------------------------
 
+VERIFY_SYMMETRY_CHECKS = (
+    "reduced-system roots i^n,(-i)^n: n<=50 ok\n"
+    "generator X1: coefficient sums n<=50 ok\n"
+    "generator X2: coefficient sums n<=50 ok\n"
+    "gamma-identities: n,k<=16 ok\n"
+)
+
+
 def test_verify_symmetry_passes_and_is_reproducible(capsys):
-    assert cli.main(["verify-symmetry", "--samples", "40", "--seed", "11"]) == EXIT_OK
-    first = capsys.readouterr().out
-    assert cli.main(["verify-symmetry", "--samples", "40", "--seed", "11"]) == EXIT_OK
-    second = capsys.readouterr().out
-    assert first == second
-    assert "RESULT ok" in first
+    golden = (
+        "lsc Q1: samples=40 nonzero_residuals=0 ok\n"
+        "lsc Q2: samples=40 nonzero_residuals=0 ok\n"
+        + VERIFY_SYMMETRY_CHECKS
+        + "RESULT ok\n"
+    )
+    for _ in range(2):
+        assert cli.main(["verify-symmetry", "--samples", "40", "--seed", "11"]) == EXIT_OK
+        assert capsys.readouterr().out == golden
 
 
 def test_verify_symmetry_counterfeit_exits_3(capsys):
     code = cli.main(["verify-symmetry", "--samples", "10", "--seed", "3", "--counterfeit"])
     assert code == EXIT_MISMATCH
-    assert "RESULT FAIL" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "lsc counterfeit: samples=10 nonzero_residuals=10 FAIL\n"
+        + VERIFY_SYMMETRY_CHECKS
+        + "RESULT FAIL\n"
+    )
 
 
 def test_verify_symmetry_rejects_bad_sample_count(capsys):

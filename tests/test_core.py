@@ -1,5 +1,7 @@
 """Core value types: rationals, Gaussian rationals, sequences, indexing."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -115,6 +117,59 @@ def test_gaussian_rational_scalar_mixing():
     assert 2 * z == GaussianRational(2, 4)
     assert z * Fraction(1, 2) == GaussianRational(Fraction(1, 2), 1)
     assert 1 - z == GaussianRational(0, -2)
+
+
+scalars = st.one_of(st.booleans(), st.integers(-(10**6), 10**6), rationals)
+
+
+@given(gaussians, scalars)
+@settings(max_examples=80)
+def test_gaussian_real_scalar_paths_match_the_gaussian_operation(z, r):
+    g = GaussianRational(r)
+    assert z * r == z * g
+    assert r * z == g * z
+    assert z + r == z + g
+    assert r + z == g + z
+    assert z - r == z - g
+    assert r - z == g - z
+    for value in (z * r, r * z, z + r, r + z, z - r, r - z):
+        assert type(value) is GaussianRational
+        assert type(value.real) is Fraction and type(value.imag) is Fraction
+
+
+def test_gaussian_rational_parts_cannot_be_assigned_or_deleted():
+    z = GaussianRational(1, 2)
+    for name in ("real", "imag"):
+        with pytest.raises(AttributeError):
+            setattr(z, name, Fraction(3))
+        with pytest.raises(AttributeError):
+            delattr(z, name)
+    with pytest.raises(AttributeError):
+        z.other = 1
+    assert z == GaussianRational(1, 2)
+
+
+@given(gaussians)
+def test_equal_gaussian_rationals_hash_equal(z):
+    twin = GaussianRational(str(z.real), z.imag)
+    assert twin == z and twin is not z
+    assert hash(twin) == hash(z)
+    assert len({z, twin, z + 0}) == 1
+
+
+def test_gaussian_rational_constructor_contract():
+    assert GaussianRational("1/2", 3) == GaussianRational(Fraction(1, 2), Fraction(3))
+    assert GaussianRational() == GaussianRational(0, 0)
+    with pytest.raises(TypeError):
+        GaussianRational(0.5)
+    with pytest.raises(TypeError):
+        GaussianRational(1, 0.5)
+    assert (GaussianRational(1) == 1) is False
+    assert GaussianRational(1) != 1
+    assert repr(GaussianRational(Fraction(-3, 4), 2)) == "GaussianRational(-3/4, 2)"
+    z = GaussianRational(Fraction(-3, 4), 2)
+    assert pickle.loads(pickle.dumps(z)) == z
+    assert copy.deepcopy(z) == z
 
 
 # ---------------------------------------------------------------------------

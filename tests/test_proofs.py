@@ -9,12 +9,14 @@ import pytest
 
 from sixrde import (
     CoefficientSequence,
+    GaussianRational,
     LscSample,
     Q1,
     Q2,
     counterfeit_characteristic,
     iterate,
     lsc_residual,
+    cli,
     closedform,
     make_initial_conditions,
     specialcases,
@@ -58,12 +60,52 @@ AT = {u0: Fraction(3, 7), u2: Fraction(-2, 5), u4: Fraction(9, 4),
       a: Fraction(1, 3), b: Fraction(-4, 5)}
 
 
+def one_plus_i_characteristic(n, u):
+    """Q(n, u) = (1+i)^n * u: not a unit phase, so never a quarter turn."""
+    value = GaussianRational(u)
+    for _ in range(n):
+        value = value * GaussianRational(1, 1)
+    return value
+
+
+CHARACTERISTICS = (
+    (Q1, sp.I),
+    (Q2, -sp.I),
+    (counterfeit_characteristic, sp.Integer(1)),
+    (one_plus_i_characteristic, 1 + sp.I),
+)
+
+
 def test_lsc_formula_matches_the_code():
     sample = LscSample(n=5, u0=AT[u0], u2=AT[u2], u4=AT[u4], a=AT[a], b=AT[b])
-    for q, phase in ((Q1, sp.I), (Q2, -sp.I), (counterfeit_characteristic, sp.Integer(1))):
+    for q, phase in CHARACTERISTICS:
         value = lsc_residual(q, sample)
         code = sp.Rational(value.real) + sp.I * sp.Rational(value.imag)
         assert sp.expand(code - lsc_formula(phase, sample.n).subs(AT)) == 0
+
+
+def literal_lsc_residual(q, s):
+    """The docstring residual of `lsc_residual`, term by term as written."""
+    p = s.u0 * s.u2
+    d = s.a + s.b * p
+    psi = p / (s.u4 * d)
+    return (
+        q(s.n + 6, psi)
+        + p * q(s.n + 4, s.u4) * (1 / (s.u4**2 * d))
+        - s.a * s.u0 * q(s.n + 2, s.u2) * (1 / (s.u4 * d**2))
+        - s.a * s.u2 * q(s.n, s.u0) * (1 / (s.u4 * d**2))
+    )
+
+
+def test_lsc_residual_equals_the_literal_formula_on_seeded_samples():
+    # The shared coefficients are exact for any characteristic, unit phase
+    # or not: every residual equals the docstring expression evaluated
+    # literally in Fraction/GaussianRational arithmetic.
+    rng = cli.Lcg(2024)
+    for _ in range(200):
+        sample = rng.lsc_sample()
+        for q, _phase in CHARACTERISTICS:
+            assert lsc_residual(q, sample) == literal_lsc_residual(q, sample)
 
 
 def next_term():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from sixrde import (
+    Characteristic,
     CoefficientSequence,
     DegenerateSample,
     GaussianRational,
@@ -60,6 +61,30 @@ def test_characteristics_are_quarter_turns_of_i():
             for u in us:
                 assert q(n, u) == phase_n * u
             phase_n = phase_n * phase
+
+
+def test_characteristics_rotate_without_a_gaussian_multiply(monkeypatch):
+    # Every phase is a unit, so Q(n, u) is a quarter-turn rotation of u; it
+    # must equal i^(turns*n) * u for every n, negative ones included, without
+    # calling the Gaussian product.  The reference is computed before the
+    # product is disabled.
+    us = (0, Fraction(1), Fraction(-7, 3), Fraction(22, 5))
+    characteristics = (Q1, Q2, counterfeit_characteristic, Characteristic("t2", 2))
+    ns = range(-8, 61)
+    expected = {
+        (q.name, n, u): i_power(q.turns * n) * u
+        for q in characteristics for n in ns for u in us
+    }
+
+    def no_multiply(self, other):
+        raise AssertionError("a characteristic used the Gaussian product")
+
+    monkeypatch.setattr(GaussianRational, "__mul__", no_multiply)
+    monkeypatch.setattr(GaussianRational, "__rmul__", no_multiply)
+    for q in characteristics:
+        for n in ns:
+            for u in us:
+                assert q(n, u) == expected[q.name, n, u]
 
 
 def test_characteristics_have_period_four_and_kill_zero():
