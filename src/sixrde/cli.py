@@ -348,9 +348,6 @@ def _cmd_compare(spec: ProblemSpec, args, out: TextIO) -> int:
 
 
 def _cmd_verify_symmetry(args) -> int:
-    if args.samples < 1:
-        print("error: --samples must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     rng = Lcg(args.seed)
     characteristics = [symmetry.Q1, symmetry.Q2]
     if args.counterfeit:
@@ -399,15 +396,21 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _re.compile(r"^-\d")
 
 
-def _step_count(text: str) -> int:
-    """argparse type of --n: a nonnegative integer (a usage error otherwise)."""
-    try:
-        value = int(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+def _count_from(least: int, name: str):
+    """argparse type of an integer >= `least` (a usage error otherwise)."""
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= least:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {name}, got {text!r}")
+    return count
+
+
+_step_count = _count_from(0, "a nonnegative integer")  # --n
+_sample_count = _count_from(1, "an integer >= 1")  # --samples
 
 
 def _index_range(text: str) -> tuple[int, int]:
@@ -445,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="index range A..B (default -5..horizon)")
     p_sv.add_argument(
         "--engine", choices=("general", "auto"), default="general",
-        help="general closed form, or the dedicated special-case formula",
+        help="general closed form, or the special-case product",
     )
     p_sv.add_argument("--out", default="-", help="output CSV path (default stdout)")
     p_sv.set_defaults(func=_cmd_solve)
@@ -458,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cp.set_defaults(func=_cmd_compare)
 
     p_vs = sub.add_parser("verify-symmetry", help="run the symmetry suite")
-    p_vs.add_argument("--samples", type=int, default=100, help="sample count (default 100)")
+    p_vs.add_argument("--samples", type=_sample_count, default=100,
+                      help="sample count (default 100)")
     p_vs.add_argument("--seed", type=int, default=1, help="generator seed (default 1)")
     p_vs.add_argument(
         "--counterfeit", action="store_true",

@@ -1,8 +1,8 @@
 """Dedicated closed forms for constant, 2-periodic, and 4-periodic coefficients.
 
 With the seeds u_0..u_5 = x_(-5)..x_0 (written c, d, e, f, g, h in the
-examples below), every case except a = -1 is one product over per-class
-coefficients (a_r, b_r), r = 0..3:
+examples below), every case, a = -1 included, is one product over
+per-class coefficients (a_r, b_r), r = 0..3:
 
     x_(4n-5+j) = u_j * (u_top/u_bottom)^n
                  * prod( F_j(s) / F_(j+2 mod 4)(s + j//2), s < n ),
@@ -27,13 +27,6 @@ a_r = a, b_r = b; 2-periodic (a_0, a_1) becomes (a_0, a_1, a_0, a_1); a
 product is evaluated here rather than through the general closed form, so
 the test suite can cross-check the two against each other and against
 direct iteration.
-
-For a = -1, F_r(t) is 1 at even t and b*u_r*u_(r+2) - 1 at odd t, so the
-product collapses to one ratio power: x_(4n-5+j) is the same prefix times
-num^floor(n/2) / den^floor((n + j//2)/2), with num = b*u_j*u_(j+2) - 1 and
-den = b*u_q*u_(q+2) - 1 for q = (j+2) mod 4.  num vanishes exactly when
-V_(4+j) does and den exactly when V_(4+q) does.  That formula costs O(1)
-rational operations per term and keeps no state.
 """
 
 from __future__ import annotations
@@ -89,9 +82,9 @@ def _classes(coeffs: CoefficientSequence) -> tuple[tuple, tuple]:
 # The shared product
 # ---------------------------------------------------------------------------
 
-#: Per class j: (top, bottom) seed indices of the prefix u_j * (u_top/u_bottom)^n,
+#: Per class j: the seed index `top` of the prefix u_j * (u_top/u_bottom)^n,
 #: the paired class q = (j+2) mod 4 and the shift j//2 of its factor index.
-_CLASSES = ((4, 0, 2, 0), (5, 1, 3, 0), (0, 4, 0, 1), (1, 5, 1, 1))
+_CLASSES = ((4, 2, 0), (5, 3, 0), (0, 0, 1), (1, 1, 1))
 
 
 def _line(a: Fraction, k: Fraction, seed: Fraction) -> tuple:
@@ -132,7 +125,7 @@ class _Product:
         j, n = ti.j, ti.n
         blocks = self._blocks[j]
         if n >= len(blocks):
-            _, _, q, shift = _CLASSES[j]
+            _, q, shift = _CLASSES[j]
             for s in range(len(blocks) - 1, n):
                 den = self._factor(q, s + shift)
                 if den == 0:
@@ -178,6 +171,15 @@ def term_const_a1(m: int, ic: InitialConditions, b: RationalLike) -> Fraction:
     return _product(ic, (Fraction(1),) * 4, (as_rational(b),) * 4).x(m)
 
 
+def term_const_a_neg1(m: int, ic: InitialConditions, b: RationalLike) -> Fraction:
+    """x_m for constant coefficients a = -1, b, where F_r(t) alternates
+    between 1 and b*u_r*u_(r+2) - 1, e.g.
+
+        x_(4n-5) = c^(1-n) * g^n * ((-1 + b*c*e)/(-1 + b*e*g))^floor(n/2).
+    """
+    return _product(ic, (Fraction(-1),) * 4, (as_rational(b),) * 4).x(m)
+
+
 def term_periodic2(m: int, ic: InitialConditions, pc: CoefficientSequence) -> Fraction:
     """x_m for 2-periodic coefficients: classes x_(4n-5), x_(4n-3) only ever
     consume (a_0, b_0) and classes x_(4n-4), x_(4n-2) only (a_1, b_1)."""
@@ -193,42 +195,10 @@ def term_periodic4(m: int, ic: InitialConditions, pc: CoefficientSequence) -> Fr
 def terms(
     lo: int, hi: int, ic: InitialConditions, coeffs: CoefficientSequence
 ) -> Iterator[Fraction]:
-    """x_lo..x_hi by the special case covering `coeffs` (`--engine auto`):
-    the parity formula for a = -1 (constant or period 1), else the shared
-    product.  Raises `WrongCase` at once for a sequence no case covers, and
-    at the first singular index what the matching `term_*` raises there.
-    The iterator extends the calling thread's slot; consume it there."""
-    a, b = _classes(coeffs)
-    if coeffs.a_values() == (-1,):
-        return (term_const_a_neg1(m, ic, b[0]) for m in range(lo, hi + 1))
-    product = _product(ic, a, b)
+    """x_lo..x_hi by the shared product over the special case covering
+    `coeffs` (`--engine auto`).  Raises `WrongCase` at once for a sequence
+    no case covers, and at the first singular index what the matching
+    `term_*` raises there.  The iterator extends the calling thread's slot;
+    consume it there."""
+    product = _product(ic, *_classes(coeffs))
     return (product.x(m) for m in range(lo, hi + 1))
-
-
-# ---------------------------------------------------------------------------
-# Constant coefficients, a = -1: parity powers
-# ---------------------------------------------------------------------------
-
-def term_const_a_neg1(m: int, ic: InitialConditions, b: RationalLike) -> Fraction:
-    """x_m for constant coefficients a = -1, b: the shared prefix times one
-    ratio power, e.g.
-
-        x_(4n-5) = c^(1-n) * g^n * ((-1 + b*c*e)/(-1 + b*e*g))^floor(n/2)
-        x_(4n-3) = c^n * e / g^n * (-1 + b*e*g)^floor(n/2)
-                                 / (-1 + b*c*e)^ceil(n/2).
-
-    Raises `SingularClosedForm` when a base the power uses vanishes, the
-    denominator's first.
-    """
-    b = as_rational(b)
-    ti = decompose_index(m)
-    j, n = ti.j, ti.n
-    top, bottom, q, shift = _CLASSES[j]
-    num, den = b * ic.seed_product(j) - 1, b * ic.seed_product(q) - 1
-    num_count, den_count = n // 2, (n + shift) // 2
-    if den_count > 0 and den == 0:
-        raise SingularClosedForm(4 + q)
-    if num_count > 0 and num == 0:
-        raise SingularClosedForm(4 + j)
-    u = ic.values
-    return u[j] * (u[top] / u[bottom]) ** n * num**num_count / den**den_count

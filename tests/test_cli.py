@@ -494,19 +494,26 @@ def test_compare_detects_corrupted_special_engine(tmp_path, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("kind", ["constant", "periodic"])
-def test_compare_runs_the_parity_formula_for_a_neg1(tmp_path, monkeypatch, capsys, kind):
-    # Constant and period-1 a = -1 reach `term_const_a_neg1`, not the product.
+def test_a_neg1_runs_the_shared_product(tmp_path, monkeypatch, capsys, kind):
+    # Constant and period-1 a = -1 reach `_Product.x` like every other case.
     data = ones_spec(a="-1", b="2", horizon=6)
     data["coeffs"]["kind"] = kind
     path = write_spec(tmp_path, data)
-    real = cli.specialcases.term_const_a_neg1
+    real = cli.specialcases._Product.x
 
-    def corrupted(m, ic, b):
-        value = real(m, ic, b)
+    def corrupted(self, m):
+        value = real(self, m)
         return value + 1 if m == 3 else value
 
-    monkeypatch.setattr(cli.specialcases, "term_const_a_neg1", corrupted)
+    monkeypatch.setattr(cli.specialcases._Product, "x", corrupted)
     _assert_x3_mismatch_reported(path, "special", capsys)
+    assert cli.main(["solve", "--spec", path, "--engine", "auto"]) == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    spec = load_problem_spec(path)
+    orbit = iterate(spec.initial, spec.coeffs, 6)
+    assert [row["exact"] for row in rows] == [
+        format_rational(orbit.x(m) + (m == 3)) for m in range(-5, 7)
+    ]
 
 
 @pytest.mark.parametrize("coeffs, special", [
@@ -578,7 +585,11 @@ def test_verify_symmetry_counterfeit_exits_3(capsys):
 
 
 def test_verify_symmetry_rejects_bad_sample_count(capsys):
-    assert cli.main(["verify-symmetry", "--samples", "0"]) == EXIT_USAGE
+    for count in ("0", "-1", "abc"):
+        assert cli.main(["verify-symmetry", "--samples", count]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"--samples: must be an integer >= 1, got {count!r}" in err
+        assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

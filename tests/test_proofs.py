@@ -164,7 +164,8 @@ def test_factor_takes_the_same_step_from_the_same_start(factor, slope):
     assert sp.simplify(factor(t + 1) - (slope * factor(t) + k)) == 0
 
 
-@pytest.mark.parametrize("coeff_a", [AT[a], Fraction(1)], ids=["a!=1", "a=1"])
+@pytest.mark.parametrize("coeff_a", [AT[a], Fraction(1), Fraction(-1)],
+                         ids=["a!=1", "a=1", "a=-1"])
 def test_factor_matches_the_code(coeff_a):
     seeds = [AT[u0], Fraction(5), AT[u2], Fraction(1, 2), AT[u4], Fraction(1)]
     ic = make_initial_conditions(seeds)

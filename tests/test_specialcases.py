@@ -373,9 +373,14 @@ def test_a_zero_planted_at_block_40_is_found_by_every_engine(r):
     ConstantCoeffs(1, Fraction(-3, 4)),
     PeriodicCoeffs2((0, 1), (Fraction(1, 2), 3)),
     PeriodicCoeffs4((1, 0, Fraction(5, 2), 1), (-2, Fraction(1, 3), 1, Fraction(-1, 2))),
-], ids=["a=0", "a=1", "periodic2-0,1", "periodic4-1,0"])
+    ConstantCoeffs(-1, Fraction(5, 7)),
+    PeriodicCoeffs4((-1,), (Fraction(-4, 5),)),
+    PeriodicCoeffs2((-1, 2), (Fraction(1, 2), -3)),
+], ids=["a=0", "a=1", "periodic2-0,1", "periodic4-1,0", "a=-1", "period1-a=-1",
+        "periodic2--1,2"])
 def test_a_zero_and_one_ranges_match_the_closed_form_and_iteration(coeffs):
-    # a = 0 takes 0^0 = 1 in C + D*a^t; a = 1 takes the line 1 + k*t.
+    # a = 0 takes 0^0 = 1 in C + D*a^t; a = 1 takes the line 1 + k*t; a = -1
+    # alternates D*a^t in sign, so F is 1 at even t and k - 1 at odd t.
     rng = random.Random(108)
     for _ in range(12):
         ic = random_initial_conditions(rng)
