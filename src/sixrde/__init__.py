@@ -20,12 +20,10 @@ from .core import (
     Rational,
     SingularClosedForm,
     SixrdeError,
-    TermIndex,
     TooShort,
     WrongCase,
     ZeroInitialValue,
     as_rational,
-    decompose_index,
     format_rational,
     i_power,
     make_initial_conditions,

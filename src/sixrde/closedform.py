@@ -15,16 +15,13 @@ telescoping:
 `v_closed` transcribes the product/sum literally (O(n^2) per V) and
 serves as the independent check.  Everything else reads V from one
 lazily extended table: one column per residue class, grown by the affine
-step itself at one multiply-add per block.  Since u_(4(n+1)+j) is u_(4n+j)
-times one more ratio, each class also keeps x at every block formed so
-far; a term past them costs one V ratio per missing block, formed first.
-
-Table and terms belong to the last instance solved on the calling thread:
-each thread keeps one slot, reused while `term`, `terms`, `well_defined`
-and `unified_exponent` are asked about an equal (ic, coeffs) and replaced
-by the first call on a different one.  So x_lo..x_hi costs O(1) rational
-operations per term whether asked as one range or index by index, in any
-order.  The slot holds every x formed, O(N^3) bits up to x_N.
+step itself at one multiply-add per block.  The terms are the shared
+telescoping product `core._Telescope` over the factor column
+f(r, t) = V_(4t+r) of that table; it states the block memo, the check order
+and the per-thread slot rule.  `term`, `terms`, `well_defined` and
+`unified_exponent` all read this engine's slot, so x_lo..x_hi costs O(1)
+rational operations per term whether asked as one range or index by index,
+in any order.  The slot holds every x formed, O(N^3) bits up to x_N.
 
 A vanishing V in a denominator is exactly the well-definedness failure of
 the closed form, and corresponds one-to-one with the direct iteration
@@ -45,7 +42,6 @@ phase, exact or floating, is read from the one cycle `core.i_power`.
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,7 +53,8 @@ from .core import (
     OutOfHorizon,
     OutOfRange,
     SingularClosedForm,
-    decompose_index,
+    _last_solved,
+    _Telescope,
     i_power,
     log_abs,
 )
@@ -156,20 +153,23 @@ class _InvariantTable:
 
     Column j starts at the seed invariant V_j and grows by the affine step
     V_(k+4) = a_k * V_k + b_k, one coefficient pair per block, so it reads
-    no coefficient beyond what the largest requested V needs.
+    no coefficient beyond what the largest requested V needs.  Called as
+    (r, t) it is the telescope's factor column V_(4t+r).
     """
 
     def __init__(self, ic: InitialConditions, coeffs: CoefficientSequence):
         self._coeffs = coeffs
         self._columns = [[1 / ic.seed_product(j)] for j in range(4)]
 
-    def v(self, k: int) -> Fraction:
-        j, block = k % 4, k // 4
-        column = self._columns[j]
-        while len(column) <= block:
-            a, b = self._coeffs.pair_at(4 * (len(column) - 1) + j)
+    def __call__(self, r: int, t: int) -> Fraction:
+        column = self._columns[r]
+        while len(column) <= t:
+            a, b = self._coeffs.pair_at(4 * (len(column) - 1) + r)
             column.append(a * column[-1] + b)
-        return column[block]
+        return column[t]
+
+    def v(self, k: int) -> Fraction:
+        return self(k % 4, k // 4)
 
     def nonzero(self, k: int) -> Fraction:
         """V_k, or `SingularClosedForm(k)` when it vanishes."""
@@ -179,51 +179,10 @@ class _InvariantTable:
         return v
 
 
-class _Solution:
-    """One instance solved so far: its V table and, per residue class j,
-    x_(4n-5+j) at every block n formed so far (block 0 is the seed u_j)."""
-
-    def __init__(self, ic: InitialConditions, coeffs: CoefficientSequence):
-        self.ic = ic
-        self.coeffs = coeffs
-        self.table = _InvariantTable(ic, coeffs)
-        self._blocks = [[ic.u(j)] for j in range(4)]
-
-    def x(self, m: int) -> Fraction:
-        """Exact x_m, extending its class by one V ratio per missing block.
-
-        Every V the product needs is formed before any is checked (a short
-        explicit list raises `OutOfHorizon` first); then at each new factor
-        s the denominator V_(4s+j+2) is checked before the numerator
-        V_(4s+j).  A block is stored only once its factor passed both
-        checks, so a failed query raises the same error when repeated.
-        """
-        ti = decompose_index(m)
-        j, n = ti.j, ti.n
-        blocks = self._blocks[j]
-        if n >= len(blocks):
-            table = self.table
-            # Numerators are V_(4s+j), denominators V_(4s+j+2), s < n.
-            table.v(4 * (n - 1) + j)
-            table.v(4 * (n - 1) + j + 2)
-            for s in range(len(blocks) - 1, n):
-                # A zero numerator V means the orbit already died on the class
-                # where that V sits in a denominator; its own index reports it.
-                den = table.nonzero(4 * s + j + 2)
-                blocks.append(blocks[-1] * (table.nonzero(4 * s + j) / den))
-        return blocks[n]
-
-
-_LAST = threading.local()
-
-
-def _solution(ic: InitialConditions, coeffs: CoefficientSequence) -> _Solution:
-    """This thread's last solved instance if it equals (ic, coeffs), else a
-    fresh `_Solution` that replaces it."""
-    last = getattr(_LAST, "solution", None)
-    if last is None or last.ic != ic or last.coeffs != coeffs:
-        last = _LAST.solution = _Solution(ic, coeffs)
-    return last
+def _solved(ic: InitialConditions, coeffs: CoefficientSequence) -> _Telescope:
+    """This engine's slot on the calling thread, for (ic, coeffs)."""
+    return _last_solved("closedform", (ic, coeffs),
+                        lambda: _Telescope(ic.values, _InvariantTable(ic, coeffs)))
 
 
 def terms(
@@ -235,8 +194,8 @@ def terms(
     index that fails, raises what `term` raises there.  The iterator extends
     the calling thread's slot, so consume it on that thread.
     """
-    solution = _solution(ic, coeffs)
-    return (solution.x(m) for m in range(lo, hi + 1))
+    telescope = _solved(ic, coeffs)
+    return (telescope.x(m) for m in range(lo, hi + 1))
 
 
 def term(m: int, ic: InitialConditions, coeffs: CoefficientSequence) -> Fraction:
@@ -245,7 +204,7 @@ def term(m: int, ic: InitialConditions, coeffs: CoefficientSequence) -> Fraction
     Raises `SingularClosedForm` when a required V vanishes; that happens
     iff direct iteration halts on a zero denominator at step v_index - 4.
     """
-    return _solution(ic, coeffs).x(m)
+    return _solved(ic, coeffs).x(m)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +277,7 @@ def well_defined(
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    table = _solution(ic, coeffs).table
+    table = _solved(ic, coeffs).source
     violations = []
     for v_index in range(4, 4 * horizon + 6):
         try:
@@ -375,7 +334,7 @@ def unified_exponent(
         raise OutOfRange("orbit term u", n)
     consts = unified_constants(ic)
     total = complex(i_power(n)) * consts.c1 + complex(i_power(-n)) * consts.c2
-    table = _solution(ic, coeffs).table
+    table = _solved(ic, coeffs).source
     # Extend every column before checking any V, so a short explicit list
     # raises OutOfHorizon ahead of a singularity, as in `terms`.
     for k in range(max(n - 4, 0), n):

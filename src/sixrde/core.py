@@ -54,8 +54,6 @@ __all__ = [
     "CoefficientSequence",
     "InitialConditions",
     "make_initial_conditions",
-    "TermIndex",
-    "decompose_index",
 ]
 
 
@@ -474,22 +472,65 @@ def make_initial_conditions(values: Sequence[RationalLike]) -> InitialConditions
 
 
 # ---------------------------------------------------------------------------
-# Index bookkeeping
+# The telescoping product
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TermIndex:
-    """Unique decomposition m = 4n - 5 + j with j in 0..3 and n >= 0."""
+class _Telescope:
+    """The orbit of one instance as one telescoping product over a factor
+    column f(r, t), r = 0..3, t >= 0:
 
-    m: int
-    j: int
-    n: int
+        x_(4n-5+j) = u_j * prod( f(j, s) / f((j+2) mod 4, s + j//2), s < n ).
+
+    The closed form reads f(r, t) = V_(4t+r) and the special cases
+    f(r, t) = u_top*F_r(t); either way the denominator's index is
+    4(s + j//2) + (j+2) mod 4 = 4s + j + 2.  Each class keeps x at every
+    block formed so far (block 0 is the seed u_j), so a term past them costs
+    one factor ratio per missing block.  Every factor a query needs is formed
+    before any is checked, so a short explicit list raises `OutOfHorizon`
+    first; then at each new block s the denominator is checked before the
+    numerator, each as `SingularClosedForm` of its own V index (4s+j+2, then
+    4s+j), and a block is stored only once both passed, so a failed query
+    raises the same error when repeated.
+
+    Each engine keeps the last instance it solved in one slot per thread
+    (`_last_solved`), found again by equality of the instance.
+    """
+
+    def __init__(self, seeds: Sequence[Fraction], source):
+        self.source = source
+        self._blocks = [[seeds[j]] for j in range(4)]
+
+    def x(self, m: int) -> Fraction:
+        if m < -5:
+            raise IndexBelowSeed(m)
+        j, n = (m + 5) % 4, (m + 5) // 4
+        blocks = self._blocks[j]
+        if n >= len(blocks):
+            f, q, shift = self.source, (j + 2) % 4, j // 2
+            # Each column extends up to its last factor, forming every one.
+            f(j, n - 1)
+            f(q, n - 1 + shift)
+            for s in range(len(blocks) - 1, n):
+                den = f(q, s + shift)
+                if den == 0:
+                    raise SingularClosedForm(4 * s + j + 2)
+                # A zero numerator means the orbit already died on the class
+                # where that factor is a denominator; its own index reports it.
+                num = f(j, s)
+                if num == 0:
+                    raise SingularClosedForm(4 * s + j)
+                blocks.append(blocks[-1] * (num / den))
+        return blocks[n]
 
 
-def decompose_index(m: int) -> TermIndex:
-    """Split a term index m >= -5 into its residue class j and block n."""
-    if m < -5:
-        raise IndexBelowSeed(m)
-    j = (m + 5) % 4
-    n = (m + 5 - j) // 4
-    return TermIndex(m=m, j=j, n=n)
+_LAST_SOLVED = threading.local()
+
+
+def _last_solved(engine: str, instance: tuple, build) -> _Telescope:
+    """This thread's last `_Telescope` solved by `engine` if it was built for
+    an instance equal to `instance`, else `build()`, which replaces it."""
+    last = getattr(_LAST_SOLVED, engine, None)
+    if last is None or last[0] != instance:
+        last = (instance, build())
+        setattr(_LAST_SOLVED, engine, last)
+    return last[1]

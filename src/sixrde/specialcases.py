@@ -11,27 +11,24 @@ per-class coefficients (a_r, b_r), r = 0..3:
 
 with k_r = b_r*u_r*u_(r+2), C_r = k_r/(1 - a_r), D_r = 1 - C_r (1 + k_r*t
 when a_r = 1), where (top, bottom) is (4, 0), (5, 1), (0, 4), (1, 5) for
-j = 0, 1, 2, 3.  With C, D and a running D*a_r^t, each F costs one add and
-one multiply by a_r (F is never stepped by its affine recurrence, so the
-engine stays independent of the closed form's V table), and a block one
-multiply of the full-height x by the small factor ratio.  Each class keeps x
-at every block formed so far, in one slot per thread holding the last
-instance solved (the closed-form engine keeps its own): `term_*` and
-`terms` calls on an equal (ic, a_r, b_r) extend it, and the first call on
-a different one replaces it.  So x_lo..x_hi costs O(1) rational
-operations per term whether asked as one range or index by index, in any
-order.  Every case takes the `CoefficientSequence` the
-other engines take and tiles it to four classes: constant (a, b) becomes
-a_r = a, b_r = b; 2-periodic (a_0, a_1) becomes (a_0, a_1, a_0, a_1); a
-4-periodic sequence is used as given; any other raises `WrongCase`.  The
-product is evaluated here rather than through the general closed form, so
-the test suite can cross-check the two against each other and against
-direct iteration.
+j = 0, 1, 2, 3.  Since u_top of class (j+2) mod 4 is u_bottom of class j,
+this is the shared telescoping product `core._Telescope` over the factor
+column f(r, t) = u_top*F_r(t); that class states the block memo, the check
+order and the per-thread slot rule (this engine keeps its own slot, keyed
+on (ic, a_r, b_r)).  With C, D and a running D*a_r^t, each F costs one add
+and one multiply by a_r (F is never stepped by its affine recurrence, so
+the engine stays independent of the closed form's V table), and a block
+one multiply of the full-height x by the small factor ratio.  Every case
+takes the `CoefficientSequence` the other engines take and tiles it to
+four classes: constant (a, b) becomes a_r = a, b_r = b; 2-periodic
+(a_0, a_1) becomes (a_0, a_1, a_0, a_1); a 4-periodic sequence is used as
+given; any other raises `WrongCase`.  The factors are evaluated here rather
+than read from the general closed form, so the test suite can cross-check
+the two against each other and against direct iteration.
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -39,10 +36,10 @@ from .core import (
     CoefficientSequence,
     InitialConditions,
     RationalLike,
-    SingularClosedForm,
     WrongCase,
+    _last_solved,
+    _Telescope,
     as_rational,
-    decompose_index,
 )
 
 __all__ = [
@@ -79,12 +76,11 @@ def _classes(coeffs: CoefficientSequence) -> tuple[tuple, tuple]:
 
 
 # ---------------------------------------------------------------------------
-# The shared product
+# The factor columns
 # ---------------------------------------------------------------------------
 
-#: Per class j: the seed index `top` of the prefix u_j * (u_top/u_bottom)^n,
-#: the paired class q = (j+2) mod 4 and the shift j//2 of its factor index.
-_CLASSES = ((4, 2, 0), (5, 3, 0), (0, 0, 1), (1, 1, 1))
+#: Per class r: the seed index `top` of its factor u_top*F_r(t).
+_TOP = (4, 5, 0, 1)
 
 
 def _line(a: Fraction, k: Fraction, seed: Fraction) -> tuple:
@@ -94,59 +90,30 @@ def _line(a: Fraction, k: Fraction, seed: Fraction) -> tuple:
     return seed * c, seed * d, 0 if a == 1 else seed * d
 
 
-class _Product:
-    """The shared product of one instance, solved so far.
-
-    Per class j it keeps x_(4n-5+j) at every block n formed so far (block 0
-    is the seed u_j) and u_top*F_j(t) at every t formed so far; u_top of
-    class q is u_bottom of class j, so a block's factor ratio reads both.
-    """
+class _Factors:
+    """u_top*F_r(t) per class r at every t formed so far; called as (r, t),
+    the telescope's factor column."""
 
     def __init__(self, ic: InitialConditions, a: tuple, b: tuple):
-        self.ic, self.a, self.b = ic, a, b
-        self._blocks = [[ic.values[j]] for j in range(4)]
-        self._factors = [[] for _ in range(4)]
+        self._a = a
+        self._columns = [[] for _ in range(4)]
         self._lines = [_line(a[r], b[r] * ic.seed_product(r), ic.values[top])
-                       for r, (top, *_) in enumerate(_CLASSES)]
+                       for r, top in enumerate(_TOP)]
 
-    def _factor(self, r: int, t: int) -> Fraction:
+    def __call__(self, r: int, t: int) -> Fraction:
         """u_top*F_r(t) = C + E(t), extending class r's column."""
-        factors, (c, d, e), a = self._factors[r], self._lines[r], self.a[r]
-        while len(factors) <= t:
-            factors.append(c + e)
+        column, (c, d, e), a = self._columns[r], self._lines[r], self._a[r]
+        while len(column) <= t:
+            column.append(c + e)
             e = e + d if a == 1 else e * a
         self._lines[r] = (c, d, e)
-        return factors[t]
-
-    def x(self, m: int) -> Fraction:
-        """x_m; at each new factor the denominator is checked before the
-        numerator, and a block is stored only once both passed."""
-        ti = decompose_index(m)
-        j, n = ti.j, ti.n
-        blocks = self._blocks[j]
-        if n >= len(blocks):
-            _, q, shift = _CLASSES[j]
-            for s in range(len(blocks) - 1, n):
-                den = self._factor(q, s + shift)
-                if den == 0:
-                    raise SingularClosedForm(4 * s + j + 2)
-                num = self._factor(j, s)
-                if num == 0:
-                    raise SingularClosedForm(4 * s + j)
-                blocks.append(blocks[-1] * (num / den))
-        return blocks[n]
+        return column[t]
 
 
-_LAST = threading.local()
-
-
-def _product(ic: InitialConditions, a: tuple, b: tuple) -> _Product:
-    """This thread's last solved product if it equals (ic, a, b), else a
-    fresh `_Product` that replaces it."""
-    last = getattr(_LAST, "product", None)
-    if last is None or last.ic != ic or last.a != a or last.b != b:
-        last = _LAST.product = _Product(ic, a, b)
-    return last
+def _solved(ic: InitialConditions, a: tuple, b: tuple) -> _Telescope:
+    """This engine's slot on the calling thread, for (ic, a_r, b_r)."""
+    return _last_solved("specialcases", (ic, a, b),
+                        lambda: _Telescope(ic.values, _Factors(ic, a, b)))
 
 
 def term_const_general(
@@ -160,7 +127,7 @@ def term_const_general(
     """
     if cc.kind != "constant" or cc.a_values() == (1,):
         raise WrongCase("constant-coefficient general form requires constant a != 1")
-    return _product(ic, *_classes(cc)).x(m)
+    return _solved(ic, *_classes(cc)).x(m)
 
 
 def term_const_a1(m: int, ic: InitialConditions, b: RationalLike) -> Fraction:
@@ -168,7 +135,7 @@ def term_const_a1(m: int, ic: InitialConditions, b: RationalLike) -> Fraction:
 
         x_(4n-3) = c^n * e / g^n * prod((1 + b*e*g*s)/(1 + b*c*e*(s+1)), s < n).
     """
-    return _product(ic, (Fraction(1),) * 4, (as_rational(b),) * 4).x(m)
+    return _solved(ic, (Fraction(1),) * 4, (as_rational(b),) * 4).x(m)
 
 
 def term_const_a_neg1(m: int, ic: InitialConditions, b: RationalLike) -> Fraction:
@@ -177,19 +144,19 @@ def term_const_a_neg1(m: int, ic: InitialConditions, b: RationalLike) -> Fractio
 
         x_(4n-5) = c^(1-n) * g^n * ((-1 + b*c*e)/(-1 + b*e*g))^floor(n/2).
     """
-    return _product(ic, (Fraction(-1),) * 4, (as_rational(b),) * 4).x(m)
+    return _solved(ic, (Fraction(-1),) * 4, (as_rational(b),) * 4).x(m)
 
 
 def term_periodic2(m: int, ic: InitialConditions, pc: CoefficientSequence) -> Fraction:
     """x_m for 2-periodic coefficients: classes x_(4n-5), x_(4n-3) only ever
     consume (a_0, b_0) and classes x_(4n-4), x_(4n-2) only (a_1, b_1)."""
-    return _product(ic, *_classes(pc)).x(m)
+    return _solved(ic, *_classes(pc)).x(m)
 
 
 def term_periodic4(m: int, ic: InitialConditions, pc: CoefficientSequence) -> Fraction:
     """x_m for 4-periodic coefficients: each residue class pairs its own
     coefficient index with the one two steps later."""
-    return _product(ic, *_classes(pc)).x(m)
+    return _solved(ic, *_classes(pc)).x(m)
 
 
 def terms(
@@ -200,5 +167,5 @@ def terms(
     no case covers, and at the first singular index what the matching
     `term_*` raises there.  The iterator extends the calling thread's slot;
     consume it there."""
-    product = _product(ic, *_classes(coeffs))
-    return (product.x(m) for m in range(lo, hi + 1))
+    telescope = _solved(ic, *_classes(coeffs))
+    return (telescope.x(m) for m in range(lo, hi + 1))

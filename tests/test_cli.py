@@ -11,6 +11,7 @@ import stat
 import sys
 import tempfile
 import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -495,17 +496,18 @@ def test_compare_detects_corrupted_special_engine(tmp_path, monkeypatch, capsys)
 
 @pytest.mark.parametrize("kind", ["constant", "periodic"])
 def test_a_neg1_runs_the_shared_product(tmp_path, monkeypatch, capsys, kind):
-    # Constant and period-1 a = -1 reach `_Product.x` like every other case.
+    # Constant and period-1 a = -1 reach the special-case engine's slot like
+    # every other case; the corruption there leaves the closed form alone.
     data = ones_spec(a="-1", b="2", horizon=6)
     data["coeffs"]["kind"] = kind
     path = write_spec(tmp_path, data)
-    real = cli.specialcases._Product.x
+    real = cli.specialcases._solved
 
-    def corrupted(self, m):
-        value = real(self, m)
-        return value + 1 if m == 3 else value
+    def corrupted(*instance):
+        telescope = real(*instance)
+        return SimpleNamespace(x=lambda m: telescope.x(m) + 1 if m == 3 else telescope.x(m))
 
-    monkeypatch.setattr(cli.specialcases._Product, "x", corrupted)
+    monkeypatch.setattr(cli.specialcases, "_solved", corrupted)
     _assert_x3_mismatch_reported(path, "special", capsys)
     assert cli.main(["solve", "--spec", path, "--engine", "auto"]) == EXIT_OK
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))

@@ -19,6 +19,11 @@ from sixrde import (
     iterate,
     make_initial_conditions,
     term,
+    term_const_a1,
+    term_const_a_neg1,
+    term_const_general,
+    term_periodic2,
+    term_periodic4,
     terms,
     unified_constants,
     unified_exponent,
@@ -136,8 +141,14 @@ def test_term_matches_oracle_on_random_instances():
 
 
 def test_term_rejects_indices_below_seed():
-    with pytest.raises(IndexBelowSeed):
-        term(-6, ONES, TRIVIAL)
+    period2 = CoefficientSequence.periodic((2, 3), (1, 0))
+    period4 = CoefficientSequence.periodic((2, 3, 1, -1), (1, 0, 2, 1))
+    for point, coeffs in [(term, TRIVIAL), (term_const_general, CoefficientSequence.constant(2, 1)),
+                          (term_const_a1, 1), (term_const_a_neg1, 1),
+                          (term_periodic2, period2), (term_periodic4, period4)]:
+        with pytest.raises(IndexBelowSeed) as exc:
+            point(-6, ONES, coeffs)
+        assert exc.value.m == -6
 
 
 def test_term_raises_singular_closed_form_with_position():

@@ -1,4 +1,4 @@
-"""Core value types: rationals, Gaussian rationals, sequences, indexing."""
+"""Core value types: rationals, Gaussian rationals, sequences, seeds."""
 
 import copy
 import pickle
@@ -12,14 +12,12 @@ from sixrde import (
     CoefficientSequence,
     GaussianRational,
     I,
-    IndexBelowSeed,
     InitialConditions,
     OutOfHorizon,
     SingularClosedForm,
     WellDefViolation,
     ZeroInitialValue,
     as_rational,
-    decompose_index,
     format_rational,
     i_power,
     make_initial_conditions,
@@ -243,39 +241,6 @@ def test_mixed_nonzero_rationals_accepted():
 def test_wrong_seed_count_rejected():
     with pytest.raises(ValueError):
         InitialConditions((Fraction(1),) * 5)
-
-
-# ---------------------------------------------------------------------------
-# Index decomposition
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize(
-    "m,j,n", [(-5, 0, 0), (-1, 0, 1), (6, 3, 2), (-4, 1, 0), (0, 1, 1), (55, 0, 15)]
-)
-def test_decompose_index_examples(m, j, n):
-    ti = decompose_index(m)
-    assert (ti.j, ti.n) == (j, n)
-
-
-def test_decompose_index_rejects_below_seed():
-    with pytest.raises(IndexBelowSeed):
-        decompose_index(-6)
-
-
-def test_decompose_index_is_a_bijection():
-    seen = set()
-    for m in range(-5, 201):
-        ti = decompose_index(m)
-        assert 0 <= ti.j <= 3 and ti.n >= 0
-        assert 4 * ti.n - 5 + ti.j == m
-        seen.add((ti.j, ti.n))
-    assert len(seen) == 206
-
-
-@given(st.integers(min_value=-5, max_value=10**9))
-def test_decompose_index_recomposes(m):
-    ti = decompose_index(m)
-    assert 4 * ti.n - 5 + ti.j == m
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,23 @@ def test_threads_keep_their_own_slot(point, window):
     assert results == {i: (True, True) for i in range(len(instances))}
 
 
+def test_each_engine_keeps_its_own_slot_on_one_thread():
+    ic, coeffs, orbit = regular(318)
+    indices = range(-5, TOP + 1)
+    start_cold()
+    general, special = zip(*[(term(m, ic, coeffs), term_periodic4(m, ic, coeffs))
+                             for m in indices])
+    assert list(general) == list(special) == list(orbit.terms)
+    # Past the seeds, each engine formed every term itself.
+    assert not any(x is y for x, y in zip(general[4:], special[4:]))
+    for m, x, y in zip(indices, general, special):
+        assert term(m, ic, coeffs) is x and term_periodic4(m, ic, coeffs) is y
+    # Both ranges on one thread, zipped as `compare` reads them.
+    ranges = zip(terms(-5, TOP, ic, coeffs), specialcases.terms(-5, TOP, ic, coeffs))
+    assert all(x is g and y is s
+               for (x, y), g, s in zip(ranges, general, special, strict=True))
+
+
 class CountingCoefficients(CoefficientSequence):
     """A coefficient sequence that counts its `pair_at` lookups."""
 

@@ -3,6 +3,7 @@
 sympy is a test-only dependency; these tests are skipped without it.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from sixrde import (
     lsc_residual,
     cli,
     closedform,
+    core,
     make_initial_conditions,
     specialcases,
     term_const_a_neg1,
@@ -164,21 +166,70 @@ def test_factor_takes_the_same_step_from_the_same_start(factor, slope):
     assert sp.simplify(factor(t + 1) - (slope * factor(t) + k)) == 0
 
 
-@pytest.mark.parametrize("coeff_a", [AT[a], Fraction(1), Fraction(-1)],
-                         ids=["a!=1", "a=1", "a=-1"])
-def test_factor_matches_the_code(coeff_a):
-    seeds = [AT[u0], Fraction(5), AT[u2], Fraction(1, 2), AT[u4], Fraction(1)]
-    ic = make_initial_conditions(seeds)
+SAMPLE_A = pytest.mark.parametrize("coeff_a", [AT[a], Fraction(1), Fraction(-1)],
+                                   ids=["a!=1", "a=1", "a=-1"])
+SAMPLE_SEEDS = [AT[u0], Fraction(5), AT[u2], Fraction(1, 2), AT[u4], Fraction(1)]
+#: u_0*u_2*u_4 and u_1*u_3*u_5 at the sample.
+SAMPLE_PARITY = (math.prod(SAMPLE_SEEDS[0::2]), math.prod(SAMPLE_SEEDS[1::2]))
+
+
+def sample_engines(coeff_a):
+    """The special-case factor column and the V table at the sample `AT`."""
+    ic = make_initial_conditions(SAMPLE_SEEDS)
     coeffs = CoefficientSequence.constant(coeff_a, AT[b])
-    product = specialcases._Product(ic, *specialcases._classes(coeffs))
-    table = closedform._InvariantTable(ic, coeffs)
+    factors = specialcases._Factors(ic, *specialcases._classes(coeffs))
+    return ic, factors, closedform._InvariantTable(ic, coeffs)
+
+
+@SAMPLE_A
+def test_factor_matches_the_code(coeff_a):
+    ic, factors, table = sample_engines(coeff_a)
     factor = arithmetic_factor if coeff_a == 1 else geometric_factor
-    for r, (top, *_) in enumerate(specialcases._CLASSES):
+    for r, top in enumerate(specialcases._TOP):
         at = {a: coeff_a, k: AT[b] * ic.seed_product(r)}
         for step in range(6):
-            code = product._factor(r, step) / seeds[top]  # kept times u_top
-            assert code == table.v(4 * step + r) * ic.seed_product(r)
-            assert sp.Rational(code) == factor(step).subs(at)
+            code = factors(r, step)
+            assert code == SAMPLE_PARITY[r % 2] * table.v(4 * step + r)
+            assert sp.Rational(code / SAMPLE_SEEDS[top]) == factor(step).subs(at)
+
+
+# ---------------------------------------------------------------------------
+# Every special-case block ratio is the V ratio, so the engines agree for all n
+# ---------------------------------------------------------------------------
+
+#: The seeds u_0..u_5.
+U = sp.symbols("u0:6", nonzero=True)
+
+
+def test_top_seed_completes_the_parity_product():
+    # So u_top(r)*F_r(t) = P_(r mod 2)*V_(4t+r): a block's factor ratio is the
+    # V ratio once numerator and denominator classes share a parity.
+    parity = (U[0] * U[2] * U[4], U[1] * U[3] * U[5])
+    for r, top in enumerate(specialcases._TOP):
+        assert sp.expand(U[top] * U[r] * U[r + 2] - parity[r % 2]) == 0
+
+
+@pytest.mark.parametrize("j", range(4))
+def test_denominator_factor_is_two_past_the_numerator(j):
+    # The denominator f((j+2) mod 4, s + j//2) sits at V index 4s + j + 2, a
+    # class of the same parity as j; the telescope reads exactly those V.
+    s = sp.Symbol("s", integer=True, nonnegative=True)
+    assert sp.expand(4 * (s + j // 2) + (j + 2) % 4 - (4 * s + j + 2)) == 0
+    V = sp.Function("V")
+    telescope = core._Telescope(U, lambda r, t: V(4 * t + r))
+    for n in range(5):
+        product = U[j] * sp.Mul(*(V(4 * i + j) / V(4 * i + j + 2) for i in range(n)))
+        assert sp.simplify(telescope.x(4 * n - 5 + j) - product) == 0
+
+
+@SAMPLE_A
+def test_special_case_blocks_take_the_v_ratio_at_the_sample(coeff_a):
+    ic, factors, table = sample_engines(coeff_a)
+    special = core._Telescope(ic.values, factors)
+    for j in range(4):
+        for n in range(6):
+            m = 4 * n - 5 + j
+            assert special.x(m + 4) / special.x(m) == table.v(4 * n + j) / table.v(4 * n + j + 2)
 
 
 # ---------------------------------------------------------------------------
