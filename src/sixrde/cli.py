@@ -141,8 +141,9 @@ def load_problem_spec(path: str) -> ProblemSpec:
             data = json.load(fh)
     except OSError as exc:
         raise ProblemSpecError(f"cannot read spec file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ProblemSpecError(f"spec file is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # bad JSON, bad UTF-8 or an integer past the digit limit
+        reason = str(exc).partition("; use sys.set_int_max_str_digits")[0]
+        raise ProblemSpecError(f"spec file cannot be decoded: {reason}") from exc
     if not isinstance(data, dict):
         raise ProblemSpecError("spec file must contain a JSON object")
     return parse_problem_spec(data)

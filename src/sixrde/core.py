@@ -2,8 +2,9 @@
 
 All quantities are exact: real values are arbitrary-precision rationals
 (`fractions.Fraction`, always in canonical form), complex values are Gaussian
-rationals (rational real and imaginary parts).  Everything here is immutable
-after construction and safe to use from multiple threads.
+rationals (rational real and imaginary parts).  Values are immutable and safe
+to share between threads; the mutable `_Telescope` block memos live in
+per-thread slots (`_last_solved`).  Text conversion touches no process state.
 
 `GaussianRational` is a slotted immutable value type rather than a
 dataclass: its public constructor coerces each part with `as_rational`, while
@@ -18,10 +19,8 @@ earlier call built.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import re as _re
-import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,55 +143,53 @@ class DegenerateSample(SixrdeError):
 
 # Accepted literals: "p" or "p/q" with q > 0.  Float/decimal forms are
 # rejected on purpose: the text boundary must stay exact.
-_RATIONAL_RE = _re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+_RATIONAL_RE = _re.compile(r"([+-]?)(\d+)(?:/([1-9]\d*))?")
+
+# Longest decimal piece converted at once: the lowest int<->str digit limit the
+# interpreter accepts (`sys.int_info.str_digits_check_threshold`, 3.10.7 on),
+# so pieces convert under any setting and the limit is never read or changed.
+_PIECE_DIGITS = 640
+_PIECE_LIMIT = 10**_PIECE_DIGITS
 
 
-_DIGIT_LIMIT_LOCK = threading.Lock()
+def _integer(digits: str) -> int:
+    """int(digits) for a decimal digit string of any length."""
+    if len(digits) <= _PIECE_DIGITS:
+        return int(digits)
+    half = len(digits) // 2
+    return _integer(digits[:-half]) * 10**half + _integer(digits[-half:])
 
 
-@contextlib.contextmanager
-def _int_digit_limit_lifted():
-    """Lift the interpreter's int<->str digit limit, restoring it on exit.
-
-    The limit is process-wide; the lock keeps two threads from saving each
-    other's lifted value as the one to restore.
-    """
-    with _DIGIT_LIMIT_LOCK:
-        previous = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            yield
-        finally:
-            sys.set_int_max_str_digits(previous)
+def _digits(n: int) -> str:
+    """str(n) for an integer n >= 0 of any size."""
+    if n < _PIECE_LIMIT:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of n's digits (log10(2) > 0.3)
+    high, low = divmod(n, 10**k)
+    return _digits(high) + _digits(low).zfill(k)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational literal of the form ``p`` or ``p/q``.
 
-    Literals of any length are accepted, so every `format_rational` output
-    reads back as a seed or coefficient.
+    Literals of any length are read, in pieces below the digit limit, so
+    every `format_rational` output reads back as a seed or coefficient.
     """
-    s = text.strip()
-    if not _RATIONAL_RE.match(s):
+    match = _RATIONAL_RE.fullmatch(text.strip())
+    if match is None:
         raise ValueError(f"not an exact rational literal: {text!r}")
-    try:
-        return Fraction(s)
-    except ValueError:  # longer than the int<->str digit limit
-        with _int_digit_limit_lifted():
-            return Fraction(s)
+    sign, p, q = match.groups()
+    numerator = _integer(p)
+    return Fraction(-numerator if sign == "-" else numerator, _integer(q or "1"))
 
 
 def format_rational(value: Fraction) -> str:
     """Canonical ``p/q`` rendering; integers keep an explicit ``/1``.
 
-    Values of any height are rendered in full; the interpreter's digit limit
-    is lifted only for those that exceed it.
+    Values of any height are rendered in full, in pieces below the digit limit.
     """
-    try:
-        return f"{value.numerator}/{value.denominator}"
-    except ValueError:  # longer than the int<->str digit limit
-        with _int_digit_limit_lifted():
-            return f"{value.numerator}/{value.denominator}"
+    p = value.numerator
+    return f"{'-' if p < 0 else ''}{_digits(abs(p))}/{_digits(value.denominator)}"
 
 
 def as_rational(value: RationalLike) -> Fraction:

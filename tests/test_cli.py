@@ -124,11 +124,28 @@ def test_unknown_spec_keys_are_named_on_one_error_line(tmp_path, capsys):
     assert err == "error: malformed problem spec: unknown key(s) 'horzion', 'extra'\n"
 
 
-def test_unreadable_and_non_json_specs_exit_64(tmp_path):
-    assert cli.main(["iterate", "--spec", str(tmp_path / "missing.json")]) == EXIT_SPEC
-    bad = tmp_path / "bad.json"
-    bad.write_text("not json", encoding="utf-8")
-    assert cli.main(["iterate", "--spec", str(bad)]) == EXIT_SPEC
+def test_unreadable_and_non_json_specs_exit_64(tmp_path, capsys):
+    text = json.dumps(dict(ones_spec(), coeffs={"kind": "periodic", "a": ["1"],
+                                                "b": ["0"], "period": 1}))
+    files = {
+        "bad.json": b"not json",
+        "utf16.json": text.encode("utf-16"),
+        # A 4301-digit integer: past the int<->str digit limit, so the JSON
+        # decoder rejects it.
+        "long.json": text.replace('"period": 1', '"period": 1' + "0" * 4300).encode(),
+    }
+    for name, raw in files.items():
+        (tmp_path / name).write_bytes(raw)
+    errors = {}
+    for name in ["missing.json", *files]:
+        assert cli.main(["iterate", "--spec", str(tmp_path / name)]) == EXIT_SPEC
+        out, errors[name] = capsys.readouterr()
+        assert out == "" and errors[name].startswith("error: ")
+        assert "Traceback" not in errors[name]
+    # The long integer is named with the limit, not with a Python call to lift it.
+    assert errors["long.json"] == (
+        "error: spec file cannot be decoded: Exceeds the limit (4300 digits) "
+        "for integer string conversion: value has 4301 digits\n")
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +177,14 @@ def test_iterate_one_step_value(tmp_path, capsys):
     assert last == "1,1/2,0.5"
 
 
-def test_iterate_past_int_str_digit_limit(tmp_path):
+def test_iterate_past_int_str_digit_limit(tmp_path, monkeypatch):
     # At horizon 900 the last terms have more than 4300 decimal digits,
-    # Python's default limit for int<->str conversion.
+    # Python's default limit for int<->str conversion.  The limit is
+    # process-wide, so the package converts them without changing it.
+    def refuse(maxdigits):
+        raise AssertionError("the int<->str digit limit was changed")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
     data = ones_spec(a="2", b="1/3", horizon=900)
     data["initial"] = ["1", "1", "1", "1", "2", "1"]
     path = write_spec(tmp_path, data)

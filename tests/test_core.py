@@ -2,6 +2,8 @@
 
 import copy
 import pickle
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -53,6 +55,42 @@ def test_format_rational_keeps_denominator_one():
 @given(rationals)
 def test_rational_string_round_trip(q):
     assert parse_rational(format_rational(q)) == q
+
+
+def _unlimited_str(n):
+    """str(n) with the int<->str digit limit lifted: the reference rendering."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# Heights: small; either side of 640 digits (2126 bits), the lowest digit
+# limit; either side of 4300 digits, the default limit; and 100k bits.
+@pytest.mark.parametrize("limit", [None, 640], ids=["default-limit", "limit-640"])
+def test_rational_codec_at_every_height(limit):
+    rng = random.Random(0)
+    previous = sys.get_int_max_str_digits()
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        for bits in [*range(1, 71), 2126, 2127, *range(14280, 14301), 100_000]:
+            p = rng.getrandbits(bits) | 1 << (bits - 1)
+            q = rng.getrandbits(bits) | 1
+            for value in (Fraction(p), Fraction(-p), Fraction(p, q), Fraction(-p, q)):
+                text = format_rational(value)
+                num, den = value.numerator, value.denominator
+                assert text == f"{_unlimited_str(num)}/{_unlimited_str(den)}"
+                assert parse_rational(text) == value
+            digits = _unlimited_str(p)
+            assert parse_rational(f"+00{digits}/{_unlimited_str(q)}") == Fraction(p, q)
+            assert parse_rational(f"-0{digits}") == -p
+            assert parse_rational(digits) == p
+        assert sys.get_int_max_str_digits() == (limit or previous)
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 @given(rationals, rationals, rationals)

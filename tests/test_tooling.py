@@ -41,6 +41,14 @@ def test_package_imports_only_itself_and_the_standard_library():
                 assert top in sys.stdlib_module_names, f"{path.name} imports {module}"
 
 
+def test_package_never_changes_the_int_str_digit_limit():
+    for path in sorted((ROOT / "src" / "sixrde").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                assert name != "set_int_max_str_digits", f"{path.name}:{node.lineno}"
+
+
 def _package_modules():
     stems = sorted(p.stem for p in (ROOT / "src" / "sixrde").glob("*.py"))
     return [importlib.import_module(f"sixrde.{stem}") for stem in stems if not stem.startswith("_")]
