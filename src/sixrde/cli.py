@@ -30,6 +30,7 @@ reports.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import json
 import math
@@ -38,7 +39,7 @@ import re as _re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 from . import closedform, oracle, specialcases, symmetry
 from .core import (
@@ -141,7 +142,9 @@ def load_problem_spec(path: str) -> ProblemSpec:
             data = json.load(fh)
     except OSError as exc:
         raise ProblemSpecError(f"cannot read spec file: {exc}") from exc
-    except ValueError as exc:  # bad JSON, bad UTF-8 or an integer past the digit limit
+    # Bad JSON, bad UTF-8, an integer past the digit limit, or nesting past
+    # the decoder's recursion limit (a RuntimeError, not a ValueError).
+    except (ValueError, RecursionError) as exc:
         reason = str(exc).partition("; use sys.set_int_max_str_digits")[0]
         raise ProblemSpecError(f"spec file cannot be decoded: {reason}") from exc
     if not isinstance(data, dict):
@@ -222,12 +225,13 @@ def _as_float(value: Fraction) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _csv(rows: Iterable[tuple[int, Fraction]]) -> Iterator[str]:
-    """CSV lines, one per (m, value) row and made lazily, under the header
-    m,exact,float.  No field (an int, p/q, a float repr) can need quoting."""
-    yield "m,exact,float\n"
-    for m, value in rows:
-        yield f"{m},{format_rational(value)},{_as_float(value)!r}\n"
+_CSV_HEADER = "m,exact,float\n"
+
+
+def _csv_row(m: int, value: Fraction) -> str:
+    """The CSV line of x_m under `_CSV_HEADER`.  No field (an int, p/q, a
+    float repr) can need quoting."""
+    return f"{m},{format_rational(value)},{_as_float(value)!r}\n"
 
 
 @contextlib.contextmanager
@@ -267,7 +271,8 @@ def _output(path: str) -> Iterator[TextIO]:
 def _cmd_iterate(spec: ProblemSpec, args, out: TextIO) -> int:
     count = spec.horizon if args.n is None else args.n
     orbit = oracle.iterate(spec.initial, spec.coeffs, count)
-    out.writelines(_csv(enumerate(orbit.terms, -5)))
+    out.write(_CSV_HEADER)
+    out.writelines(_csv_row(m, value) for m, value in enumerate(orbit.terms, -5))
     if orbit.halt is not None:
         print(
             f"singular at step {orbit.halt.step} ({orbit.halt.cause.value}); "
@@ -282,21 +287,27 @@ def _cmd_solve(spec: ProblemSpec, args, out: TextIO) -> int:
     lo, hi = (-5, spec.horizon) if args.range is None else args.range
     engine = closedform if args.engine == "general" else specialcases
     values = engine.terms(lo, hi, spec.initial, spec.coeffs)
-    rows = []
-    message = None
+    if spec.coeffs.horizon is not None and hi > spec.coeffs.horizon:
+        # x_hi needs coefficient hi - 1, past the list, so the range fails
+        # unless it is singular first.  It must fail before any row reaches
+        # stdout; this pass fills the slot the rows are then read from.
+        with contextlib.suppress(SingularClosedForm):
+            collections.deque(values, maxlen=0)
+        values = engine.terms(lo, hi, spec.initial, spec.coeffs)
+    out.write(_CSV_HEADER)
+    m = lo
     try:
-        for row in enumerate(values, lo):
-            rows.append(row)
+        for value in values:
+            out.write(_csv_row(m, value))
+            m += 1
     except SingularClosedForm as exc:
-        message = (
-            f"singular closed form at x_{lo + len(rows)}: j={exc.j}, s={exc.s} "
-            f"(V_{exc.v_index} = 0, iteration dies at step {exc.halt_step})"
+        print(
+            f"singular closed form at x_{m}: j={exc.j}, s={exc.s} "
+            f"(V_{exc.v_index} = 0, iteration dies at step {exc.halt_step})",
+            file=sys.stderr,
         )
-    out.writelines(_csv(rows))
-    if message is None:
-        return EXIT_OK
-    print(message, file=sys.stderr)
-    return EXIT_SINGULAR
+        return EXIT_SINGULAR
+    return EXIT_OK
 
 
 def _cmd_compare(spec: ProblemSpec, args, out: TextIO) -> int:

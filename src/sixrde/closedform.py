@@ -16,10 +16,10 @@ telescoping:
 serves as the independent check.  Everything else reads V from one
 lazily extended table: one column per residue class, grown by the affine
 step itself at one multiply-add per block.  The terms are the shared
-telescoping product `core._Telescope` over the factor column
-f(r, t) = V_(4t+r) of that table; it states the block memo, the check order
-and the per-thread slot rule.  `term`, `terms`, `well_defined` and
-`unified_exponent` all read this engine's slot, so x_lo..x_hi costs O(1)
+telescoping product `core._Telescope` over the factor sequence f(k) = V_k
+of that table; it states the block memo, the check order and the per-thread
+slot rule.  `term`, `terms`, `well_defined` and `unified_exponent` all read
+this engine's slot, keyed on (ic, coeffs), so x_lo..x_hi costs O(1)
 rational operations per term whether asked as one range or index by index,
 in any order.  The slot holds every x formed, O(N^3) bits up to x_N.
 
@@ -53,8 +53,7 @@ from .core import (
     OutOfHorizon,
     OutOfRange,
     SingularClosedForm,
-    _last_solved,
-    _Telescope,
+    _solved,
     i_power,
     log_abs,
 )
@@ -153,36 +152,28 @@ class _InvariantTable:
 
     Column j starts at the seed invariant V_j and grows by the affine step
     V_(k+4) = a_k * V_k + b_k, one coefficient pair per block, so it reads
-    no coefficient beyond what the largest requested V needs.  Called as
-    (r, t) it is the telescope's factor column V_(4t+r).
+    no coefficient beyond what the largest requested V needs.  Called with
+    k it returns V_k, the telescope's factor sequence.
     """
 
     def __init__(self, ic: InitialConditions, coeffs: CoefficientSequence):
         self._coeffs = coeffs
         self._columns = [[1 / ic.seed_product(j)] for j in range(4)]
 
-    def __call__(self, r: int, t: int) -> Fraction:
+    def __call__(self, k: int) -> Fraction:
+        r, t = k % 4, k // 4
         column = self._columns[r]
         while len(column) <= t:
             a, b = self._coeffs.pair_at(4 * (len(column) - 1) + r)
             column.append(a * column[-1] + b)
         return column[t]
 
-    def v(self, k: int) -> Fraction:
-        return self(k % 4, k // 4)
-
     def nonzero(self, k: int) -> Fraction:
         """V_k, or `SingularClosedForm(k)` when it vanishes."""
-        v = self.v(k)
+        v = self(k)
         if v == 0:
             raise SingularClosedForm(k)
         return v
-
-
-def _solved(ic: InitialConditions, coeffs: CoefficientSequence) -> _Telescope:
-    """This engine's slot on the calling thread, for (ic, coeffs)."""
-    return _last_solved("closedform", (ic, coeffs),
-                        lambda: _Telescope(ic.values, _InvariantTable(ic, coeffs)))
 
 
 def terms(
@@ -194,7 +185,7 @@ def terms(
     index that fails, raises what `term` raises there.  The iterator extends
     the calling thread's slot, so consume it on that thread.
     """
-    telescope = _solved(ic, coeffs)
+    telescope = _solved("closedform", _InvariantTable, ic, coeffs)
     return (telescope.x(m) for m in range(lo, hi + 1))
 
 
@@ -204,7 +195,7 @@ def term(m: int, ic: InitialConditions, coeffs: CoefficientSequence) -> Fraction
     Raises `SingularClosedForm` when a required V vanishes; that happens
     iff direct iteration halts on a zero denominator at step v_index - 4.
     """
-    return _solved(ic, coeffs).x(m)
+    return _solved("closedform", _InvariantTable, ic, coeffs).x(m)
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +268,11 @@ def well_defined(
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    table = _solved(ic, coeffs).source
+    table = _solved("closedform", _InvariantTable, ic, coeffs).f
     violations = []
     for v_index in range(4, 4 * horizon + 6):
         try:
-            v = table.v(v_index)
+            v = table(v_index)
         except OutOfHorizon:
             break
         if v == 0:
@@ -334,11 +325,11 @@ def unified_exponent(
         raise OutOfRange("orbit term u", n)
     consts = unified_constants(ic)
     total = complex(i_power(n)) * consts.c1 + complex(i_power(-n)) * consts.c2
-    table = _solved(ic, coeffs).source
+    table = _solved("closedform", _InvariantTable, ic, coeffs).f
     # Extend every column before checking any V, so a short explicit list
     # raises OutOfHorizon ahead of a singularity, as in `terms`.
     for k in range(max(n - 4, 0), n):
-        table.v(k)
+        table(k)
     for k in range(n):
         re_gamma = gamma(n, k).real
         v_k = table.nonzero(k)

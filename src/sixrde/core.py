@@ -4,7 +4,7 @@ All quantities are exact: real values are arbitrary-precision rationals
 (`fractions.Fraction`, always in canonical form), complex values are Gaussian
 rationals (rational real and imaginary parts).  Values are immutable and safe
 to share between threads; the mutable `_Telescope` block memos live in
-per-thread slots (`_last_solved`).  Text conversion touches no process state.
+per-thread slots (`_solved`).  Text conversion touches no process state.
 
 `GaussianRational` is a slotted immutable value type rather than a
 dataclass: its public constructor coerces each part with `as_rational`, while
@@ -474,60 +474,59 @@ def make_initial_conditions(values: Sequence[RationalLike]) -> InitialConditions
 
 class _Telescope:
     """The orbit of one instance as one telescoping product over a factor
-    column f(r, t), r = 0..3, t >= 0:
+    sequence f(k), k >= 0:
 
-        x_(4n-5+j) = u_j * prod( f(j, s) / f((j+2) mod 4, s + j//2), s < n ).
+        x_(4n-5+j) = u_j * prod( f(4s+j) / f(4s+j+2), s < n ),   j = 0..3.
 
-    The closed form reads f(r, t) = V_(4t+r) and the special cases
-    f(r, t) = u_top*F_r(t); either way the denominator's index is
-    4(s + j//2) + (j+2) mod 4 = 4s + j + 2.  Each class keeps x at every
-    block formed so far (block 0 is the seed u_j), so a term past them costs
-    one factor ratio per missing block.  Every factor a query needs is formed
-    before any is checked, so a short explicit list raises `OutOfHorizon`
-    first; then at each new block s the denominator is checked before the
-    numerator, each as `SingularClosedForm` of its own V index (4s+j+2, then
-    4s+j), and a block is stored only once both passed, so a failed query
-    raises the same error when repeated.
+    The closed form reads f(k) = V_k and the special cases
+    f(4t+r) = u_top*F_r(t).  Each class keeps x at every block formed so far
+    (block 0 is the seed u_j), so a term past them costs one factor ratio per
+    missing block.  Every factor a query needs is formed before any is
+    checked, so a short explicit list raises `OutOfHorizon` first; then at
+    each new block, k = 4s+j, the denominator f(k+2) is checked before the
+    numerator f(k), each as `SingularClosedForm` of its own index, and a
+    block is stored only once both passed, so a failed query raises the same
+    error when repeated.
 
     Each engine keeps the last instance it solved in one slot per thread
-    (`_last_solved`), found again by equality of the instance.
+    (`_solved`), found again by equality of `(ic, coeffs)`.
     """
 
-    def __init__(self, seeds: Sequence[Fraction], source):
-        self.source = source
+    def __init__(self, seeds: Sequence[Fraction], f):
+        self.f = f
         self._blocks = [[seeds[j]] for j in range(4)]
 
     def x(self, m: int) -> Fraction:
         if m < -5:
             raise IndexBelowSeed(m)
-        j, n = (m + 5) % 4, (m + 5) // 4
+        n, j = divmod(m + 5, 4)
         blocks = self._blocks[j]
         if n >= len(blocks):
-            f, q, shift = self.source, (j + 2) % 4, j // 2
+            f, last = self.f, 4 * n + j - 4  # k = 4s+j of the last block
             # Each column extends up to its last factor, forming every one.
-            f(j, n - 1)
-            f(q, n - 1 + shift)
-            for s in range(len(blocks) - 1, n):
-                den = f(q, s + shift)
+            f(last)
+            f(last + 2)
+            for k in range(4 * len(blocks) - 4 + j, last + 1, 4):
+                den = f(k + 2)
                 if den == 0:
-                    raise SingularClosedForm(4 * s + j + 2)
+                    raise SingularClosedForm(k + 2)
                 # A zero numerator means the orbit already died on the class
                 # where that factor is a denominator; its own index reports it.
-                num = f(j, s)
+                num = f(k)
                 if num == 0:
-                    raise SingularClosedForm(4 * s + j)
+                    raise SingularClosedForm(k)
                 blocks.append(blocks[-1] * (num / den))
         return blocks[n]
 
 
-_LAST_SOLVED = threading.local()
+_SLOTS = threading.local()
 
 
-def _last_solved(engine: str, instance: tuple, build) -> _Telescope:
-    """This thread's last `_Telescope` solved by `engine` if it was built for
-    an instance equal to `instance`, else `build()`, which replaces it."""
-    last = getattr(_LAST_SOLVED, engine, None)
-    if last is None or last[0] != instance:
-        last = (instance, build())
-        setattr(_LAST_SOLVED, engine, last)
+def _solved(engine: str, column, ic, coeffs) -> _Telescope:
+    """This thread's `engine` slot: the `_Telescope` over `column(ic, coeffs)`
+    if built for an instance equal to (ic, coeffs), else a new one in its place."""
+    last = getattr(_SLOTS, engine, None)
+    if last is None or last[0] != (ic, coeffs):
+        last = ((ic, coeffs), _Telescope(ic.values, column(ic, coeffs)))
+        setattr(_SLOTS, engine, last)
     return last[1]

@@ -10,6 +10,7 @@ import math
 import random
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 
 from sixrde import (
     CoefficientSequence,
@@ -142,8 +143,17 @@ def test_criterion_3_special_case_fidelity():
             )
             return (lambda m: term_periodic4(m, ic, pc)), pc
 
+        def build_mixed(rng, ic):
+            # a_0 = a_2 = 1: two classes take the arithmetic sum, two the geometric
+            pc = PeriodicCoeffs4(
+                (1, 2, 1, Fraction(-1, 2)),
+                tuple(coeff(rng, nonzero=True) for _ in range(4)),
+            )
+            return (lambda m: term_periodic4(m, ic, pc)), pc
+
         for seed, builder in (
-            (31, build_general), (32, build_a1), (33, build_p2), (34, build_p4)
+            (31, build_general), (32, build_a1), (33, build_p2), (34, build_p4),
+            (36, build_mixed),
         ):
             for ic, solver, coeffs, orbit in _special_case_instances(
                 seed, 100, builder, steps=55

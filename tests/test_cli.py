@@ -133,6 +133,9 @@ def test_unreadable_and_non_json_specs_exit_64(tmp_path, capsys):
         # A 4301-digit integer: past the int<->str digit limit, so the JSON
         # decoder rejects it.
         "long.json": text.replace('"period": 1', '"period": 1' + "0" * 4300).encode(),
+        # Nesting past the decoder's recursion limit, bare or inside the object.
+        "nested.json": b"[" * 200000,
+        "nested_initial.json": b'{"initial": ' + b"[" * 200000,
     }
     for name, raw in files.items():
         (tmp_path / name).write_bytes(raw)
@@ -280,6 +283,9 @@ def test_a_failed_run_leaves_no_file_and_keeps_the_old_one(tmp_path, monkeypatch
     assert cli.main(["solve", "--spec", short, "--out", str(out)]) == EXIT_USAGE
     assert "past the explicit horizon" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["short.json"]
+    # Nor does it print any row to stdout.
+    assert cli.main(["solve", "--spec", short]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
     # A run that fails while writing leaves the earlier file as it was.
     out.write_text("earlier\n")
     path = write_spec(tmp_path, ones_spec())
@@ -324,13 +330,17 @@ def test_out_writes_through_a_pipe_and_a_symlink(tmp_path, capsys):
 
 
 def test_a_singular_solve_keeps_the_rows_before_the_singular_index(tmp_path):
-    path = write_spec(tmp_path, ones_spec(a="1", b="-1"))
+    # V_4 = 0 makes x_1 singular; the explicit list would run out at x_4.
+    listed = ones_spec()
+    listed["coeffs"] = {"kind": "list", "a": ["1"] * 3, "b": ["-1", "0", "0"]}
     out = tmp_path / "out.csv"
-    assert cli.main(["solve", "--spec", path, "--range", "-5..6",
-                     "--out", str(out)]) == EXIT_SINGULAR
-    assert out.read_text() == "m,exact,float\n" + "".join(
-        f"{m},1/1,1.0\n" for m in range(-5, 1))
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "spec.json"]
+    for data in (ones_spec(a="1", b="-1"), listed):
+        path = write_spec(tmp_path, data)
+        assert cli.main(["solve", "--spec", path, "--range", "-5..6",
+                         "--out", str(out)]) == EXIT_SINGULAR
+        assert out.read_text() == "m,exact,float\n" + "".join(
+            f"{m},1/1,1.0\n" for m in range(-5, 1))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "spec.json"]
 
 
 @pytest.mark.parametrize("seeds, horizon", [
@@ -523,13 +533,13 @@ def test_a_neg1_runs_the_shared_product(tmp_path, monkeypatch, capsys, kind):
     data = ones_spec(a="-1", b="2", horizon=6)
     data["coeffs"]["kind"] = kind
     path = write_spec(tmp_path, data)
-    real = cli.specialcases._solved
+    real = cli.specialcases._covered
 
     def corrupted(*instance):
         telescope = real(*instance)
         return SimpleNamespace(x=lambda m: telescope.x(m) + 1 if m == 3 else telescope.x(m))
 
-    monkeypatch.setattr(cli.specialcases, "_solved", corrupted)
+    monkeypatch.setattr(cli.specialcases, "_covered", corrupted)
     _assert_x3_mismatch_reported(path, "special", capsys)
     assert cli.main(["solve", "--spec", path, "--engine", "auto"]) == EXIT_OK
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))

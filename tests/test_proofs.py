@@ -174,10 +174,10 @@ SAMPLE_PARITY = (math.prod(SAMPLE_SEEDS[0::2]), math.prod(SAMPLE_SEEDS[1::2]))
 
 
 def sample_engines(coeff_a):
-    """The special-case factor column and the V table at the sample `AT`."""
+    """The special-case factor sequence and the V table at the sample `AT`."""
     ic = make_initial_conditions(SAMPLE_SEEDS)
     coeffs = CoefficientSequence.constant(coeff_a, AT[b])
-    factors = specialcases._Factors(ic, *specialcases._classes(coeffs))
+    factors = specialcases._Factors(ic, coeffs)
     return ic, factors, closedform._InvariantTable(ic, coeffs)
 
 
@@ -188,8 +188,8 @@ def test_factor_matches_the_code(coeff_a):
     for r, top in enumerate(specialcases._TOP):
         at = {a: coeff_a, k: AT[b] * ic.seed_product(r)}
         for step in range(6):
-            code = factors(r, step)
-            assert code == SAMPLE_PARITY[r % 2] * table.v(4 * step + r)
+            code = factors(4 * step + r)
+            assert code == SAMPLE_PARITY[r % 2] * table(4 * step + r)
             assert sp.Rational(code / SAMPLE_SEEDS[top]) == factor(step).subs(at)
 
 
@@ -211,12 +211,10 @@ def test_top_seed_completes_the_parity_product():
 
 @pytest.mark.parametrize("j", range(4))
 def test_denominator_factor_is_two_past_the_numerator(j):
-    # The denominator f((j+2) mod 4, s + j//2) sits at V index 4s + j + 2, a
-    # class of the same parity as j; the telescope reads exactly those V.
-    s = sp.Symbol("s", integer=True, nonnegative=True)
-    assert sp.expand(4 * (s + j // 2) + (j + 2) % 4 - (4 * s + j + 2)) == 0
+    # Block s of class j divides by V_(4s+j+2), a class of the same parity
+    # as j; over a symbolic V the telescope reads exactly those V.
     V = sp.Function("V")
-    telescope = core._Telescope(U, lambda r, t: V(4 * t + r))
+    telescope = core._Telescope(U, V)
     for n in range(5):
         product = U[j] * sp.Mul(*(V(4 * i + j) / V(4 * i + j + 2) for i in range(n)))
         assert sp.simplify(telescope.x(4 * n - 5 + j) - product) == 0
@@ -229,7 +227,7 @@ def test_special_case_blocks_take_the_v_ratio_at_the_sample(coeff_a):
     for j in range(4):
         for n in range(6):
             m = 4 * n - 5 + j
-            assert special.x(m + 4) / special.x(m) == table.v(4 * n + j) / table.v(4 * n + j + 2)
+            assert special.x(m + 4) / special.x(m) == table(4 * n + j) / table(4 * n + j + 2)
 
 
 # ---------------------------------------------------------------------------

@@ -184,106 +184,6 @@ def test_geometric_sum_identity_across_cases():
 
 
 # ---------------------------------------------------------------------------
-# Oracle equivalence per case
-# ---------------------------------------------------------------------------
-
-def _check_case(rng, build, trials=40, top=55):
-    done = 0
-    while done < trials:
-        ic = random_initial_conditions(rng)
-        solver, coeffs = build(rng, ic)
-        orbit = iterate(ic, coeffs, top)
-        if orbit.halt is not None:
-            continue
-        for m in range(-5, top + 1):
-            value = solver(m)
-            assert value == orbit.x(m), f"oracle mismatch at m={m}"
-            assert value == term(m, ic, coeffs), f"general-path mismatch at m={m}"
-        done += 1
-
-
-def test_const_general_matches_oracle_and_general_path():
-    rng = random.Random(101)
-
-    def build(rng, ic):
-        while True:
-            a = small_coeff(rng)
-            if a not in (0, 1):
-                break
-        b = random_rational(rng, lo=-5, hi=5, max_den=5, nonzero=True)
-        cc = ConstantCoeffs(a, b)
-        return (lambda m: term_const_general(m, ic, cc)), cc
-
-    _check_case(rng, build)
-
-
-def test_const_a1_matches_oracle_and_general_path():
-    rng = random.Random(102)
-
-    def build(rng, ic):
-        b = random_rational(rng, lo=-5, hi=5, max_den=5, nonzero=True)
-        return (
-            lambda m: term_const_a1(m, ic, b)
-        ), CoefficientSequence.constant(1, b)
-
-    _check_case(rng, build)
-
-
-def test_periodic2_matches_oracle_and_general_path():
-    rng = random.Random(103)
-
-    def build(rng, ic):
-        pc = PeriodicCoeffs2(
-            (small_coeff(rng), small_coeff(rng)),
-            (small_coeff(rng), small_coeff(rng)),
-        )
-        return (lambda m: term_periodic2(m, ic, pc)), pc
-
-    _check_case(rng, build)
-
-
-def test_periodic4_matches_oracle_and_general_path():
-    rng = random.Random(104)
-
-    def build(rng, ic):
-        pc = PeriodicCoeffs4(
-            tuple(small_coeff(rng) for _ in range(4)),
-            tuple(small_coeff(rng) for _ in range(4)),
-        )
-        return (lambda m: term_periodic4(m, ic, pc)), pc
-
-    def build_mixed(rng, ic):
-        # a_0 = a_2 = 1: two classes take the arithmetic sum, two the geometric
-        pc = PeriodicCoeffs4(
-            (1, 2, 1, Fraction(-1, 2)),
-            tuple(random_rational(rng, lo=-5, hi=5, max_den=5, nonzero=True)
-                  for _ in range(4)),
-        )
-        return (lambda m: term_periodic4(m, ic, pc)), pc
-
-    _check_case(rng, build)
-    _check_case(rng, build_mixed, trials=10)
-
-
-def test_a_neg1_parity_matches_oracle_on_all_classes():
-    """Pins the parity-exponent assignment for a = -1 through n = 30."""
-    rng = random.Random(105)
-    done = 0
-    while done < 25:
-        ic = random_initial_conditions(rng)
-        b = random_rational(rng, lo=-5, hi=5, max_den=5, nonzero=True)
-        coeffs = CoefficientSequence.constant(-1, b)
-        orbit = iterate(ic, coeffs, 118)  # covers n <= 30 on every class
-        if orbit.halt is not None:
-            continue
-        for n in range(0, 31):
-            for j in range(4):
-                m = 4 * n - 5 + j
-                assert term_const_a_neg1(m, ic, b) == orbit.x(m), (n, j)
-        done += 1
-
-
-# ---------------------------------------------------------------------------
 # Singular positions
 # ---------------------------------------------------------------------------
 

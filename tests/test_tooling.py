@@ -5,6 +5,7 @@ import ast
 import importlib
 import re
 import os
+import runpy
 import shlex
 import subprocess
 import sys
@@ -79,6 +80,24 @@ def test_readme_names_resolve_on_the_package():
         for part in dotted.split(".")[1:]:
             assert hasattr(obj, part), f"README names sixrde{dotted}"
             obj = getattr(obj, part)
+
+
+def test_every_name_the_benchmark_calls_resolves():
+    # The benchmark resolves these names at run time: its tracer's LAYERS and
+    # LOOKUP_METHODS, its special-case SPECIAL table, and the coefficient
+    # constructors it builds special-case inputs with.
+    tracer = runpy.run_path(str(ROOT / "bench" / "tracer.py"))
+    workloads = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    [special] = [ast.literal_eval(node.value) for node in workloads.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["SPECIAL"]]
+    names = [*special.values(), "ConstantCoeffs", "PeriodicCoeffs2", "PeriodicCoeffs4"]
+    pairs = [pair for targets in tracer["LAYERS"].values() for pair in targets]
+    assert pairs and len(special) == 5
+    for module, attr in pairs + [("sixrde", name) for name in names]:
+        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+    for attr in tracer["LOOKUP_METHODS"]:
+        assert hasattr(sixrde.CoefficientSequence, attr), attr
 
 
 @pytest.mark.parametrize(
