@@ -39,14 +39,11 @@ from .oracle import (
     iterate,
 )
 from .closedform import (
-    UnifiedConstants,
     WellDefinednessReport,
     WellDefViolation,
-    canonical_coordinate,
     gamma,
     term,
     terms,
-    unified_constants,
     unified_exponent,
     unified_magnitude,
     v_closed,
@@ -71,7 +68,6 @@ from .symmetry import (
     counterfeit_characteristic,
     generator_annihilates_invariant,
     lsc_residual,
-    tilde_v,
     verify_reduced_system,
 )
 

@@ -30,13 +30,16 @@ therefore reported as `SingularClosedForm(v_index)`, the index of the one
 vanishing V, from which the class, factor and halt step follow; the guard
 `well_defined` scans V_4, ..., V_(4*horizon+5) in that order.
 
-There is also a unified magnitude formula over the complex unit i:
+The paper's unified magnitude formula over the complex unit i,
 
-    |u_n| = exp( i^n c1 + (-i)^n c2 + sum(Re[i^(n-k)] * ln|V_k|, k < n) )
+    ln|u_n| = i^n c1 + (-i)^n c2 + sum(Re[i^(n-k)] * ln|V_k|, k < n),
 
-with c1 + c2 = ln|u_0| and i*(c1 - c2) = ln|u_1|.  That path recovers
-magnitudes only (in floating point); signs live on the exact path.  Every
-phase, exact or floating, is read from the one cycle `core.i_power`.
+c1 + c2 = ln|u_0|, i*(c1 - c2) = ln|u_1|, is real term by term: Re[i^d] is
+1, 0, -1, 0 for d = 0..3 (mod 4), and the constants give +-ln|u_(n mod 2)|,
++ for n = 0, 1 (mod 4).  `unified_exponent` sums it in that real form, in
+floating point and in the same order, so the float is the same up to the
+sign of an exact zero.  It recovers magnitudes only; signs live on the
+exact path.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ from .core import (
     i_power,
     log_abs,
 )
-from .oracle import Orbit
 
 __all__ = [
     "gamma",
@@ -68,9 +70,6 @@ __all__ = [
     "WellDefViolation",
     "WellDefinednessReport",
     "well_defined",
-    "canonical_coordinate",
-    "UnifiedConstants",
-    "unified_constants",
     "unified_exponent",
     "unified_magnitude",
 ]
@@ -167,13 +166,6 @@ class _InvariantTable:
             a, b = self._coeffs.pair_at(4 * (len(column) - 1) + r)
             column.append(a * column[-1] + b)
         return column[t]
-
-    def nonzero(self, k: int) -> Fraction:
-        """V_k, or `SingularClosedForm(k)` when it vanishes."""
-        v = self(k)
-        if v == 0:
-            raise SingularClosedForm(k)
-        return v
 
 
 def terms(
@@ -281,60 +273,36 @@ def well_defined(
 
 
 # ---------------------------------------------------------------------------
-# Canonical coordinate and unified magnitude (floating point)
+# Unified magnitude (floating point)
 # ---------------------------------------------------------------------------
-
-def canonical_coordinate(n: int, orbit: Orbit) -> complex:
-    """S_n = i^(-n) * ln|u_n| in complex floating point."""
-    if n < 0:
-        raise OutOfRange("orbit term u", n)
-    return complex(i_power(-n)) * log_abs(orbit.u(n))
-
-
-@dataclass(frozen=True)
-class UnifiedConstants:
-    """Integration constants of the unified magnitude formula.
-
-    They satisfy c1 + c2 = ln|u_0| and i*(c1 - c2) = ln|u_1|, hence are
-    complex conjugates of each other.
-    """
-
-    c1: complex
-    c2: complex
-
-
-def unified_constants(ic: InitialConditions) -> UnifiedConstants:
-    ln_u0 = log_abs(ic.u(0))
-    ln_u1 = log_abs(ic.u(1))
-    return UnifiedConstants(
-        c1=complex(ln_u0 / 2.0, -ln_u1 / 2.0),
-        c2=complex(ln_u0 / 2.0, ln_u1 / 2.0),
-    )
-
 
 def unified_exponent(
     n: int, ic: InitialConditions, coeffs: CoefficientSequence
-) -> complex:
-    """The full exponent i^n c1 + (-i)^n c2 + sum(Re[gamma(n,k)] ln|V_k|).
+) -> float:
+    """ln|u_n| = +-ln|u_(n mod 2)| + sum(ln|V_k|, k = n) - sum(ln|V_k|, k = n+2),
+    k < n and k taken mod 4, with + for n = 0, 1 (mod 4).
 
-    The expression is real up to rounding; callers may assert a negligible
-    imaginary part.  Raises `SingularClosedForm` if some V_k with k < n
-    vanishes.
+    Raises `SingularClosedForm(k)` at the first vanishing V_k, k < n, in
+    ascending k, whatever its class.
     """
     if n < 0:
         raise OutOfRange("orbit term u", n)
-    consts = unified_constants(ic)
-    total = complex(i_power(n)) * consts.c1 + complex(i_power(-n)) * consts.c2
     table = _solved("closedform", _InvariantTable, ic, coeffs).f
     # Extend every column before checking any V, so a short explicit list
     # raises OutOfHorizon ahead of a singularity, as in `terms`.
     for k in range(max(n - 4, 0), n):
         table(k)
+    total = log_abs(ic.u(n % 2))
+    if n % 4 >= 2:
+        total = -total
     for k in range(n):
-        re_gamma = gamma(n, k).real
-        v_k = table.nonzero(k)
-        if re_gamma != 0:
-            total += float(re_gamma) * log_abs(v_k)
+        v = table(k)
+        if v == 0:
+            raise SingularClosedForm(k)
+        if (n - k) % 4 == 0:
+            total += log_abs(v)
+        elif (n - k) % 4 == 2:
+            total -= log_abs(v)
     return total
 
 
@@ -348,6 +316,6 @@ def unified_magnitude(
     0.0 when it underflows.  `unified_exponent` keeps the exact logarithm.
     """
     try:
-        return math.exp(unified_exponent(n, ic, coeffs).real)
+        return math.exp(unified_exponent(n, ic, coeffs))
     except OverflowError:
         return math.inf

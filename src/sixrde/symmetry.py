@@ -12,8 +12,7 @@ standard), and runs one phase-sum check,
 beta_n + beta_(n+2) = 0 for n <= n_max, both for the reduced determining
 system (roots i^n and (-i)^n) and for the prolonged generators applied to the
 logarithmic invariant ln|u_n| + ln|u_(n+2)| (coefficient sum
-phase^n + phase^(n+2)).  It also bridges that invariant to
-V_n = 1/(u_n * u_(n+2)) numerically.
+phase^n + phase^(n+2)).
 """
 
 from __future__ import annotations
@@ -29,9 +28,7 @@ from .core import (
     _gaussian,
     as_rational,
     i_power,
-    log_abs,
 )
-from .oracle import Orbit
 
 __all__ = [
     "Characteristic",
@@ -44,7 +41,6 @@ __all__ = [
     "PhaseSumReport",
     "verify_reduced_system",
     "generator_annihilates_invariant",
-    "tilde_v",
 ]
 
 CharacteristicFn = Callable[[int, RationalLike], GaussianRational]
@@ -231,16 +227,3 @@ def generator_annihilates_invariant(
     q = _GENERATORS[variant] if characteristic is None else characteristic
     return _phase_sum_check(n_max, ((variant, q.phase_power),))
 
-
-# ---------------------------------------------------------------------------
-# Logarithmic invariant along an orbit
-# ---------------------------------------------------------------------------
-
-def tilde_v(n: int, orbit: Orbit) -> float:
-    """The logarithmic invariant ln|u_n| + ln|u_(n+2)| along an orbit.
-
-    This is the exact simplification of S_n*i^n + S_(n+2)*i^(n+2) with the
-    canonical coordinate S_n = i^(-n) ln|u_n|, and satisfies
-    exp(-tilde_v(n)) = |V_n| = 1/|u_n * u_(n+2)| up to rounding.
-    """
-    return log_abs(orbit.u(n)) + log_abs(orbit.u(n + 2))

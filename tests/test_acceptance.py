@@ -39,6 +39,7 @@ from sixrde import (
     terms,
     unified_exponent,
     unified_magnitude,
+    v_closed,
     verify_gamma_identities,
     verify_reduced_system,
     well_defined,
@@ -245,8 +246,20 @@ def test_criterion_5_symmetry_suite():
         assert verify_gamma_identities(16) == []
 
 
+def unified_product(n, ic, v):
+    """|u_n| by the unified formula read exactly over the V values v[k]:
+    |u_(n mod 2)|^(+-1), + when n mod 4 is 0 or 1, times |V_k| for k = n and
+    over |V_k| for k = n+2 (mod 4), k < n."""
+    value = abs(ic.u(n % 2))
+    if n % 4 >= 2:
+        value = 1 / value
+    for k in range(n % 2, n, 2):
+        value = value * abs(v[k]) if (n - k) % 4 == 0 else value / abs(v[k])
+    return value
+
+
 def test_criterion_6_unified_magnitude():
-    with criterion(6, "unified magnitude within 1e-9 relative, n <= 60"):
+    with criterion(6, "unified magnitude exact over v_closed, floats to 1e-9, n <= 60"):
         rng = random.Random(606)
         done = 0
         while done < 50:
@@ -255,12 +268,14 @@ def test_criterion_6_unified_magnitude():
             orbit = iterate(ic, coeffs, 60)
             if orbit.halt is not None:
                 continue
+            v = [v_closed(k % 4, k // 4, ic, coeffs) for k in range(60)]
             for n in range(0, 61):
+                assert unified_product(n, ic, v) == abs(orbit.u(n))
                 # ln|u_n| to 1e-9 absolute is |u_n| to 1e-9 relative, also
                 # where |u_n| leaves the float range.
                 exponent = unified_exponent(n, ic, coeffs)
-                assert math.isclose(exponent.real, log_abs(orbit.u(n)), abs_tol=1e-9)
-                assert abs(exponent.imag) < 1e-12
+                assert type(exponent) is float
+                assert math.isclose(exponent, log_abs(orbit.u(n)), abs_tol=1e-9)
                 try:
                     expected = abs(float(orbit.u(n)))
                 except OverflowError:

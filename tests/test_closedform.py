@@ -13,7 +13,6 @@ from sixrde import (
     IndexBelowSeed,
     OutOfHorizon,
     SingularClosedForm,
-    canonical_coordinate,
     gamma,
     invariant_sequence,
     iterate,
@@ -25,7 +24,6 @@ from sixrde import (
     term_periodic2,
     term_periodic4,
     terms,
-    unified_constants,
     unified_exponent,
     unified_magnitude,
     i_power,
@@ -295,26 +293,8 @@ def test_well_defined_stops_at_explicit_horizon():
 
 
 # ---------------------------------------------------------------------------
-# Canonical coordinate and unified magnitude
+# Unified magnitude
 # ---------------------------------------------------------------------------
-
-def test_canonical_coordinate_values():
-    ic = make_initial_conditions([1, 2, 1, 1, 1, 1])
-    orbit = iterate(ic, TRIVIAL, 4)
-    assert canonical_coordinate(0, orbit) == 0  # ln 1
-    s1 = canonical_coordinate(1, orbit)
-    assert abs(s1 - complex(0, -math.log(2))) < 1e-15  # 1/i = -i
-    ic2 = make_initial_conditions([3, 1, 1, 1, 1, 1])
-    orbit2 = iterate(ic2, TRIVIAL, 1)
-    assert canonical_coordinate(0, orbit2) == pytest.approx(math.log(3))
-
-
-def test_unified_constants_satisfy_their_equations():
-    ic = make_initial_conditions([3, 7, 1, 1, 1, 1])
-    consts = unified_constants(ic)
-    assert consts.c1 + consts.c2 == pytest.approx(math.log(3))
-    assert 1j * (consts.c1 - consts.c2) == pytest.approx(math.log(7))
-
 
 def test_unified_magnitude_all_ones():
     for n in range(0, 20):
@@ -335,7 +315,7 @@ def test_unified_exponent_is_the_log_magnitude_past_the_float_range():
     orbit = iterate(ONES, coeffs, 200)
     for n in (150, 200):
         want = log_abs(orbit.u(n))
-        assert unified_exponent(n, ONES, coeffs).real == pytest.approx(want, rel=1e-9)
+        assert unified_exponent(n, ONES, coeffs) == pytest.approx(want, rel=1e-9)
     assert unified_magnitude(150, ONES, coeffs) == 0.0
     assert unified_magnitude(200, ONES, coeffs) == math.inf
 
@@ -344,3 +324,56 @@ def test_unified_magnitude_propagates_singularity():
     coeffs = CoefficientSequence.constant(1, -1)
     with pytest.raises(SingularClosedForm):
         unified_magnitude(8, ONES, coeffs)
+
+
+def test_unified_exponent_names_the_first_vanishing_v_of_any_class():
+    # V_4 = a_0 + b_0 = 0 and every V_k, k >= 5, of classes 1..3 is zero too.
+    # At n = 15 the sum weighs only classes 1 and 3; V_4 is still named.
+    coeffs = CoefficientSequence.constant(1, -1)
+    for n in (9, 14, 15):
+        with pytest.raises(SingularClosedForm) as err:
+            unified_exponent(n, ONES, coeffs)
+        assert err.value.v_index == 4
+
+
+def test_unified_exponent_past_explicit_horizon_raises_before_singular_check():
+    # V_4 = 0 sits in u_11's sum, but u_11 also needs V_8, from coefficient 4.
+    coeffs = CoefficientSequence.explicit([1] * 4, [-1, 0, 0, 0])
+    with pytest.raises(OutOfHorizon, match="coefficient index 4 is past"):
+        unified_exponent(11, ONES, coeffs)
+    with pytest.raises(OutOfHorizon, match="coefficient index 4 is past"):
+        unified_magnitude(11, ONES, coeffs)
+
+
+_PIN_SEEDS = [Fraction(3, 7), Fraction(-2, 5), Fraction(9, 4), 5, Fraction(1, 2), -6]
+_PIN_LIST_SEEDS = [Fraction(5, 3), 2, Fraction(-1, 4), 7, Fraction(2, 11), 3]
+_PIN_CONSTANT = CoefficientSequence.constant(Fraction(2, 3), Fraction(-4, 5))
+_PIN_PERIOD2 = CoefficientSequence.periodic([3, Fraction(-1, 2)], [1, Fraction(2, 9)])
+_PIN_PERIOD4 = CoefficientSequence.periodic(
+    [3, Fraction(-1, 2), 1, Fraction(5, 4)], [1, Fraction(2, 9), -1, Fraction(1, 3)]
+)
+_PIN_LIST = CoefficientSequence.explicit(
+    [2, Fraction(1, 3), -1, 5, 1, 1, Fraction(3, 2), 2, 1, 4, 1, 1],
+    [1, 1, 2, -3, 1, Fraction(1, 2), 1, 1, 1, 1, 2, 1],
+)
+_PIN_STEEP = CoefficientSequence.periodic([4, 1, Fraction(1, 4), 1], [1] * 4)
+
+
+@pytest.mark.parametrize(
+    "seeds, coeffs, n, exponent, magnitude",
+    [
+        (_PIN_SEEDS, _PIN_CONSTANT, 13, "0x1.20bd01c470512p+1", "0x1.315d23a8b7160p+3"),
+        (_PIN_SEEDS, _PIN_CONSTANT, 42, "0x1.44f09a938a5a4p-1", "0x1.e2e8612c6a131p+0"),
+        (_PIN_SEEDS, _PIN_PERIOD2, 55, "0x1.5429460c633fap+0", "0x1.e35f0c100722cp+1"),
+        (_PIN_SEEDS, _PIN_PERIOD4, 31, "0x1.c12f792d7b69cp+3", "0x1.30af656c91c5ap+20"),
+        (_PIN_LIST_SEEDS, _PIN_LIST, 14, "0x1.62a4ddf743fbbp+2", "0x1.fe066a819aa0dp+7"),
+        ([1] * 6, _PIN_STEEP, 150, "-0x1.e76d2295ab928p+9", "0x0.0p+0"),
+        ([1] * 6, _PIN_STEEP, 200, "0x1.a88d7a586d7ccp+10", "inf"),
+    ],
+)
+def test_unified_path_keeps_every_bit(seeds, coeffs, n, exponent, magnitude):
+    # Exact bits, within and past the float range: any reordering of the
+    # sum's terms moves some of them.
+    ic = make_initial_conditions(seeds)
+    assert unified_exponent(n, ic, coeffs).hex() == exponent
+    assert unified_magnitude(n, ic, coeffs).hex() == magnitude

@@ -301,3 +301,79 @@ def test_a_neg1_parity_formula_matches_the_code():
         for n in range(8):
             formula = a_neg1_formula(j, n, n // 2, (n + 1) // 2).subs(at)
             assert formula == sp.Rational(term_const_a_neg1(4 * n - 5 + j, ic, coeff_b))
+
+
+# ---------------------------------------------------------------------------
+# Unified magnitude: the real signed sum is the telescoping product
+# ---------------------------------------------------------------------------
+
+#: ln|u_0|..ln|u_5| and ln|V_k|: both sides are exponent vectors over them.
+LN_U = sp.symbols("lu0:6", real=True)
+LN_V = sp.IndexedBase("lv", real=True)
+
+#: Weight of ln|V_k| in the signed sum, by (n - k) mod 4.
+WEIGHT = (1, 0, -1, 0)
+
+
+def signed_seed(n):
+    return LN_U[n % 2] if n % 4 < 2 else -LN_U[n % 2]
+
+
+def signed_exponent(n):
+    """The sum `unified_exponent` forms, over the symbols."""
+    return signed_seed(n) + sum(WEIGHT[(n - k) % 4] * LN_V[k] for k in range(n))
+
+
+def product_exponent(n):
+    """ln|u_(4s+j)| by the telescoping product u_j prod(V_(4t+j) / V_(4t+j+2), t < s)."""
+    s, j = divmod(n, 4)
+    return LN_U[j] + sum(LN_V[4 * t + j] - LN_V[4 * t + j + 2] for t in range(s))
+
+
+def test_signed_sum_is_the_complex_unified_formula():
+    # Re[i^d] is WEIGHT[d mod 4]: i^d has period 4 in d.
+    d = sp.Symbol("d", integer=True)
+    assert sp.simplify(sp.I ** (d + 4) - sp.I**d) == 0
+    assert [sp.re(sp.I**r) for r in range(4)] == list(WEIGHT)
+    # i^n c1 + (-i)^n c2, with c1 + c2 = ln|u_0| and i(c1 - c2) = ln|u_1|,
+    # also has period 4 in n and is the signed seed on one period.
+    c1, c2 = sp.symbols("c1 c2")
+    consts = sp.solve([c1 + c2 - LN_U[0], sp.I * (c1 - c2) - LN_U[1]], [c1, c2])
+    seed = lambda n: sp.I**n * consts[c1] + (-sp.I) ** n * consts[c2]
+    assert sp.simplify(seed(d + 4) - seed(d)) == 0
+    for r in range(4):
+        assert sp.expand(seed(r)) == signed_seed(r)
+
+
+def test_signed_sum_equals_the_telescoping_product():
+    # Base: n = 0..3 with V_j = 1/(u_j u_(j+2)).
+    seeds = {LN_V[j]: -LN_U[j] - LN_U[j + 2] for j in range(4)}
+    for n in range(4):
+        assert sp.expand(signed_exponent(n).subs(seeds)) == product_exponent(n)
+    # Step n -> n+4, for every n.  The sum keeps its seed and every old term,
+    # since each is read from a residue mod 4 (d = n - k for term k), and its
+    # new terms k = n..n+3 sit at d = 4, 3, 2, 1.
+    n, d = sp.symbols("n d", integer=True)
+    assert sp.Mod(n + 4, 4) == sp.Mod(n, 4) and sp.Mod(d + 4, 4) == sp.Mod(d, 4)
+    signed_step = sum(WEIGHT[(4 - i) % 4] * LN_V[n + i] for i in range(4))
+    # The product at n = 4s + j gains its block s: V_(4s+j) / V_(4s+j+2).
+    s, j = sp.symbols("s j", integer=True)
+    product_step = (LN_V[4 * s + j] - LN_V[4 * s + j + 2]).subs(s, (n - j) / 4)
+    assert sp.expand(signed_step - product_step) == 0
+
+
+def test_signed_sum_matches_the_code():
+    values = [Fraction(3, 7), Fraction(-2, 5), Fraction(9, 4), Fraction(5), Fraction(1, 2),
+              Fraction(-6)]
+    ic = make_initial_conditions(values)
+    coeffs = CoefficientSequence.periodic([Fraction(2, 3), -3, 1], [Fraction(-4, 5), 2, 1])
+    magnitude = {**{LN_U[j]: abs(values[j]) for j in range(6)},
+                 **{LN_V[k]: abs(closedform.v_closed(k % 4, k // 4, ic, coeffs))
+                    for k in range(24)}}
+    for n in range(24):
+        exact = Fraction(1)
+        for symbol, power in signed_exponent(n).as_coefficients_dict().items():
+            exact *= magnitude[symbol] ** int(power)
+        assert exact == abs(closedform.term(n - 5, ic, coeffs))
+        assert math.isclose(closedform.unified_exponent(n, ic, coeffs), core.log_abs(exact),
+                            rel_tol=1e-12, abs_tol=1e-12)

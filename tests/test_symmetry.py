@@ -1,6 +1,5 @@
-"""Symmetry layer: characteristics, LSC residuals, reduced system, invariant."""
+"""Symmetry layer: characteristics, LSC residuals, reduced system, generators."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -8,7 +7,6 @@ import pytest
 
 from sixrde import (
     Characteristic,
-    CoefficientSequence,
     DegenerateSample,
     GaussianRational,
     LscSample,
@@ -17,15 +15,11 @@ from sixrde import (
     counterfeit_characteristic,
     generator_annihilates_invariant,
     i_power,
-    invariant_sequence,
-    iterate,
     lsc_residual,
-    make_initial_conditions,
-    tilde_v,
     verify_reduced_system,
 )
 
-from conftest import nonsingular_instance, random_rational
+from conftest import random_rational
 
 
 def random_sample(rng):
@@ -164,31 +158,3 @@ def test_generator_validates_variant():
     with pytest.raises(ValueError):
         generator_annihilates_invariant("X3", 5)
 
-
-# ---------------------------------------------------------------------------
-# Logarithmic invariant bridge
-# ---------------------------------------------------------------------------
-
-def test_tilde_v_all_ones():
-    orbit = iterate(make_initial_conditions([1] * 6), CoefficientSequence.constant(1, 0), 10)
-    for n in range(0, 10):
-        assert tilde_v(n, orbit) == 0.0
-        assert math.exp(-tilde_v(n, orbit)) == 1.0
-
-
-def test_tilde_v_direct_value():
-    ic = make_initial_conditions([2, 1, 3, 1, 1, 1])
-    orbit = iterate(ic, CoefficientSequence.constant(1, 0), 4)
-    assert tilde_v(0, orbit) == pytest.approx(math.log(6))
-    v = invariant_sequence(orbit)
-    assert abs(v[0]) == Fraction(1, 6)
-
-
-def test_tilde_v_bridges_to_invariant_along_random_orbits():
-    rng = random.Random(500)
-    for _ in range(6):
-        ic, coeffs, orbit = nonsingular_instance(rng, 45)
-        v = invariant_sequence(orbit)
-        for n in range(0, 41):
-            lhs = math.exp(-tilde_v(n, orbit))
-            assert lhs == pytest.approx(abs(float(v[n])), rel=1e-12)

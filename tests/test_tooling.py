@@ -42,6 +42,21 @@ def test_package_imports_only_itself_and_the_standard_library():
                 assert top in sys.stdlib_module_names, f"{path.name} imports {module}"
 
 
+def test_closed_forms_and_symmetry_import_nothing_from_the_oracle():
+    # The acceptance gate checks these layers against the oracle's iteration;
+    # that check is independent only while they share none of its code.
+    for stem in ("closedform", "specialcases", "symmetry"):
+        path = ROOT / "src" / "sixrde" / f"{stem}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                parts = [p for alias in node.names for p in alias.name.split(".")]
+            elif isinstance(node, ast.ImportFrom):
+                parts = (node.module or "").split(".") + [alias.name for alias in node.names]
+            else:
+                continue
+            assert "oracle" not in parts, f"{path.name}:{node.lineno} imports the oracle"
+
+
 def test_package_never_changes_the_int_str_digit_limit():
     for path in sorted((ROOT / "src" / "sixrde").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
