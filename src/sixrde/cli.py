@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import functools
 import json
 import math
 import os
@@ -93,24 +94,30 @@ class ProblemSpec:
     horizon: int
 
 
-def _rational_list(data: dict, key: str) -> list[Fraction]:
-    """data[key] as rationals; it must be a JSON list of rational strings."""
+def _rational_list(data: dict, key: str, parsed: dict) -> list[Fraction]:
+    """data[key] as rationals; it must be a JSON list of rational strings.
+    `parsed` maps each literal already read to its value, so a literal is
+    parsed once and equal literals share one Fraction."""
     values = data[key]
     if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
         raise ValueError(f"{key!r} must be a list of rational strings")
-    return [parse_rational(v) for v in values]
+    for text in values:
+        if text not in parsed:
+            parsed[text] = parse_rational(text)
+    return [parsed[text] for text in values]
 
 
 def parse_problem_spec(data: dict) -> ProblemSpec:
+    parsed: dict[str, Fraction] = {}
     try:
-        initial = InitialConditions(tuple(_rational_list(data, "initial")))
+        initial = InitialConditions(tuple(_rational_list(data, "initial", parsed)))
         coeffs_raw = data["coeffs"]
         horizon = data["horizon"]
         if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0:
             raise ValueError("'horizon' must be a nonnegative integer")
         kind = coeffs_raw["kind"]
-        a = _rational_list(coeffs_raw, "a")
-        b = _rational_list(coeffs_raw, "b")
+        a = _rational_list(coeffs_raw, "a", parsed)
+        b = _rational_list(coeffs_raw, "b", parsed)
         if kind == "constant":
             if len(a) != 1 or len(b) != 1:
                 raise ValueError("constant coefficients take one a and one b value")
@@ -485,10 +492,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use: `parse_args` leaves no
+    state on it, and importing the module stays cheap."""
+    return build_parser()
+
+
 def main(argv: "Sequence[str] | None" = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -20,6 +20,7 @@ earlier call built.
 from __future__ import annotations
 
 import math
+import operator
 import re as _re
 import threading
 from dataclasses import dataclass
@@ -327,6 +328,10 @@ def i_power(k: int) -> GaussianRational:
 # Coefficient sequences
 # ---------------------------------------------------------------------------
 
+_numerator = operator.attrgetter("numerator")  # of a Fraction or an int
+_denominator = operator.attrgetter("denominator")
+
+
 class CoefficientSequence:
     """The coefficient pair (a_n, b_n) for steps n >= 0.
 
@@ -335,13 +340,14 @@ class CoefficientSequence:
     explicit list raise `OutOfHorizon`; the other kinds are total on n >= 0.
     """
 
-    __slots__ = ("_kind", "_a", "_b", "_period")
+    __slots__ = ("_kind", "_a", "_b", "_period", "_key")
 
     def __init__(self, kind, a, b, period=None):
         self._kind = kind
         self._a = a
         self._b = b
         self._period = period
+        self._key = None
 
     @classmethod
     def constant(cls, a: RationalLike, b: RationalLike) -> "CoefficientSequence":
@@ -407,15 +413,23 @@ class CoefficientSequence:
     def b_values(self) -> tuple[Fraction, ...]:
         return self._b
 
+    def _ints(self) -> tuple:
+        """What equality compares, built on first use: kind, period and the
+        numerators and denominators of a and b as plain ints, so comparing
+        two long lists makes no Fraction comparison per coefficient."""
+        if self._key is None:
+            a, b = self._a, self._b
+            self._key = (self._kind, self._period,
+                         tuple(map(_numerator, a)), tuple(map(_denominator, a)),
+                         tuple(map(_numerator, b)), tuple(map(_denominator, b)))
+        return self._key
+
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, CoefficientSequence):
             return NotImplemented
-        return (
-            self._kind == other._kind
-            and self._period == other._period
-            and self._a == other._a
-            and self._b == other._b
-        )
+        return self._ints() == other._ints()
 
     __hash__ = None  # mutable-looking API surface; equality is structural
 

@@ -151,6 +151,32 @@ def test_unreadable_and_non_json_specs_exit_64(tmp_path, capsys):
         "for integer string conversion: value has 4301 digits\n")
 
 
+def test_a_list_spec_parses_each_distinct_literal_once(tmp_path, monkeypatch, capsys):
+    rng = random.Random(17)
+    literals = ["1", "-2/3", "5/7", "1/2", "-3", "10/9"]
+    data = {
+        "initial": [rng.choice(literals) for _ in range(6)],
+        "coeffs": {"kind": "list", "a": [rng.choice(literals) for _ in range(300)],
+                   "b": [rng.choice(literals) for _ in range(300)]},
+        "horizon": 20,
+    }
+    parsed = []
+    monkeypatch.setattr(cli, "parse_rational",
+                        lambda text: parsed.append(text) or parse_rational(text))
+    spec = parse_problem_spec(data)
+    assert sorted(parsed) == sorted(literals)
+    assert spec.initial.values == tuple(map(parse_rational, data["initial"]))
+    assert spec.coeffs.a_values() == tuple(map(parse_rational, data["coeffs"]["a"]))
+    assert spec.coeffs.b_values() == tuple(map(parse_rational, data["coeffs"]["b"]))
+    # The first malformed literal is still the one named, repeated or not.
+    data["coeffs"]["b"][3] = "0.5"
+    data["coeffs"]["a"][250] = data["coeffs"]["a"][280] = "1/0"
+    path = write_spec(tmp_path, data)
+    assert cli.main(["solve", "--spec", path]) == EXIT_SPEC
+    assert capsys.readouterr().err == (
+        "error: malformed problem spec: not an exact rational literal: '1/0'\n")
+
+
 # ---------------------------------------------------------------------------
 # iterate
 # ---------------------------------------------------------------------------
@@ -639,6 +665,74 @@ def test_usage_errors_exit_65(tmp_path, capsys):
     for command in ("iterate", "compare"):
         assert cli.main([command, "--spec", path, "--n", "-1"]) == EXIT_USAGE
         assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# One argument parser per process
+# ---------------------------------------------------------------------------
+
+def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    path = write_spec(tmp_path, ones_spec(a="2", b="1/3", horizon=12))
+    calls = [["solve", "--range", "3"], ["--help"], ["solve", "--spec", path],
+             ["solve", "--help"], ["solve", "--spec", path, "--range", "-2..7"]]
+
+    def run_all():
+        results = []
+        for argv in calls:
+            code = cli.main(argv)
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    shared = run_all()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser per call
+    assert run_all() == shared
+    assert [code for code, _, _ in shared] == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
+    assert shared[0][2].startswith("usage: sixrde solve") and shared[1][1].startswith("usage: ")
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch, capsys):
+    assert cli.build_parser() is not cli.build_parser()
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    path = write_spec(tmp_path, ones_spec())
+    for argv in (["bogus"], ["iterate", "--spec", path], ["solve", "--spec", path],
+                 ["verify-symmetry", "--samples", "2"]):
+        cli.main(argv)
+    assert built == [1]
+
+
+def test_concurrent_calls_write_what_sequential_calls_write(tmp_path, capsys):
+    rng = random.Random(23)
+    argvs = []
+    for i, (kind, command) in enumerate([("constant", "solve"), ("periodic2", "iterate"),
+                                         ("periodic4", "compare"), ("periodic3", "solve")]):
+        data = spec_dict_from(random_initial_conditions(rng), random_coefficients(rng, kind), 240)
+        argvs.append([command, "--spec", write_spec(tmp_path, data, f"spec{i}.json")])
+
+    start = threading.Barrier(len(argvs))
+
+    def run(i, argv, tag, codes):
+        if tag == "thr":
+            start.wait(timeout=60)
+        codes[i] = cli.main(argv + ["--out", str(tmp_path / f"{tag}{i}.out")])
+
+    sequential = {}
+    for i, argv in enumerate(argvs):
+        run(i, argv, "seq", sequential)
+    cli._parser.cache_clear()  # the threads also race to build the parser
+    concurrent = {}
+    threads = [threading.Thread(target=run, args=(i, argv, "thr", concurrent))
+               for i, argv in enumerate(argvs)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert concurrent == sequential == dict.fromkeys(range(len(argvs)), EXIT_OK)
+    for i in range(len(argvs)):
+        assert (tmp_path / f"thr{i}.out").read_bytes() == (tmp_path / f"seq{i}.out").read_bytes()
+    assert capsys.readouterr() == ("", "")
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,26 @@ def test_sequence_structural_equality():
     assert CoefficientSequence.periodic([1, 2], [3, 4]) == CoefficientSequence.periodic(
         [1, 2], [3, 4]
     )
+    # Kind alone, then period alone, tells two sequences apart.
     assert CoefficientSequence.constant(1, 0) != CoefficientSequence.periodic([1], [0])
+    assert (CoefficientSequence("periodic", (1, 2), (3, 4), period=2)
+            != CoefficientSequence("periodic", (1, 2), (3, 4), period=4))
+    # So does the last coefficient of a long list, by denominator (in a) or
+    # numerator (in b) alone, and the list's length.
+    a = [Fraction(k % 7 - 3, k % 5 + 1) for k in range(400)] + [Fraction(1, 3)]
+    b = [Fraction(k % 3, k % 11 + 1) for k in range(400)] + [Fraction(1, 3)]
+    seq = CoefficientSequence.explicit(a, b)
+    assert seq == CoefficientSequence.explicit(list(a), list(b))
+    assert seq != CoefficientSequence.explicit(a[:-1] + [Fraction(1, 4)], b)
+    assert seq != CoefficientSequence.explicit(a, b[:-1] + [Fraction(2, 3)])
+    assert seq != CoefficientSequence.explicit(a[:-1], b[:-1])
+    # Entries kept as ints equal the same entries as Fractions.
+    as_ints = CoefficientSequence("list", (1, -2, 3), (0, 5, -7))
+    assert as_ints == CoefficientSequence.explicit(
+        [Fraction(1), Fraction(-2), Fraction(3)], [Fraction(0), Fraction(5), Fraction(-7)])
+    assert as_ints == as_ints
+    assert as_ints.__eq__((1, -2, 3)) is NotImplemented
+    assert as_ints != "list"
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,14 @@ from sixrde import (
     well_defined,
 )
 
-from conftest import nonsingular_instance, random_instance, start_cold, values_until_error
+from conftest import (
+    nonsingular_instance,
+    random_initial_conditions,
+    random_instance,
+    random_rational,
+    start_cold,
+    values_until_error,
+)
 
 # (point query, range) per engine; both take 4-periodic coefficients.
 ENGINES = {
@@ -71,19 +78,53 @@ def test_queries_interleaved_across_two_instances(point, window):
     assert list(zip(*ranges)) == list(zip(first[2].terms, second[2].terms))
 
 
+def long_list(seed, steps=400):
+    """An explicit list of steps + 16 coefficients, as long as a CLI spec's,
+    whose orbit survives `steps` steps, with that orbit."""
+    rng = random.Random(seed)
+    while True:
+        ic = random_initial_conditions(rng)
+        a, b = ([random_rational(rng, -5, 5, 5) for _ in range(steps + 16)] for _ in "ab")
+        coeffs = CoefficientSequence.explicit(a, b)
+        orbit = iterate(ic, coeffs, steps)
+        if orbit.halt is None:
+            return ic, coeffs, orbit
+
+
+def fresh_copy(coeffs):
+    """An equal sequence of the same kind whose every entry is a new Fraction."""
+    a, b = ([Fraction(v.numerator, v.denominator) for v in values]
+            for values in (coeffs.a_values(), coeffs.b_values()))
+    if coeffs.kind == "list":
+        return CoefficientSequence.explicit(a, b)
+    return CoefficientSequence.periodic(a, b)
+
+
 @engines
-def test_an_equal_copy_reuses_the_solved_instance(point, window):
-    ic, coeffs, orbit = regular(305)
-    same_ic = InitialConditions(tuple(ic.values))
-    same_coeffs = CoefficientSequence.periodic(coeffs.a_values(), coeffs.b_values())
-    assert same_ic is not ic and same_coeffs is not coeffs
-    start_cold()
-    solved = [point(m, ic, coeffs) for m in range(-5, TOP + 1)]
-    # The stored values themselves come back: nothing was recomputed.
-    again = [point(m, same_ic, same_coeffs) for m in range(-5, TOP + 1)]
-    assert all(x is y for x, y in zip(solved, again, strict=True))
-    assert solved == list(orbit.terms)
-    assert list(window(-5, TOP, same_ic, same_coeffs)) == solved
+def test_an_equal_copy_reuses_the_solved_instance(point, window, monkeypatch):
+    instances = [regular(305)]
+    if point is term:  # the closed form also takes a list as long as the CLI's
+        instances.append(long_list(305))
+    for ic, coeffs, orbit in instances:
+        # The seeds are the same Fractions, so only `coeffs` is compared by value.
+        same_ic = InitialConditions(tuple(ic.values))
+        same_coeffs = fresh_copy(coeffs)
+        assert same_ic is not ic and same_coeffs is not coeffs
+        top = orbit.last_m
+        start_cold()
+        solved = [point(m, ic, coeffs) for m in range(-5, top + 1)]
+        # Every query below finds the slot by comparing the coefficients as
+        # ints and then reads a stored block: no Fraction comparison at all.
+        compared = []
+        with monkeypatch.context() as patch:
+            eq = Fraction.__eq__
+            patch.setattr(Fraction, "__eq__", lambda p, q: compared.append(1) or eq(p, q))
+            again = [point(m, same_ic, same_coeffs) for m in range(-5, top + 1)]
+        assert compared == []
+        # The stored values themselves come back: nothing was recomputed.
+        assert all(x is y for x, y in zip(solved, again, strict=True))
+        assert solved == list(orbit.terms)
+        assert list(window(-5, top, same_ic, same_coeffs)) == solved
 
 
 @engines

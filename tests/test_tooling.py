@@ -127,6 +127,25 @@ def test_python_dash_m_entry_point_exits_with_the_cli_code(tmp_path, argv, code)
     assert "Traceback" not in done.stderr
 
 
+def test_importing_the_cli_builds_no_argument_parser():
+    # The benchmark's set-up time includes `import sixrde.cli`; the parser is
+    # built on the first `main` call instead.
+    code = "\n".join([
+        "import argparse",
+        "built = []",
+        "init = argparse.ArgumentParser.__init__",
+        "argparse.ArgumentParser.__init__ = lambda *a, **k: built.append(1) or init(*a, **k)",
+        "import sixrde.cli",
+        "assert built == [], built",
+        "sixrde.cli.build_parser()",
+        "assert built, 'no parser construction was seen'",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def _readme_blocks(section: str, language: str) -> list[str]:
     """Fenced `language` blocks under README's `## section` heading."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
