@@ -8,9 +8,10 @@ Subcommands:
   verify-symmetry  run the symmetry verification suite on random samples
 
 The first three read a problem spec (--spec; --emit-spec echoes it as
-canonical JSON and exits) and write one output to --out, stdout by default.
-A file is made before the command computes and renamed into place when it
-finishes, so a failed run leaves none.
+canonical JSON instead) and write one output to --out, stdout by default.
+Output reaches its destination only when the command finishes, so a failed
+run writes nothing anywhere: a file is made beside --out and renamed into
+place, and stdout, a pipe or a device receives a temporary file's copy.
 
 Problem instances are JSON files with exact rational strings::
 
@@ -30,14 +31,15 @@ reports.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import functools
 import json
 import math
 import os
 import re as _re
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, TextIO
@@ -243,17 +245,21 @@ def _csv_row(m: int, value: Fraction) -> str:
 
 @contextlib.contextmanager
 def _output(path: str) -> Iterator[TextIO]:
-    """The stream a subcommand writes to: stdout for `-`, else a new file
-    beside `path`, made before any computation and renamed onto `path` when
-    the subcommand returns, so an unwritable path fails at once and a run
-    that raises leaves no file.  A path that exists as something other than
-    a regular file (a device, a pipe) is written directly."""
-    if path == "-":
-        yield sys.stdout
-        return
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+    """The stream a subcommand writes to; its bytes reach `path` only when
+    the subcommand returns, so a run that raises writes nothing anywhere.
+    A regular file (or a new path) is written as a new file beside it and
+    renamed onto it.  Anything else (`-` for stdout, a pipe, a device) gets
+    an anonymous temporary file, copied to it on return.  Either way the
+    destination is opened before any computation, so an unwritable path
+    fails at once."""
+    if path == "-" or (os.path.exists(path) and not os.path.isfile(path)):
+        target = (contextlib.nullcontext(sys.stdout) if path == "-"
+                  else open(path, "w", encoding="utf-8", newline=""))
+        with target as fh, tempfile.TemporaryFile(
+                "w+", encoding="utf-8", newline="") as spool:
+            yield spool
+            spool.seek(0)
+            shutil.copyfileobj(spool, fh)
         return
     target = os.path.realpath(path)  # through a symlink, not over it
     temp = f"{target}.{os.urandom(6).hex()}.tmp"
@@ -294,13 +300,6 @@ def _cmd_solve(spec: ProblemSpec, args, out: TextIO) -> int:
     lo, hi = (-5, spec.horizon) if args.range is None else args.range
     engine = closedform if args.engine == "general" else specialcases
     values = engine.terms(lo, hi, spec.initial, spec.coeffs)
-    if spec.coeffs.horizon is not None and hi > spec.coeffs.horizon:
-        # x_hi needs coefficient hi - 1, past the list, so the range fails
-        # unless it is singular first.  It must fail before any row reaches
-        # stdout; this pass fills the slot the rows are then read from.
-        with contextlib.suppress(SingularClosedForm):
-            collections.deque(values, maxlen=0)
-        values = engine.terms(lo, hi, spec.initial, spec.coeffs)
     out.write(_CSV_HEADER)
     m = lo
     try:
@@ -362,7 +361,8 @@ def _cmd_compare(spec: ProblemSpec, args, out: TextIO) -> int:
             ],
         },
     }
-    out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    json.dump(report, out, indent=2, sort_keys=True)
+    out.write("\n")
     return EXIT_OK if first_mismatch is None else EXIT_MISMATCH
 
 
@@ -508,11 +508,11 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         if "spec" not in args:  # verify-symmetry reads no spec
             return args.func(args)
         spec = load_problem_spec(args.spec)
-        if args.emit_spec:
-            sys.stdout.write(canonical_spec_json(spec))
-            return EXIT_OK
         with _output(args.out) as out:
-            return args.func(spec, args, out)
+            if not args.emit_spec:
+                return args.func(spec, args, out)
+            out.write(canonical_spec_json(spec))
+        return EXIT_OK
     except ProblemSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC

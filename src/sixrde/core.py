@@ -20,7 +20,6 @@ earlier call built.
 from __future__ import annotations
 
 import math
-import operator
 import re as _re
 import threading
 from dataclasses import dataclass
@@ -328,10 +327,6 @@ def i_power(k: int) -> GaussianRational:
 # Coefficient sequences
 # ---------------------------------------------------------------------------
 
-_numerator = operator.attrgetter("numerator")  # of a Fraction or an int
-_denominator = operator.attrgetter("denominator")
-
-
 class CoefficientSequence:
     """The coefficient pair (a_n, b_n) for steps n >= 0.
 
@@ -389,9 +384,7 @@ class CoefficientSequence:
     def _index(self, n: int) -> int:
         if n < 0:
             raise ValueError(f"coefficient index must be >= 0, got {n}")
-        if self._kind == "constant":
-            return 0
-        if self._kind == "periodic":
+        if self._period is not None:  # constant is periodic with period 1
             return n % self._period
         if n >= len(self._a):
             raise OutOfHorizon(n, len(self._a))
@@ -415,13 +408,14 @@ class CoefficientSequence:
 
     def _ints(self) -> tuple:
         """What equality compares, built on first use: kind, period and the
-        numerators and denominators of a and b as plain ints, so comparing
-        two long lists makes no Fraction comparison per coefficient."""
+        (numerator, denominator) pairs of a and b as plain ints, so comparing
+        two long lists makes no Fraction comparison per coefficient.  A
+        comprehension rather than `map`: CPython runs the Python-level
+        `Fraction.as_integer_ratio` faster when called from bytecode."""
         if self._key is None:
-            a, b = self._a, self._b
             self._key = (self._kind, self._period,
-                         tuple(map(_numerator, a)), tuple(map(_denominator, a)),
-                         tuple(map(_numerator, b)), tuple(map(_denominator, b)))
+                         [v.as_integer_ratio() for v in self._a],
+                         [v.as_integer_ratio() for v in self._b])
         return self._key
 
     def __eq__(self, other) -> bool:

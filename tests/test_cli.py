@@ -86,6 +86,15 @@ def test_emit_spec_output_reparses_equal(tmp_path, capsys):
     assert parse_problem_spec(json.loads(out)) == load_problem_spec(path)
 
 
+@pytest.mark.parametrize("command", ["iterate", "solve", "compare"])
+def test_emit_spec_writes_to_out(tmp_path, capsys, command):
+    path = write_spec(tmp_path, ones_spec())
+    out = tmp_path / "echo.json"
+    assert cli.main([command, "--spec", path, "--emit-spec", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr() == ("", "")
+    assert out.read_text() == canonical_spec_json(load_problem_spec(path))
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -355,6 +364,72 @@ def test_out_writes_through_a_pipe_and_a_symlink(tmp_path, capsys):
         "link.csv", "pipe", "spec.json", "target.csv"]
 
 
+def _format_failing_on_call(count):
+    """`format_rational`, except that call number `count` raises OSError."""
+    calls = []
+
+    def failing_format(value):
+        calls.append(value)
+        if len(calls) == count:
+            raise OSError("no space left on device")
+        return format_rational(value)
+    return failing_format
+
+
+def test_a_failed_run_writes_nothing_to_stdout_or_a_pipe(tmp_path, monkeypatch, capsys):
+    path = write_spec(tmp_path, ones_spec())
+    monkeypatch.setattr(cli, "format_rational", _format_failing_on_call(4))
+    assert cli.main(["iterate", "--spec", path, "--out", "-"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: no space left on device\n")
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()),
+                              daemon=True)
+    reader.start()
+    monkeypatch.setattr(cli, "format_rational", _format_failing_on_call(4))
+    assert cli.main(["iterate", "--spec", path, "--out", str(pipe)]) == EXIT_USAGE
+    reader.join(timeout=30)
+    assert received == [b""]
+    assert capsys.readouterr() == ("", "error: no space left on device\n")
+
+
+@pytest.mark.parametrize("b, code, rows", [
+    (["0", "0", "0"], EXIT_USAGE, 0),  # runs out at x_4
+    (["-1", "0", "0"], EXIT_SINGULAR, 6),  # V_4 = 0 makes x_1 singular first
+], ids=["runs-out", "singular-first"])
+def test_a_list_solve_past_its_end_runs_the_engine_once(tmp_path, monkeypatch, capsys,
+                                                       b, code, rows):
+    data = ones_spec(horizon=12)
+    data["coeffs"] = {"kind": "list", "a": ["1"] * 3, "b": b}
+    path = write_spec(tmp_path, data)
+    calls = []
+    real_terms = cli.closedform.terms
+
+    def counted_terms(*args):
+        calls.append(args)
+        return real_terms(*args)
+
+    monkeypatch.setattr(cli.closedform, "terms", counted_terms)
+    assert cli.main(["solve", "--spec", path]) == code
+    out = capsys.readouterr().out
+    assert out.count("\n") == (rows + 1 if rows else 0)
+    assert len(calls) == 1
+
+
+def test_stdout_spool_leaves_no_file(tmp_path, monkeypatch, capsys):
+    spool_dir = tmp_path / "spool"
+    spool_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spool_dir))
+    path = write_spec(tmp_path, ones_spec())
+    assert cli.main(["iterate", "--spec", path]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("m,exact,float\n")
+    monkeypatch.setattr(cli, "format_rational", _format_failing_on_call(4))
+    assert cli.main(["iterate", "--spec", path]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    assert list(spool_dir.iterdir()) == []
+
+
 def test_a_singular_solve_keeps_the_rows_before_the_singular_index(tmp_path):
     # V_4 = 0 makes x_1 singular; the explicit list would run out at x_4.
     listed = ones_spec()
@@ -509,6 +584,32 @@ def test_compare_random_specs_exit_0(tmp_path):
         assert report["summary"]["first_mismatch"] is None
         assert all(row["match"] for row in report["rows"])
         ran += 1
+
+
+def test_compare_streams_its_report_with_the_bytes_of_json_dumps(
+        tmp_path, monkeypatch, capsys):
+    data = {
+        "initial": ["2", "3", "5", "7", "11", "13"],
+        "coeffs": {"kind": "periodic", "period": 2, "a": ["2", "-1/3"], "b": ["1", "5/7"]},
+        "horizon": 300,
+    }
+    path = write_spec(tmp_path, data)
+    dumps = json.dumps
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the report was rendered as one string")
+
+    monkeypatch.setattr(cli.json, "dumps", refuse)
+    out = tmp_path / "report.json"
+    assert cli.main(["compare", "--spec", path, "--out", "-"]) == EXIT_OK
+    printed = capsys.readouterr().out.encode("utf-8")
+    assert cli.main(["compare", "--spec", path, "--out", str(out)]) == EXIT_OK
+    monkeypatch.undo()
+    report = json.loads(printed)
+    assert len(report["rows"]) == 306 and all(row["match"] for row in report["rows"])
+    want = (dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    assert printed == want
+    assert out.read_bytes() == want
 
 
 def _corrupting(real_terms):
