@@ -9,6 +9,19 @@ u_i = x_(i-5) the same map reads
 
     u_(n+6) = u_n * u_(n+2) / ( u_(n+4) * (a_n + b_n * u_n * u_(n+2)) ).
 
+Each step evaluates that literal map, with no V and no closed form, in the
+order x_(n+1) = [p / (a_n + b_n p)] / x_(n-1), where p = x_(n-5) x_(n-3).
+The product p is formed as a reduced integer pair P/Q by cross-cancelling
+the two terms' numerators against each other's denominators; those gcds are
+cheap because consecutive same-parity terms share almost all of their
+height, so P and Q stay small.  The factor is the single integer
+F = a_num b_den Q + b_num a_den P, which is zero exactly when a_n + b_n p is.
+The quotient P a_den b_den / F is small, and the one full-height operation
+per term is its division by x_(n-1).  That division cross-cancels with
+small-by-big gcds; building the full-height result as `Fraction(num, den)`
+instead would run a full-height gcd per term (ROADMAP, "Measured and
+rejected").
+
 A vanishing denominator factor is a legitimate query result, not a failure:
 the orbit is truncated and carries a `SingularityReport`.
 """
@@ -18,6 +31,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .core import (
     CoefficientSequence,
@@ -93,20 +107,36 @@ def iterate(
     Returns the orbit x_(-5) .. x_count; producing x_(n+1) consumes
     (a_n, b_n).  On a zero denominator the orbit is truncated and `halt`
     records the step and cause.
+
+    Each term is the literal map with no V, evaluated as
+    [p / (a_n + b_n p)] / x_(n-1) at the cost of one full-height `Fraction`
+    division (module docstring).
     """
     if count < 0:
         raise ValueError(f"step count must be >= 0, got {count}")
     terms = list(ic.values)
     halt = None
     for n in range(count):
-        p = terms[n] * terms[n + 2]
+        P, Q = _product(terms[n], terms[n + 2])
         a, b = coeffs.pair_at(n)
-        factor = a + b * p
-        if factor == 0:
+        a_num, a_den = a.numerator, a.denominator
+        b_num, b_den = b.numerator, b.denominator
+        F = a_num * b_den * Q + b_num * a_den * P
+        if F == 0:
             halt = SingularityReport(n, SingularityCause.ZERO_DENOMINATOR_FACTOR)
             break
-        terms.append(p / (terms[n + 4] * factor))
+        terms.append(Fraction(P * a_den * b_den, F) / terms[n + 4])
     return Orbit(tuple(terms), halt)
+
+
+def _product(u: Fraction, v: Fraction) -> tuple[int, int]:
+    """u * v as a reduced pair (P, Q) with Q > 0, cross-cancelled the way
+    `Fraction.__mul__` does it: gcd(u_num, v_den) and gcd(v_num, u_den)."""
+    u_num, u_den = u.numerator, u.denominator
+    v_num, v_den = v.numerator, v.denominator
+    g = gcd(u_num, v_den)
+    h = gcd(v_num, u_den)
+    return (u_num // g) * (v_num // h), (u_den // h) * (v_den // g)
 
 
 @dataclass(frozen=True)
@@ -127,9 +157,9 @@ def invariant_sequence(orbit: Orbit) -> InvariantSequence:
     terms = orbit.terms
     if len(terms) < 3:
         raise TooShort("invariant sequence needs at least three orbit terms")
-    return InvariantSequence(
-        tuple(1 / (terms[n] * terms[n + 2]) for n in range(len(terms) - 2))
-    )
+    return InvariantSequence(tuple(
+        Fraction(Q, P) for P, Q in map(_product, terms, terms[2:])
+    ))
 
 
 def check_invariant_recurrence(

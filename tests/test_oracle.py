@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sixrde import (
     CoefficientSequence,
     InvariantSequence,
+    OutOfHorizon,
     SingularityCause,
     TooShort,
     check_invariant_recurrence,
@@ -18,7 +19,12 @@ from sixrde import (
     make_initial_conditions,
 )
 
-from conftest import COEFF_KINDS, random_coefficients, random_initial_conditions
+from conftest import (
+    COEFF_KINDS,
+    random_coefficients,
+    random_initial_conditions,
+    random_rational,
+)
 
 ONES = make_initial_conditions([1] * 6)
 TRIVIAL = CoefficientSequence.constant(1, 0)
@@ -102,8 +108,6 @@ def test_invariant_recurrence_too_short():
 
 
 def test_iterate_propagates_explicit_horizon():
-    from sixrde import OutOfHorizon
-
     seq = CoefficientSequence.explicit([1, 1], [0, 0])
     with pytest.raises(OutOfHorizon):
         iterate(ONES, seq, 5)
@@ -165,8 +169,91 @@ def test_terms_stay_nonzero_and_only_a_zero_factor_halts(seeds, coeffs, count):
         count = min(count, coeffs.horizon)
     orbit = iterate(make_initial_conditions(seeds), coeffs, count)
     assert all(t != 0 for t in orbit.terms)
+    for n in range(len(orbit) - 6):
+        a, b = coeffs.pair_at(n)
+        p = orbit.u(n) * orbit.u(n + 2)
+        assert orbit.u(n + 6) == p / (orbit.u(n + 4) * (a + b * p))
     if orbit.halt is not None:
         n = orbit.halt.step
         assert orbit.halt.cause == SingularityCause.ZERO_DENOMINATOR_FACTOR
         a, b = coeffs.pair_at(n)
         assert a + b * orbit.u(n) * orbit.u(n + 2) == 0
+
+
+def _literal_iterate(ic, coeffs, count):
+    """The map as written, one `Fraction` operation at a time: the terms it
+    forms and the step it halts at, or the `OutOfHorizon` index it hits."""
+    terms = list(ic.values)
+    for n in range(count):
+        try:
+            a, b = coeffs.pair_at(n)
+        except OutOfHorizon as exc:
+            return terms, ("runs out", exc.n)
+        p = terms[n] * terms[n + 2]
+        if a + b * p == 0:
+            return terms, ("halts", n)
+        terms.append(p / (terms[n + 4] * (a + b * p)))
+    return terms, None
+
+
+def _huge(rng):
+    return Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30))
+
+
+def _pinned_instances():
+    """Seeded instances for the step's edge cases: each with its step count
+    and how the literal map ends on it."""
+    rng = random.Random(20)
+    negative = make_initial_conditions([-2, 3, Fraction(-5, 3), 7, -11, Fraction(13, 4)])
+    mixed = make_initial_conditions([random_rational(rng, nonzero=True) for _ in range(6)])
+    yield negative, CoefficientSequence.periodic([_huge(rng) for _ in range(3)],
+                                                 [_huge(rng) for _ in range(3)]), 40, None
+    yield mixed, CoefficientSequence.constant(0, Fraction(-3, 7)), 40, None
+    yield negative, CoefficientSequence.constant(Fraction(5, 2), 0), 40, None
+    yield negative, CoefficientSequence.constant(0, 0), 10, ("halts", 0)
+    u = negative.values
+    yield negative, CoefficientSequence.constant(-u[0] * u[2], 1), 10, ("halts", 0)
+    # a_k = -b_k u_k u_(k+2) at a late k, so the orbit halts there.
+    a, b = [_huge(rng) for _ in range(33)], [_huge(rng) for _ in range(34)]
+    terms, _ = _literal_iterate(mixed, CoefficientSequence.explicit(a, b[:33]), 33)
+    late = CoefficientSequence.explicit(a + [-b[33] * terms[33] * terms[35]], b)
+    yield mixed, late, 50, ("halts", 33)
+    yield mixed, CoefficientSequence.explicit(a, b[:33]), 50, ("runs out", 33)
+
+
+@pytest.mark.parametrize("ic, coeffs, count, ending", list(_pinned_instances()))
+def test_each_term_is_the_literal_map(ic, coeffs, count, ending):
+    terms, end = _literal_iterate(ic, coeffs, count)
+    assert end == ending
+    if ending is not None and ending[0] == "runs out":
+        with pytest.raises(OutOfHorizon) as caught:
+            iterate(ic, coeffs, count)
+        assert caught.value.n == ending[1]
+        return
+    orbit = iterate(ic, coeffs, count)
+    assert orbit.terms == tuple(terms)
+    assert (orbit.halt and ("halts", orbit.halt.step)) == ending
+    v = invariant_sequence(orbit)
+    assert v.values == tuple(1 / (t * u) for t, u in zip(terms, terms[2:]))
+
+
+def test_each_term_costs_one_division_and_no_product_or_sum(monkeypatch):
+    ic = make_initial_conditions([2, 3, 5, 7, 11, 13])
+    coeffs = CoefficientSequence.periodic([2, Fraction(-1, 3), Fraction(3, 2)],
+                                          [1, Fraction(5, 7), Fraction(-2, 5)])
+    expected = iterate(ic, coeffs, 60)
+    assert expected.halt is None
+
+    def forbidden(*args):
+        raise AssertionError("the oracle step made a Fraction product or sum")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(Fraction, name, forbidden)
+    divisions = []
+    truediv = Fraction.__truediv__
+    monkeypatch.setattr(Fraction, "__truediv__",
+                        lambda a, b: divisions.append(1) or truediv(a, b))
+    orbit = iterate(ic, coeffs, 60)
+    monkeypatch.undo()
+    assert orbit == expected
+    assert len(divisions) == 60

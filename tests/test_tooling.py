@@ -57,6 +57,16 @@ def test_closed_forms_and_symmetry_import_nothing_from_the_oracle():
             assert "oracle" not in parts, f"{path.name}:{node.lineno} imports the oracle"
 
 
+def test_the_oracle_imports_nothing_from_the_package_but_core():
+    # The mirror of the test above: the ground truth stays independent of the
+    # V table and the closed forms whatever its step looks like.  Absolute
+    # imports of the package are already refused by the standard-library test.
+    path = ROOT / "src" / "sixrde" / "oracle.py"
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.module == "core", f"oracle.py:{node.lineno} imports .{node.module or ''}"
+
+
 def test_package_never_changes_the_int_str_digit_limit():
     for path in sorted((ROOT / "src" / "sixrde").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
