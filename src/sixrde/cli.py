@@ -40,7 +40,6 @@ import re as _re
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, TextIO
 
@@ -52,6 +51,7 @@ from .core import (
     SingularClosedForm,
     SixrdeError,
     WrongCase,
+    _Record,
     format_rational,
     parse_rational,
 )
@@ -89,11 +89,17 @@ class ProblemSpecError(SixrdeError):
     """The spec file is malformed or violates a constructor constraint."""
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    initial: InitialConditions
-    coeffs: CoefficientSequence
-    horizon: int
+class ProblemSpec(_Record):
+    """A parsed spec file: seeds, coefficients and the default step count."""
+
+    __slots__ = ("initial", "coeffs", "horizon")
+
+    def __init__(
+        self, initial: InitialConditions, coeffs: CoefficientSequence, horizon: int
+    ):
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "horizon", horizon)
 
 
 def _rational_list(data: dict, key: str, parsed: dict) -> list[Fraction]:

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -56,6 +55,7 @@ from .core import (
     OutOfHorizon,
     OutOfRange,
     SingularClosedForm,
+    _Record,
     _solved,
     i_power,
     log_abs,
@@ -194,8 +194,7 @@ def term(m: int, ic: InitialConditions, coeffs: CoefficientSequence) -> Fraction
 # Well-definedness guard
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WellDefViolation:
+class WellDefViolation(_Record):
     """One failed well-definedness inequality.
 
     Built from `v_index`, the index of the vanishing V, alone.  `j` is that
@@ -205,7 +204,10 @@ class WellDefViolation:
     hits the matching zero denominator (always v_index - 4).
     """
 
-    v_index: int
+    __slots__ = ("v_index",)
+
+    def __init__(self, v_index: int):
+        object.__setattr__(self, "v_index", v_index)
 
     @property
     def j(self) -> int:
@@ -220,12 +222,14 @@ class WellDefViolation:
         return self.v_index - 4
 
 
-@dataclass(frozen=True)
-class WellDefinednessReport:
+class WellDefinednessReport(_Record):
     """Outcome of `well_defined`; violations are in ascending `v_index`."""
 
-    horizon: int
-    violations: tuple[WellDefViolation, ...]
+    __slots__ = ("horizon", "violations")
+
+    def __init__(self, horizon: int, violations: tuple[WellDefViolation, ...]):
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

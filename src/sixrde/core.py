@@ -6,10 +6,12 @@ rationals (rational real and imaginary parts).  Values are immutable and safe
 to share between threads; the mutable `_Telescope` block memos live in
 per-thread slots (`_solved`).  Text conversion touches no process state.
 
-`GaussianRational` is a slotted immutable value type rather than a
-dataclass: its public constructor coerces each part with `as_rational`, while
-results of its own arithmetic are built from parts already known to be
-Fractions, without coercion.
+Every record in the package, `GaussianRational` included, is a slotted class
+on one private base, `_Record`, rather than a dataclass, which would import
+`inspect` at start-up; its own `__init__` validates and stores its fields.
+`GaussianRational`'s public constructor coerces each part with
+`as_rational`, while results of its own arithmetic are built from parts
+already known to be Fractions, without coercion.
 
 `InitialConditions` and `CoefficientSequence` compare by value.  The
 closed-form and special-case engines key their per-thread slot for the last
@@ -22,8 +24,8 @@ from __future__ import annotations
 import math
 import re as _re
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Sequence, Union
 
 # Canonical exact rational: gcd-reduced, positive denominator, exact +,-,*,/.
@@ -211,42 +213,71 @@ def log_abs(value: Fraction) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+class _Record:
+    """Base of the package's immutable records.
+
+    A subclass names its fields in `__slots__`, in the order its `__init__`
+    takes them positionally, and stores each with `object.__setattr__`.
+    Records of the same class are equal when their fields are, and then
+    hash equal; any other operand is left to its own `__eq__`.  The repr is
+    `Name(field=value, ...)`, assigning or deleting any attribute raises
+    `AttributeError`, and pickling and copying rebuild the record through its
+    `__init__` from its fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+        # One C call reads the fields: the value itself for a single slot,
+        # else the tuple of values.
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            fields = self._fields
+            return self is other or fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # Gaussian rationals
 # ---------------------------------------------------------------------------
 
-class GaussianRational:
+class GaussianRational(_Record):
     """Complex number with exact rational real and imaginary parts.
 
-    A slotted immutable value: equal values compare and hash equal, and
-    `real`/`imag` cannot be assigned or deleted.  Ring arithmetic (+, -, *)
-    is exact, against another Gaussian rational or a real scalar (int or
+    An immutable record (`_Record`): equal values compare and hash equal,
+    and `real`/`imag` cannot be assigned or deleted.  Ring arithmetic (+, -,
+    *) is exact, against another Gaussian rational or a real scalar (int or
     Fraction); a scalar operand costs one operation per part.  The imaginary
     unit is available as the module constant `I`.
     """
 
     __slots__ = ("real", "imag")
-    __match_args__ = ("real", "imag")
 
     def __init__(self, real: RationalLike = 0, imag: RationalLike = 0):
         _set_real(self, as_rational(real))
         _set_imag(self, as_rational(imag))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"GaussianRational is immutable: cannot assign {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"GaussianRational is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):
-        return GaussianRational, (self.real, self.imag)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.real, self.imag) == (other.real, other.imag)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.real, self.imag))
 
     def __bool__(self) -> bool:
         return bool(self.real) or bool(self.imag)
@@ -437,14 +468,13 @@ class CoefficientSequence:
 # Initial conditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InitialConditions:
+class InitialConditions(_Record):
     """The six nonzero seeds x_(-5) .. x_0, equivalently u_0 .. u_5."""
 
-    values: tuple[Fraction, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        vals = tuple(as_rational(v) for v in self.values)
+    def __init__(self, values: Iterable[RationalLike]):
+        vals = tuple(as_rational(v) for v in values)
         if len(vals) != 6:
             raise ValueError(f"exactly six seed values required, got {len(vals)}")
         for i, v in enumerate(vals):

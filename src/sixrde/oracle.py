@@ -29,7 +29,6 @@ the orbit is truncated and carries a `SingularityReport`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -39,6 +38,7 @@ from .core import (
     InitialConditions,
     OutOfRange,
     TooShort,
+    _Record,
 )
 
 __all__ = [
@@ -58,24 +58,30 @@ class SingularityCause(enum.Enum):
     ZERO_DENOMINATOR_FACTOR = "ZeroDenominatorFactor"
 
 
-@dataclass(frozen=True)
-class SingularityReport:
+class SingularityReport(_Record):
     """Step n at which x_(n+1) could not be formed, and why."""
 
-    step: int
-    cause: SingularityCause
+    __slots__ = ("step", "cause")
+
+    def __init__(self, step: int, cause: SingularityCause):
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "cause", cause)
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(_Record):
     """Computed trajectory x_(-5) .. x_N (equivalently u_0 .. u_(N+5)).
 
     If `halt` is set, the terms stop just before the unformable one.  All
     stored terms are nonzero and satisfy the recurrence exactly.
     """
 
-    terms: tuple[Fraction, ...]
-    halt: "SingularityReport | None" = None
+    __slots__ = ("terms", "halt")
+
+    def __init__(
+        self, terms: tuple[Fraction, ...], halt: "SingularityReport | None" = None
+    ):
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "halt", halt)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -139,11 +145,13 @@ def _product(u: Fraction, v: Fraction) -> tuple[int, int]:
     return (u_num // g) * (v_num // h), (u_den // h) * (v_den // g)
 
 
-@dataclass(frozen=True)
-class InvariantSequence:
+class InvariantSequence(_Record):
     """Values V_n = 1 / (u_n * u_(n+2)) along an orbit."""
 
-    values: tuple[Fraction, ...]
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[Fraction, ...]):
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -17,7 +17,6 @@ phase^n + phase^(n+2)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -26,6 +25,7 @@ from .core import (
     GaussianRational,
     RationalLike,
     _gaussian,
+    _Record,
     as_rational,
     i_power,
 )
@@ -91,8 +91,7 @@ Q2 = Characteristic("Q2", -1)
 counterfeit_characteristic = Characteristic("counterfeit", 0)
 
 
-@dataclass(frozen=True)
-class LscSample:
+class LscSample(_Record):
     """A sample point for the linearized symmetry condition.
 
     Holds u_n, u_(n+2), u_(n+4) (fields u0, u2, u4 by offset) plus the step
@@ -100,18 +99,25 @@ class LscSample:
     a + b*u0*u2 must be nonzero, so the map value is defined.
     """
 
-    n: int
-    u0: Fraction
-    u2: Fraction
-    u4: Fraction
-    a: Fraction
-    b: Fraction
+    __slots__ = ("n", "u0", "u2", "u4", "a", "b")
 
-    def __post_init__(self):
-        for name in ("u0", "u2", "u4", "a", "b"):
-            object.__setattr__(self, name, as_rational(getattr(self, name)))
-        if self.n < 0:
-            raise DegenerateSample(f"sample step must be >= 0, got {self.n}")
+    def __init__(
+        self,
+        n: int,
+        u0: RationalLike,
+        u2: RationalLike,
+        u4: RationalLike,
+        a: RationalLike,
+        b: RationalLike,
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "u0", as_rational(u0))
+        object.__setattr__(self, "u2", as_rational(u2))
+        object.__setattr__(self, "u4", as_rational(u4))
+        object.__setattr__(self, "a", as_rational(a))
+        object.__setattr__(self, "b", as_rational(b))
+        if n < 0:
+            raise DegenerateSample(f"sample step must be >= 0, got {n}")
         for name in ("u0", "u2", "u4"):
             if getattr(self, name) == 0:
                 raise DegenerateSample(f"sample value {name} must be nonzero")
@@ -152,19 +158,26 @@ def lsc_residual(q: CharacteristicFn, sample: LscSample) -> GaussianRational:
 # Phase-sum check: reduced determining system and generators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RootCheckFailure:
-    root: str
-    n: int
-    value: GaussianRational
+class RootCheckFailure(_Record):
+    """A phase-sum check that failed: `value` = beta_n + beta_(n+2) != 0
+    for the root named `root`."""
+
+    __slots__ = ("root", "n", "value")
+
+    def __init__(self, root: str, n: int, value: GaussianRational):
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class PhaseSumReport:
+class PhaseSumReport(_Record):
     """Outcome of checking beta_n + beta_(n+2) = 0 over n <= n_max."""
 
-    n_max: int
-    failures: tuple[RootCheckFailure, ...]
+    __slots__ = ("n_max", "failures")
+
+    def __init__(self, n_max: int, failures: tuple[RootCheckFailure, ...]):
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self) -> bool:

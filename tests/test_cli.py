@@ -711,6 +711,46 @@ def test_compare_near_singular_reports_violations(tmp_path, capsys):
     assert violations[0]["v_index"] == 4
 
 
+def planted_zero_spec(count, v_index, length=32):
+    """All-ones seeds and a = b = 1 over `length` steps, so V_(4t+j) = 1 + t,
+    except b at step v_index - 4, set so that V_(v_index) alone vanishes."""
+    b = ["1"] * length
+    b[v_index - 4] = str(-(v_index // 4))
+    return {
+        "initial": ["1"] * 6,
+        "coeffs": {"kind": "list", "a": ["1"] * length, "b": b},
+        "horizon": count,
+    }
+
+
+def compare_summary(tmp_path, capsys, data):
+    code = cli.main(["compare", "--spec", write_spec(tmp_path, data)])
+    assert code == EXIT_OK
+    return json.loads(capsys.readouterr().out)["summary"]
+
+
+def test_compare_lists_the_violation_of_a_halt_at_the_last_step(tmp_path, capsys):
+    count = 11  # count = 3 (mod 4): V_(count+3) is past V_(4*(count//4)+5)
+    summary = compare_summary(tmp_path, capsys, planted_zero_spec(count, count + 3))
+    assert summary["singularity"] == {"step": count - 1, "cause": "ZeroDenominatorFactor"}
+    assert summary["violations"] == [
+        {"j": 2, "s": 3, "v_index": count + 3, "halt_step": count - 1}
+    ]
+
+
+@pytest.mark.parametrize("count", [8, 9, 10, 11])
+def test_compare_violations_reach_v_4_times_count_over_4_plus_13(tmp_path, capsys, count):
+    # `summary.violations` is `well_defined(horizon=count // 4 + 2)`: V_4 up
+    # to V_(4*(count//4) + 13).  A zero at that last index is listed, one
+    # past it is not.
+    last = 4 * (count // 4) + 13
+    summary = compare_summary(tmp_path, capsys, planted_zero_spec(count, last))
+    assert summary["singularity"] is None
+    assert [v["v_index"] for v in summary["violations"]] == [last]
+    summary = compare_summary(tmp_path, capsys, planted_zero_spec(count, last + 1))
+    assert summary["violations"] == []
+
+
 # ---------------------------------------------------------------------------
 # verify-symmetry
 # ---------------------------------------------------------------------------

@@ -15,8 +15,14 @@ from sixrde import (
     GaussianRational,
     I,
     InitialConditions,
+    InvariantSequence,
+    LscSample,
+    Orbit,
     OutOfHorizon,
     SingularClosedForm,
+    SingularityCause,
+    SingularityReport,
+    WellDefinednessReport,
     WellDefViolation,
     ZeroInitialValue,
     as_rational,
@@ -25,6 +31,8 @@ from sixrde import (
     make_initial_conditions,
     parse_rational,
 )
+from sixrde.cli import ProblemSpec
+from sixrde.symmetry import PhaseSumReport, RootCheckFailure
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -298,6 +306,74 @@ def test_mixed_nonzero_rationals_accepted():
 def test_wrong_seed_count_rejected():
     with pytest.raises(ValueError):
         InitialConditions((Fraction(1),) * 5)
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+_SEEDS = "Fraction(1, 1), Fraction(2, 1), Fraction(3, 1), Fraction(4, 1), Fraction(5, 1)"
+_HALT = SingularityReport(3, SingularityCause.ZERO_DENOMINATOR_FACTOR)
+_HALT_TEXT = (
+    "SingularityReport(step=3, "
+    "cause=<SingularityCause.ZERO_DENOMINATOR_FACTOR: 'ZeroDenominatorFactor'>)"
+)
+_FAILURE = RootCheckFailure("i^n", 3, GaussianRational(1, 0))
+_FAILURE_TEXT = "RootCheckFailure(root='i^n', n=3, value=GaussianRational(1, 0))"
+
+# Each record: its fields, the same fields with one changed, and the repr the
+# records printed when they were dataclasses (GaussianRational's own repr).
+RECORDS = [
+    (InitialConditions, ((1, 2, 3, 4, 5, 6),), ((1, 2, 3, 4, 5, 7),),
+     f"InitialConditions(values=({_SEEDS}, Fraction(6, 1)))"),
+    (SingularityReport, (3, SingularityCause.ZERO_DENOMINATOR_FACTOR),
+     (4, SingularityCause.ZERO_DENOMINATOR_FACTOR), _HALT_TEXT),
+    (Orbit, ((Fraction(1, 2), Fraction(3)), _HALT), ((Fraction(1, 2), Fraction(3)), None),
+     f"Orbit(terms=(Fraction(1, 2), Fraction(3, 1)), halt={_HALT_TEXT})"),
+    (InvariantSequence, ((Fraction(1, 2),),), ((Fraction(1, 3),),),
+     "InvariantSequence(values=(Fraction(1, 2),))"),
+    (WellDefViolation, (7,), (8,), "WellDefViolation(v_index=7)"),
+    (WellDefinednessReport, (2, (WellDefViolation(7),)), (3, (WellDefViolation(7),)),
+     "WellDefinednessReport(horizon=2, violations=(WellDefViolation(v_index=7),))"),
+    (LscSample, (1, 2, 3, 5, 1, 1), (1, 2, 3, 5, 1, 2),
+     "LscSample(n=1, u0=Fraction(2, 1), u2=Fraction(3, 1), u4=Fraction(5, 1), "
+     "a=Fraction(1, 1), b=Fraction(1, 1))"),
+    (RootCheckFailure, ("i^n", 3, GaussianRational(1, 0)), ("i^n", 4, GaussianRational(1, 0)),
+     _FAILURE_TEXT),
+    (PhaseSumReport, (4, (_FAILURE,)), (4, ()),
+     f"PhaseSumReport(n_max=4, failures=({_FAILURE_TEXT},))"),
+    (ProblemSpec, (InitialConditions((1, 2, 3, 4, 5, 6)), CoefficientSequence.constant(1, 0), 10),
+     (InitialConditions((1, 2, 3, 4, 5, 6)), CoefficientSequence.constant(1, 0), 11),
+     f"ProblemSpec(initial=InitialConditions(values=({_SEEDS}, Fraction(6, 1))), "
+     "coeffs=CoefficientSequence(constant, a=[1], b=[0]), horizon=10)"),
+    (GaussianRational, (Fraction(-3, 4), 2), (Fraction(-3, 4), 3), "GaussianRational(-3/4, 2)"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, changed, text", RECORDS,
+                         ids=[case[0].__name__ for case in RECORDS])
+def test_records_are_immutable_values(cls, fields, changed, text):
+    record = cls(*fields)
+    twin = cls(**dict(zip(cls.__match_args__, fields)))  # the same, by keyword
+    assert record == twin and record is not twin
+    assert record != cls(*changed)
+    assert (record == fields) is False
+    if cls is ProblemSpec:  # holds a CoefficientSequence, which is unhashable
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin)
+    for name in cls.__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(twin, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.other = 1
+    assert record == twin
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(copied) is cls and copied == record
+    assert repr(record) == text
 
 
 # ---------------------------------------------------------------------------

@@ -239,8 +239,8 @@ def test_point_queries_look_up_no_more_coefficients_than_one_range():
 class CountingSeeds(InitialConditions):
     """Initial conditions that count their `seed_product` calls."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, values):
+        super().__init__(values)
         object.__setattr__(self, "calls", 0)
 
     def seed_product(self, j):

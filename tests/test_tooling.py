@@ -156,6 +156,23 @@ def test_importing_the_cli_builds_no_argument_parser():
     assert done.returncode == 0, done.stderr
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # The benchmark's set-up time includes `import sixrde.cli`; `dataclasses`
+    # pulls in `inspect` and its `ast`/`dis`/`tokenize` chain, about 12 ms of
+    # a cold start.  The records are `core._Record` subclasses instead.
+    code = "\n".join([
+        "import sys",
+        "assert not {'dataclasses', 'inspect'} & set(sys.modules), 'loaded by site'",
+        "import sixrde.cli",
+        "loaded = {'dataclasses', 'inspect'} & set(sys.modules)",
+        "assert not loaded, loaded",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def _readme_blocks(section: str, language: str) -> list[str]:
     """Fenced `language` blocks under README's `## section` heading."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
