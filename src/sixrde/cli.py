@@ -21,7 +21,9 @@ Problem instances are JSON files with exact rational strings::
      "horizon": 40}
 
 Exit codes: 0 ok, 2 singularity truncated the computation, 3 mismatch or
-nonzero residual, 64 malformed spec file, 65 usage error.
+nonzero residual, 64 malformed spec file, 65 usage error; 141 (quietly)
+when the reader of the output closed it early, and 130 after one
+"interrupted" line on SIGINT.
 
 Randomness for verify-symmetry comes from a 64-bit linear congruential
 generator (Knuth's MMIX multiplier), so equal seeds give byte-identical
@@ -62,6 +64,8 @@ __all__ = [
     "EXIT_MISMATCH",
     "EXIT_SPEC",
     "EXIT_USAGE",
+    "EXIT_INTERRUPTED",
+    "EXIT_BROKEN_PIPE",
     "ProblemSpec",
     "ProblemSpecError",
     "parse_problem_spec",
@@ -79,6 +83,8 @@ EXIT_SINGULAR = 2
 EXIT_MISMATCH = 3
 EXIT_SPEC = 64
 EXIT_USAGE = 65
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +514,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: "Sequence[str] | None" = None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
         if "spec" not in args:  # verify-symmetry reads no spec
             return args.func(args)
         spec = load_problem_spec(args.spec)
@@ -519,13 +522,29 @@ def main(argv: "Sequence[str] | None" = None) -> int:
                 return args.func(spec, args, out)
             out.write(canonical_spec_json(spec))
         return EXIT_OK
+    except SystemExit as exc:  # from argparse: --help or a usage error
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except ProblemSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
+    except BrokenPipeError:  # the reader has all it wanted; say nothing
+        return EXIT_BROKEN_PIPE
     except (SixrdeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()  # so a closed pipe is reported here, not at exit
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    if code == EXIT_BROKEN_PIPE:
+        # Stdout may still hold bytes for the closed pipe; flushing them at
+        # exit would fail again and print a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -15,13 +15,14 @@ telescoping:
 `v_closed` transcribes the product/sum literally (O(n^2) per V) and
 serves as the independent check.  Everything else reads V from one
 lazily extended table: one column per residue class, grown by the affine
-step itself at one multiply-add per block.  The terms are the shared
-telescoping product `core._Telescope` over the factor sequence f(k) = V_k
-of that table; it states the block memo, the check order and the per-thread
-slot rule.  `term`, `terms`, `well_defined` and `unified_exponent` all read
-this engine's slot, keyed on (ic, coeffs), so x_lo..x_hi costs O(1)
-rational operations per term whether asked as one range or index by index,
-in any order.  The slot holds every x formed, O(N^3) bits up to x_N.
+step itself, each new V built from the integer parts of a, b and the last
+V with one rational normalisation (one gcd of small numbers).  The terms
+are the shared telescoping product `core._Telescope` over the factor
+sequence f(k) = V_k of that table; it states the block memo, the check
+order and the per-thread slot rule.  `term`, `terms`, `well_defined` and
+`unified_exponent` all read this engine's slot, keyed on (ic, coeffs), so
+x_lo..x_hi costs O(1) rational operations per term whether asked as one
+range or index by index, in any order.  The slot holds every x formed, O(N^3) bits up to x_N.
 
 A vanishing V in a denominator is exactly the well-definedness failure of
 the closed form, and corresponds one-to-one with the direct iteration
@@ -151,8 +152,16 @@ class _InvariantTable:
 
     Column j starts at the seed invariant V_j and grows by the affine step
     V_(k+4) = a_k * V_k + b_k, one coefficient pair per block, so it reads
-    no coefficient beyond what the largest requested V needs.  Called with
-    k it returns V_k, the telescope's factor sequence.
+    no coefficient beyond what the largest requested V needs.  With
+    a_k = a_num/a_den, b_k = b_num/b_den and V_k = v_num/v_den, each step
+    is the single normalisation
+
+        V_(k+4) = Fraction(a_num*b_den*v_num + b_num*a_den*v_den,
+                           a_den*b_den*v_den)
+
+    of small integers, rather than a `Fraction` product and a sum, each
+    with its own gcds.  Called with k it returns V_k, the telescope's
+    factor sequence.
     """
 
     def __init__(self, ic: InitialConditions, coeffs: CoefficientSequence):
@@ -164,7 +173,11 @@ class _InvariantTable:
         column = self._columns[r]
         while len(column) <= t:
             a, b = self._coeffs.pair_at(4 * (len(column) - 1) + r)
-            column.append(a * column[-1] + b)
+            v = column[-1]
+            a_d, b_d, v_d = a.denominator, b.denominator, v.denominator
+            column.append(Fraction(
+                a.numerator * b_d * v.numerator + b.numerator * a_d * v_d,
+                a_d * b_d * v_d))
         return column[t]
 
 

@@ -177,12 +177,22 @@ def check_invariant_recurrence(
 
     The invariant of the recurrence satisfies V_(n+4) = a_n * V_n + b_n
     exactly (plus sign, V_n = 1/(u_n u_(n+2))), so on any orbit produced by
-    `iterate` every residual is exactly zero.
+    `iterate` every residual is exactly zero.  Each residual is one rational
+    normalisation of integers over one common denominator, with no
+    `Fraction` product, sum or difference: a_n V_n + b_n is the integer pair
+    N/D = (a_num b_den V_num + b_num a_den V_den) / (a_den b_den V_den), and
+    r_n = Fraction(W_num D - W_den N, W_den D) for V_(n+4) = W_num/W_den.
     """
     if len(v) < 5:
         raise TooShort("invariant recurrence check needs at least five values")
     residuals = []
-    for n in range(len(v) - 4):
+    values = v.values
+    for n in range(len(values) - 4):
         a, b = coeffs.pair_at(n)
-        residuals.append(v[n + 4] - (a * v[n] + b))
+        v0, v4 = values[n], values[n + 4]
+        a_den, b_den, v0_den = a.denominator, b.denominator, v0.denominator
+        num = a.numerator * b_den * v0.numerator + b.numerator * a_den * v0_den
+        den = a_den * b_den * v0_den
+        residuals.append(Fraction(v4.numerator * den - v4.denominator * num,
+                                  v4.denominator * den))
     return residuals

@@ -13,12 +13,14 @@ with (a_r, b_r) = (a_at(r), b_at(r)), k_r = b_r*u_r*u_(r+2),
 C_r = k_r/(1 - a_r), D_r = 1 - C_r (1 + k_r*t when a_r = 1), and
 top = 4, 5, 0, 1 for r = 0..3.  That class states the block memo, the check
 order and the per-thread slot rule (this engine keeps its own slot, keyed
-on (ic, coeffs)).  With C, D and a running D*a_r^t, each F costs one add
-and one multiply by a_r (F is never stepped by its affine recurrence, so
-the engine stays independent of the closed form's V table), and a block
-one multiply of the full-height x by the small factor ratio.  Every case
-takes the `CoefficientSequence` the other engines take; a constant or 1-,
-2- or 4-periodic one is read per class as above, and any other raises
+on (ic, coeffs)).  C and D are formed once per class; a^t is carried as
+the integer pair (a_num^t, a_den^t), so each u_top*F is one rational
+normalisation of small integers, with no `Fraction` product or sum (F is
+never stepped by its affine recurrence, so the engine stays independent of
+the closed form's V table), and a block costs one multiply of the
+full-height x by the small factor ratio.  Every case takes the
+`CoefficientSequence` the other engines take; a constant or 1-, 2- or
+4-periodic one is read per class as above, and any other raises
 `WrongCase`.  The factors are evaluated here rather than read from the
 general closed form, so the test suite can cross-check the two against
 each other and against direct iteration.
@@ -64,11 +66,16 @@ PeriodicCoeffs2 = PeriodicCoeffs4 = CoefficientSequence.periodic
 _TOP = (4, 5, 0, 1)
 
 
-def _line(a: Fraction, k: Fraction, seed: Fraction) -> tuple:
-    """seed*(C, D, E(0)) for F(t) = C + E(t), E(t) = D*a^t, C = k/(1 - a),
-    D = 1 - C, or E(t) = D*t, C = 1, D = k when a = 1."""
+def _line(a: Fraction, k: Fraction, seed: Fraction) -> list:
+    """Class state [c, d, e, a_num, a_den, p, q] at t = 0, with
+    seed*F(t) = (c*q + d*p) / (e*q): F(t) = C + D*a^t, C = k/(1 - a),
+    D = 1 - C and p/q = a^t as the integer pair (a_num^t, a_den^t), or
+    F(t) = 1 + k*t and p/q = t/1 when a = 1."""
     c, d = (1, k) if a == 1 else (k / (1 - a), 1 - k / (1 - a))
-    return seed * c, seed * d, 0 if a == 1 else seed * d
+    c, d = seed * c, seed * d
+    return [c.numerator * d.denominator, d.numerator * c.denominator,
+            c.denominator * d.denominator, a.numerator, a.denominator,
+            0 if a == 1 else 1, 1]
 
 
 class _Factors:
@@ -76,20 +83,26 @@ class _Factors:
     k = 4t+r, the telescope's factor sequence."""
 
     def __init__(self, ic: InitialConditions, coeffs: CoefficientSequence):
-        self._a = [coeffs.a_at(r) for r in range(4)]
         self._columns = [[] for _ in range(4)]
-        self._lines = [_line(self._a[r], coeffs.b_at(r) * ic.seed_product(r),
+        self._lines = [_line(coeffs.a_at(r), coeffs.b_at(r) * ic.seed_product(r),
                              ic.values[top])
                        for r, top in enumerate(_TOP)]
 
     def __call__(self, k: int) -> Fraction:
-        """u_top*F_r(t) = C + E(t), extending class r's column."""
+        """u_top*F_r(t), extending class r's column with one normalisation
+        of small integers per t and no `Fraction` product or sum."""
         r, t = k % 4, k // 4
-        column, (c, d, e), a = self._columns[r], self._lines[r], self._a[r]
-        while len(column) <= t:
-            column.append(c + e)
-            e = e + d if a == 1 else e * a
-        self._lines[r] = (c, d, e)
+        column = self._columns[r]
+        if len(column) <= t:
+            line = self._lines[r]
+            c, d, e, a_num, a_den, p, q = line
+            while len(column) <= t:
+                column.append(Fraction(c * q + d * p, e * q))
+                if a_num == a_den:  # a = 1
+                    p += 1
+                else:
+                    p, q = p * a_num, q * a_den
+            line[5:] = p, q
         return column[t]
 
 

@@ -8,6 +8,7 @@ orbits.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -95,3 +96,18 @@ def start_cold():
     one no test draws, so the next query builds its state from the seeds."""
     term(-5, *_UNDRAWN)
     term_const_general(-5, *_UNDRAWN)
+
+
+def count_normalisations(monkeypatch) -> list:
+    """Make every `Fraction` product, sum and difference raise until
+    `monkeypatch.undo()`, and return a list that gains one entry per gcd
+    that `Fraction` runs: one per `Fraction(num, den)` built from ints."""
+    def forbidden(*args):
+        raise AssertionError("a Fraction product, sum or difference was made")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(Fraction, name, forbidden)
+    calls = []
+    gcd = math.gcd
+    monkeypatch.setattr(math, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    return calls

@@ -2,15 +2,20 @@
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
 import os
 import random
+import signal
 import stat
+import subprocess
 import sys
 import tempfile
 import threading
+import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +24,8 @@ from hypothesis import strategies as st
 
 from sixrde import cli, format_rational, iterate, parse_rational
 from sixrde.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_INTERRUPTED,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_SINGULAR,
@@ -31,6 +38,8 @@ from sixrde.cli import (
 )
 
 from conftest import random_coefficients, random_initial_conditions
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_spec(tmp_path, data, name="spec.json"):
@@ -806,6 +815,76 @@ def test_usage_errors_exit_65(tmp_path, capsys):
     for command in ("iterate", "compare"):
         assert cli.main([command, "--spec", path, "--n", "-1"]) == EXIT_USAGE
         assert "Traceback" not in capsys.readouterr().err
+
+
+def _child(*argv: str, stdout=subprocess.PIPE, **variables: str) -> subprocess.Popen:
+    """`python -m sixrde argv` in a child process, stderr piped.  Standard
+    streams are buffered as Python's defaults have them, unless `variables`
+    sets PYTHONUNBUFFERED."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(ROOT / "src"), **variables)
+    return subprocess.Popen([sys.executable, "-m", "sixrde", *argv], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
+BASELINE = {
+    "initial": ["2", "3", "5", "7", "11", "13"],
+    "coeffs": {"kind": "periodic", "period": 2, "a": ["2", "-1/3"], "b": ["1", "5/7"]},
+    "horizon": 40,
+}
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_exit_141_and_no_message(tmp_path):
+    # 579 kB of CSV: the child is still writing when the pipe closes.
+    with _child("iterate", "--spec", write_spec(tmp_path, BASELINE), "--n", "400") as child:
+        assert child.stdout.read(5) == b"m,exa"
+        child.stdout.close()
+        assert child.wait(timeout=120) == EXIT_BROKEN_PIPE == 141
+        assert child.stderr.read() == b""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_printing_into_a_pipe_nobody_reads_gets_exit_141_and_no_message(unbuffered):
+    # Buffered, verify-symmetry's few lines reach the pipe only at the final
+    # flush; unbuffered, at the first print.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = _child("verify-symmetry", "--samples", "3", stdout=write_end,
+                       PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
+    with child:
+        assert child.wait(timeout=120) == EXIT_BROKEN_PIPE
+        assert child.stderr.read() == b""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+def test_sigint_prints_one_line_and_exits_130(tmp_path):
+    fifo = tmp_path / "spec.fifo"
+    os.mkfifo(fifo)
+    with _child("solve", "--spec", str(fifo)) as child:
+        try:
+            # The write end opens once the child has opened the read end, so
+            # it is then inside `main`, waiting for the spec's bytes.
+            deadline = time.monotonic() + 60
+            while True:
+                try:
+                    fd = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+                    break
+                except OSError as exc:
+                    assert exc.errno == errno.ENXIO and child.poll() is None
+                    assert time.monotonic() < deadline, "the child never opened the spec"
+                    time.sleep(0.01)
+            try:
+                child.send_signal(signal.SIGINT)
+                out, err = child.communicate(timeout=60)
+            finally:
+                os.close(fd)
+        finally:
+            child.kill()  # a no-op once it has exited
+    assert child.returncode == EXIT_INTERRUPTED == 130
+    assert (out, err) == (b"", b"interrupted\n")
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,12 @@ from sixrde import (
     verify_gamma_identities,
     well_defined,
 )
+from sixrde.closedform import _InvariantTable
 from sixrde.core import log_abs
 
 from conftest import (
     COEFF_KINDS,
+    count_normalisations,
     nonsingular_instance,
     random_instance,
     range_window,
@@ -111,6 +113,20 @@ def test_v_closed_matches_oracle_invariants():
         v = invariant_sequence(orbit)
         for index in range(51):
             assert v_closed(index % 4, index // 4, ic, coeffs) == v[index]
+
+
+@pytest.mark.parametrize("a", [0, 1, -1, Fraction(-1, 2), 2])
+def test_each_v_costs_one_normalisation_and_no_product_or_sum(monkeypatch, a):
+    ic = make_initial_conditions([2, 3, 5, 7, 11, 13])
+    coeffs = CoefficientSequence.periodic([a, Fraction(3, 2)], [Fraction(5, 7), -1])
+    table = _InvariantTable(ic, coeffs)
+    normalisations = count_normalisations(monkeypatch)
+    got = [table(k) for k in range(48)]
+    monkeypatch.undo()
+    assert len(normalisations) == 44  # every V past the four seeds
+    assert got == [v_closed(k % 4, k // 4, ic, coeffs) for k in range(48)]
+    for k in range(44):
+        assert got[k + 4] == coeffs.a_at(k) * got[k] + coeffs.b_at(k)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from sixrde import (
 
 from conftest import (
     COEFF_KINDS,
+    count_normalisations,
     random_coefficients,
     random_initial_conditions,
     random_rational,
@@ -100,6 +101,26 @@ def test_invariant_recurrence_residuals_zero_and_detector():
     bad = check_invariant_recurrence(corrupted, coeffs)
     assert bad[0] == 1
     assert all(r == 0 for r in bad[5:])
+
+
+@pytest.mark.parametrize("a", [0, 1, -1, Fraction(-1, 2), 2])
+def test_each_residual_costs_one_normalisation_and_no_product_or_sum(monkeypatch, a):
+    ic = make_initial_conditions([2, 3, 5, 7, 11, 13])
+    coeffs = CoefficientSequence.periodic([a, Fraction(3, 2)], [Fraction(5, 7), -1])
+    orbit = iterate(ic, coeffs, 40)
+    assert orbit.halt is None
+    v = invariant_sequence(orbit).values
+    corrupted = InvariantSequence(v[:9] + (v[9] * 3,) + v[10:30] + (-v[30],) + v[31:])
+    want = [w - (coeffs.a_at(n) * u + coeffs.b_at(n))
+            for n, (u, w) in enumerate(zip(corrupted.values, corrupted.values[4:]))]
+    assert all(want[n] for n in (5, 9, 26))
+    normalisations = count_normalisations(monkeypatch)
+    zero = check_invariant_recurrence(InvariantSequence(v), coeffs)
+    bad = check_invariant_recurrence(corrupted, coeffs)
+    monkeypatch.undo()
+    assert len(normalisations) == 2 * (len(v) - 4)
+    assert zero == [0] * (len(v) - 4)
+    assert bad == want
 
 
 def test_invariant_recurrence_too_short():

@@ -25,6 +25,7 @@ from sixrde import (
 from sixrde import closedform, specialcases
 
 from conftest import (
+    count_normalisations,
     random_initial_conditions,
     random_rational,
     range_window,
@@ -181,6 +182,22 @@ def test_geometric_sum_identity_across_cases():
                 break
             assert term_periodic2(m, ic, pc2) == want
             assert term_periodic4(m, ic, pc4) == want
+
+
+@pytest.mark.parametrize("a", [0, 1, -1, Fraction(-1, 2), 2])
+def test_each_factor_costs_one_normalisation_and_no_product_or_sum(monkeypatch, a):
+    ic = make_initial_conditions([2, 3, 5, 7, 11, 13])
+    coeffs = PeriodicCoeffs4((a, Fraction(3, 2), a, -3), (Fraction(5, 7), -1, 2, 1))
+    factors = specialcases._Factors(ic, coeffs)
+    normalisations = count_normalisations(monkeypatch)
+    got = [factors(k) for k in range(48)]
+    monkeypatch.undo()
+    assert len(normalisations) == 48
+    for k, value in enumerate(got):
+        r, t = k % 4, k // 4
+        a_r, k_r = coeffs.a_at(r), coeffs.b_at(r) * ic.seed_product(r)
+        f = 1 + k_r * t if a_r == 1 else a_r**t + k_r * (1 - a_r**t) / (1 - a_r)
+        assert value == ic.values[(4, 5, 0, 1)[r]] * f
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,18 @@ def test_the_oracle_imports_nothing_from_the_package_but_core():
             assert node.module == "core", f"oracle.py:{node.lineno} imports .{node.module or ''}"
 
 
+def test_package_uses_no_private_fraction_api():
+    # `_normalize=False` is gone in Python 3.12, and the others are private to
+    # `fractions`; every value is built through the public `Fraction(num, den)`.
+    private = {"_normalize", "_numerator", "_denominator", "_from_coprime_ints"}
+    for path in sorted((ROOT / "src" / "sixrde").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = {getattr(node, field, None) for field in ("attr", "arg", "id", "name")}
+            if isinstance(node, ast.Constant):
+                names.add(node.value)
+            assert not names & private, f"{path.name}:{node.lineno} {names & private}"
+
+
 def test_package_never_changes_the_int_str_digit_limit():
     for path in sorted((ROOT / "src" / "sixrde").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
