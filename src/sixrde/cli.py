@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -43,7 +44,7 @@ import shutil
 import sys
 import tempfile
 from fractions import Fraction
-from typing import Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import closedform, oracle, specialcases, symmetry
 from .core import (
@@ -54,6 +55,7 @@ from .core import (
     SixrdeError,
     WrongCase,
     _Record,
+    _rendered,
     format_rational,
     parse_rational,
 )
@@ -249,10 +251,13 @@ def _as_float(value: Fraction) -> float:
 _CSV_HEADER = "m,exact,float\n"
 
 
-def _csv_row(m: int, value: Fraction) -> str:
-    """The CSV line of x_m under `_CSV_HEADER`.  No field (an int, p/q, a
-    float repr) can need quoting."""
-    return f"{m},{format_rational(value)},{_as_float(value)!r}\n"
+def _csv_rows(m: int, values: Iterable[Fraction]) -> Iterator[str]:
+    """The CSV lines of x_m, x_(m+1), ... for `values` under `_CSV_HEADER`,
+    one per value as it comes.  No field (an int, p/q, a float repr) can
+    need quoting."""
+    values, rendered = itertools.tee(values)
+    for m, value, text in zip(itertools.count(m), values, _rendered(rendered)):
+        yield f"{m},{text},{_as_float(value)!r}\n"
 
 
 @contextlib.contextmanager
@@ -297,7 +302,7 @@ def _cmd_iterate(spec: ProblemSpec, args, out: TextIO) -> int:
     count = spec.horizon if args.n is None else args.n
     orbit = oracle.iterate(spec.initial, spec.coeffs, count)
     out.write(_CSV_HEADER)
-    out.writelines(_csv_row(m, value) for m, value in enumerate(orbit.terms, -5))
+    out.writelines(_csv_rows(-5, orbit.terms))
     if orbit.halt is not None:
         print(
             f"singular at step {orbit.halt.step} ({orbit.halt.cause.value}); "
@@ -315,8 +320,8 @@ def _cmd_solve(spec: ProblemSpec, args, out: TextIO) -> int:
     out.write(_CSV_HEADER)
     m = lo
     try:
-        for value in values:
-            out.write(_csv_row(m, value))
+        for row in _csv_rows(lo, values):
+            out.write(row)
             m += 1
     except SingularClosedForm as exc:
         print(
@@ -341,10 +346,10 @@ def _cmd_compare(spec: ProblemSpec, args, out: TextIO) -> int:
     except WrongCase:  # no special case covers these coefficients
         pass
     rows = []
-    for m, (expected, *values) in enumerate(zip(orbit.terms, *engines.values()), -5):
-        # Format each row's oracle value once; an engine value equal to it
-        # reuses the string, so only a mismatching value is formatted again.
-        text = format_rational(expected)
+    columns = zip(orbit.terms, _rendered(orbit.terms), *engines.values())
+    for m, (expected, text, *values) in enumerate(columns, -5):
+        # An engine value equal to the oracle's reuses its text, so only a
+        # mismatching value is formatted again.
         row = {"m": m, "oracle": text, "match": all(v == expected for v in values)}
         for name, value in zip(engines, values):
             row[name] = text if value == expected else format_rational(value)

@@ -4,7 +4,10 @@ All quantities are exact: real values are arbitrary-precision rationals
 (`fractions.Fraction`, always in canonical form), complex values are Gaussian
 rationals (rational real and imaginary parts).  Values are immutable and safe
 to share between threads; the mutable `_Telescope` block memos live in
-per-thread slots (`_solved`).  Text conversion touches no process state.
+per-thread slots (`_solved`).  Text conversion touches no process state: it
+never reads or changes the int/str digit limit, and the run renderer
+(`_rendered`) does its `decimal` arithmetic in one private context, through
+that context's own methods, so no thread's decimal context is read or set.
 
 Every record in the package, `GaussianRational` included, is a slotted class
 on one private base, `_Record`, rather than a dataclass, which would import
@@ -21,12 +24,13 @@ earlier call built.
 
 from __future__ import annotations
 
+import functools
 import math
 import re as _re
 import threading
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 # Canonical exact rational: gcd-reduced, positive denominator, exact +,-,*,/.
 Rational = Fraction
@@ -192,6 +196,69 @@ def format_rational(value: Fraction) -> str:
     """
     p = value.numerator
     return f"{'-' if p < 0 else ''}{_digits(abs(p))}/{_digits(value.denominator)}"
+
+
+# A part is carried from the last one of its chain only while both cofactors
+# n//g and m//g have at most 1/_CARRY_SHARE of its bits: a carry costs
+# O(bits * cofactor bits), a restart with `_digits` O(bits**2).  Along the
+# Baseline orbit to N = 1600 the cofactors, V values, stay below 4%.
+_CARRY_SHARE = 8
+
+
+def _rendered(values: Iterable[Fraction]) -> Iterator[str]:
+    """`format_rational(v)` for each v of `values`, in order.
+
+    Values below the piece limit are formatted at once.  A larger value is
+    rendered part by part (|numerator|, denominator), each carried from the
+    last part of its chain: the same part of the value four places earlier.
+    Along an orbit those differ by a V ratio, so the new digits are the last
+    ones divided by one small cofactor and multiplied by another, exactly, in
+    `decimal` (linear time), rather than converted afresh (quadratic).  The
+    arithmetic is exact for any two values; a part whose cofactors are not
+    small restarts its chain with `_digits`.
+    """
+    chains = [[None, None] for _ in range(4)]  # (part, its digits) per class
+    for i, value in enumerate(values):
+        p, q = value.numerator, value.denominator
+        if -_PIECE_LIMIT < p < _PIECE_LIMIT and q < _PIECE_LIMIT:
+            yield f"{p}/{q}"
+            continue
+        chain = chains[i % 4]
+        yield f"{'-' if p < 0 else ''}{_carried(chain, 0, abs(p))}/{_carried(chain, 1, q)}"
+
+
+def _carried(chain: list, k: int, n: int) -> str:
+    """str(n), carried from `chain[k]` when it can be; chain[k] becomes n's."""
+    if n < _PIECE_LIMIT:
+        return str(n)
+    last, bits = chain[k], n.bit_length()
+    # n/m = up/down, so their lengths differ by at most up's or down's.
+    if last is not None and abs(bits - last[0].bit_length()) * _CARRY_SHARE <= bits:
+        m, digits = last
+        g = math.gcd(n, m)
+        up, down = n // g, m // g
+        if max(up, down).bit_length() * _CARRY_SHARE <= bits:
+            context = _exact()
+            digits = context.multiply(
+                context.divide_int(context.create_decimal(digits), down), up)
+            chain[k] = (n, digits)
+            return context.to_sci_string(digits)
+    text = _digits(n)
+    chain[k] = (n, text)
+    return text
+
+
+@functools.cache
+def _exact():
+    """The one `decimal.Context` chains are carried in, built on first use
+    (so `decimal` is imported only then): integers of any length fit, and
+    rounding of any kind raises.  Only its own methods are called, so no
+    thread's decimal context is read or changed."""
+    import decimal
+    return decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+               decimal.DivisionByZero, decimal.Overflow])
 
 
 def as_rational(value: RationalLike) -> Fraction:

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sixrde import cli, format_rational, iterate, parse_rational
+from sixrde import cli, core, format_rational, iterate, parse_rational
 from sixrde.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_INTERRUPTED,
@@ -333,15 +333,7 @@ def test_a_failed_run_leaves_no_file_and_keeps_the_old_one(tmp_path, monkeypatch
     # A run that fails while writing leaves the earlier file as it was.
     out.write_text("earlier\n")
     path = write_spec(tmp_path, ones_spec())
-    calls = []
-
-    def failing_format(value):
-        calls.append(value)
-        if len(calls) == 4:
-            raise OSError("no space left on device")
-        return format_rational(value)
-
-    monkeypatch.setattr(cli, "format_rational", failing_format)
+    monkeypatch.setattr(cli, "_output", _output_failing_on_row(4))
     assert cli.main(["iterate", "--spec", path, "--out", str(out)]) == EXIT_USAGE
     assert capsys.readouterr().err == "error: no space left on device\n"
     assert out.read_text() == "earlier\n"
@@ -373,21 +365,40 @@ def test_out_writes_through_a_pipe_and_a_symlink(tmp_path, capsys):
         "link.csv", "pipe", "spec.json", "target.csv"]
 
 
-def _format_failing_on_call(count):
-    """`format_rational`, except that call number `count` raises OSError."""
-    calls = []
+class _FailingStream:
+    """A text stream that passes writes on to `fh` until the write that would
+    complete its row `row` (its line `row + 1`, after the header), which
+    raises OSError as a full disk would."""
 
-    def failing_format(value):
-        calls.append(value)
-        if len(calls) == count:
+    def __init__(self, fh, row):
+        self.fh, self.lines, self.row = fh, 0, row
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        if self.lines > self.row:
             raise OSError("no space left on device")
-        return format_rational(value)
-    return failing_format
+        return self.fh.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+def _output_failing_on_row(row):
+    """`cli._output`, except that writing row number `row` of its stream
+    raises OSError; every other step of the real `_output` runs."""
+    real = cli._output
+
+    @contextlib.contextmanager
+    def output(path):
+        with real(path) as fh:
+            yield _FailingStream(fh, row)
+    return output
 
 
 def test_a_failed_run_writes_nothing_to_stdout_or_a_pipe(tmp_path, monkeypatch, capsys):
     path = write_spec(tmp_path, ones_spec())
-    monkeypatch.setattr(cli, "format_rational", _format_failing_on_call(4))
+    monkeypatch.setattr(cli, "_output", _output_failing_on_row(4))
     assert cli.main(["iterate", "--spec", path, "--out", "-"]) == EXIT_USAGE
     assert capsys.readouterr() == ("", "error: no space left on device\n")
     pipe = tmp_path / "pipe"
@@ -396,7 +407,7 @@ def test_a_failed_run_writes_nothing_to_stdout_or_a_pipe(tmp_path, monkeypatch, 
     reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()),
                               daemon=True)
     reader.start()
-    monkeypatch.setattr(cli, "format_rational", _format_failing_on_call(4))
+    monkeypatch.setattr(cli, "_output", _output_failing_on_row(4))
     assert cli.main(["iterate", "--spec", path, "--out", str(pipe)]) == EXIT_USAGE
     reader.join(timeout=30)
     assert received == [b""]
@@ -433,7 +444,7 @@ def test_stdout_spool_leaves_no_file(tmp_path, monkeypatch, capsys):
     path = write_spec(tmp_path, ones_spec())
     assert cli.main(["iterate", "--spec", path]) == EXIT_OK
     assert capsys.readouterr().out.startswith("m,exact,float\n")
-    monkeypatch.setattr(cli, "format_rational", _format_failing_on_call(4))
+    monkeypatch.setattr(cli, "_output", _output_failing_on_row(4))
     assert cli.main(["iterate", "--spec", path]) == EXIT_USAGE
     assert capsys.readouterr().out == ""
     assert list(spool_dir.iterdir()) == []
@@ -832,6 +843,35 @@ BASELINE = {
     "coeffs": {"kind": "periodic", "period": 2, "a": ["2", "-1/3"], "b": ["1", "5/7"]},
     "horizon": 40,
 }
+
+
+@pytest.mark.parametrize("argv", [
+    ["iterate", "--n", "1600"],
+    ["solve", "--range", "-5..1600"],
+    ["compare", "--n", "400"],
+], ids=" ".join)
+def test_each_residue_chain_converts_its_digits_afresh_a_fixed_number_of_times(
+        tmp_path, monkeypatch, argv):
+    # Past the piece limit a term's parts are carried from the same parts four
+    # rows earlier; only a chain's first large part (of 8: two per class) is
+    # converted afresh by `core._digits`.  At N = 1600 converting every large
+    # part afresh would make 2755 such top-level calls.
+    real, depth, fresh = core._digits, [0], []
+
+    def counted(n):
+        if not depth[0]:
+            fresh.append(n)
+        depth[0] += 1
+        try:
+            return real(n)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(core, "_digits", counted)
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--spec", write_spec(tmp_path, BASELINE), "--out", str(out)]) == 0
+    assert out.stat().st_size > 10**6
+    assert 1 <= len(fresh) <= 2 * 8, len(fresh)
 
 
 def test_a_reader_that_closes_the_pipe_early_gets_exit_141_and_no_message(tmp_path):

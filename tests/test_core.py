@@ -1,10 +1,15 @@
 """Core value types: rationals, Gaussian rationals, sequences, seeds."""
 
 import copy
+import decimal
+import json
+import os
 import pickle
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +31,11 @@ from sixrde import (
     WellDefViolation,
     ZeroInitialValue,
     as_rational,
+    cli,
+    core,
     format_rational,
     i_power,
+    iterate,
     make_initial_conditions,
     parse_rational,
 )
@@ -36,6 +44,8 @@ from sixrde.symmetry import PhaseSumReport, RootCheckFailure
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 gaussians = st.builds(GaussianRational, rationals, rationals)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +109,85 @@ def test_rational_codec_at_every_height(limit):
         assert sys.get_int_max_str_digits() == (limit or previous)
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+# The Baseline instance: seeds 2, 3, 5, 7, 11, 13, 2-periodic a = (2, -1/3),
+# b = (1, 5/7).  Its x_600 has about 5600 digits.
+BASELINE = (InitialConditions((2, 3, 5, 7, 11, 13)),
+            CoefficientSequence.periodic([2, Fraction(-1, 3)], [1, Fraction(5, 7)]))
+
+
+def _runs_to_render():
+    """Seeded runs of values, each named: orbits, and runs built to leave
+    the orbit's shape."""
+    rng = random.Random(23)
+    orbit = list(iterate(*BASELINE, 600).terms)
+    assert len(format_rational(orbit[-1])) > 2 * 4300  # both parts past 4300 digits
+    runs = {"orbit": orbit}
+    runs["sign flips"] = [v if rng.random() < 0.5 else -v for v in orbit]
+    # Each chain rises past the 640-digit limit, falls back below it, rises again.
+    runs["across the limit"] = orbit[:300] + orbit[299::-1] + orbit[:300]
+    # Integers and reciprocals: one part of each value stays below the limit.
+    runs["one part large"] = [Fraction(v.numerator) for v in orbit[200:300]] + [
+        1 / Fraction(v.numerator) for v in orbit[200:300]]
+    # Unrelated random values, then random values sharing a large factor with
+    # the value four places earlier, the cofactors small or not.
+    runs["random"] = [Fraction(rng.getrandbits(rng.randint(1, 30_000)) * rng.choice((1, -1)),
+                               rng.getrandbits(rng.randint(1, 30_000)) | 1)
+                      for _ in range(60)]
+    walk = runs["random"][:4]
+    for i in range(4, 120):
+        bits = rng.choice((8, 200, 3_000))
+        ratio = Fraction(rng.getrandbits(bits) + 1, rng.getrandbits(bits) + 1)
+        walk.append(walk[i - 4] * ratio * rng.choice((1, -1)))
+    runs["random walk"] = walk
+    # An explicit list whose coefficients have about a thousand digits each.
+    big = [Fraction(rng.getrandbits(3_400) + 1, rng.getrandbits(3_400) + 1) for _ in range(32)]
+    listed = CoefficientSequence.explicit(big[:16], big[16:])
+    runs["huge coefficients"] = list(iterate(BASELINE[0], listed, 16).terms)
+    return runs
+
+
+@pytest.fixture(scope="module")
+def runs_to_render():
+    return _runs_to_render()
+
+
+def test_the_chain_renderer_writes_what_format_rational_writes(runs_to_render):
+    for name, values in runs_to_render.items():
+        assert list(core._rendered(values)) == [format_rational(v) for v in values], name
+
+
+def test_the_chain_renderer_ignores_and_keeps_the_thread_decimal_context(runs_to_render):
+    values = runs_to_render["orbit"]
+    want = [format_rational(v) for v in values]
+    strict = decimal.Context(prec=3, traps=[
+        decimal.Clamped, decimal.DivisionByZero, decimal.Inexact, decimal.InvalidOperation,
+        decimal.Overflow, decimal.Rounded, decimal.Subnormal, decimal.Underflow,
+        decimal.FloatOperation])
+    with decimal.localcontext(strict) as context:
+        before = repr(context)
+        assert list(core._rendered(values)) == want
+        assert decimal.getcontext() is context and repr(context) == before
+
+
+def test_the_chain_renderer_needs_no_higher_int_str_limit(tmp_path):
+    # The CSV written under the lowest digit limit the interpreter accepts is
+    # the CSV written under the default one.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "initial": ["2", "3", "5", "7", "11", "13"],
+        "coeffs": {"kind": "periodic", "a": ["2", "-1/3"], "b": ["1", "5/7"]},
+        "horizon": 600}), encoding="utf-8")
+    argv = ["iterate", "--spec", str(spec), "--out"]
+    assert cli.main([*argv, str(tmp_path / "default.csv")]) == 0
+    code = ("import sys; sys.set_int_max_str_digits(640); from sixrde import cli; "
+            f"sys.exit(cli.main({[*argv, str(tmp_path / 'limited.csv')]!r}))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "limited.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
 
 
 @given(rationals, rationals, rationals)

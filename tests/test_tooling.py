@@ -185,6 +185,53 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert done.returncode == 0, done.stderr
 
 
+def test_decimal_is_imported_only_where_a_chain_is_carried(tmp_path):
+    # `decimal` is imported inside the function that builds the renderer's
+    # context, on the first carried part; a desk-scale run carries none.
+    for path in sorted((ROOT / "src" / "sixrde").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        inner = {id(node) for function in functions for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if "decimal" in modules or "_decimal" in modules:
+                assert id(node) in inner, f"{path.name}:{node.lineno} imports decimal eagerly"
+    # `fractions` itself imports `decimal` on CPython 3.10 to 3.13, so the
+    # package can add nothing there; where it does not, neither may the CLI.
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"initial": ["2", "3", "5", "7", "11", "13"], "horizon": 150, '
+                    '"coeffs": {"kind": "periodic", "a": ["2", "-1/3"], "b": ["1", "5/7"]}}')
+    code = "\n".join([
+        "import sys, fractions",
+        "by_fractions = 'decimal' in sys.modules",
+        "from sixrde import cli, core",
+        "assert by_fractions or not {'decimal', '_decimal'} & set(sys.modules)",
+        "assert not core._exact.cache_info().currsize, 'the context was built at import'",
+        f"assert cli.main(['iterate', '--spec', {str(spec)!r}, '--out', {str(spec)!r}]) == 0",
+        "assert not core._exact.cache_info().currsize, 'small values built the context'",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert len(spec.read_text()) > 10**4  # x_150 has 392 digits
+
+
+def test_package_never_reads_or_sets_a_thread_decimal_context():
+    # The renderer calls only its own context's methods.
+    forbidden = {"getcontext", "setcontext", "localcontext"}
+    for path in sorted((ROOT / "src" / "sixrde").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = {getattr(node, field, None) for field in ("attr", "id", "name")}
+            assert not names & forbidden, f"{path.name}:{node.lineno} {names & forbidden}"
+
+
 def _readme_blocks(section: str, language: str) -> list[str]:
     """Fenced `language` blocks under README's `## section` heading."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
