@@ -334,52 +334,55 @@ def _cmd_solve(spec: ProblemSpec, args, out: TextIO) -> int:
 
 
 def _cmd_compare(spec: ProblemSpec, args, out: TextIO) -> int:
+    """Write the report {"rows": [...], "summary": {...}} row by row, each
+    row as soon as it is formed.  Its bytes are those of
+    `json.dumps(report, indent=2, sort_keys=True) + "\\n"`: the templates
+    below lay out that encoder's indentation with the keys in sorted order,
+    and every field is an int, a bool, null, a p/q string or the fixed cause
+    string, none of which JSON escapes.  The orbit's six seeds make at least
+    one row."""
     count = spec.horizon if args.n is None else args.n
     orbit = oracle.iterate(spec.initial, spec.coeffs, count)
-    engines = {
-        "closed_form": closedform.terms(-5, orbit.last_m, spec.initial, spec.coeffs)
-    }
+    engines = [closedform.terms(-5, orbit.last_m, spec.initial, spec.coeffs)]
     try:
-        engines["special"] = specialcases.terms(
-            -5, orbit.last_m, spec.initial, spec.coeffs
-        )
+        engines.append(specialcases.terms(-5, orbit.last_m, spec.initial, spec.coeffs))
     except WrongCase:  # no special case covers these coefficients
         pass
-    rows = []
-    columns = zip(orbit.terms, _rendered(orbit.terms), *engines.values())
+    first_mismatch = None
+    out.write('{\n  "rows": [')
+    columns = zip(orbit.terms, _rendered(orbit.terms), *engines)
     for m, (expected, text, *values) in enumerate(columns, -5):
         # An engine value equal to the oracle's reuses its text, so only a
         # mismatching value is formatted again.
-        row = {"m": m, "oracle": text, "match": all(v == expected for v in values)}
-        for name, value in zip(engines, values):
-            row[name] = text if value == expected else format_rational(value)
-        rows.append(row)
-    first_mismatch = next((row["m"] for row in rows if not row["match"]), None)
-    guard = closedform.well_defined(
-        spec.initial, spec.coeffs, horizon=count // 4 + 2
+        same = [value == expected for value in values]
+        cells = [text if ok else format_rational(value) for ok, value in zip(same, values)]
+        match = all(same)
+        if not match and first_mismatch is None:
+            first_mismatch = m
+        special = f',\n      "special": "{cells[1]}"' if len(cells) > 1 else ""
+        out.write(
+            f'{"," if m > -5 else ""}\n    {{\n      "closed_form": "{cells[0]}",'
+            f'\n      "m": {m},\n      "match": {"true" if match else "false"},'
+            f'\n      "oracle": "{text}"{special}\n    }}'
+        )
+    halt = orbit.halt
+    singularity = "null" if halt is None else (
+        f'{{\n      "cause": "{halt.cause.value}",\n      "step": {halt.step}\n    }}'
     )
-    report = {
-        "rows": rows,
-        "summary": {
-            "first_mismatch": first_mismatch,
-            "singularity": (
-                None
-                if orbit.halt is None
-                else {"step": orbit.halt.step, "cause": orbit.halt.cause.value}
-            ),
-            "violations": [
-                {
-                    "j": v.j,
-                    "s": v.s,
-                    "v_index": v.v_index,
-                    "halt_step": v.halt_step,
-                }
-                for v in guard.violations
-            ],
-        },
-    }
-    json.dump(report, out, indent=2, sort_keys=True)
-    out.write("\n")
+    guard = closedform.well_defined(spec.initial, spec.coeffs, horizon=count // 4 + 2)
+    violations = ",".join(
+        f'\n      {{\n        "halt_step": {v.halt_step},\n        "j": {v.j},'
+        f'\n        "s": {v.s},\n        "v_index": {v.v_index}\n      }}'
+        for v in guard.violations
+    )
+    if violations:
+        violations += "\n    "
+    out.write(
+        f'\n  ],\n  "summary": {{'
+        f'\n    "first_mismatch": {"null" if first_mismatch is None else first_mismatch},'
+        f'\n    "singularity": {singularity},'
+        f'\n    "violations": [{violations}]\n  }}\n}}\n'
+    )
     return EXIT_OK if first_mismatch is None else EXIT_MISMATCH
 
 

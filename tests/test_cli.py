@@ -56,6 +56,13 @@ def ones_spec(a="1", b="0", horizon=10):
     }
 
 
+BASELINE = {
+    "initial": ["2", "3", "5", "7", "11", "13"],
+    "coeffs": {"kind": "periodic", "period": 2, "a": ["2", "-1/3"], "b": ["1", "5/7"]},
+    "horizon": 40,
+}
+
+
 def spec_dict_from(ic, coeffs, horizon):
     data = {
         "initial": [format_rational(v) for v in ic.values],
@@ -414,6 +421,31 @@ def test_a_failed_run_writes_nothing_to_stdout_or_a_pipe(tmp_path, monkeypatch, 
     assert capsys.readouterr() == ("", "error: no space left on device\n")
 
 
+def test_compare_fails_in_mid_report_before_its_engine_runs_out(tmp_path, monkeypatch,
+                                                                capsys):
+    # compare writes each row as it is formed, so a write that fails early
+    # stops the run before the closed form has yielded all 36 values.
+    path = write_spec(tmp_path, ones_spec(a="2", b="1/3", horizon=30))
+    real, yielded = cli.closedform.terms, []
+
+    def counted(*args):
+        for value in real(*args):
+            yielded.append(value)
+            yield value
+
+    monkeypatch.setattr(cli.closedform, "terms", counted)
+    monkeypatch.setattr(cli, "_output", _output_failing_on_row(4))
+    out = tmp_path / "report.json"
+    out.write_text("earlier\n")
+    for target in (str(out), "-"):
+        yielded.clear()
+        assert cli.main(["compare", "--spec", path, "--out", target]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: no space left on device\n")
+        assert 0 < len(yielded) < 36
+    assert out.read_text() == "earlier\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "spec.json"]
+
+
 @pytest.mark.parametrize("b, code, rows", [
     (["0", "0", "0"], EXIT_USAGE, 0),  # runs out at x_4
     (["-1", "0", "0"], EXIT_SINGULAR, 6),  # V_4 = 0 makes x_1 singular first
@@ -632,11 +664,56 @@ def test_compare_streams_its_report_with_the_bytes_of_json_dumps(
     assert out.read_bytes() == want
 
 
-def _corrupting(real_terms):
-    """A range engine like `real_terms` whose x_3 is off by one."""
+def _with_coeffs(coeffs, horizon=8):
+    return dict(ones_spec(horizon=horizon), coeffs=coeffs)
+
+
+@pytest.mark.parametrize("data, argv, corrupt, code, shape", [
+    pytest.param(ones_spec(a="2", b="3", horizon=6), [], {"closedform": 3}, EXIT_MISMATCH,
+                 lambda report: report["summary"]["first_mismatch"] == 3,
+                 id="closed-form-mismatch"),
+    pytest.param(_with_coeffs({"kind": "periodic", "period": 4, "a": ["1", "2", "-1/2", "3"],
+                               "b": ["1", "0", "2", "-1"]}, horizon=6),
+                 [], {"specialcases": 3}, EXIT_MISMATCH,
+                 lambda report: report["summary"]["first_mismatch"] == 3,
+                 id="special-mismatch"),
+    pytest.param(ones_spec(a="2", b="3", horizon=8), [],
+                 {"closedform": 5, "specialcases": 3}, EXIT_MISMATCH,
+                 lambda report: report["summary"]["first_mismatch"] == 3
+                 and [row["m"] for row in report["rows"] if not row["match"]] == [3, 5],
+                 id="two-mismatches"),
+    pytest.param(_with_coeffs({"kind": "periodic", "period": 3, "a": ["1", "2", "3"],
+                               "b": ["0", "1", "0"]}), [], {}, EXIT_OK,
+                 lambda report: "special" not in report["rows"][0], id="period3"),
+    pytest.param(_with_coeffs({"kind": "list", "a": ["2"] * 8, "b": ["1"] * 8}),
+                 [], {}, EXIT_OK,
+                 lambda report: "special" not in report["rows"][0], id="list"),
+    pytest.param(ones_spec(a="1", b="-1"), [], {}, EXIT_OK,
+                 lambda report: report["summary"]["singularity"] is not None
+                 and len(report["summary"]["violations"]) > 1, id="singular"),
+    pytest.param(ones_spec(a="2", b="1/3"), ["--n", "0"], {}, EXIT_OK,
+                 lambda report: len(report["rows"]) == 6, id="n0"),
+    pytest.param(BASELINE, ["--n", "400"], {}, EXIT_OK,
+                 lambda report: len(report["rows"][-1]["oracle"]) > 2 * 640,
+                 id="baseline-n400"),
+])
+def test_compare_report_has_the_bytes_of_json_dumps_in_every_shape(
+        tmp_path, monkeypatch, capsys, data, argv, corrupt, code, shape):
+    for name, at in corrupt.items():
+        engine = getattr(cli, name)
+        monkeypatch.setattr(engine, "terms", _corrupting(engine.terms, at))
+    assert cli.main(["compare", "--spec", write_spec(tmp_path, data), *argv]) == code
+    printed = capsys.readouterr().out
+    report = json.loads(printed)
+    assert shape(report)
+    assert printed == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _corrupting(real_terms, at=3):
+    """A range engine like `real_terms` whose x_at is off by one."""
     def corrupted(lo, hi, *args):
         for m, value in enumerate(real_terms(lo, hi, *args), lo):
-            yield value + 1 if m == 3 else value
+            yield value + 1 if m == at else value
     return corrupted
 
 
@@ -836,13 +913,6 @@ def _child(*argv: str, stdout=subprocess.PIPE, **variables: str) -> subprocess.P
     env.update(PYTHONPATH=str(ROOT / "src"), **variables)
     return subprocess.Popen([sys.executable, "-m", "sixrde", *argv], env=env,
                             stdout=stdout, stderr=subprocess.PIPE)
-
-
-BASELINE = {
-    "initial": ["2", "3", "5", "7", "11", "13"],
-    "coeffs": {"kind": "periodic", "period": 2, "a": ["2", "-1/3"], "b": ["1", "5/7"]},
-    "horizon": 40,
-}
 
 
 @pytest.mark.parametrize("argv", [
@@ -1048,18 +1118,45 @@ def _fuzzed_argv(draw):
     return argv
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(spec=_fuzzed_specs(), argv=_fuzzed_argv())
-def test_cli_contract_holds_for_fuzzed_specs_and_argv(spec, argv):
+@st.composite
+def _fuzzed_spec_bytes(draw):
+    """Spec files as raw bytes: random bytes, or a fuzzed spec's JSON with a
+    few bytes replaced, inserted or deleted."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    raw = bytearray(json.dumps(draw(_fuzzed_specs())).encode())
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(raw) - 1))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "delete":
+            del raw[at]
+        else:
+            raw[at:at + (edit == "replace")] = draw(st.binary(min_size=1, max_size=1))
+    return bytes(raw)
+
+
+def _assert_contract_holds(raw: bytes, argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "spec.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(spec, fh)
+        with open(path, "wb") as fh:
+            fh.write(raw)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv[:1] + ["--spec", path] + argv[1:])
     assert code in (EXIT_OK, EXIT_SINGULAR, EXIT_MISMATCH, EXIT_SPEC, EXIT_USAGE)
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(spec=_fuzzed_specs(), argv=_fuzzed_argv())
+def test_cli_contract_holds_for_fuzzed_specs_and_argv(spec, argv):
+    _assert_contract_holds(json.dumps(spec).encode(), argv)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(raw=_fuzzed_spec_bytes(), argv=_fuzzed_argv())
+def test_cli_contract_holds_for_spec_files_of_fuzzed_bytes(raw, argv):
+    _assert_contract_holds(raw, argv)
 
 
 def test_lcg_is_deterministic():
