@@ -17,7 +17,6 @@ from .core import (
     InitialConditions,
     OutOfHorizon,
     OutOfRange,
-    Rational,
     SingularClosedForm,
     SixrdeError,
     TooShort,
@@ -26,7 +25,6 @@ from .core import (
     as_rational,
     format_rational,
     i_power,
-    make_initial_conditions,
     parse_rational,
 )
 from .oracle import (

@@ -72,7 +72,6 @@ __all__ = [
     "ProblemSpecError",
     "parse_problem_spec",
     "load_problem_spec",
-    "spec_to_dict",
     "canonical_spec_json",
     "Lcg",
     "build_parser",
@@ -175,7 +174,7 @@ def load_problem_spec(path: str) -> ProblemSpec:
     return parse_problem_spec(data)
 
 
-def spec_to_dict(spec: ProblemSpec) -> dict:
+def canonical_spec_json(spec: ProblemSpec) -> str:
     coeffs: dict = {
         "kind": spec.coeffs.kind,
         "a": [format_rational(v) for v in spec.coeffs.a_values()],
@@ -183,15 +182,12 @@ def spec_to_dict(spec: ProblemSpec) -> dict:
     }
     if spec.coeffs.kind == "periodic":
         coeffs["period"] = spec.coeffs.period
-    return {
+    data = {
         "initial": [format_rational(v) for v in spec.initial.values],
         "coeffs": coeffs,
         "horizon": spec.horizon,
     }
-
-
-def canonical_spec_json(spec: ProblemSpec) -> str:
-    return json.dumps(spec_to_dict(spec), indent=2, sort_keys=True) + "\n"
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

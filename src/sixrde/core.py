@@ -32,13 +32,9 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence, Union
 
-# Canonical exact rational: gcd-reduced, positive denominator, exact +,-,*,/.
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
 
 __all__ = [
-    "Rational",
     "RationalLike",
     "SixrdeError",
     "ZeroInitialValue",
@@ -58,7 +54,6 @@ __all__ = [
     "i_power",
     "CoefficientSequence",
     "InitialConditions",
-    "make_initial_conditions",
 ]
 
 
@@ -349,9 +344,6 @@ class GaussianRational(_Record):
     def __bool__(self) -> bool:
         return bool(self.real) or bool(self.imag)
 
-    def __complex__(self) -> complex:
-        return complex(self.real, self.imag)
-
     def __add__(self, other):
         if isinstance(other, GaussianRational):
             return _gaussian(self.real + other.real, self.imag + other.imag)
@@ -474,11 +466,6 @@ class CoefficientSequence:
     def period(self) -> "int | None":
         return self._period
 
-    @property
-    def horizon(self) -> "int | None":
-        """Number of defined steps for explicit lists, else None (total)."""
-        return len(self._a) if self._kind == "list" else None
-
     def _index(self, n: int) -> int:
         if n < 0:
             raise ValueError(f"coefficient index must be >= 0, got {n}")
@@ -566,11 +553,6 @@ class InitialConditions(_Record):
         if not 0 <= j <= 3:
             raise OutOfRange("residue class", j)
         return self.values[j] * self.values[j + 2]
-
-
-def make_initial_conditions(values: Sequence[RationalLike]) -> InitialConditions:
-    """Build validated initial conditions from six nonzero rationals."""
-    return InitialConditions(tuple(values))
 
 
 # ---------------------------------------------------------------------------

@@ -184,59 +184,46 @@ class PhaseSumReport(_Record):
         return not self.failures
 
 
-RootFn = Callable[[int], GaussianRational]
-
-
-def _phase_sum_check(n_max: int, roots: "Sequence[tuple[str, RootFn]]") -> PhaseSumReport:
-    """Test beta_n against -beta_(n+2); the sum is formed only for a failure."""
+def _phase_sum_check(
+    n_max: int, pairs: "Sequence[tuple[str, Characteristic]]"
+) -> PhaseSumReport:
+    """Test beta_n = phase^n against -beta_(n+2) for each named characteristic;
+    the sum is formed only for a failure."""
     failures = []
-    for name, beta in roots:
+    for name, q in pairs:
         for n in range(n_max + 1):
-            first, second = beta(n), beta(n + 2)
+            first, second = q.phase_power(n), q.phase_power(n + 2)
             if first != -second:
                 failures.append(RootCheckFailure(root=name, n=n, value=first + second))
     return PhaseSumReport(n_max=n_max, failures=tuple(failures))
 
 
-_DEFAULT_ROOTS = (("i^n", Q1.phase_power), ("(-i)^n", Q2.phase_power))
-
 _GENERATORS = {"X1": Q1, "X2": Q2}
 
 
-def verify_reduced_system(
-    n_max: int,
-    roots: "Sequence[tuple[str, RootFn]] | None" = None,
-) -> PhaseSumReport:
+def verify_reduced_system(n_max: int) -> PhaseSumReport:
     """Check beta_n + beta_(n+2) = 0 exactly for every root and n <= n_max.
 
-    The default roots are the two solutions i^n and (-i)^n, the phase powers
-    of Q1 and Q2; passing a counterfeit root (e.g. the constant 1) exercises
-    the detector.  The companion equation of the reduced system forces the
+    The roots are the two solutions i^n and (-i)^n, the phase powers of Q1
+    and Q2.  The companion equation of the reduced system forces the
     quadratic part of the characteristic to vanish identically, so there is
     nothing to evaluate for it.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    return _phase_sum_check(n_max, _DEFAULT_ROOTS if roots is None else roots)
+    return _phase_sum_check(n_max, (("i^n", Q1), ("(-i)^n", Q2)))
 
 
-def generator_annihilates_invariant(
-    variant: str,
-    n_max: int,
-    characteristic: "Characteristic | None" = None,
-) -> PhaseSumReport:
+def generator_annihilates_invariant(variant: str, n_max: int) -> PhaseSumReport:
     """Check that the prolonged generator kills the logarithmic invariant.
 
     Applying the generator to S_n*phase^n + S_(n+2)*phase^(n+2) leaves the
     coefficient sum phase^n + phase^(n+2), which must vanish exactly for
     every n <= n_max.  Variant "X1" uses the phase of Q1 (i), "X2" that of
-    Q2 (-i); an explicit `characteristic` override (e.g.
-    `counterfeit_characteristic`, phase 1) exercises the detector.
+    Q2 (-i).
     """
     if variant not in _GENERATORS:
         raise ValueError(f"variant must be 'X1' or 'X2', got {variant!r}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    q = _GENERATORS[variant] if characteristic is None else characteristic
-    return _phase_sum_check(n_max, ((variant, q.phase_power),))
-
+    return _phase_sum_check(n_max, ((variant, _GENERATORS[variant]),))

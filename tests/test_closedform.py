@@ -11,12 +11,12 @@ from sixrde import (
     GaussianRational,
     I,
     IndexBelowSeed,
+    InitialConditions,
     OutOfHorizon,
     SingularClosedForm,
     gamma,
     invariant_sequence,
     iterate,
-    make_initial_conditions,
     term,
     term_const_a1,
     term_const_a_neg1,
@@ -44,7 +44,7 @@ from conftest import (
     values_until_error,
 )
 
-ONES = make_initial_conditions([1] * 6)
+ONES = InitialConditions([1] * 6)
 TRIVIAL = CoefficientSequence.constant(1, 0)
 
 
@@ -94,13 +94,13 @@ def test_gamma_identities_hold_at_every_limit():
 # ---------------------------------------------------------------------------
 
 def test_v_closed_block_zero_is_seed_invariant():
-    ic = make_initial_conditions([2, 3, 5, 7, 11, 13])
+    ic = InitialConditions([2, 3, 5, 7, 11, 13])
     for j in range(4):
         assert v_closed(j, 0, ic, TRIVIAL) == 1 / ic.seed_product(j)
 
 
 def test_v_closed_identity_map_is_constant():
-    ic = make_initial_conditions([2, 3, 5, 7, 11, 13])
+    ic = InitialConditions([2, 3, 5, 7, 11, 13])
     for j in range(4):
         for n in (1, 2, 7):
             assert v_closed(j, n, ic, TRIVIAL) == v_closed(j, 0, ic, TRIVIAL)
@@ -117,7 +117,7 @@ def test_v_closed_matches_oracle_invariants():
 
 @pytest.mark.parametrize("a", [0, 1, -1, Fraction(-1, 2), 2])
 def test_each_v_costs_one_normalisation_and_no_product_or_sum(monkeypatch, a):
-    ic = make_initial_conditions([2, 3, 5, 7, 11, 13])
+    ic = InitialConditions([2, 3, 5, 7, 11, 13])
     coeffs = CoefficientSequence.periodic([a, Fraction(3, 2)], [Fraction(5, 7), -1])
     table = _InvariantTable(ic, coeffs)
     normalisations = count_normalisations(monkeypatch)
@@ -134,13 +134,13 @@ def test_each_v_costs_one_normalisation_and_no_product_or_sum(monkeypatch, a):
 # ---------------------------------------------------------------------------
 
 def test_term_returns_seeds_unchanged():
-    ic = make_initial_conditions([2, 3, 5, 7, 11, 13])
+    ic = InitialConditions([2, 3, 5, 7, 11, 13])
     for m in range(-5, 1):
         assert term(m, ic, TRIVIAL) == ic.x(m)
 
 
 def test_term_telescopes_for_identity_coefficients():
-    ic = make_initial_conditions([2, 3, 5, 7, 11, 13])
+    ic = InitialConditions([2, 3, 5, 7, 11, 13])
     c, g = ic.x(-5), ic.x(-1)
     for n in range(0, 8):
         assert term(4 * n - 5, ic, TRIVIAL) == g**n / c ** (n - 1)
@@ -277,7 +277,7 @@ def test_well_defined_equals_per_class_scan():
     classes = set()
     total = 0
     for trial in range(600):
-        ic = make_initial_conditions([rng.choice(small) for _ in range(6)])
+        ic = InitialConditions([rng.choice(small) for _ in range(6)])
         kind = trial % 3
         if kind == 0:
             coeffs = CoefficientSequence.constant(rng.choice(coeff_a), rng.choice(coeff_b))
@@ -318,7 +318,7 @@ def test_unified_magnitude_all_ones():
 
 
 def test_unified_magnitude_at_zero_is_seed_magnitude():
-    ic = make_initial_conditions(
+    ic = InitialConditions(
         [Fraction(-3, 4), 2, 1, Fraction(5, 7), 1, 1]
     )
     assert unified_magnitude(0, ic, TRIVIAL) == pytest.approx(0.75, rel=1e-12)
@@ -390,6 +390,6 @@ _PIN_STEEP = CoefficientSequence.periodic([4, 1, Fraction(1, 4), 1], [1] * 4)
 def test_unified_path_keeps_every_bit(seeds, coeffs, n, exponent, magnitude):
     # Exact bits, within and past the float range: any reordering of the
     # sum's terms moves some of them.
-    ic = make_initial_conditions(seeds)
+    ic = InitialConditions(seeds)
     assert unified_exponent(n, ic, coeffs).hex() == exponent
     assert unified_magnitude(n, ic, coeffs).hex() == magnitude

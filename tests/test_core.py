@@ -36,7 +36,6 @@ from sixrde import (
     format_rational,
     i_power,
     iterate,
-    make_initial_conditions,
     parse_rational,
 )
 from sixrde.cli import ProblemSpec
@@ -158,6 +157,29 @@ def test_the_chain_renderer_writes_what_format_rational_writes(runs_to_render):
         assert list(core._rendered(values)) == [format_rational(v) for v in values], name
 
 
+def test_a_value_whose_cofactors_are_large_restarts_its_chain(monkeypatch):
+    # Twelve unrelated odd 10 000-bit integers: each shares no small ratio
+    # with the value four places earlier, so a carry would divide by a
+    # cofactor as long as the value itself.  Every one restarts its chain.
+    rng = random.Random(25)
+    values = [Fraction(rng.getrandbits(10_000) | 1 << 9_999 | 1) for _ in range(12)]
+    want = [format_rational(v) for v in values]
+    real, depth, fresh = core._digits, [0], []
+
+    def counted(n):
+        if not depth[0]:
+            fresh.append(n)
+        depth[0] += 1
+        try:
+            return real(n)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(core, "_digits", counted)
+    assert list(core._rendered(values)) == want
+    assert fresh == [v.numerator for v in values]  # 12 of 12
+
+
 def test_the_chain_renderer_ignores_and_keeps_the_thread_decimal_context(runs_to_render):
     values = runs_to_render["orbit"]
     want = [format_rational(v) for v in values]
@@ -238,10 +260,10 @@ def test_i_power_matches_repeated_multiplication(k):
     assert i_power(k) == expected
 
 
-def test_gaussian_rational_converts_to_complex():
-    assert complex(GaussianRational(Fraction(-3, 4), Fraction(1, 8))) == complex(-0.75, 0.125)
+def test_i_power_parts_match_complex_powers_of_1j():
     for k in range(-9, 10):
-        assert complex(i_power(k)) == 1j**k
+        z, expected = i_power(k), 1j**k
+        assert (float(z.real), float(z.imag)) == (expected.real, expected.imag)
 
 
 def test_gaussian_rational_scalar_mixing():
@@ -330,7 +352,7 @@ def test_explicit_list_reports_horizon():
     with pytest.raises(OutOfHorizon) as exc:
         seq.a_at(9)
     assert exc.value.n == 9
-    assert seq.horizon == 4
+    assert exc.value.horizon == 4
 
 
 def test_sequence_rejects_bad_inputs():
@@ -368,23 +390,38 @@ def test_sequence_structural_equality():
     assert as_ints != "list"
 
 
+def test_a_sequence_builds_what_equality_compares_once(monkeypatch):
+    # Two equal 416-step lists compared three times: each builds its integer
+    # pairs on the first comparison only, one `as_integer_ratio` call per
+    # coefficient (832 per list).
+    a = [Fraction(k % 7 - 3, k % 5 + 1) for k in range(416)]
+    b = [Fraction(k % 3, k % 11 + 1) for k in range(416)]
+    first, second = CoefficientSequence.explicit(a, b), CoefficientSequence.explicit(a, b)
+    real, calls = Fraction.as_integer_ratio, []
+    monkeypatch.setattr(Fraction, "as_integer_ratio",
+                        lambda self: calls.append(1) or real(self))
+    for _ in range(3):
+        assert first == second
+    assert len(calls) == 2 * 832
+
+
 # ---------------------------------------------------------------------------
 # Initial conditions
 # ---------------------------------------------------------------------------
 
 def test_all_ones_seed_accepted():
-    ic = make_initial_conditions([1, 1, 1, 1, 1, 1])
+    ic = InitialConditions([1, 1, 1, 1, 1, 1])
     assert ic.u(0) == 1 and ic.x(0) == 1
 
 
 def test_zero_seed_rejected_with_position():
     with pytest.raises(ZeroInitialValue) as exc:
-        make_initial_conditions([1, 1, 0, 1, 1, 1])
+        InitialConditions([1, 1, 0, 1, 1, 1])
     assert exc.value.position == -3
 
 
 def test_mixed_nonzero_rationals_accepted():
-    ic = make_initial_conditions(
+    ic = InitialConditions(
         [Fraction(2, 3), -1, 5, Fraction(7, 2), Fraction(-4, 9), 1]
     )
     assert ic.x(-5) == Fraction(2, 3)

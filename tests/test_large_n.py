@@ -4,10 +4,11 @@ Each value there runs to tens of thousands of digits, a regime the rest of
 the suite, which compares the engines at small heights, never reaches.  Every
 command runs in a child `python -m sixrde`, and its output's md5 and byte
 length must equal the pins.  `iterate` and `solve` at N = 1600 take about a
-second each and `compare` at N = 800 a third of one; they always run.  The
-rest (`compare` at N = 1600, `solve --engine auto`, the other N = 800 pins and
-`verify-symmetry`) take about as long again together and need about 100 MB of
-temporary space, so they are skipped unless SIXRDE_LARGE_N is set:
+second each, `compare` at N = 800 a third of one and `verify-symmetry` a
+fifth; they always run.  The rest (`compare` at N = 1600, `solve --engine
+auto` and the other N = 800 pins) take about as long again together and need
+about 100 MB of temporary space, so they are skipped unless SIXRDE_LARGE_N is
+set:
 
     SIXRDE_LARGE_N=1 pytest tests/test_large_n.py
 """
@@ -81,7 +82,6 @@ def test_spec_command_output_is_pinned(tmp_path, argv, pin):
         out.unlink(missing_ok=True)
 
 
-@opt_in
 def test_verify_symmetry_output_is_pinned(tmp_path):
     done = _run(["verify-symmetry"], tmp_path, stdout=subprocess.PIPE)
     assert done.returncode == 0, done.stderr

@@ -15,7 +15,6 @@ from sixrde import (
     OutOfHorizon,
     SingularClosedForm,
     iterate,
-    make_initial_conditions,
     specialcases,
     term,
     term_periodic4,
@@ -149,7 +148,7 @@ def test_a_singular_query_fails_alike_each_time_and_keeps_earlier_terms(point, w
 def test_an_explicit_list_still_runs_out_before_a_singular_v():
     # V_4 = a_0 + b_0 = 0 makes x_1 singular; x_13 also needs coefficient 6,
     # past the list's end, and says so however warm the slot is.
-    ones = make_initial_conditions([1] * 6)
+    ones = InitialConditions([1] * 6)
     coeffs = CoefficientSequence.explicit([1] * 4, [-1, 0, 0, 0])
     start_cold()
     for _ in range(2):
@@ -226,7 +225,7 @@ class CountingCoefficients(CoefficientSequence):
 
 
 def test_point_queries_look_up_no_more_coefficients_than_one_range():
-    ic = make_initial_conditions([1, 2, 3, 1, 2, 3])
+    ic = InitialConditions([1, 2, 3, 1, 2, 3])
     a, b = (2, Fraction(1, 3), 1, Fraction(3, 2)), (1, Fraction(1, 2), 2, Fraction(1, 5))
     ranged, pointed = (CountingCoefficients.periodic(a, b) for _ in range(2))
     start_cold()

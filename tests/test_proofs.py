@@ -11,6 +11,7 @@ import pytest
 from sixrde import (
     CoefficientSequence,
     GaussianRational,
+    InitialConditions,
     LscSample,
     Q1,
     Q2,
@@ -20,7 +21,6 @@ from sixrde import (
     cli,
     closedform,
     core,
-    make_initial_conditions,
     specialcases,
     term_const_a_neg1,
 )
@@ -125,7 +125,7 @@ def test_invariant_recurrence_is_an_identity():
 def test_map_matches_one_oracle_step():
     # x_1 is u_6 for u_0..u_4 = x_(-5)..x_(-1).
     seeds = [AT[u0], Fraction(5), AT[u2], Fraction(1, 2), AT[u4], Fraction(1)]
-    orbit = iterate(make_initial_conditions(seeds),
+    orbit = iterate(InitialConditions(seeds),
                     CoefficientSequence.constant(AT[a], AT[b]), 1)
     assert next_term().subs(AT) == sp.Rational(orbit.x(1))
 
@@ -175,7 +175,7 @@ SAMPLE_PARITY = (math.prod(SAMPLE_SEEDS[0::2]), math.prod(SAMPLE_SEEDS[1::2]))
 
 def sample_engines(coeff_a):
     """The special-case factor sequence and the V table at the sample `AT`."""
-    ic = make_initial_conditions(SAMPLE_SEEDS)
+    ic = InitialConditions(SAMPLE_SEEDS)
     coeffs = CoefficientSequence.constant(coeff_a, AT[b])
     factors = specialcases._Factors(ic, coeffs)
     return ic, factors, closedform._InvariantTable(ic, coeffs)
@@ -295,7 +295,7 @@ def test_a_neg1_parity_formula_matches_the_code():
     values = [Fraction(3, 7), Fraction(-2, 5), Fraction(9, 4), Fraction(5), Fraction(1, 2),
               Fraction(-6)]
     coeff_b = Fraction(-4, 5)
-    ic = make_initial_conditions(values)
+    ic = InitialConditions(values)
     at = {**dict(zip(SEEDS, values)), b: coeff_b}
     for j in range(4):
         for n in range(8):
@@ -365,7 +365,7 @@ def test_signed_sum_equals_the_telescoping_product():
 def test_signed_sum_matches_the_code():
     values = [Fraction(3, 7), Fraction(-2, 5), Fraction(9, 4), Fraction(5), Fraction(1, 2),
               Fraction(-6)]
-    ic = make_initial_conditions(values)
+    ic = InitialConditions(values)
     coeffs = CoefficientSequence.periodic([Fraction(2, 3), -3, 1], [Fraction(-4, 5), 2, 1])
     magnitude = {**{LN_U[j]: abs(values[j]) for j in range(6)},
                  **{LN_V[k]: abs(closedform.v_closed(k % 4, k // 4, ic, coeffs))

@@ -9,12 +9,12 @@ import pytest
 from sixrde import (
     CoefficientSequence,
     ConstantCoeffs,
+    InitialConditions,
     PeriodicCoeffs2,
     PeriodicCoeffs4,
     SingularClosedForm,
     WrongCase,
     iterate,
-    make_initial_conditions,
     term,
     term_const_a1,
     term_const_a_neg1,
@@ -33,7 +33,7 @@ from conftest import (
     values_until_error,
 )
 
-ONES = make_initial_conditions([1] * 6)
+ONES = InitialConditions([1] * 6)
 
 
 def small_coeff(rng):
@@ -45,7 +45,7 @@ def small_coeff(rng):
 # ---------------------------------------------------------------------------
 
 def test_all_cases_return_seeds_at_block_zero():
-    ic = make_initial_conditions([2, 3, 5, 7, 11, 13])
+    ic = InitialConditions([2, 3, 5, 7, 11, 13])
     for m in range(-5, -1):
         assert term_const_general(m, ic, ConstantCoeffs(2, 3)) == ic.x(m)
         assert term_const_a1(m, ic, 3) == ic.x(m)
@@ -55,7 +55,7 @@ def test_all_cases_return_seeds_at_block_zero():
 
 
 def test_b_zero_telescoping():
-    ic = make_initial_conditions([2, 3, 5, 7, 11, 13])
+    ic = InitialConditions([2, 3, 5, 7, 11, 13])
     c, g = ic.x(-5), ic.x(-1)
     for n in range(0, 8):
         m = 4 * n - 5
@@ -71,7 +71,7 @@ def test_b_zero_telescoping():
 
 
 def test_periodic_identity_coefficients_telescope():
-    ic = make_initial_conditions([2, 3, 5, 7, 11, 13])
+    ic = InitialConditions([2, 3, 5, 7, 11, 13])
     c, g = ic.x(-5), ic.x(-1)
     pc2 = PeriodicCoeffs2((1, 1), (0, 0))
     pc4 = PeriodicCoeffs4((1, 1, 1, 1), (0, 0, 0, 0))
@@ -130,7 +130,7 @@ def test_a_neg1_flags_singular_base():
 def test_vanishing_numerator_is_reported_by_its_own_index():
     # x_3 (class 0) meets V_4 = 0 as the numerator of factor s = 1, behind the
     # nonzero denominator V_6; every engine names V_4 (class 2, factor 0).
-    ic = make_initial_conditions([1, 1, 1, 1, 2, 1])
+    ic = InitialConditions([1, 1, 1, 1, 2, 1])
     a, b = (1, 1, 1, 1), (-1, 0, 0, 0)
     engines = (
         lambda: term(3, ic, CoefficientSequence.periodic(a, b)),
@@ -186,7 +186,7 @@ def test_geometric_sum_identity_across_cases():
 
 @pytest.mark.parametrize("a", [0, 1, -1, Fraction(-1, 2), 2])
 def test_each_factor_costs_one_normalisation_and_no_product_or_sum(monkeypatch, a):
-    ic = make_initial_conditions([2, 3, 5, 7, 11, 13])
+    ic = InitialConditions([2, 3, 5, 7, 11, 13])
     coeffs = PeriodicCoeffs4((a, Fraction(3, 2), a, -3), (Fraction(5, 7), -1, 2, 1))
     factors = specialcases._Factors(ic, coeffs)
     normalisations = count_normalisations(monkeypatch)
@@ -266,7 +266,7 @@ def test_a_zero_planted_at_block_40_is_found_by_every_engine(r):
     # vanishes.  The special cases meet it as an exact zero of C + D*2^40;
     # a range meets it first as a denominator, a cold point query on class
     # r at block 41 as its own numerator.
-    ic = make_initial_conditions([1, 2, 3, 1, 2, 3])
+    ic = InitialConditions([1, 2, 3, 1, 2, 3])
     v_r = 1 / ic.seed_product(r)
     coeffs = ConstantCoeffs(2, -(2**40) * v_r / (2**40 - 1))
     v_index = 160 + r

@@ -16,8 +16,10 @@ from sixrde import (
     generator_annihilates_invariant,
     i_power,
     lsc_residual,
+    symmetry,
     verify_reduced_system,
 )
+from sixrde.symmetry import _phase_sum_check
 
 from conftest import random_rational
 
@@ -129,9 +131,7 @@ def test_reduced_system_roots_check_out():
 
 
 def test_reduced_system_detects_counterfeit_root():
-    report = verify_reduced_system(
-        10, roots=(("1^n", lambda n: GaussianRational(1)),)
-    )
+    report = _phase_sum_check(10, (("1^n", counterfeit_characteristic),))
     assert not report.ok
     first = report.failures[0]
     assert first.n == 0
@@ -147,11 +147,24 @@ def test_generators_annihilate_invariant():
 
 
 def test_generator_detects_counterfeit_phase():
-    report = generator_annihilates_invariant(
-        "X1", 5, characteristic=counterfeit_characteristic
-    )
+    report = _phase_sum_check(5, (("1^n", counterfeit_characteristic),))
     assert not report.ok
     assert report.failures[0].value == GaussianRational(2)
+
+
+def test_the_phase_sum_checks_reach_every_n_up_to_n_max(monkeypatch):
+    # A phase that goes wrong only from |k| = 42 on is caught first at
+    # n = 40, where beta_(n+2) reads it; a check cut short of n_max misses it.
+    real = symmetry.i_power
+    monkeypatch.setattr(symmetry, "i_power",
+                        lambda k: real(k + 1) if abs(k) >= 42 else real(k))
+    for report, roots in ((verify_reduced_system(50), {"i^n", "(-i)^n"}),
+                          (generator_annihilates_invariant("X1", 50), {"X1"}),
+                          (generator_annihilates_invariant("X2", 50), {"X2"})):
+        assert not report.ok
+        assert min(failure.n for failure in report.failures) == 40
+        assert {failure.root for failure in report.failures if failure.n == 40} == roots
+    assert verify_reduced_system(39).ok
 
 
 def test_generator_validates_variant():
