@@ -11,8 +11,6 @@ shift-symmetry structure.
 from .core import (
     CoefficientSequence,
     DegenerateSample,
-    GaussianRational,
-    I,
     IndexBelowSeed,
     InitialConditions,
     OutOfHorizon,
@@ -24,7 +22,6 @@ from .core import (
     ZeroInitialValue,
     as_rational,
     format_rational,
-    i_power,
     parse_rational,
 )
 from .oracle import (

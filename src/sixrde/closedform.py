@@ -51,14 +51,12 @@ from fractions import Fraction
 
 from .core import (
     CoefficientSequence,
-    GaussianRational,
     InitialConditions,
     OutOfHorizon,
     OutOfRange,
     SingularClosedForm,
     _Record,
     _solved,
-    i_power,
     log_abs,
 )
 
@@ -79,29 +77,32 @@ __all__ = [
 # The phase kernel
 # ---------------------------------------------------------------------------
 
-def gamma(n: int, k: int) -> GaussianRational:
+#: i^d for d = 0..3.  Every part is 0 or +-1, so the builtin complex is exact.
+_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
+def gamma(n: int, k: int) -> complex:
     """The phase kernel i^n * (-i)^k = i^(n-k), exact."""
-    return i_power(n - k)
+    return _I_POWERS[(n - k) % 4]
 
 
 def verify_gamma_identities(limit: int) -> list[str]:
     """Check all seven structural identities of the phase kernel.
 
     Returns a list of human-readable failures (empty when everything holds)
-    for all n, k in 0..limit.  The kernel is `i_power(n - k)`, a lookup on
-    (n - k) mod 4, so one period, n, k in 0..min(limit, 3), covers them all.
+    for all n, k in 0..limit.  The kernel is a lookup on (n - k) mod 4, so
+    one period, n, k in 0..min(limit, 3), covers them all.
     """
     failures = []
-    one = GaussianRational(1)
-    if gamma(0, 1) != i_power(-1):
+    if gamma(0, 1) != -1j:
         failures.append("gamma(0,1) != conj(i)")
-    if gamma(1, 0) != i_power(1):
+    if gamma(1, 0) != 1j:
         failures.append("gamma(1,0) != i")
     period = range(min(limit, 3) + 1)
     for n in period:
         for k in period:
             g = gamma(n, k)
-            if n == k and g != one:
+            if n == k and g != 1:
                 failures.append(f"gamma({n},{n}) != 1")
             if gamma(n + 2, k) != -g:
                 failures.append(f"gamma({n}+2,{k}) != -gamma({n},{k})")

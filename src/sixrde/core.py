@@ -1,20 +1,18 @@
 """Exact value types shared by every engine in the package.
 
-All quantities are exact: real values are arbitrary-precision rationals
-(`fractions.Fraction`, always in canonical form), complex values are Gaussian
-rationals (rational real and imaginary parts).  Values are immutable and safe
-to share between threads; the mutable `_Telescope` block memos live in
-per-thread slots (`_solved`).  Text conversion touches no process state: it
-never reads or changes the int/str digit limit, and the run renderer
-(`_rendered`) does its `decimal` arithmetic in one private context, through
-that context's own methods, so no thread's decimal context is read or set.
+All quantities are exact arbitrary-precision rationals (`fractions.Fraction`,
+always in canonical form): the recurrence, its coefficients and its symmetry
+characteristics are real, so the package has no exact complex type.  Values
+are immutable and safe to share between threads; the mutable `_Telescope`
+block memos live in per-thread slots (`_solved`).  Text conversion touches
+no process state: it never reads or changes the int/str digit limit, and the
+run renderer (`_rendered`) does its `decimal` arithmetic in one private
+context, through that context's own methods, so no thread's decimal context
+is read or set.
 
-Every record in the package, `GaussianRational` included, is a slotted class
-on one private base, `_Record`, rather than a dataclass, which would import
-`inspect` at start-up; its own `__init__` validates and stores its fields.
-`GaussianRational`'s public constructor coerces each part with
-`as_rational`, while results of its own arithmetic are built from parts
-already known to be Fractions, without coercion.
+Every record in the package is a slotted class on one private base,
+`_Record`, rather than a dataclass, which would import `inspect` at
+start-up; its own `__init__` validates and stores its fields.
 
 `InitialConditions` and `CoefficientSequence` compare by value.  The
 closed-form and special-case engines key their per-thread slot for the last
@@ -49,9 +47,6 @@ __all__ = [
     "format_rational",
     "as_rational",
     "log_abs",
-    "GaussianRational",
-    "I",
-    "i_power",
     "CoefficientSequence",
     "InitialConditions",
 ]
@@ -319,98 +314,6 @@ class _Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
-
-
-# ---------------------------------------------------------------------------
-# Gaussian rationals
-# ---------------------------------------------------------------------------
-
-class GaussianRational(_Record):
-    """Complex number with exact rational real and imaginary parts.
-
-    An immutable record (`_Record`): equal values compare and hash equal,
-    and `real`/`imag` cannot be assigned or deleted.  Ring arithmetic (+, -,
-    *) is exact, against another Gaussian rational or a real scalar (int or
-    Fraction); a scalar operand costs one operation per part.  The imaginary
-    unit is available as the module constant `I`.
-    """
-
-    __slots__ = ("real", "imag")
-
-    def __init__(self, real: RationalLike = 0, imag: RationalLike = 0):
-        _set_real(self, as_rational(real))
-        _set_imag(self, as_rational(imag))
-
-    def __bool__(self) -> bool:
-        return bool(self.real) or bool(self.imag)
-
-    def __add__(self, other):
-        if isinstance(other, GaussianRational):
-            return _gaussian(self.real + other.real, self.imag + other.imag)
-        if isinstance(other, (Fraction, int)):
-            return _gaussian(self.real + other, self.imag)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "GaussianRational":
-        return _gaussian(-self.real, -self.imag)
-
-    def __sub__(self, other):
-        if isinstance(other, GaussianRational):
-            return _gaussian(self.real - other.real, self.imag - other.imag)
-        if isinstance(other, (Fraction, int)):
-            return _gaussian(self.real - other, self.imag)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, (Fraction, int)):
-            return _gaussian(other - self.real, -self.imag)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, GaussianRational):
-            return _gaussian(
-                self.real * other.real - self.imag * other.imag,
-                self.real * other.imag + self.imag * other.real,
-            )
-        if isinstance(other, (Fraction, int)):
-            return _gaussian(self.real * other, self.imag * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        return f"GaussianRational({self.real!s}, {self.imag!s})"
-
-
-_set_real = GaussianRational.real.__set__
-_set_imag = GaussianRational.imag.__set__
-_new_gaussian = object.__new__
-
-
-def _gaussian(real: Fraction, imag: Fraction) -> GaussianRational:
-    """Trusted constructor: both parts are already Fractions, so no coercion."""
-    z = _new_gaussian(GaussianRational)
-    _set_real(z, real)
-    _set_imag(z, imag)
-    return z
-
-
-#: The imaginary unit, exact.
-I = GaussianRational(Fraction(0), Fraction(1))
-
-_I_CYCLE = (
-    GaussianRational(Fraction(1), Fraction(0)),
-    I,
-    GaussianRational(Fraction(-1), Fraction(0)),
-    GaussianRational(Fraction(0), Fraction(-1)),
-)
-
-
-def i_power(k: int) -> GaussianRational:
-    """Exact i**k for any integer k (period-4 lookup)."""
-    return _I_CYCLE[k % 4]
 
 
 # ---------------------------------------------------------------------------

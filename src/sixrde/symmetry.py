@@ -1,18 +1,23 @@
 """Verification layer for the shift-symmetry structure of the recurrence.
 
-The recurrence admits a two-dimensional algebra of point symmetries with
-characteristics Q(n, u) = (+-i)^n * u.  Each characteristic is a whole number
-of quarter turns of i per step, so every phase it takes is read from the
-four-cycle `core.i_power`, and Q(n, u) is applied as a quarter-turn rotation
-of u: (u, 0), (0, u), (-u, 0) or (0, -u), with no Gaussian multiply.  This
-module evaluates the linearized symmetry condition residual exactly at
-sampled points (the residual is a rational function that must vanish
-identically, so vanishing at generic rational samples is the verification
-standard), and runs one phase-sum check,
-beta_n + beta_(n+2) = 0 for n <= n_max, both for the reduced determining
-system (roots i^n and (-i)^n) and for the prolonged generators applied to the
-logarithmic invariant ln|u_n| + ln|u_(n+2)| (coefficient sum
-phase^n + phase^(n+2)).
+The recurrence admits a two-dimensional algebra of point symmetries.  The
+paper writes its characteristics as Q(n, u) = (+-i)^n * u; since the
+recurrence's coefficients are real and the linearized symmetry condition is
+linear in Q, the real pair
+
+    Q1(n, u) = Re(i^n) * u,   coefficients 1, 0, -1, 0 (n mod 4),
+    Q2(n, u) = Im(i^n) * u,   coefficients 0, 1, 0, -1,
+
+spans the same algebra, with (+-i)^n * u = Q1 +- i*Q2.  A `Characteristic`
+is such a real period-4 coefficient table, and every value it takes is a
+`Fraction`.  This module evaluates the linearized symmetry condition
+residual exactly at sampled points (the residual is a rational function
+that must vanish identically, so vanishing at generic rational samples is
+the verification standard), and runs one phase-sum check,
+alpha_n + alpha_(n+2) = 0 for n <= n_max, both for the reduced determining
+system (the real and imaginary parts of its roots i^n and (-i)^n) and for
+the prolonged generators applied to the logarithmic invariant
+ln|u_n| + ln|u_(n+2)|.
 """
 
 from __future__ import annotations
@@ -20,15 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .core import (
-    DegenerateSample,
-    GaussianRational,
-    RationalLike,
-    _gaussian,
-    _Record,
-    as_rational,
-    i_power,
-)
+from .core import DegenerateSample, RationalLike, _Record, as_rational
 
 __all__ = [
     "Characteristic",
@@ -43,52 +40,43 @@ __all__ = [
     "generator_annihilates_invariant",
 ]
 
-CharacteristicFn = Callable[[int, RationalLike], GaussianRational]
-
-_ZERO = Fraction(0)
+CharacteristicFn = Callable[[int, RationalLike], Fraction]
 
 
-class Characteristic:
-    """A symmetry characteristic Q(n, u) = i^(turns*n) * u over Gaussian rationals.
+class Characteristic(_Record):
+    """A symmetry characteristic Q(n, u) = alpha[n mod 4] * u over the rationals.
 
-    Its phase is i^turns, a whole number of quarter turns of i, so Q is
-    periodic of period 4 in n, linear in u, and Q(n, 0) = 0.
+    `alpha` is the real coefficient table of one period, so Q is periodic
+    of period 4 in n, linear in u, and Q(n, 0) = 0.
     """
 
-    __slots__ = ("name", "turns")
+    __slots__ = ("name", "alpha")
 
-    def __init__(self, name: str, turns: int):
-        self.name = name
-        self.turns = turns
+    def __init__(self, name: str, alpha: Sequence[RationalLike]):
+        alpha = tuple(map(as_rational, alpha))
+        if len(alpha) != 4:
+            raise ValueError(f"alpha must hold 4 coefficients, got {len(alpha)}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "alpha", alpha)
 
-    def phase_power(self, n: int) -> GaussianRational:
-        """phase^n = i^(turns*n), read from the four-cycle of i."""
-        return i_power(self.turns * n)
+    def coefficient(self, n: int) -> Fraction:
+        """alpha_n, read from the period-4 table."""
+        return self.alpha[n % 4]
 
-    def __call__(self, n: int, u: RationalLike) -> GaussianRational:
-        """i^(turns*n) * u, applied as a rotation of u by whole quarter turns."""
-        u = as_rational(u)
-        turn = self.turns * n % 4
-        if turn == 0:
-            return _gaussian(u, _ZERO)
-        if turn == 1:
-            return _gaussian(_ZERO, u)
-        if turn == 2:
-            return _gaussian(-u, _ZERO)
-        return _gaussian(_ZERO, -u)
-
-    def __repr__(self) -> str:
-        return f"Characteristic({self.name}, turns={self.turns})"
+    def __call__(self, n: int, u: RationalLike) -> Fraction:
+        return self.coefficient(n) * as_rational(u)
 
 
-#: The two independent characteristics: phases i and -i.
-Q1 = Characteristic("Q1", 1)
-Q2 = Characteristic("Q2", -1)
+#: The two independent characteristics, Re(i^n)*u and Im(i^n)*u: the paper's
+#: (+-i)^n * u are Q1 +- i*Q2.
+Q1 = Characteristic("Q1", (1, 0, -1, 0))
+Q2 = Characteristic("Q2", (0, 1, 0, -1))
 
 #: Deliberately wrong characteristic Q(n, u) = u, for detector sanity.
-#: It is not a symmetry of the recurrence, so the linearized-condition
-#: residual must come out nonzero on generic samples.
-counterfeit_characteristic = Characteristic("counterfeit", 0)
+#: It is not a symmetry of the recurrence (unless b = 0, where scaling is
+#: one), so the linearized-condition residual must come out nonzero on
+#: generic samples.
+counterfeit_characteristic = Characteristic("counterfeit", (1, 1, 1, 1))
 
 
 class LscSample(_Record):
@@ -125,7 +113,7 @@ class LscSample(_Record):
             raise DegenerateSample("sample has a + b*u0*u2 = 0")
 
 
-def lsc_residual(q: CharacteristicFn, sample: LscSample) -> GaussianRational:
+def lsc_residual(q: CharacteristicFn, sample: LscSample) -> Fraction:
     """Exact residual of the linearized symmetry condition at a sample.
 
     With P = u_n*u_(n+2), D = a + b*P and the map value Psi = P/(u_(n+4)*D),
@@ -138,7 +126,8 @@ def lsc_residual(q: CharacteristicFn, sample: LscSample) -> GaussianRational:
     and vanishes identically for the true characteristics Q1 and Q2.  Each
     real coefficient is formed once: P/(u_(n+4)^2 * D) = Psi/u_(n+4), and
     a/(u_(n+4) * D^2) is shared by the last two terms.  `q` is called at
-    n, n+2, n+4 and n+6, so any characteristic is evaluated exactly.
+    n, n+2, n+4 and n+6, so any real characteristic is evaluated exactly;
+    the residual is linear in Q, so that of (+-i)^n * u is Q1's +- i*Q2's.
     """
     n, u0, u2, u4 = sample.n, sample.u0, sample.u2, sample.u4
     p = u0 * u2
@@ -159,19 +148,19 @@ def lsc_residual(q: CharacteristicFn, sample: LscSample) -> GaussianRational:
 # ---------------------------------------------------------------------------
 
 class RootCheckFailure(_Record):
-    """A phase-sum check that failed: `value` = beta_n + beta_(n+2) != 0
+    """A phase-sum check that failed: `value` = alpha_n + alpha_(n+2) != 0
     for the root named `root`."""
 
     __slots__ = ("root", "n", "value")
 
-    def __init__(self, root: str, n: int, value: GaussianRational):
+    def __init__(self, root: str, n: int, value: Fraction):
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "value", value)
 
 
 class PhaseSumReport(_Record):
-    """Outcome of checking beta_n + beta_(n+2) = 0 over n <= n_max."""
+    """Outcome of checking alpha_n + alpha_(n+2) = 0 over n <= n_max."""
 
     __slots__ = ("n_max", "failures")
 
@@ -187,12 +176,12 @@ class PhaseSumReport(_Record):
 def _phase_sum_check(
     n_max: int, pairs: "Sequence[tuple[str, Characteristic]]"
 ) -> PhaseSumReport:
-    """Test beta_n = phase^n against -beta_(n+2) for each named characteristic;
-    the sum is formed only for a failure."""
+    """Test alpha_n against -alpha_(n+2) from each named characteristic's
+    table; the sum is formed only for a failure."""
     failures = []
     for name, q in pairs:
         for n in range(n_max + 1):
-            first, second = q.phase_power(n), q.phase_power(n + 2)
+            first, second = q.coefficient(n), q.coefficient(n + 2)
             if first != -second:
                 failures.append(RootCheckFailure(root=name, n=n, value=first + second))
     return PhaseSumReport(n_max=n_max, failures=tuple(failures))
@@ -202,25 +191,26 @@ _GENERATORS = {"X1": Q1, "X2": Q2}
 
 
 def verify_reduced_system(n_max: int) -> PhaseSumReport:
-    """Check beta_n + beta_(n+2) = 0 exactly for every root and n <= n_max.
+    """Check alpha_n + alpha_(n+2) = 0 exactly for every root and n <= n_max.
 
-    The roots are the two solutions i^n and (-i)^n, the phase powers of Q1
-    and Q2.  The companion equation of the reduced system forces the
-    quadratic part of the characteristic to vanish identically, so there is
-    nothing to evaluate for it.
+    The roots are the two solutions i^n and (-i)^n; the check is linear, so
+    it runs on their real and imaginary parts, the tables of Q1 and Q2.  The
+    companion equation of the reduced system forces the quadratic part of
+    the characteristic to vanish identically, so there is nothing to
+    evaluate for it.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    return _phase_sum_check(n_max, (("i^n", Q1), ("(-i)^n", Q2)))
+    return _phase_sum_check(n_max, (("Re(i^n)", Q1), ("Im(i^n)", Q2)))
 
 
 def generator_annihilates_invariant(variant: str, n_max: int) -> PhaseSumReport:
     """Check that the prolonged generator kills the logarithmic invariant.
 
-    Applying the generator to S_n*phase^n + S_(n+2)*phase^(n+2) leaves the
-    coefficient sum phase^n + phase^(n+2), which must vanish exactly for
-    every n <= n_max.  Variant "X1" uses the phase of Q1 (i), "X2" that of
-    Q2 (-i).
+    Applying the generator to S_n*alpha_n + S_(n+2)*alpha_(n+2) leaves the
+    coefficient sum alpha_n + alpha_(n+2), which must vanish exactly for
+    every n <= n_max.  Variant "X1" reads alpha from Q1's table, "X2" from
+    Q2's; the paper's generators for the phases i and -i are X1 +- i*X2.
     """
     if variant not in _GENERATORS:
         raise ValueError(f"variant must be 'X1' or 'X2', got {variant!r}")

@@ -16,6 +16,7 @@ from sixrde import (
     CoefficientSequence,
     InitialConditions,
     SixrdeError,
+    core,
     iterate,
     term,
     term_const_general,
@@ -111,3 +112,28 @@ def count_normalisations(monkeypatch) -> list:
     gcd = math.gcd
     monkeypatch.setattr(math, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
     return calls
+
+
+#: Past the piece limit a term's parts are carried from the same parts four
+#: rows earlier, so only a chain's first large part (of 8: two per class) is
+#: converted afresh by `core._digits`.  At N = 1600 converting every large
+#: part afresh would make 2755 such top-level calls.
+FRESH_CONVERSIONS = 2 * 8
+
+
+def count_fresh_conversions(monkeypatch) -> list:
+    """Return a list that gains each integer `core._digits` converts afresh
+    (its top-level calls, not its recursion) until `monkeypatch.undo()`."""
+    real, depth, fresh = core._digits, [0], []
+
+    def counted(n):
+        if not depth[0]:
+            fresh.append(n)
+        depth[0] += 1
+        try:
+            return real(n)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(core, "_digits", counted)
+    return fresh

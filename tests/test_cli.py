@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sixrde import cli, core, format_rational, iterate, parse_rational
+from sixrde import cli, format_rational, iterate, parse_rational
 from sixrde.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_INTERRUPTED,
@@ -37,7 +37,12 @@ from sixrde.cli import (
     parse_problem_spec,
 )
 
-from conftest import random_coefficients, random_initial_conditions
+from conftest import (
+    FRESH_CONVERSIONS,
+    count_fresh_conversions,
+    random_coefficients,
+    random_initial_conditions,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -915,33 +920,15 @@ def _child(*argv: str, stdout=subprocess.PIPE, **variables: str) -> subprocess.P
                             stdout=stdout, stderr=subprocess.PIPE)
 
 
-@pytest.mark.parametrize("argv", [
-    ["iterate", "--n", "1600"],
-    ["solve", "--range", "-5..1600"],
-    ["compare", "--n", "400"],
-], ids=" ".join)
+@pytest.mark.parametrize("argv", [["compare", "--n", "400"]], ids=" ".join)
 def test_each_residue_chain_converts_its_digits_afresh_a_fixed_number_of_times(
         tmp_path, monkeypatch, argv):
-    # Past the piece limit a term's parts are carried from the same parts four
-    # rows earlier; only a chain's first large part (of 8: two per class) is
-    # converted afresh by `core._digits`.  At N = 1600 converting every large
-    # part afresh would make 2755 such top-level calls.
-    real, depth, fresh = core._digits, [0], []
-
-    def counted(n):
-        if not depth[0]:
-            fresh.append(n)
-        depth[0] += 1
-        try:
-            return real(n)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(core, "_digits", counted)
+    # `iterate` and `solve` are counted by the N = 1600 pins in test_large_n.py.
+    fresh = count_fresh_conversions(monkeypatch)
     out = tmp_path / "out"
     assert cli.main([*argv, "--spec", write_spec(tmp_path, BASELINE), "--out", str(out)]) == 0
     assert out.stat().st_size > 10**6
-    assert 1 <= len(fresh) <= 2 * 8, len(fresh)
+    assert 1 <= len(fresh) <= FRESH_CONVERSIONS, len(fresh)
 
 
 def test_a_reader_that_closes_the_pipe_early_gets_exit_141_and_no_message(tmp_path):

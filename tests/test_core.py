@@ -1,4 +1,4 @@
-"""Core value types: rationals, Gaussian rationals, sequences, seeds."""
+"""Core value types: rationals, powers of i, sequences, seeds, records."""
 
 import copy
 import decimal
@@ -12,13 +12,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from sixrde import (
     CoefficientSequence,
-    GaussianRational,
-    I,
     InitialConditions,
     InvariantSequence,
     LscSample,
@@ -34,15 +32,14 @@ from sixrde import (
     cli,
     core,
     format_rational,
-    i_power,
+    gamma,
     iterate,
     parse_rational,
 )
 from sixrde.cli import ProblemSpec
-from sixrde.symmetry import PhaseSumReport, RootCheckFailure
+from sixrde.symmetry import Characteristic, PhaseSumReport, RootCheckFailure
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
-gaussians = st.builds(GaussianRational, rationals, rationals)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -234,97 +231,31 @@ def test_as_rational_rejects_floats():
 
 
 # ---------------------------------------------------------------------------
-# Gaussian rationals
+# Powers of i: the unit of the phase kernel, gamma(k, 0) = i^k
 # ---------------------------------------------------------------------------
 
 def test_imaginary_unit_structure():
-    assert I == GaussianRational(0, 1)
-    assert I * I == GaussianRational(-1)
-    assert I * GaussianRational(0, -1) == GaussianRational(1)
-
-
-@given(gaussians, gaussians, gaussians)
-@settings(max_examples=60)
-def test_gaussian_ring_axioms(x, y, z):
-    assert (x + y) + z == x + (y + z)
-    assert x * (y + z) == x * y + x * z
-    assert x * y == y * x
+    i, minus_i = gamma(1, 0), gamma(0, 1)
+    assert (i, minus_i) == (1j, -1j)
+    assert i * i == -1
+    assert i * minus_i == 1
 
 
 @pytest.mark.parametrize("k", range(-9, 10))
 def test_i_power_matches_repeated_multiplication(k):
-    step = I if k >= 0 else GaussianRational(0, -1)
-    expected = GaussianRational(1)
+    step = 1j if k >= 0 else -1j
+    expected = 1 + 0j
     for _ in range(abs(k)):
-        expected = expected * step
-    assert i_power(k) == expected
+        expected *= step
+    assert gamma(k, 0) == expected
 
 
 def test_i_power_parts_match_complex_powers_of_1j():
+    # Every part is exactly 0 or +-1, so the kernel's comparisons are exact.
     for k in range(-9, 10):
-        z, expected = i_power(k), 1j**k
-        assert (float(z.real), float(z.imag)) == (expected.real, expected.imag)
-
-
-def test_gaussian_rational_scalar_mixing():
-    z = GaussianRational(1, 2)
-    assert z + 1 == GaussianRational(2, 2)
-    assert 2 * z == GaussianRational(2, 4)
-    assert z * Fraction(1, 2) == GaussianRational(Fraction(1, 2), 1)
-    assert 1 - z == GaussianRational(0, -2)
-
-
-scalars = st.one_of(st.booleans(), st.integers(-(10**6), 10**6), rationals)
-
-
-@given(gaussians, scalars)
-@settings(max_examples=80)
-def test_gaussian_real_scalar_paths_match_the_gaussian_operation(z, r):
-    g = GaussianRational(r)
-    assert z * r == z * g
-    assert r * z == g * z
-    assert z + r == z + g
-    assert r + z == g + z
-    assert z - r == z - g
-    assert r - z == g - z
-    for value in (z * r, r * z, z + r, r + z, z - r, r - z):
-        assert type(value) is GaussianRational
-        assert type(value.real) is Fraction and type(value.imag) is Fraction
-
-
-def test_gaussian_rational_parts_cannot_be_assigned_or_deleted():
-    z = GaussianRational(1, 2)
-    for name in ("real", "imag"):
-        with pytest.raises(AttributeError):
-            setattr(z, name, Fraction(3))
-        with pytest.raises(AttributeError):
-            delattr(z, name)
-    with pytest.raises(AttributeError):
-        z.other = 1
-    assert z == GaussianRational(1, 2)
-
-
-@given(gaussians)
-def test_equal_gaussian_rationals_hash_equal(z):
-    twin = GaussianRational(str(z.real), z.imag)
-    assert twin == z and twin is not z
-    assert hash(twin) == hash(z)
-    assert len({z, twin, z + 0}) == 1
-
-
-def test_gaussian_rational_constructor_contract():
-    assert GaussianRational("1/2", 3) == GaussianRational(Fraction(1, 2), Fraction(3))
-    assert GaussianRational() == GaussianRational(0, 0)
-    with pytest.raises(TypeError):
-        GaussianRational(0.5)
-    with pytest.raises(TypeError):
-        GaussianRational(1, 0.5)
-    assert (GaussianRational(1) == 1) is False
-    assert GaussianRational(1) != 1
-    assert repr(GaussianRational(Fraction(-3, 4), 2)) == "GaussianRational(-3/4, 2)"
-    z = GaussianRational(Fraction(-3, 4), 2)
-    assert pickle.loads(pickle.dumps(z)) == z
-    assert copy.deepcopy(z) == z
+        z = gamma(k, 0)
+        assert type(z) is complex and z == 1j**k
+        assert {z.real, z.imag} <= {-1.0, 0.0, 1.0} and abs(z) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +375,11 @@ _HALT_TEXT = (
     "SingularityReport(step=3, "
     "cause=<SingularityCause.ZERO_DENOMINATOR_FACTOR: 'ZeroDenominatorFactor'>)"
 )
-_FAILURE = RootCheckFailure("i^n", 3, GaussianRational(1, 0))
-_FAILURE_TEXT = "RootCheckFailure(root='i^n', n=3, value=GaussianRational(1, 0))"
+_FAILURE = RootCheckFailure("Re(i^n)", 3, Fraction(1))
+_FAILURE_TEXT = "RootCheckFailure(root='Re(i^n)', n=3, value=Fraction(1, 1))"
 
 # Each record: its fields, the same fields with one changed, and the repr the
-# records printed when they were dataclasses (GaussianRational's own repr).
+# records printed when they were dataclasses.
 RECORDS = [
     (InitialConditions, ((1, 2, 3, 4, 5, 6),), ((1, 2, 3, 4, 5, 7),),
      f"InitialConditions(values=({_SEEDS}, Fraction(6, 1)))"),
@@ -464,7 +395,7 @@ RECORDS = [
     (LscSample, (1, 2, 3, 5, 1, 1), (1, 2, 3, 5, 1, 2),
      "LscSample(n=1, u0=Fraction(2, 1), u2=Fraction(3, 1), u4=Fraction(5, 1), "
      "a=Fraction(1, 1), b=Fraction(1, 1))"),
-    (RootCheckFailure, ("i^n", 3, GaussianRational(1, 0)), ("i^n", 4, GaussianRational(1, 0)),
+    (RootCheckFailure, ("Re(i^n)", 3, Fraction(1)), ("Re(i^n)", 4, Fraction(1)),
      _FAILURE_TEXT),
     (PhaseSumReport, (4, (_FAILURE,)), (4, ()),
      f"PhaseSumReport(n_max=4, failures=({_FAILURE_TEXT},))"),
@@ -472,7 +403,9 @@ RECORDS = [
      (InitialConditions((1, 2, 3, 4, 5, 6)), CoefficientSequence.constant(1, 0), 11),
      f"ProblemSpec(initial=InitialConditions(values=({_SEEDS}, Fraction(6, 1))), "
      "coeffs=CoefficientSequence(constant, a=[1], b=[0]), horizon=10)"),
-    (GaussianRational, (Fraction(-3, 4), 2), (Fraction(-3, 4), 3), "GaussianRational(-3/4, 2)"),
+    (Characteristic, ("Q2", (0, 1, 0, -1)), ("Q2", (0, -1, 0, 1)),
+     "Characteristic(name='Q2', alpha=(Fraction(0, 1), Fraction(1, 1), Fraction(0, 1), "
+     "Fraction(-1, 1)))"),
 ]
 
 

@@ -1,9 +1,11 @@
 """Digest tier: the CLI's bytes at N = 800 and 1600 on the Baseline spec.
 
 Each value there runs to tens of thousands of digits, a regime the rest of
-the suite, which compares the engines at small heights, never reaches.  Every
-command runs in a child `python -m sixrde`, and its output's md5 and byte
-length must equal the pins.  `iterate` and `solve` at N = 1600 take about a
+the suite, which compares the engines at small heights, never reaches.  Each
+command's output md5 and byte length must equal the pins.  `iterate` and
+`solve` run in-process, where the test also counts the digit conversions
+each residue chain starts afresh; `compare` and `verify-symmetry` run in a
+child `python -m sixrde`.  `iterate` and `solve` at N = 1600 take about a
 second each, `compare` at N = 800 a third of one and `verify-symmetry` a
 fifth; they always run.  The rest (`compare` at N = 1600, `solve --engine
 auto` and the other N = 800 pins) take about as long again together and need
@@ -21,6 +23,10 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from sixrde import cli
+
+from conftest import FRESH_CONVERSIONS, count_fresh_conversions
 
 opt_in = pytest.mark.skipif(not os.environ.get("SIXRDE_LARGE_N"),
                             reason="set SIXRDE_LARGE_N=1 to run the large-N digests")
@@ -71,12 +77,18 @@ def _digest(path: Path) -> tuple[str, int]:
 
 
 @pytest.mark.parametrize("argv, pin", PINS)
-def test_spec_command_output_is_pinned(tmp_path, argv, pin):
-    (tmp_path / "spec.json").write_text(json.dumps(BASELINE), encoding="utf-8")
+def test_spec_command_output_is_pinned(tmp_path, monkeypatch, argv, pin):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(BASELINE), encoding="utf-8")
     out = tmp_path / "out"
-    done = _run([*argv, "--spec", "spec.json", "--out", str(out)], tmp_path)
     try:
-        assert done.returncode == 0, done.stderr
+        if argv[0] == "compare":
+            done = _run([*argv, "--spec", "spec.json", "--out", str(out)], tmp_path)
+            assert done.returncode == 0, done.stderr
+        else:
+            fresh = count_fresh_conversions(monkeypatch)
+            assert cli.main([*argv, "--spec", str(spec), "--out", str(out)]) == 0
+            assert 1 <= len(fresh) <= FRESH_CONVERSIONS, len(fresh)
         assert _digest(out) == pin
     finally:
         out.unlink(missing_ok=True)

@@ -10,7 +10,6 @@ import pytest
 
 from sixrde import (
     CoefficientSequence,
-    GaussianRational,
     InitialConditions,
     LscSample,
     Q1,
@@ -30,9 +29,8 @@ sp = pytest.importorskip("sympy")
 u0, u2, u4, a, b = sp.symbols("u0 u2 u4 a b")
 
 
-def lsc_formula(phase, n):
-    """The residual in `lsc_residual`'s docstring for Q(n, u) = phase^n * u."""
-    q = lambda k, u: phase**k * u
+def lsc_expression(q, n):
+    """The residual in `lsc_residual`'s docstring for the characteristic q(k, u)."""
     p = u0 * u2
     d = a + b * p
     psi = p / (u4 * d)
@@ -42,6 +40,11 @@ def lsc_formula(phase, n):
         - a * u0 * q(n + 2, u2) / (u4 * d**2)
         - a * u2 * q(n, u0) / (u4 * d**2)
     )
+
+
+def lsc_formula(phase, n):
+    """The residual for Q(n, u) = phase^n * u."""
+    return lsc_expression(lambda k, u: phase**k * u, n)
 
 
 @pytest.mark.parametrize("phase", [sp.I, -sp.I], ids=["i", "-i"])
@@ -57,33 +60,47 @@ def test_lsc_residual_is_not_identically_zero_for_the_counterfeit():
     assert sp.simplify(residual - 2 * b * (u0 * u2) ** 2 / (u4 * (a + b * u0 * u2) ** 2)) == 0
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["i", "-i"])
+def test_the_real_pair_makes_the_papers_characteristics(sign):
+    # (+-i)^n * u = Q1 +- i*Q2, for every n since both sides have period 4.
+    for n in range(4):
+        for u in (Fraction(1), Fraction(-7, 3)):
+            pair = sp.Rational(Q1(n, u)) + sign * sp.I * sp.Rational(Q2(n, u))
+            assert sp.expand(pair - (sign * sp.I) ** n * sp.Rational(u)) == 0
+
+
 #: One rational sample point, shared by the checks that tie a formula to the code.
 AT = {u0: Fraction(3, 7), u2: Fraction(-2, 5), u4: Fraction(9, 4),
       a: Fraction(1, 3), b: Fraction(-4, 5)}
 
 
-def one_plus_i_characteristic(n, u):
-    """Q(n, u) = (1+i)^n * u: not a unit phase, so never a quarter turn."""
-    value = GaussianRational(u)
-    for _ in range(n):
-        value = value * GaussianRational(1, 1)
-    return value
+def two_power_characteristic(n, u):
+    """Q(n, u) = 2^n * u: real, but not a period-4 table of unit coefficients."""
+    return 2**n * u
 
 
+#: Real characteristics other than Q1, Q2, with the phase of their formula.
 CHARACTERISTICS = (
-    (Q1, sp.I),
-    (Q2, -sp.I),
     (counterfeit_characteristic, sp.Integer(1)),
-    (one_plus_i_characteristic, 1 + sp.I),
+    (two_power_characteristic, sp.Integer(2)),
 )
+
+
+def pair_residual(sample, sign):
+    """lsc_residual(Q1) +- i*lsc_residual(Q2): the residual is linear in Q, so
+    this is the residual of (+-i)^n * u."""
+    return (sp.Rational(lsc_residual(Q1, sample))
+            + sign * sp.I * sp.Rational(lsc_residual(Q2, sample)))
 
 
 def test_lsc_formula_matches_the_code():
     sample = LscSample(n=5, u0=AT[u0], u2=AT[u2], u4=AT[u4], a=AT[a], b=AT[b])
     for q, phase in CHARACTERISTICS:
-        value = lsc_residual(q, sample)
-        code = sp.Rational(value.real) + sp.I * sp.Rational(value.imag)
+        code = sp.Rational(lsc_residual(q, sample))
         assert sp.expand(code - lsc_formula(phase, sample.n).subs(AT)) == 0
+    for sign in (1, -1):
+        formula = lsc_formula(sign * sp.I, sample.n).subs(AT)
+        assert sp.expand(pair_residual(sample, sign) - formula) == 0
 
 
 def literal_lsc_residual(q, s):
@@ -100,14 +117,71 @@ def literal_lsc_residual(q, s):
 
 
 def test_lsc_residual_equals_the_literal_formula_on_seeded_samples():
-    # The shared coefficients are exact for any characteristic, unit phase
+    # The shared coefficients are exact for any characteristic, unit table
     # or not: every residual equals the docstring expression evaluated
-    # literally in Fraction/GaussianRational arithmetic.
+    # literally in Fraction arithmetic, and the real pair's residuals make
+    # the paper's complex one at every sample.
     rng = cli.Lcg(2024)
+    formulas = {(sign, r): lsc_formula(sign * sp.I, r) for sign in (1, -1) for r in range(4)}
     for _ in range(200):
         sample = rng.lsc_sample()
-        for q, _phase in CHARACTERISTICS:
+        for q in (Q1, Q2, *(q for q, _phase in CHARACTERISTICS)):
             assert lsc_residual(q, sample) == literal_lsc_residual(q, sample)
+        at = {u0: sample.u0, u2: sample.u2, u4: sample.u4, a: sample.a, b: sample.b}
+        for sign in (1, -1):
+            # phase^4 = 1, so the formula at n is the one at n mod 4.
+            formula = formulas[sign, sample.n % 4].subs(at)
+            assert sp.expand(pair_residual(sample, sign) - formula) == 0
+
+
+# ---------------------------------------------------------------------------
+# The symmetry algebra, derived from the ansatz Q(n, u) = alpha_n*u + beta_n*u^2
+# ---------------------------------------------------------------------------
+
+#: The ansatz's unknowns at n, n+2, n+4 and n+6.
+ALPHA = sp.symbols("alpha0 alpha2 alpha4 alpha6")
+BETA = sp.symbols("beta0 beta2 beta4 beta6")
+
+
+def determining_solution(coeffs):
+    """The solution of the determining system over ALPHA and BETA.  The
+    residual must vanish identically in u0, u2, u4, so with its denominators
+    cleared every monomial coefficient of its numerator must."""
+    ansatz = lambda k, u: ALPHA[k // 2] * u + BETA[k // 2] * u**2
+    numerator = sp.numer(sp.together(lsc_expression(ansatz, 0).subs(coeffs)))
+    unknowns = [*ALPHA, *BETA]
+    [solution] = sp.solve(sp.Poly(numerator, u0, u2, u4).coeffs(), unknowns, dict=True)
+    return solution
+
+
+def test_the_symmetry_algebra_is_two_dimensional():
+    # For generic (a, b): beta = 0, alpha_(n+2) = -alpha_n and
+    # alpha_(n+6) = -alpha_(n+4), so two of the eight unknowns stay free.
+    solution = determining_solution({})
+    assert len(solution) == 6
+    assert [solution.get(beta) for beta in BETA] == [0] * 4
+    assert sp.expand((ALPHA[0] + ALPHA[1]).subs(solution)) == 0
+    assert sp.expand((ALPHA[2] + ALPHA[3]).subs(solution)) == 0
+    # Chained over n, alpha_(k+2) = -alpha_k fixes alpha by alpha_0 and
+    # alpha_1: period 4, dimension 2, and the basis is Q1's and Q2's table.
+    free = sp.symbols("c0 c1")
+    alpha = list(free)
+    for k in range(6):
+        alpha.append(-alpha[k])
+    assert alpha[4:] == alpha[:4]
+    basis = [tuple(entry.coeff(c) for entry in alpha[:4]) for c in free]
+    assert basis == [tuple(map(sp.Rational, q.alpha)) for q in (Q1, Q2)]
+
+
+def test_at_b_zero_the_determining_system_keeps_one_relation():
+    # With b = 0 only alpha_n + alpha_(n+2) = alpha_(n+4) + alpha_(n+6) is
+    # left: chained over n, a sixth-order recurrence, so six dimensions.
+    solution = determining_solution({b: 0})
+    assert len(solution) == 5
+    assert [solution.get(beta) for beta in BETA] == [0] * 4
+    assert sp.expand((ALPHA[0] + ALPHA[1] - ALPHA[2] - ALPHA[3]).subs(solution)) == 0
+    # Scaling, the counterfeit Q = u, is one of them: the detector needs b != 0.
+    assert sp.simplify(lsc_formula(sp.Integer(1), 0).subs(b, 0)) == 0
 
 
 def next_term():

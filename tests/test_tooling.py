@@ -9,6 +9,7 @@ import runpy
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,32 @@ def test_every_name_the_benchmark_calls_resolves():
         assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
     for attr in tracer["LOOKUP_METHODS"]:
         assert hasattr(sixrde.CoefficientSequence, attr), attr
+
+
+def test_the_symmetry_results_the_benchmark_reads_keep_their_meaning():
+    # The sweep counts `bool(lsc_residual(q, sample))` as "nonzero" for Q1 and
+    # Q2 and reads four structure checks at its own limits.  A type changed
+    # under the same names (a residual returned as a tuple is always true)
+    # would pass the test above and fail only in the benchmark.
+    workloads = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    limits = {target.id: ast.literal_eval(node.value) for node in workloads.body
+              if isinstance(node, ast.Assign) for target in node.targets
+              if getattr(target, "id", None) in ("SYMMETRY_N_MAX", "GAMMA_LIMIT")}
+    assert set(limits) == {"SYMMETRY_N_MAX", "GAMMA_LIMIT"}
+    rng = cli.Lcg(1)
+    counterfeits = []
+    for sample in (rng.lsc_sample() for _ in range(20)):
+        q1, q2, counterfeit = (sixrde.lsc_residual(q, sample) for q in
+                               (sixrde.Q1, sixrde.Q2, sixrde.counterfeit_characteristic))
+        assert type(q1) is type(q2) is type(counterfeit) is Fraction
+        assert not q1 and not q2
+        counterfeits.append(counterfeit)
+    assert any(counterfeits)
+    n_max = limits["SYMMETRY_N_MAX"]
+    assert sixrde.verify_reduced_system(n_max).ok
+    assert sixrde.generator_annihilates_invariant("X1", n_max).ok
+    assert sixrde.generator_annihilates_invariant("X2", n_max).ok
+    assert sixrde.verify_gamma_identities(limits["GAMMA_LIMIT"]) == []
 
 
 @pytest.mark.parametrize(
