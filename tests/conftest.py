@@ -8,14 +8,22 @@ orbits.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
 import math
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from sixrde import (
     CoefficientSequence,
     InitialConditions,
     SixrdeError,
+    cli,
     core,
     iterate,
     term,
@@ -137,3 +145,36 @@ def count_fresh_conversions(monkeypatch) -> list:
 
     monkeypatch.setattr(core, "_digits", counted)
     return fresh
+
+
+#: Seeds 2, 3, 5, 7, 11, 13 and 2-periodic a = (2, -1/3), b = (1, 5/7).
+BASELINE = {
+    "initial": ["2", "3", "5", "7", "11", "13"],
+    "coeffs": {"kind": "periodic", "period": 2, "a": ["2", "-1/3"], "b": ["1", "5/7"]},
+    "horizon": 40,
+}
+
+
+@functools.cache
+def run_on_baseline(*argv: str) -> tuple[int, tuple[str, int]]:
+    """Run `cli.main([*argv, "--spec", <BASELINE>, "--out", <file>])` once
+    per session and return how many integers `core._digits` converted afresh
+    and the output's (md5, byte length).  The N = 1600 commands take about a
+    second each, and both their digest pins and their conversion counts read
+    the same run."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        spec, out = Path(tmp) / "spec.json", Path(tmp) / "out"
+        spec.write_text(json.dumps(BASELINE), encoding="utf-8")
+        fresh = count_fresh_conversions(patch)
+        assert cli.main([*argv, "--spec", str(spec), "--out", str(out)]) == 0
+        return len(fresh), file_digest(out)
+
+
+def file_digest(path: Path) -> tuple[str, int]:
+    """Return the md5 hex digest and byte length of the file at `path`."""
+    md5, size = hashlib.md5(), 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            md5.update(chunk)
+            size += len(chunk)
+    return md5.hexdigest(), size

@@ -38,10 +38,11 @@ from sixrde.cli import (
 )
 
 from conftest import (
+    BASELINE,
     FRESH_CONVERSIONS,
-    count_fresh_conversions,
     random_coefficients,
     random_initial_conditions,
+    run_on_baseline,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,13 +60,6 @@ def ones_spec(a="1", b="0", horizon=10):
         "coeffs": {"kind": "constant", "a": [a], "b": [b]},
         "horizon": horizon,
     }
-
-
-BASELINE = {
-    "initial": ["2", "3", "5", "7", "11", "13"],
-    "coeffs": {"kind": "periodic", "period": 2, "a": ["2", "-1/3"], "b": ["1", "5/7"]},
-    "horizon": 40,
-}
 
 
 def spec_dict_from(ic, coeffs, horizon):
@@ -920,15 +914,16 @@ def _child(*argv: str, stdout=subprocess.PIPE, **variables: str) -> subprocess.P
                             stdout=stdout, stderr=subprocess.PIPE)
 
 
-@pytest.mark.parametrize("argv", [["compare", "--n", "400"]], ids=" ".join)
-def test_each_residue_chain_converts_its_digits_afresh_a_fixed_number_of_times(
-        tmp_path, monkeypatch, argv):
-    # `iterate` and `solve` are counted by the N = 1600 pins in test_large_n.py.
-    fresh = count_fresh_conversions(monkeypatch)
-    out = tmp_path / "out"
-    assert cli.main([*argv, "--spec", write_spec(tmp_path, BASELINE), "--out", str(out)]) == 0
-    assert out.stat().st_size > 10**6
-    assert 1 <= len(fresh) <= FRESH_CONVERSIONS, len(fresh)
+@pytest.mark.parametrize("argv", [
+    ["iterate", "--n", "1600"],
+    ["solve", "--range", "-5..1600"],
+    ["compare", "--n", "400"],
+], ids=" ".join)
+def test_each_residue_chain_converts_its_digits_afresh_a_fixed_number_of_times(argv):
+    # The N = 1600 runs are shared with their digest pins in test_large_n.py.
+    fresh, (_, size) = run_on_baseline(*argv)
+    assert size > 10**6
+    assert 1 <= fresh <= FRESH_CONVERSIONS, fresh
 
 
 def test_a_reader_that_closes_the_pipe_early_gets_exit_141_and_no_message(tmp_path):

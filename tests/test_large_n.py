@@ -3,9 +3,10 @@
 Each value there runs to tens of thousands of digits, a regime the rest of
 the suite, which compares the engines at small heights, never reaches.  Each
 command's output md5 and byte length must equal the pins.  `iterate` and
-`solve` run in-process, where the test also counts the digit conversions
-each residue chain starts afresh; `compare` and `verify-symmetry` run in a
-child `python -m sixrde`.  `iterate` and `solve` at N = 1600 take about a
+`solve` run in-process, once per session through `conftest.run_on_baseline`,
+whose run also gives test_cli.py its count of the digit conversions each
+residue chain starts afresh; `compare` and `verify-symmetry` run in a child
+`python -m sixrde`.  `iterate` and `solve` at N = 1600 take about a
 second each, `compare` at N = 800 a third of one and `verify-symmetry` a
 fifth; they always run.  The rest (`compare` at N = 1600, `solve --engine
 auto` and the other N = 800 pins) take about as long again together and need
@@ -24,21 +25,12 @@ from pathlib import Path
 
 import pytest
 
-from sixrde import cli
-
-from conftest import FRESH_CONVERSIONS, count_fresh_conversions
+from conftest import BASELINE, file_digest, run_on_baseline
 
 opt_in = pytest.mark.skipif(not os.environ.get("SIXRDE_LARGE_N"),
                             reason="set SIXRDE_LARGE_N=1 to run the large-N digests")
 
 ROOT = Path(__file__).resolve().parent.parent
-
-#: Seeds 2, 3, 5, 7, 11, 13 and 2-periodic a = (2, -1/3), b = (1, 5/7).
-BASELINE = {
-    "initial": ["2", "3", "5", "7", "11", "13"],
-    "coeffs": {"kind": "periodic", "period": 2, "a": ["2", "-1/3"], "b": ["1", "5/7"]},
-    "horizon": 40,
-}
 
 # iterate, solve and solve --engine auto write the same CSV.
 CSV_800 = ("fe14fb54f74a472326805c9deacb930a", 4346010)
@@ -67,29 +59,17 @@ def _run(argv, cwd, stdout=subprocess.DEVNULL) -> subprocess.CompletedProcess:
                           stdout=stdout, stderr=subprocess.PIPE, timeout=600)
 
 
-def _digest(path: Path) -> tuple[str, int]:
-    md5, size = hashlib.md5(), 0
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            md5.update(chunk)
-            size += len(chunk)
-    return md5.hexdigest(), size
-
-
 @pytest.mark.parametrize("argv, pin", PINS)
-def test_spec_command_output_is_pinned(tmp_path, monkeypatch, argv, pin):
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(BASELINE), encoding="utf-8")
+def test_spec_command_output_is_pinned(tmp_path, argv, pin):
+    if argv[0] != "compare":
+        assert run_on_baseline(*argv)[1] == pin
+        return
+    (tmp_path / "spec.json").write_text(json.dumps(BASELINE), encoding="utf-8")
     out = tmp_path / "out"
     try:
-        if argv[0] == "compare":
-            done = _run([*argv, "--spec", "spec.json", "--out", str(out)], tmp_path)
-            assert done.returncode == 0, done.stderr
-        else:
-            fresh = count_fresh_conversions(monkeypatch)
-            assert cli.main([*argv, "--spec", str(spec), "--out", str(out)]) == 0
-            assert 1 <= len(fresh) <= FRESH_CONVERSIONS, len(fresh)
-        assert _digest(out) == pin
+        done = _run([*argv, "--spec", "spec.json", "--out", str(out)], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert file_digest(out) == pin
     finally:
         out.unlink(missing_ok=True)
 
