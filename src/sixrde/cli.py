@@ -226,7 +226,7 @@ class Lcg:
             u2 = self.rational(nonzero=True)
             u4 = self.rational(nonzero=True)
             a = self.rational()
-            b = self.rational()
+            b = self.rational(nonzero=True)
             try:
                 return symmetry.LscSample(n=n, u0=u0, u2=u2, u4=u4, a=a, b=b)
             except DegenerateSample:  # a + b*u0*u2 = 0: draw again

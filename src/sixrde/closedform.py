@@ -130,7 +130,7 @@ def v_closed(
     if not 0 <= j <= 3:
         raise OutOfRange("residue class", j)
     if n < 0:
-        raise OutOfRange("block index", n)
+        raise OutOfRange("block", n)
     v_seed = 1 / ic.seed_product(j)
     full = Fraction(1)
     for k1 in range(n):
@@ -310,7 +310,7 @@ def unified_exponent(
     # raises OutOfHorizon ahead of a singularity, as in `terms`.
     for k in range(max(n - 4, 0), n):
         table(k)
-    total = log_abs(ic.u(n % 2))
+    total = log_abs(ic.values[n % 2])
     if n % 4 >= 2:
         total = -total
     for k in range(n):

@@ -439,18 +439,6 @@ class InitialConditions(_Record):
                 raise ZeroInitialValue(i - 5)
         object.__setattr__(self, "values", vals)
 
-    def x(self, m: int) -> Fraction:
-        """Seed by x-index, -5 <= m <= 0."""
-        if not -5 <= m <= 0:
-            raise OutOfRange("seed x", m)
-        return self.values[m + 5]
-
-    def u(self, i: int) -> Fraction:
-        """Seed by forward index, 0 <= i <= 5 (u_i = x_(i-5))."""
-        if not 0 <= i <= 5:
-            raise OutOfRange("seed u", i)
-        return self.values[i]
-
     def seed_product(self, j: int) -> Fraction:
         """u_j * u_(j+2) for j in 0..3; the reciprocal of the seed invariant."""
         if not 0 <= j <= 3:

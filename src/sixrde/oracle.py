@@ -98,12 +98,6 @@ class Orbit(_Record):
             raise OutOfRange("orbit term x", m)
         return self.terms[m + 5]
 
-    def u(self, i: int) -> Fraction:
-        """Term by forward index, u_i = x_(i-5)."""
-        if not 0 <= i < len(self.terms):
-            raise OutOfRange("orbit term u", i)
-        return self.terms[i]
-
 
 def iterate(
     ic: InitialConditions, coeffs: CoefficientSequence, count: int

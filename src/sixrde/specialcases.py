@@ -18,12 +18,33 @@ the integer pair (a_num^t, a_den^t), so each u_top*F is one rational
 normalisation of small integers, with no `Fraction` product or sum (F is
 never stepped by its affine recurrence, so the engine stays independent of
 the closed form's V table), and a block costs one multiply of the
-full-height x by the small factor ratio.  Every case takes the
-`CoefficientSequence` the other engines take; a constant or 1-, 2- or
-4-periodic one is read per class as above, and any other raises
-`WrongCase`.  The factors are evaluated here rather than read from the
-general closed form, so the test suite can cross-check the two against
-each other and against direct iteration.
+full-height x by the small factor ratio.  The factors are evaluated here
+rather than read from the general closed form, so the test suite can
+cross-check the two against each other and against direct iteration.
+
+The engine has the closed form's two entry points, `term(m, ic, coeffs)`
+and `terms(lo, hi, ic, coeffs)`.  A constant or 1-, 2- or 4-periodic
+`coeffs` is read per class as above, and any other raises `WrongCase`.
+The paper's cases, under the names the benchmark calls, are readings of
+the one product:
+
+- `term_const_general`, constant (a, b) with a != 1:
+      x_(4n-5) = g^n / c^(n-1)
+                 * prod( (a^s + b*c*e*(1-a^s)/(1-a))
+                       / (a^s + b*e*g*(1-a^s)/(1-a)), s < n );
+- `term_const_a1(m, ic, b)`, constant a = 1:
+      x_(4n-3) = c^n * e / g^n * prod((1 + b*e*g*s)/(1 + b*c*e*(s+1)), s < n);
+- `term_const_a_neg1(m, ic, b)`, constant a = -1, where F_r(t) alternates
+  between 1 and b*u_r*u_(r+2) - 1:
+      x_(4n-5) = c^(1-n) * g^n * ((-1 + b*c*e)/(-1 + b*e*g))^floor(n/2);
+- `term_periodic2`: classes x_(4n-5), x_(4n-3) only ever consume
+  (a_0, b_0) and classes x_(4n-4), x_(4n-2) only (a_1, b_1);
+- `term_periodic4`: each class pairs its own coefficient index with the
+  one two steps later.
+
+`term_const_general`, `term_periodic2` and `term_periodic4` are `term`
+itself, so each accepts every covered sequence; the other two call it on
+the constant sequence (1, b) or (-1, b).
 """
 
 from __future__ import annotations
@@ -49,6 +70,7 @@ __all__ = [
     "term_const_a1",
     "term_periodic2",
     "term_periodic4",
+    "term",
     "terms",
 ]
 
@@ -120,47 +142,11 @@ def _covered(ic: InitialConditions, coeffs: CoefficientSequence) -> _Telescope:
     )
 
 
-def term_const_general(
-    m: int, ic: InitialConditions, cc: CoefficientSequence
-) -> Fraction:
-    """x_m for constant (a, b) with a != 1, e.g.
-
-        x_(4n-5) = g^n / c^(n-1)
-                   * prod( (a^s + b*c*e*(1-a^s)/(1-a))
-                         / (a^s + b*e*g*(1-a^s)/(1-a)), s < n ).
-    """
-    if cc.kind != "constant" or cc.a_values() == (1,):
-        raise WrongCase("constant-coefficient general form requires constant a != 1")
-    return _covered(ic, cc).x(m)
-
-
-def term_const_a1(m: int, ic: InitialConditions, b: RationalLike) -> Fraction:
-    """x_m for constant coefficients a = 1, b, e.g.
-
-        x_(4n-3) = c^n * e / g^n * prod((1 + b*e*g*s)/(1 + b*c*e*(s+1)), s < n).
-    """
-    return _covered(ic, ConstantCoeffs(1, b)).x(m)
-
-
-def term_const_a_neg1(m: int, ic: InitialConditions, b: RationalLike) -> Fraction:
-    """x_m for constant coefficients a = -1, b, where F_r(t) alternates
-    between 1 and b*u_r*u_(r+2) - 1, e.g.
-
-        x_(4n-5) = c^(1-n) * g^n * ((-1 + b*c*e)/(-1 + b*e*g))^floor(n/2).
-    """
-    return _covered(ic, ConstantCoeffs(-1, b)).x(m)
-
-
-def term_periodic2(m: int, ic: InitialConditions, pc: CoefficientSequence) -> Fraction:
-    """x_m for 2-periodic coefficients: classes x_(4n-5), x_(4n-3) only ever
-    consume (a_0, b_0) and classes x_(4n-4), x_(4n-2) only (a_1, b_1)."""
-    return _covered(ic, pc).x(m)
-
-
-def term_periodic4(m: int, ic: InitialConditions, pc: CoefficientSequence) -> Fraction:
-    """x_m for 4-periodic coefficients: each residue class pairs its own
-    coefficient index with the one two steps later."""
-    return _covered(ic, pc).x(m)
+def term(m: int, ic: InitialConditions, coeffs: CoefficientSequence) -> Fraction:
+    """Exact x_m by the shared product over the special case covering
+    `coeffs`.  Raises `WrongCase` for a sequence no case covers, and
+    `SingularClosedForm` where the closed form does."""
+    return _covered(ic, coeffs).x(m)
 
 
 def terms(
@@ -168,8 +154,19 @@ def terms(
 ) -> Iterator[Fraction]:
     """x_lo..x_hi by the shared product over the special case covering
     `coeffs` (`--engine auto`).  Raises `WrongCase` at once for a sequence
-    no case covers, and at the first singular index what the matching
-    `term_*` raises there.  The iterator extends the calling thread's slot;
-    consume it there."""
+    no case covers, and at the first singular index what `term` raises
+    there.  The iterator extends the calling thread's slot; consume it
+    there."""
     telescope = _covered(ic, coeffs)
     return (telescope.x(m) for m in range(lo, hi + 1))
+
+
+term_const_general = term_periodic2 = term_periodic4 = term
+
+
+def term_const_a1(m: int, ic: InitialConditions, b: RationalLike) -> Fraction:
+    return term(m, ic, ConstantCoeffs(1, b))
+
+
+def term_const_a_neg1(m: int, ic: InitialConditions, b: RationalLike) -> Fraction:
+    return term(m, ic, ConstantCoeffs(-1, b))

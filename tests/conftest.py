@@ -26,8 +26,8 @@ from sixrde import (
     cli,
     core,
     iterate,
+    specialcases,
     term,
-    term_const_general,
 )
 
 
@@ -104,7 +104,7 @@ def start_cold():
     """Point each engine's per-thread slot for the last solved instance at
     one no test draws, so the next query builds its state from the seeds."""
     term(-5, *_UNDRAWN)
-    term_const_general(-5, *_UNDRAWN)
+    specialcases.term(-5, *_UNDRAWN)
 
 
 def count_normalisations(monkeypatch) -> list:

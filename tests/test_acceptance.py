@@ -29,12 +29,8 @@ from sixrde import (
     invariant_sequence,
     iterate,
     lsc_residual,
+    specialcases,
     term,
-    term_const_a1,
-    term_const_a_neg1,
-    term_const_general,
-    term_periodic2,
-    term_periodic4,
     terms,
     unified_exponent,
     unified_magnitude,
@@ -102,13 +98,12 @@ def _special_case_instances(seed, count, builder, steps):
     out = []
     while len(out) < count:
         ic = random_initial_conditions(rng)
-        built = builder(rng, ic)
+        built = builder(rng)
         if built is None:
             continue
-        solver, coeffs = built
-        orbit = iterate(ic, coeffs, steps)
+        orbit = iterate(ic, built, steps)
         if orbit.halt is None:
-            out.append((ic, solver, coeffs, orbit))
+            out.append((ic, built, orbit))
     return out
 
 
@@ -117,50 +112,43 @@ def test_criterion_3_special_case_fidelity():
         def coeff(rng, nonzero=False):
             return random_rational(rng, lo=-5, hi=5, max_den=5, nonzero=nonzero)
 
-        def build_general(rng, ic):
+        def build_general(rng):
             a = coeff(rng)
             if a in (0, 1):
                 return None
-            cc = ConstantCoeffs(a, coeff(rng, nonzero=True))
-            return (lambda m: term_const_general(m, ic, cc)), cc
+            return ConstantCoeffs(a, coeff(rng, nonzero=True))
 
-        def build_a1(rng, ic):
-            b = coeff(rng, nonzero=True)
-            return (
-                lambda m: term_const_a1(m, ic, b)
-            ), CoefficientSequence.constant(1, b)
+        def build_a1(rng):
+            return ConstantCoeffs(1, coeff(rng, nonzero=True))
 
-        def build_p2(rng, ic):
-            pc = PeriodicCoeffs2(
+        def build_p2(rng):
+            return PeriodicCoeffs2(
                 (coeff(rng), coeff(rng)), (coeff(rng), coeff(rng))
             )
-            return (lambda m: term_periodic2(m, ic, pc)), pc
 
-        def build_p4(rng, ic):
-            pc = PeriodicCoeffs4(
+        def build_p4(rng):
+            return PeriodicCoeffs4(
                 tuple(coeff(rng) for _ in range(4)),
                 tuple(coeff(rng) for _ in range(4)),
             )
-            return (lambda m: term_periodic4(m, ic, pc)), pc
 
-        def build_mixed(rng, ic):
+        def build_mixed(rng):
             # a_0 = a_2 = 1: two classes take the arithmetic sum, two the geometric
-            pc = PeriodicCoeffs4(
+            return PeriodicCoeffs4(
                 (1, 2, 1, Fraction(-1, 2)),
                 tuple(coeff(rng, nonzero=True) for _ in range(4)),
             )
-            return (lambda m: term_periodic4(m, ic, pc)), pc
 
         for seed, builder in (
             (31, build_general), (32, build_a1), (33, build_p2), (34, build_p4),
             (36, build_mixed),
         ):
-            for ic, solver, coeffs, orbit in _special_case_instances(
+            for ic, coeffs, orbit in _special_case_instances(
                 seed, 100, builder, steps=55
             ):
                 general = list(terms(-5, 55, ic, coeffs))
                 for m in range(-5, 56):
-                    value = solver(m)
+                    value = specialcases.term(m, ic, coeffs)
                     assert value == orbit.x(m)
                     assert value == general[m + 5]
 
@@ -177,7 +165,7 @@ def test_criterion_3_special_case_fidelity():
             for n in range(0, 31):
                 for j in range(4):
                     m = 4 * n - 5 + j
-                    assert term_const_a_neg1(m, ic, b) == orbit.x(m)
+                    assert specialcases.term(m, ic, coeffs) == orbit.x(m)
             done += 1
 
 
@@ -194,7 +182,7 @@ def test_criterion_4_well_definedness_matches_singularity():
             last_step = steps - 1 if probe.halt is None else probe.halt.step
             n_star = rng.randint(0, last_step)
             # force a zero denominator exactly at step n_star
-            product = probe.u(n_star) * probe.u(n_star + 2)
+            product = probe.terms[n_star] * probe.terms[n_star + 2]
             b_list[n_star] = -a_list[n_star] / product
             coeffs = CoefficientSequence.explicit(a_list, b_list)
             orbit = iterate(ic, coeffs, steps)
@@ -248,7 +236,7 @@ def unified_product(n, ic, v):
     """|u_n| by the unified formula read exactly over the V values v[k]:
     |u_(n mod 2)|^(+-1), + when n mod 4 is 0 or 1, times |V_k| for k = n and
     over |V_k| for k = n+2 (mod 4), k < n."""
-    value = abs(ic.u(n % 2))
+    value = abs(ic.values[n % 2])
     if n % 4 >= 2:
         value = 1 / value
     for k in range(n % 2, n, 2):
@@ -268,14 +256,14 @@ def test_criterion_6_unified_magnitude():
                 continue
             v = [v_closed(k % 4, k // 4, ic, coeffs) for k in range(60)]
             for n in range(0, 61):
-                assert unified_product(n, ic, v) == abs(orbit.u(n))
+                assert unified_product(n, ic, v) == abs(orbit.terms[n])
                 # ln|u_n| to 1e-9 absolute is |u_n| to 1e-9 relative, also
                 # where |u_n| leaves the float range.
                 exponent = unified_exponent(n, ic, coeffs)
                 assert type(exponent) is float
-                assert math.isclose(exponent, log_abs(orbit.u(n)), abs_tol=1e-9)
+                assert math.isclose(exponent, log_abs(orbit.terms[n]), abs_tol=1e-9)
                 try:
-                    expected = abs(float(orbit.u(n)))
+                    expected = abs(float(orbit.terms[n]))
                 except OverflowError:
                     continue
                 got = unified_magnitude(n, ic, coeffs)

@@ -22,7 +22,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sixrde import cli, format_rational, iterate, parse_rational
+from sixrde import (
+    cli,
+    counterfeit_characteristic,
+    format_rational,
+    iterate,
+    lsc_residual,
+    parse_rational,
+)
 from sixrde.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_INTERRUPTED,
@@ -879,6 +886,23 @@ def test_verify_symmetry_counterfeit_exits_3(capsys):
         + VERIFY_SYMMETRY_CHECKS
         + "RESULT FAIL\n"
     )
+
+
+def test_every_sample_tells_the_counterfeit_from_a_symmetry():
+    # At b = 0 scaling, the counterfeit Q = u, is a true symmetry, so each
+    # sample draws b != 0 and every one of them must catch the counterfeit.
+    rng = Lcg(1)
+    samples = [rng.lsc_sample() for _ in range(2000)]
+    assert all(sample.b for sample in samples)
+    assert all(lsc_residual(counterfeit_characteristic, sample) for sample in samples)
+
+
+@pytest.mark.parametrize("seed", ["1", "7", "42"])
+def test_verify_symmetry_counterfeit_is_caught_on_every_sample(capsys, seed):
+    code = cli.main(["verify-symmetry", "--samples", "60", "--seed", seed, "--counterfeit"])
+    assert code == EXIT_MISMATCH
+    assert capsys.readouterr().out.startswith(
+        "lsc counterfeit: samples=60 nonzero_residuals=60 FAIL\n")
 
 
 def test_verify_symmetry_rejects_bad_sample_count(capsys):

@@ -11,16 +11,13 @@ from sixrde import (
     IndexBelowSeed,
     InitialConditions,
     OutOfHorizon,
+    OutOfRange,
     SingularClosedForm,
     gamma,
     invariant_sequence,
     iterate,
+    specialcases,
     term,
-    term_const_a1,
-    term_const_a_neg1,
-    term_const_general,
-    term_periodic2,
-    term_periodic4,
     terms,
     unified_exponent,
     unified_magnitude,
@@ -135,25 +132,38 @@ def test_each_v_costs_one_normalisation_and_no_product_or_sum(monkeypatch, a):
 def test_term_returns_seeds_unchanged():
     ic = InitialConditions([2, 3, 5, 7, 11, 13])
     for m in range(-5, 1):
-        assert term(m, ic, TRIVIAL) == ic.x(m)
+        assert term(m, ic, TRIVIAL) == ic.values[m + 5]
 
 
 def test_term_telescopes_for_identity_coefficients():
     ic = InitialConditions([2, 3, 5, 7, 11, 13])
-    c, g = ic.x(-5), ic.x(-1)
+    c, g = ic.values[0], ic.values[4]
     for n in range(0, 8):
         assert term(4 * n - 5, ic, TRIVIAL) == g**n / c ** (n - 1)
 
 
 def test_term_rejects_indices_below_seed():
-    period2 = CoefficientSequence.periodic((2, 3), (1, 0))
-    period4 = CoefficientSequence.periodic((2, 3, 1, -1), (1, 0, 2, 1))
-    for point, coeffs in [(term, TRIVIAL), (term_const_general, CoefficientSequence.constant(2, 1)),
-                          (term_const_a1, 1), (term_const_a_neg1, 1),
-                          (term_periodic2, period2), (term_periodic4, period4)]:
-        with pytest.raises(IndexBelowSeed) as exc:
-            point(-6, ONES, coeffs)
-        assert exc.value.m == -6
+    for coeffs in (TRIVIAL, CoefficientSequence.constant(2, 1), CoefficientSequence.constant(-1, 1),
+                   CoefficientSequence.periodic((2, 3), (1, 0)),
+                   CoefficientSequence.periodic((2, 3, 1, -1), (1, 0, 2, 1))):
+        for point in (term, specialcases.term):
+            with pytest.raises(IndexBelowSeed) as exc:
+                point(-6, ONES, coeffs)
+            assert exc.value.m == -6
+
+
+@pytest.mark.parametrize("call, message, index", [
+    (lambda: ONES.seed_product(4), "residue class index 4 is out of range", 4),
+    (lambda: v_closed(-1, 0, ONES, TRIVIAL), "residue class index -1 is out of range", -1),
+    (lambda: v_closed(0, -1, ONES, TRIVIAL), "block index -1 is out of range", -1),
+    (lambda: unified_magnitude(-1, ONES, TRIVIAL), "orbit term u index -1 is out of range", -1),
+    (lambda: iterate(ONES, TRIVIAL, 3).x(4), "orbit term x index 4 is out of range", 4),
+], ids=["seed_product", "v_closed-class", "v_closed-block", "unified_magnitude", "orbit-x"])
+def test_each_index_out_of_range_is_named_with_its_value(call, message, index):
+    with pytest.raises(OutOfRange) as exc:
+        call()
+    assert str(exc.value) == message
+    assert exc.value.index == index
 
 
 def test_term_raises_singular_closed_form_with_position():
@@ -329,7 +339,7 @@ def test_unified_exponent_is_the_log_magnitude_past_the_float_range():
     coeffs = CoefficientSequence.periodic([4, 1, Fraction(1, 4), 1], [1] * 4)
     orbit = iterate(ONES, coeffs, 200)
     for n in (150, 200):
-        want = log_abs(orbit.u(n))
+        want = log_abs(orbit.terms[n])
         assert unified_exponent(n, ONES, coeffs) == pytest.approx(want, rel=1e-9)
     assert unified_magnitude(150, ONES, coeffs) == 0.0
     assert unified_magnitude(200, ONES, coeffs) == math.inf

@@ -342,7 +342,7 @@ def test_a_sequence_builds_what_equality_compares_once(monkeypatch):
 
 def test_all_ones_seed_accepted():
     ic = InitialConditions([1, 1, 1, 1, 1, 1])
-    assert ic.u(0) == 1 and ic.x(0) == 1
+    assert ic.values == (1,) * 6
 
 
 def test_zero_seed_rejected_with_position():
@@ -355,8 +355,8 @@ def test_mixed_nonzero_rationals_accepted():
     ic = InitialConditions(
         [Fraction(2, 3), -1, 5, Fraction(7, 2), Fraction(-4, 9), 1]
     )
-    assert ic.x(-5) == Fraction(2, 3)
-    assert ic.u(5) == 1
+    assert ic.values[0] == Fraction(2, 3)
+    assert ic.values[5] == 1
     assert ic.seed_product(0) == Fraction(2, 3) * 5
 
 

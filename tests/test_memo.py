@@ -17,7 +17,6 @@ from sixrde import (
     iterate,
     specialcases,
     term,
-    term_periodic4,
     terms,
     well_defined,
 )
@@ -34,7 +33,7 @@ from conftest import (
 # (point query, range) per engine; both take 4-periodic coefficients.
 ENGINES = {
     "closedform": (term, terms),
-    "specialcases": (term_periodic4, specialcases.terms),
+    "specialcases": (specialcases.term, specialcases.terms),
 }
 
 TOP = 60
@@ -197,13 +196,13 @@ def test_each_engine_keeps_its_own_slot_on_one_thread():
     ic, coeffs, orbit = regular(318)
     indices = range(-5, TOP + 1)
     start_cold()
-    general, special = zip(*[(term(m, ic, coeffs), term_periodic4(m, ic, coeffs))
+    general, special = zip(*[(term(m, ic, coeffs), specialcases.term(m, ic, coeffs))
                              for m in indices])
     assert list(general) == list(special) == list(orbit.terms)
     # Past the seeds, each engine formed every term itself.
     assert not any(x is y for x, y in zip(general[4:], special[4:]))
     for m, x, y in zip(indices, general, special):
-        assert term(m, ic, coeffs) is x and term_periodic4(m, ic, coeffs) is y
+        assert term(m, ic, coeffs) is x and specialcases.term(m, ic, coeffs) is y
     # Both ranges on one thread, zipped as `compare` reads them.
     ranges = zip(terms(-5, TOP, ic, coeffs), specialcases.terms(-5, TOP, ic, coeffs))
     assert all(x is g and y is s

@@ -192,13 +192,13 @@ def test_terms_stay_nonzero_and_only_a_zero_factor_halts(seeds, coeffs, count):
     assert all(t != 0 for t in orbit.terms)
     for n in range(len(orbit) - 6):
         a, b = coeffs.pair_at(n)
-        p = orbit.u(n) * orbit.u(n + 2)
-        assert orbit.u(n + 6) == p / (orbit.u(n + 4) * (a + b * p))
+        p = orbit.terms[n] * orbit.terms[n + 2]
+        assert orbit.terms[n + 6] == p / (orbit.terms[n + 4] * (a + b * p))
     if orbit.halt is not None:
         n = orbit.halt.step
         assert orbit.halt.cause == SingularityCause.ZERO_DENOMINATOR_FACTOR
         a, b = coeffs.pair_at(n)
-        assert a + b * orbit.u(n) * orbit.u(n + 2) == 0
+        assert a + b * orbit.terms[n] * orbit.terms[n + 2] == 0
 
 
 def _literal_iterate(ic, coeffs, count):

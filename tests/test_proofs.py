@@ -21,7 +21,6 @@ from sixrde import (
     closedform,
     core,
     specialcases,
-    term_const_a_neg1,
 )
 
 sp = pytest.importorskip("sympy")
@@ -370,11 +369,12 @@ def test_a_neg1_parity_formula_matches_the_code():
               Fraction(-6)]
     coeff_b = Fraction(-4, 5)
     ic = InitialConditions(values)
+    coeffs = CoefficientSequence.constant(-1, coeff_b)
     at = {**dict(zip(SEEDS, values)), b: coeff_b}
     for j in range(4):
         for n in range(8):
             formula = a_neg1_formula(j, n, n // 2, (n + 1) // 2).subs(at)
-            assert formula == sp.Rational(term_const_a_neg1(4 * n - 5 + j, ic, coeff_b))
+            assert formula == sp.Rational(specialcases.term(4 * n - 5 + j, ic, coeffs))
 
 
 # ---------------------------------------------------------------------------

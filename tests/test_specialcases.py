@@ -16,11 +16,6 @@ from sixrde import (
     WrongCase,
     iterate,
     term,
-    term_const_a1,
-    term_const_a_neg1,
-    term_const_general,
-    term_periodic2,
-    term_periodic4,
 )
 from sixrde import closedform, specialcases
 
@@ -46,55 +41,53 @@ def small_coeff(rng):
 
 def test_all_cases_return_seeds_at_block_zero():
     ic = InitialConditions([2, 3, 5, 7, 11, 13])
-    for m in range(-5, -1):
-        assert term_const_general(m, ic, ConstantCoeffs(2, 3)) == ic.x(m)
-        assert term_const_a1(m, ic, 3) == ic.x(m)
-        assert term_const_a_neg1(m, ic, 3) == ic.x(m)
-        assert term_periodic2(m, ic, PeriodicCoeffs2((2, 3), (1, 4))) == ic.x(m)
-        assert term_periodic4(m, ic, PeriodicCoeffs4((2, 3, 4, 5), (1, 2, 3, 4))) == ic.x(m)
+    for coeffs in (ConstantCoeffs(2, 3), ConstantCoeffs(1, 3), ConstantCoeffs(-1, 3),
+                   PeriodicCoeffs2((2, 3), (1, 4)), PeriodicCoeffs4((2, 3, 4, 5), (1, 2, 3, 4))):
+        for m in range(-5, -1):
+            assert specialcases.term(m, ic, coeffs) == ic.values[m + 5]
 
 
 def test_b_zero_telescoping():
     ic = InitialConditions([2, 3, 5, 7, 11, 13])
-    c, g = ic.x(-5), ic.x(-1)
+    c, g = ic.values[0], ic.values[4]
     for n in range(0, 8):
         m = 4 * n - 5
         expected = g**n / c ** (n - 1)
         # with b = 0 every product factor is 1, regardless of a
-        assert term_const_general(m, ic, ConstantCoeffs(2, 0)) == expected
-        assert term_const_a1(m, ic, 0) == expected
+        assert specialcases.term(m, ic, ConstantCoeffs(2, 0)) == expected
+        assert specialcases.term(m, ic, ConstantCoeffs(1, 0)) == expected
     # cross-check the whole b = 0 orbit against direct iteration
     cc = ConstantCoeffs(3, 0)
     orbit = iterate(ic, cc, 30)
     for m in range(-5, 31):
-        assert term_const_general(m, ic, cc) == orbit.x(m)
+        assert specialcases.term(m, ic, cc) == orbit.x(m)
 
 
 def test_periodic_identity_coefficients_telescope():
     ic = InitialConditions([2, 3, 5, 7, 11, 13])
-    c, g = ic.x(-5), ic.x(-1)
+    c, g = ic.values[0], ic.values[4]
     pc2 = PeriodicCoeffs2((1, 1), (0, 0))
     pc4 = PeriodicCoeffs4((1, 1, 1, 1), (0, 0, 0, 0))
     for n in range(0, 8):
         m = 4 * n - 5
-        assert term_periodic2(m, ic, pc2) == g**n / c ** (n - 1)
-        assert term_periodic4(m, ic, pc4) == g**n / c ** (n - 1)
+        assert specialcases.term(m, ic, pc2) == g**n / c ** (n - 1)
+        assert specialcases.term(m, ic, pc4) == g**n / c ** (n - 1)
 
 
 # ---------------------------------------------------------------------------
 # Case guards
 # ---------------------------------------------------------------------------
 
-def test_general_form_rejects_a_equal_one():
-    # ... and every sequence that is not constant, even with a constant a.
+def test_term_covers_a_equal_one_and_periods_one_and_two():
+    # A constant a = 1 and 1- or 2-periodic sequences with a constant a are
+    # special cases of the one product; the general closed form agrees.
     for coeffs in (
         ConstantCoeffs(1, 2),
         CoefficientSequence.periodic([2], [3]),
         CoefficientSequence.periodic([2, 2], [3, 3]),
-        CoefficientSequence.explicit([2] * 12, [3] * 12),
     ):
-        with pytest.raises(WrongCase):
-            term_const_general(3, ONES, coeffs)
+        for m in range(-5, 20):
+            assert specialcases.term(m, ONES, coeffs) == term(m, ONES, coeffs)
 
 
 def test_special_terms_rejects_uncovered_sequences_when_called():
@@ -106,24 +99,27 @@ def test_special_terms_rejects_uncovered_sequences_when_called():
         with pytest.raises(WrongCase) as exc:
             specialcases.terms(-5, 10, ONES, coeffs)  # nothing iterated
         assert str(exc.value).endswith(got)
+        with pytest.raises(WrongCase) as exc:
+            specialcases.term(3, ONES, coeffs)
+        assert str(exc.value).endswith(got)
 
 
 def test_a1_flags_singular_factor():
     # b*c*e = -1 makes 1 + bce*(s+1) vanish at s = 0: class j=2 factor
     with pytest.raises(SingularClosedForm) as exc:
-        term_const_a1(1, ONES, -1)
+        specialcases.term(1, ONES, ConstantCoeffs(1, -1))
     assert (exc.value.j, exc.value.s, exc.value.v_index) == (2, 0, 4)
 
 
 def test_a_neg1_symmetric_seeds_are_constant():
     for n in range(0, 10):
-        assert term_const_a_neg1(4 * n - 5, ONES, 2) == 1
+        assert specialcases.term(4 * n - 5, ONES, ConstantCoeffs(-1, 2)) == 1
 
 
 def test_a_neg1_flags_singular_base():
     # b*c*e = 1 makes (-1 + b*c*e) vanish; x_1 needs it in a denominator
     with pytest.raises(SingularClosedForm) as exc:
-        term_const_a_neg1(1, ONES, 1)
+        specialcases.term(1, ONES, ConstantCoeffs(-1, 1))
     assert exc.value.v_index == 4
 
 
@@ -132,27 +128,22 @@ def test_vanishing_numerator_is_reported_by_its_own_index():
     # nonzero denominator V_6; every engine names V_4 (class 2, factor 0).
     ic = InitialConditions([1, 1, 1, 1, 2, 1])
     a, b = (1, 1, 1, 1), (-1, 0, 0, 0)
-    engines = (
-        lambda: term(3, ic, CoefficientSequence.periodic(a, b)),
-        lambda: term_periodic4(3, ic, PeriodicCoeffs4(a, b)),
-        lambda: term(3, ic, CoefficientSequence.constant(-1, 1)),
-        lambda: term_const_a_neg1(3, ic, 1),
-    )
-    for engine in engines:
-        with pytest.raises(SingularClosedForm) as exc:
-            engine()
-        assert (exc.value.j, exc.value.s, exc.value.v_index) == (2, 0, 4)
+    for engine in (term, specialcases.term):
+        for coeffs in (PeriodicCoeffs4(a, b), ConstantCoeffs(-1, 1)):
+            with pytest.raises(SingularClosedForm) as exc:
+                engine(3, ic, coeffs)
+            assert (exc.value.j, exc.value.s, exc.value.v_index) == (2, 0, 4)
 
 
 def test_a_neg1_checks_the_denominator_base_first():
     # With all seeds 1 and b = 1 both bases of every class vanish; x_3 meets
-    # the denominator V_6 before the numerator V_4, as the shared product does.
-    coeffs = CoefficientSequence.constant(-1, 1)
+    # the denominator V_6 before the numerator V_4, as the closed form does.
+    coeffs = ConstantCoeffs(-1, 1)
     for m in range(1, 13):
         with pytest.raises(SingularClosedForm) as want:
-            specialcases.term_periodic4(m, ONES, coeffs)
+            term(m, ONES, coeffs)
         with pytest.raises(SingularClosedForm) as got:
-            term_const_a_neg1(m, ONES, 1)
+            specialcases.term(m, ONES, coeffs)
         assert got.value.v_index == want.value.v_index == 4 + (m + 3) % 4, m
 
 
@@ -173,15 +164,15 @@ def test_geometric_sum_identity_across_cases():
         pc4 = PeriodicCoeffs4((a, a, a, a), (b, b, b, b))
         for m in range(-5, 30):
             try:
-                want = term_const_general(m, ic, cc)
+                want = specialcases.term(m, ic, cc)
             except SingularClosedForm:
                 with pytest.raises(SingularClosedForm):
-                    term_periodic2(m, ic, pc2)
+                    specialcases.term(m, ic, pc2)
                 with pytest.raises(SingularClosedForm):
-                    term_periodic4(m, ic, pc4)
+                    specialcases.term(m, ic, pc4)
                 break
-            assert term_periodic2(m, ic, pc2) == want
-            assert term_periodic4(m, ic, pc4) == want
+            assert specialcases.term(m, ic, pc2) == want
+            assert specialcases.term(m, ic, pc4) == want
 
 
 @pytest.mark.parametrize("a", [0, 1, -1, Fraction(-1, 2), 2])
@@ -215,33 +206,29 @@ def test_singular_position_matches_general_path():
         a = small_coeff(rng)
         while a == 1:
             a = small_coeff(rng)
-        cc = ConstantCoeffs(a, small_coeff(rng))
-        return (lambda m: term_const_general(m, ic, cc)), cc
+        return ConstantCoeffs(a, small_coeff(rng))
 
     def const_a1(ic):
-        b = small_coeff(rng)
-        return (lambda m: term_const_a1(m, ic, b)), CoefficientSequence.constant(1, b)
+        return ConstantCoeffs(1, small_coeff(rng))
 
     def periodic2(ic):
-        pc = PeriodicCoeffs2((small_coeff(rng), small_coeff(rng)),
-                             (small_coeff(rng), small_coeff(rng)))
-        return (lambda m: term_periodic2(m, ic, pc)), pc
+        return PeriodicCoeffs2((small_coeff(rng), small_coeff(rng)),
+                               (small_coeff(rng), small_coeff(rng)))
 
     def periodic4(ic):
-        pc = PeriodicCoeffs4(tuple(small_coeff(rng) for _ in range(4)),
-                             tuple(small_coeff(rng) for _ in range(4)))
-        return (lambda m: term_periodic4(m, ic, pc)), pc
+        return PeriodicCoeffs4(tuple(small_coeff(rng) for _ in range(4)),
+                               tuple(small_coeff(rng) for _ in range(4)))
 
     def const_a_neg1(ic):
         b = 1 / ic.seed_product(next(classes))  # V_(4+r) = 0 for the drawn class r
-        return (lambda m: term_const_a_neg1(m, ic, b)), CoefficientSequence.constant(-1, b)
+        return ConstantCoeffs(-1, b)
 
     positions = set()
     for build in (const_general, const_a1, periodic2, periodic4, const_a_neg1):
         halted = 0
         while halted < 10:
             ic = random_initial_conditions(rng)
-            solver, coeffs = build(ic)
+            coeffs = build(ic)
             orbit = iterate(ic, coeffs, 55)
             if orbit.halt is None:
                 continue
@@ -249,7 +236,7 @@ def test_singular_position_matches_general_path():
             with pytest.raises(SingularClosedForm) as want:
                 term(m, ic, coeffs)
             with pytest.raises(SingularClosedForm) as got:
-                solver(m)
+                specialcases.term(m, ic, coeffs)
             position = (got.value.j, got.value.s, got.value.v_index)
             assert position == (want.value.j, want.value.s, want.value.v_index), (
                 build.__name__, m)
@@ -323,7 +310,7 @@ def test_special_terms_range_equals_point_evaluation():
         cases[halted] += 1
         lo, hi = range_window(rng, orbit, 60)
         start_cold()
-        want = values_until_error(term_periodic4(m, ic, pc) for m in range(lo, hi + 1))
+        want = values_until_error(specialcases.term(m, ic, pc) for m in range(lo, hi + 1))
         start_cold()
         assert values_until_error(specialcases.terms(lo, hi, ic, pc)) == want
         assert want[0] == list(orbit.terms[lo + 5:lo + 5 + len(want[0])])

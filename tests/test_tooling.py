@@ -3,6 +3,8 @@ README's examples run as written."""
 
 import ast
 import importlib
+import inspect
+import random
 import re
 import os
 import runpy
@@ -15,7 +17,9 @@ from pathlib import Path
 import pytest
 
 import sixrde
-from sixrde import cli
+from sixrde import SingularClosedForm, cli, closedform, specialcases
+
+from conftest import random_initial_conditions, random_rational, start_cold
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -138,16 +142,22 @@ def test_every_name_the_benchmark_calls_resolves():
         assert hasattr(sixrde.CoefficientSequence, attr), attr
 
 
+def _bench_constants(*names):
+    """The literal values `bench/workloads.py` assigns to `names`."""
+    workloads = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    found = {target.id: ast.literal_eval(node.value) for node in workloads.body
+             if isinstance(node, ast.Assign) for target in node.targets
+             if getattr(target, "id", None) in names}
+    assert set(found) == set(names)
+    return found
+
+
 def test_the_symmetry_results_the_benchmark_reads_keep_their_meaning():
     # The sweep counts `bool(lsc_residual(q, sample))` as "nonzero" for Q1 and
     # Q2 and reads four structure checks at its own limits.  A type changed
     # under the same names (a residual returned as a tuple is always true)
     # would pass the test above and fail only in the benchmark.
-    workloads = ast.parse((ROOT / "bench" / "workloads.py").read_text())
-    limits = {target.id: ast.literal_eval(node.value) for node in workloads.body
-              if isinstance(node, ast.Assign) for target in node.targets
-              if getattr(target, "id", None) in ("SYMMETRY_N_MAX", "GAMMA_LIMIT")}
-    assert set(limits) == {"SYMMETRY_N_MAX", "GAMMA_LIMIT"}
+    limits = _bench_constants("SYMMETRY_N_MAX", "GAMMA_LIMIT")
     rng = cli.Lcg(1)
     counterfeits = []
     for sample in (rng.lsc_sample() for _ in range(20)):
@@ -162,6 +172,70 @@ def test_the_symmetry_results_the_benchmark_reads_keep_their_meaning():
     assert sixrde.generator_annihilates_invariant("X1", n_max).ok
     assert sixrde.generator_annihilates_invariant("X2", n_max).ok
     assert sixrde.verify_gamma_identities(limits["GAMMA_LIMIT"]) == []
+
+
+def _family_coefficients(rng, family, ic, plant):
+    """A seeded sequence of one `SPECIAL` family; with `plant` = r, b_r is
+    chosen so that V_(4+r) = a_r*V_r + b_r = 0 and the orbit dies by step r."""
+    def coeff():
+        return random_rational(rng, lo=-5, hi=5, max_den=5)
+
+    period = {"periodic2": 2, "periodic4": 4}.get(family, 1)
+    a = {"constant_a1": [1], "constant_a_neg1": [-1]}.get(family)
+    while a is None or family == "constant" and a[0] in (1, -1):
+        a = [coeff() for _ in range(period)]
+    b = [coeff() for _ in range(period)]
+    if plant is not None:
+        b[plant % period] = -a[plant % period] / ic.seed_product(plant)
+    if period == 1:
+        return sixrde.CoefficientSequence.constant(a[0], b[0])
+    return sixrde.CoefficientSequence.periodic(a, b)
+
+
+def test_the_case_names_the_benchmark_calls_keep_their_meaning():
+    # The sweep calls each `SPECIAL` name on the package with the argument
+    # `Sweep.load` builds: a rebuilt sequence, or `b` alone for a = +-1.
+    # Each call must give `specialcases.term`'s values on the family's
+    # sequence and, where the orbit dies, the same singular position.
+    special = _bench_constants("SPECIAL")["SPECIAL"]
+    rng = random.Random(2627)
+    for family, name in special.items():
+        for i in range(8):
+            ic = random_initial_conditions(rng)
+            coeffs = _family_coefficients(rng, family, ic, i // 2 if i % 2 else None)
+            if name == "term_const_general":
+                arg = sixrde.ConstantCoeffs(coeffs.a_at(0), coeffs.b_at(0))
+            elif name in ("term_const_a1", "term_const_a_neg1"):
+                arg = coeffs.b_at(0)
+            elif name == "term_periodic2":
+                arg = sixrde.PeriodicCoeffs2(coeffs.a_values(), coeffs.b_values())
+            else:
+                assert name == "term_periodic4"
+                arg = sixrde.PeriodicCoeffs4(coeffs.a_values(), coeffs.b_values())
+            orbit = sixrde.iterate(ic, coeffs, 55)
+            runs = []
+            for solver in (lambda m: getattr(sixrde, name)(m, ic, arg),
+                           lambda m: specialcases.term(m, ic, coeffs)):
+                start_cold()
+                values = [solver(m) for m in range(-5, orbit.last_m + 1)]
+                position = None
+                if orbit.halt is not None:
+                    with pytest.raises(SingularClosedForm) as exc:
+                        solver(orbit.last_m + 1)
+                    e = exc.value
+                    position = (e.j, e.s, e.v_index, e.halt_step)
+                    assert e.halt_step == orbit.halt.step
+                runs.append((values, position))
+            assert runs[0] == runs[1], (family, i)
+            assert runs[0][0] == list(orbit.terms)
+            assert (orbit.halt and orbit.halt.step) == (i // 2 if i % 2 else None)
+
+
+def test_both_engines_take_the_same_parameters():
+    for name in ("term", "terms"):
+        general, special = (inspect.signature(getattr(module, name)).parameters
+                            for module in (closedform, specialcases))
+        assert list(general) == list(special), name
 
 
 @pytest.mark.parametrize(
