@@ -36,13 +36,11 @@ from .oracle import (
 from .closedform import (
     WellDefinednessReport,
     WellDefViolation,
-    gamma,
     term,
     terms,
     unified_exponent,
     unified_magnitude,
     v_closed,
-    verify_gamma_identities,
     well_defined,
 )
 from .specialcases import (
@@ -63,6 +61,7 @@ from .symmetry import (
     counterfeit_characteristic,
     generator_annihilates_invariant,
     lsc_residual,
+    verify_gamma_identities,
     verify_reduced_system,
 )
 

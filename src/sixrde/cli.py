@@ -151,17 +151,25 @@ def parse_problem_spec(data: dict) -> ProblemSpec:
         unknown += sorted(coeffs_raw.keys() - allowed)
         if unknown:
             raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}")
-    except ProblemSpecError:
-        raise
     except (KeyError, TypeError, ValueError, SixrdeError) as exc:
         raise ProblemSpecError(f"malformed problem spec: {exc}") from exc
     return ProblemSpec(initial=initial, coeffs=coeffs, horizon=horizon)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key given twice (`json` keeps the last)."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ProblemSpecError(f"malformed problem spec: repeated key {key!r}")
+        data[key] = value
+    return data
+
+
 def load_problem_spec(path: str) -> ProblemSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ProblemSpecError(f"cannot read spec file: {exc}") from exc
     # Bad JSON, bad UTF-8, an integer past the digit limit, or nesting past
@@ -404,12 +412,10 @@ def _cmd_verify_symmetry(args) -> int:
         rep = symmetry.generator_annihilates_invariant(variant, 50)
         failed = failed or not rep.ok
         print(f"generator {variant}: coefficient sums n<=50 {'ok' if rep.ok else 'FAIL'}")
-    gamma_failures = closedform.verify_gamma_identities(16)
+    gamma_failures = symmetry.verify_gamma_identities(16)
     failed = failed or bool(gamma_failures)
-    print(
-        f"gamma-identities: n,k<=16 "
-        f"{'ok' if not gamma_failures else 'FAIL (' + str(len(gamma_failures)) + ')'}"
-    )
+    print("gamma-identities: n,k<=16 "
+          + (f"FAIL ({len(gamma_failures)})" if gamma_failures else "ok"))
     print("RESULT " + ("FAIL" if failed else "ok"))
     return EXIT_MISMATCH if failed else EXIT_OK
 
@@ -448,6 +454,13 @@ _step_count = _count_from(0, "a nonnegative integer")  # --n
 _sample_count = _count_from(1, "an integer >= 1")  # --samples
 
 
+def _out_path(text: str) -> str:
+    """argparse type of --out: a nonempty path (a usage error otherwise)."""
+    if text:
+        return text
+    raise argparse.ArgumentTypeError("must be a path, or - for stdout, got ''")
+
+
 def _index_range(text: str) -> tuple[int, int]:
     """argparse type of --range: A..B with -5 <= A <= B (a usage error otherwise)."""
     lo, sep, hi = text.partition("..")
@@ -471,11 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
     spec_options.add_argument("--spec", required=True, help="problem spec JSON file")
     spec_options.add_argument("--emit-spec", action="store_true",
                               help="echo the parsed spec as canonical JSON and exit")
+    spec_options.add_argument("--out", type=_out_path, default="-",
+                              help="output CSV (compare: JSON) path (default stdout)")
 
     p_it = sub.add_parser("iterate", parents=[spec_options], help="direct iteration to CSV")
     p_it.add_argument("--n", type=_step_count, default=None,
                       help="steps (default: spec horizon)")
-    p_it.add_argument("--out", default="-", help="output CSV path (default stdout)")
     p_it.set_defaults(func=_cmd_iterate)
 
     p_sv = sub.add_parser("solve", parents=[spec_options], help="closed-form terms to CSV")
@@ -485,14 +499,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=("general", "auto"), default="general",
         help="general closed form, or the special-case product",
     )
-    p_sv.add_argument("--out", default="-", help="output CSV path (default stdout)")
     p_sv.set_defaults(func=_cmd_solve)
 
     p_cp = sub.add_parser("compare", parents=[spec_options],
                           help="oracle vs closed form, JSON report")
     p_cp.add_argument("--n", type=_step_count, default=None,
                       help="steps (default: spec horizon)")
-    p_cp.add_argument("--out", default="-", help="output JSON path (default stdout)")
     p_cp.set_defaults(func=_cmd_compare)
 
     p_vs = sub.add_parser("verify-symmetry", help="run the symmetry suite")

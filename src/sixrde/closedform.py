@@ -36,11 +36,11 @@ The paper's unified magnitude formula over the complex unit i,
     ln|u_n| = i^n c1 + (-i)^n c2 + sum(Re[i^(n-k)] * ln|V_k|, k < n),
 
 c1 + c2 = ln|u_0|, i*(c1 - c2) = ln|u_1|, is real term by term: Re[i^d] is
-1, 0, -1, 0 for d = 0..3 (mod 4), and the constants give +-ln|u_(n mod 2)|,
-+ for n = 0, 1 (mod 4).  `unified_exponent` sums it in that real form, in
-floating point and in the same order, so the float is the same up to the
-sign of an exact zero.  It recovers magnitudes only; signs live on the
-exact path.
+`symmetry.Q1`'s table 1, 0, -1, 0 for d = 0..3 (mod 4), and the constants
+give +-ln|u_(n mod 2)|, + for n = 0, 1 (mod 4).  `unified_exponent` sums it
+in that real form, in floating point and in the same order, so the float is
+the same up to the sign of an exact zero.  It recovers magnitudes only;
+signs live on the exact path.
 """
 
 from __future__ import annotations
@@ -59,10 +59,9 @@ from .core import (
     _solved,
     log_abs,
 )
+from .symmetry import verify_gamma_identities  # noqa: F401  (bench/tracer.py reads it here)
 
 __all__ = [
-    "gamma",
-    "verify_gamma_identities",
     "v_closed",
     "term",
     "terms",
@@ -72,48 +71,6 @@ __all__ = [
     "unified_exponent",
     "unified_magnitude",
 ]
-
-# ---------------------------------------------------------------------------
-# The phase kernel
-# ---------------------------------------------------------------------------
-
-#: i^d for d = 0..3.  Every part is 0 or +-1, so the builtin complex is exact.
-_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
-
-
-def gamma(n: int, k: int) -> complex:
-    """The phase kernel i^n * (-i)^k = i^(n-k), exact."""
-    return _I_POWERS[(n - k) % 4]
-
-
-def verify_gamma_identities(limit: int) -> list[str]:
-    """Check all seven structural identities of the phase kernel.
-
-    Returns a list of human-readable failures (empty when everything holds)
-    for all n, k in 0..limit.  The kernel is a lookup on (n - k) mod 4, so
-    one period, n, k in 0..min(limit, 3), covers them all.
-    """
-    failures = []
-    if gamma(0, 1) != -1j:
-        failures.append("gamma(0,1) != conj(i)")
-    if gamma(1, 0) != 1j:
-        failures.append("gamma(1,0) != i")
-    period = range(min(limit, 3) + 1)
-    for n in period:
-        for k in period:
-            g = gamma(n, k)
-            if n == k and g != 1:
-                failures.append(f"gamma({n},{n}) != 1")
-            if gamma(n + 2, k) != -g:
-                failures.append(f"gamma({n}+2,{k}) != -gamma({n},{k})")
-            if gamma(n, k + 2) != -g:
-                failures.append(f"gamma({n},{k}+2) != -gamma({n},{k})")
-            if gamma(4 * n, k) != gamma(0, k):
-                failures.append(f"gamma(4*{n},{k}) != gamma(0,{k})")
-            if gamma(n, 4 * k) != gamma(n, 0):
-                failures.append(f"gamma({n},4*{k}) != gamma({n},0)")
-    return failures
-
 
 # ---------------------------------------------------------------------------
 # Closed form for the invariant

@@ -2,7 +2,7 @@
 
 All quantities are exact arbitrary-precision rationals (`fractions.Fraction`,
 always in canonical form): the recurrence, its coefficients and its symmetry
-characteristics are real, so the package has no exact complex type.  Values
+characteristics are real, so the package holds no complex value.  Values
 are immutable and safe to share between threads; the mutable `_Telescope`
 block memos live in per-thread slots (`_solved`).  Text conversion touches
 no process state: it never reads or changes the int/str digit limit, and the

@@ -17,7 +17,7 @@ the verification standard), and runs one phase-sum check,
 alpha_n + alpha_(n+2) = 0 for n <= n_max, both for the reduced determining
 system (the real and imaginary parts of its roots i^n and (-i)^n) and for
 the prolonged generators applied to the logarithmic invariant
-ln|u_n| + ln|u_(n+2)|.
+ln|u_n| + ln|u_(n+2)|.  It also checks that Q1 + i*Q2 is the kernel i^(n-k).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "PhaseSumReport",
     "verify_reduced_system",
     "generator_annihilates_invariant",
+    "verify_gamma_identities",
 ]
 
 CharacteristicFn = Callable[[int, RationalLike], Fraction]
@@ -217,3 +218,14 @@ def generator_annihilates_invariant(variant: str, n_max: int) -> PhaseSumReport:
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     return _phase_sum_check(n_max, ((variant, _GENERATORS[variant]),))
+
+
+def verify_gamma_identities(limit: int) -> list[str]:
+    """Failures (none when it holds) of i^(n-k) = Q1 + i*Q2 at d = n - k over
+    n, k <= limit.  The kernel depends on d mod 4 alone, so one period covers
+    every limit: Q1 + i*Q2 is 1, i at d = 0, 1 and alpha_(d+2) = -alpha_d."""
+    failures = [f"{q.name}: alpha_{d + 2} != -alpha_{d}"
+                for q in (Q1, Q2) for d in (0, 1) if q.alpha[d + 2] != -q.alpha[d]]
+    if (Q1.alpha[:2], Q2.alpha[:2]) != ((1, 0), (0, 1)):
+        failures.append("Q1 + i*Q2 is not 1, i at d = 0, 1")
+    return failures

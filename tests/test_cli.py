@@ -155,6 +155,21 @@ def test_unknown_spec_keys_are_named_on_one_error_line(tmp_path, capsys):
     assert err == "error: malformed problem spec: unknown key(s) 'horzion', 'extra'\n"
 
 
+@pytest.mark.parametrize("raw, key", [
+    ('{"initial": ["1", "1", "1", "1", "1", "1"], "horizon": 2, '
+     '"coeffs": {"kind": "constant", "a": ["1"], "b": ["0"]}, "horizon": 3}', "horizon"),
+    ('{"initial": ["1", "1", "1", "1", "1", "1"], "horizon": 2, '
+     '"coeffs": {"kind": "constant", "a": ["1"], "b": ["0"], "a": ["2"]}}', "a"),
+], ids=["top-level", "coeffs"])
+def test_a_repeated_spec_key_exits_64_and_is_named(tmp_path, capsys, raw, key):
+    path = tmp_path / "spec.json"
+    path.write_text(raw, encoding="utf-8")
+    for extra in ([], ["--emit-spec"]):
+        assert cli.main(["iterate", "--spec", str(path), *extra]) == EXIT_SPEC
+        assert capsys.readouterr() == (
+            "", f"error: malformed problem spec: repeated key {key!r}\n")
+
+
 def test_unreadable_and_non_json_specs_exit_64(tmp_path, capsys):
     text = json.dumps(dict(ones_spec(), coeffs={"kind": "periodic", "a": ["1"],
                                                 "b": ["0"], "period": 1}))
@@ -329,6 +344,27 @@ def test_unwritable_out_fails_before_any_computation(tmp_path, monkeypatch, caps
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {reason}: '{out}'\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
+@pytest.mark.parametrize("command", [["iterate"], ["solve"], ["compare"]], ids=str)
+def test_an_empty_out_is_a_usage_error_before_the_spec_is_read(tmp_path, monkeypatch,
+                                                               capsys, command):
+    # realpath('') is the working directory, so no run may get as far as
+    # writing output beside it.
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    path = write_spec(tmp_path, ones_spec())
+
+    def refuse(spec_path):
+        raise AssertionError("read the spec before checking --out")
+
+    monkeypatch.setattr(cli, "load_problem_spec", refuse)
+    assert cli.main([*command, "--spec", path, "--out", ""]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "error: argument --out: " in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json", "work"]
+    assert list(work.iterdir()) == []
 
 
 def test_a_failed_run_leaves_no_file_and_keeps_the_old_one(tmp_path, monkeypatch, capsys):

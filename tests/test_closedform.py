@@ -13,10 +13,10 @@ from sixrde import (
     OutOfHorizon,
     OutOfRange,
     SingularClosedForm,
-    gamma,
     invariant_sequence,
     iterate,
     specialcases,
+    symmetry,
     term,
     terms,
     unified_exponent,
@@ -27,6 +27,7 @@ from sixrde import (
 )
 from sixrde.closedform import _InvariantTable
 from sixrde.core import log_abs
+from sixrde.symmetry import Characteristic
 
 from conftest import (
     COEFF_KINDS,
@@ -43,41 +44,54 @@ TRIVIAL = CoefficientSequence.constant(1, 0)
 
 
 # ---------------------------------------------------------------------------
-# Phase kernel
+# Phase kernel: i^(n-k) is the table pair Q1 + i*Q2 at d = n - k
 # ---------------------------------------------------------------------------
 
-def test_gamma_spot_values():
-    assert gamma(3, 3) == 1
-    assert gamma(1, 0) == 1j
-    assert gamma(0, 1) == -1j
-    assert gamma(7, 2) == 1j  # i^5
-    assert type(gamma(2, 0)) is complex
+def _plant(monkeypatch, r, wrong):
+    """Replace the entry of Q1 + i*Q2 at residue r by wrong(re, im)."""
+    alphas = [list(q.alpha) for q in (symmetry.Q1, symmetry.Q2)]
+    alphas[0][r], alphas[1][r] = wrong(alphas[0][r], alphas[1][r])
+    for q, alpha in zip((symmetry.Q1, symmetry.Q2), alphas):
+        monkeypatch.setattr(symmetry, q.name, Characteristic(q.name, alpha))
 
 
 def test_gamma_identities_hold_up_to_16():
     assert verify_gamma_identities(16) == []
 
 
-def test_gamma_identity_checker_detects_breakage(monkeypatch):
-    import sixrde.closedform as cf
+def _negate(re, im):
+    return -re, -im
 
-    monkeypatch.setattr(cf, "gamma", lambda n, k: 1 + 0j)
-    assert cf.verify_gamma_identities(2) != []
+
+def _turn(re, im):
+    """i*(re + i*im)"""
+    return -im, re
+
+
+def test_gamma_identity_checker_detects_breakage(monkeypatch):
+    # A kernel that is 1 everywhere, and kernels wrong on both residues of
+    # one parity, which keep alpha_(d+2) = -alpha_d: each part of the entries
+    # at d = 0 and 1 is checked.
+    with monkeypatch.context() as patch:
+        for r in range(4):
+            _plant(patch, r, lambda re, im: (1, 0))
+        assert symmetry.verify_gamma_identities(2) != []
+    for wrong in (_negate, _turn, lambda re, im: (re - im, re + im)):  # (1+i)*
+        for r in (0, 1):
+            with monkeypatch.context() as patch:
+                _plant(patch, r, wrong)
+                _plant(patch, r + 2, wrong)
+                assert symmetry.verify_gamma_identities(2) != []
 
 
 @pytest.mark.parametrize("r", range(4))
 def test_gamma_identity_checker_catches_each_wrong_residue(monkeypatch, r):
-    import sixrde.closedform as cf
-
-    real = cf.gamma
-    for wrong in (lambda g: -g, lambda g: 1j * g):
-        def broken(n, k, wrong=wrong):
-            g = real(n, k)
-            return wrong(g) if (n - k) % 4 == r else g
-
-        monkeypatch.setattr(cf, "gamma", broken)
-        for limit in (0, 1, 3, 16):
-            assert cf.verify_gamma_identities(limit) != []
+    # One entry negated, or turned by i.
+    for wrong in (_negate, _turn):
+        with monkeypatch.context() as patch:
+            _plant(patch, r, wrong)
+            for limit in (0, 1, 3, 16):
+                assert symmetry.verify_gamma_identities(limit) != []
 
 
 def test_gamma_identities_hold_at_every_limit():

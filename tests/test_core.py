@@ -22,6 +22,8 @@ from sixrde import (
     LscSample,
     Orbit,
     OutOfHorizon,
+    Q1,
+    Q2,
     SingularClosedForm,
     SingularityCause,
     SingularityReport,
@@ -32,7 +34,6 @@ from sixrde import (
     cli,
     core,
     format_rational,
-    gamma,
     iterate,
     parse_rational,
 )
@@ -231,11 +232,15 @@ def test_as_rational_rejects_floats():
 
 
 # ---------------------------------------------------------------------------
-# Powers of i: the unit of the phase kernel, gamma(k, 0) = i^k
+# Powers of i: the phase kernel i^n * (-i)^k, read as Q1 + i*Q2 at d = n - k
 # ---------------------------------------------------------------------------
 
+def kernel(n, k):
+    return complex(Q1.coefficient(n - k), Q2.coefficient(n - k))
+
+
 def test_imaginary_unit_structure():
-    i, minus_i = gamma(1, 0), gamma(0, 1)
+    i, minus_i = kernel(1, 0), kernel(0, 1)
     assert (i, minus_i) == (1j, -1j)
     assert i * i == -1
     assert i * minus_i == 1
@@ -247,15 +252,18 @@ def test_i_power_matches_repeated_multiplication(k):
     expected = 1 + 0j
     for _ in range(abs(k)):
         expected *= step
-    assert gamma(k, 0) == expected
+    assert kernel(k, 0) == expected
+    for n in range(8):
+        assert kernel(n, k) == expected.conjugate() * 1j**n
 
 
 def test_i_power_parts_match_complex_powers_of_1j():
-    # Every part is exactly 0 or +-1, so the kernel's comparisons are exact.
+    # Every part is exactly 0 or +-1, a Fraction, so the kernel stays real.
     for k in range(-9, 10):
-        z = gamma(k, 0)
-        assert type(z) is complex and z == 1j**k
-        assert {z.real, z.imag} <= {-1.0, 0.0, 1.0} and abs(z) == 1
+        parts = Q1.coefficient(k), Q2.coefficient(k)
+        assert all(type(part) is Fraction for part in parts)
+        assert complex(*parts) == 1j**k
+        assert set(parts) <= {-1, 0, 1} and parts[0] ** 2 + parts[1] ** 2 == 1
 
 
 # ---------------------------------------------------------------------------

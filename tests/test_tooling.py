@@ -84,6 +84,16 @@ def test_package_uses_no_private_fraction_api():
             assert not names & private, f"{path.name}:{node.lineno} {names & private}"
 
 
+def test_package_holds_no_complex_value():
+    # The recurrence, its coefficients and its characteristics are real; the
+    # phase kernel i^(n-k) is read from the tables of Q1 and Q2.
+    for path in sorted((ROOT / "src" / "sixrde").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            imaginary = isinstance(node, ast.Constant) and isinstance(node.value, complex)
+            names = {getattr(node, field, None) for field in ("attr", "id")}
+            assert not imaginary and "complex" not in names, f"{path.name}:{node.lineno}"
+
+
 def test_package_never_changes_the_int_str_digit_limit():
     for path in sorted((ROOT / "src" / "sixrde").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
