@@ -137,9 +137,9 @@ class DegenerateSample(SixrdeError):
 # Rational helpers
 # ---------------------------------------------------------------------------
 
-# Accepted literals: "p" or "p/q" with q > 0.  Float/decimal forms are
-# rejected on purpose: the text boundary must stay exact.
-_RATIONAL_RE = _re.compile(r"([+-]?)(\d+)(?:/([1-9]\d*))?")
+# Accepted literals: "p" or "p/q" with q > 0, in ASCII digits.  Float/decimal
+# forms are rejected on purpose: the text boundary must stay exact.
+_RATIONAL_RE = _re.compile(r"([+-]?)(\d+)(?:/([1-9]\d*))?", _re.ASCII)
 
 # Longest decimal piece converted at once: the lowest int<->str digit limit the
 # interpreter accepts (`sys.int_info.str_digits_check_threshold`, 3.10.7 on),

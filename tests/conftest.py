@@ -25,6 +25,7 @@ from sixrde import (
     SixrdeError,
     cli,
     core,
+    format_rational,
     iterate,
     specialcases,
     term,
@@ -57,6 +58,22 @@ def random_coefficients(rng: random.Random, kind: str) -> CoefficientSequence:
 
 
 COEFF_KINDS = ("constant", "periodic2", "periodic3", "periodic4")
+
+
+def spec_dict_from(ic, coeffs, horizon):
+    """The spec file's JSON object for (ic, coeffs) with this horizon."""
+    data = {
+        "initial": [format_rational(v) for v in ic.values],
+        "coeffs": {
+            "kind": coeffs.kind,
+            "a": [format_rational(v) for v in coeffs.a_values()],
+            "b": [format_rational(v) for v in coeffs.b_values()],
+        },
+        "horizon": horizon,
+    }
+    if coeffs.kind == "periodic":
+        data["coeffs"]["period"] = coeffs.period
+    return data
 
 
 def random_instance(rng: random.Random, kind=None):

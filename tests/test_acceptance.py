@@ -23,7 +23,6 @@ from sixrde import (
     check_invariant_recurrence,
     cli,
     counterfeit_characteristic,
-    format_rational,
     generator_annihilates_invariant,
     invariant_sequence,
     iterate,
@@ -46,6 +45,7 @@ from conftest import (
     random_coefficients,
     random_initial_conditions,
     random_rational,
+    spec_dict_from,
 )
 
 
@@ -60,19 +60,23 @@ def criterion(number, label):
 
 
 def seeded_instances(seed, count, steps, kinds=COEFF_KINDS):
-    """`count` non-singular random instances surviving `steps` iterations."""
+    """`count` non-singular random instances surviving `steps` iterations,
+    and the number of draws that halted before them."""
     rng = random.Random(seed)
     out = []
+    halted = 0
     while len(out) < count:
         ic = random_initial_conditions(rng)
         coeffs = random_coefficients(rng, kinds[len(out) % len(kinds)])
         orbit = iterate(ic, coeffs, steps)
         if orbit.halt is None:
             out.append((ic, coeffs, orbit))
-    return out
+        else:
+            halted += 1
+    return out, halted
 
 
-INSTANCES_C1 = seeded_instances(seed=20260809, count=200, steps=60)
+INSTANCES_C1, HALTED_C1 = seeded_instances(seed=20260809, count=200, steps=60)
 
 
 def test_criterion_1_closed_form_equals_oracle():
@@ -90,6 +94,9 @@ def test_criterion_2_invariant_recurrence_residuals_zero():
         for ic, coeffs, orbit in INSTANCES_C1:
             v = invariant_sequence(orbit)
             assert all(r == 0 for r in check_invariant_recurrence(v, coeffs))
+        # The draws give plenty of both outcomes: orbits that halt, and more
+        # that survive to be checked.
+        assert 0 < HALTED_C1 < 200, HALTED_C1
 
 
 def _special_case_instances(seed, count, builder, steps):
@@ -271,19 +278,8 @@ def test_criterion_7_cli_contract(tmp_path, capsys):
     with criterion(7, "cmd_compare exits 0; spec round trip; reproducible runs"):
         # compare exits 0 on every criterion-1 instance
         for index, (ic, coeffs, _orbit) in enumerate(INSTANCES_C1):
-            data = {
-                "initial": [format_rational(v) for v in ic.values],
-                "coeffs": {
-                    "kind": coeffs.kind,
-                    "a": [format_rational(v) for v in coeffs.a_values()],
-                    "b": [format_rational(v) for v in coeffs.b_values()],
-                },
-                "horizon": 60,
-            }
-            if coeffs.kind == "periodic":
-                data["coeffs"]["period"] = coeffs.period
             spec_path = tmp_path / "instance.json"
-            spec_path.write_text(json.dumps(data), encoding="utf-8")
+            spec_path.write_text(json.dumps(spec_dict_from(ic, coeffs, 60)), encoding="utf-8")
             out_path = tmp_path / "report.json"
             code = cli.main(
                 ["compare", "--spec", str(spec_path), "--out", str(out_path)]

@@ -50,6 +50,7 @@ from conftest import (
     random_coefficients,
     random_initial_conditions,
     run_on_baseline,
+    spec_dict_from,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,21 +68,6 @@ def ones_spec(a="1", b="0", horizon=10):
         "coeffs": {"kind": "constant", "a": [a], "b": [b]},
         "horizon": horizon,
     }
-
-
-def spec_dict_from(ic, coeffs, horizon):
-    data = {
-        "initial": [format_rational(v) for v in ic.values],
-        "coeffs": {
-            "kind": coeffs.kind,
-            "a": [format_rational(v) for v in coeffs.a_values()],
-            "b": [format_rational(v) for v in coeffs.b_values()],
-        },
-        "horizon": horizon,
-    }
-    if coeffs.kind == "periodic":
-        data["coeffs"]["period"] = coeffs.period
-    return data
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +156,16 @@ def test_a_repeated_spec_key_exits_64_and_is_named(tmp_path, capsys, raw, key):
             "", f"error: malformed problem spec: repeated key {key!r}\n")
 
 
+def test_a_literal_in_other_scripts_digits_exits_64_and_is_named(tmp_path, capsys):
+    data = ones_spec()
+    data["initial"][0] = "\u0661"  # ARABIC-INDIC DIGIT ONE
+    path = write_spec(tmp_path, data)
+    for extra in ([], ["--emit-spec"]):
+        assert cli.main(["iterate", "--spec", path, *extra]) == EXIT_SPEC
+        assert capsys.readouterr() == (
+            "", "error: malformed problem spec: not an exact rational literal: '\u0661'\n")
+
+
 def test_unreadable_and_non_json_specs_exit_64(tmp_path, capsys):
     text = json.dumps(dict(ones_spec(), coeffs={"kind": "periodic", "a": ["1"],
                                                 "b": ["0"], "period": 1}))
@@ -250,31 +246,6 @@ def test_iterate_one_step_value(tmp_path, capsys):
     assert cli.main(["iterate", "--spec", path, "--n", "1"]) == EXIT_OK
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == "1,1/2,0.5"
-
-
-def test_iterate_past_int_str_digit_limit(tmp_path, monkeypatch):
-    # At horizon 900 the last terms have more than 4300 decimal digits,
-    # Python's default limit for int<->str conversion.  The limit is
-    # process-wide, so the package converts them without changing it.
-    def refuse(maxdigits):
-        raise AssertionError("the int<->str digit limit was changed")
-
-    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
-    data = ones_spec(a="2", b="1/3", horizon=900)
-    data["initial"] = ["1", "1", "1", "1", "2", "1"]
-    path = write_spec(tmp_path, data)
-    out = tmp_path / "orbit.csv"
-    limit = sys.get_int_max_str_digits()
-    assert cli.main(["iterate", "--spec", path, "--out", str(out)]) == EXIT_OK
-    assert sys.get_int_max_str_digits() == limit
-    spec = load_problem_spec(path)
-    orbit = iterate(spec.initial, spec.coeffs, 900)
-    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    assert [int(m) for m, _, _ in rows] == list(range(-5, 901))
-    assert max(len(exact) for _, exact, _ in rows) > limit
-    # Every value, the last and the longest (x_899) included, reads back.
-    assert [parse_rational(exact) for _, exact, _ in rows] == list(orbit.terms)
-    assert sys.get_int_max_str_digits() == limit
 
 
 def test_iterate_writes_csv_file_with_lf(tmp_path):
@@ -541,20 +512,35 @@ def test_a_singular_solve_keeps_the_rows_before_the_singular_index(tmp_path):
 @pytest.mark.parametrize("seeds, horizon", [
     # +-10^400 seeds: the float column reads inf and -inf.
     (["1" + "0" * 400, "-1" + "0" * 400, "1", "1", "2", "1"], 20),
-    # Past the int<->str digit limit (see test_iterate_past_int_str_digit_limit).
+    # At horizon 900 the last terms have more than 4300 decimal digits,
+    # Python's default limit for int<->str conversion.
     (["1", "1", "1", "1", "2", "1"], 900),
 ], ids=["seeds-1e400", "horizon-900"])
-def test_csv_bytes_equal_the_csv_module_rendering(tmp_path, seeds, horizon):
+def test_csv_bytes_equal_the_csv_module_rendering(tmp_path, monkeypatch, seeds, horizon):
+    # The digit limit is process-wide, so the package never changes it.
+    def refuse(maxdigits):
+        raise AssertionError("the int<->str digit limit was changed")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+    limit = sys.get_int_max_str_digits()
     data = ones_spec(a="2", b="1/3", horizon=horizon)
     data["initial"] = seeds
     path = write_spec(tmp_path, data)
     out = tmp_path / "orbit.csv"
     assert cli.main(["iterate", "--spec", path, "--out", str(out)]) == EXIT_OK
+    assert sys.get_int_max_str_digits() == limit
     spec = load_problem_spec(path)
-    want = _csv_module_rendering(iterate(spec.initial, spec.coeffs, horizon).terms)
+    orbit = iterate(spec.initial, spec.coeffs, horizon)
+    want = _csv_module_rendering(orbit.terms)
     assert out.read_bytes() == want
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [int(m) for m, _, _ in rows] == list(range(-5, horizon + 1))
+    # Every value, the last and the longest included, reads back.
+    assert [parse_rational(exact) for _, exact, _ in rows] == list(orbit.terms)
     if horizon == 20:
         assert b",inf\n" in want and b",-inf\n" in want
+    else:
+        assert max(len(exact) for _, exact, _ in rows) > limit
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +562,7 @@ def test_solve_general_matches_iterate(tmp_path):
     path = write_spec(tmp_path, data)
     out_it = tmp_path / "it.csv"
     out_sv = tmp_path / "sv.csv"
-    code_it = cli.main(["iterate", "--spec", path, "--out", str(out_it)])
-    if code_it != EXIT_OK:
-        pytest.skip("instance happened to be singular")
+    assert cli.main(["iterate", "--spec", path, "--out", str(out_it)]) == EXIT_OK
     assert cli.main([
         "solve", "--spec", path, "--range", "-5..25", "--out", str(out_sv)
     ]) == EXIT_OK

@@ -1,4 +1,6 @@
-"""General closed form: V solution, term products, guard, float paths."""
+"""General closed form: the V solution, term products, the guard and the
+unified magnitude's float path, plus the phase-kernel checker's response to
+table entries planted wrong."""
 
 import math
 import random

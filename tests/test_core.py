@@ -1,4 +1,9 @@
-"""Core value types: rationals, powers of i, sequences, seeds, records."""
+"""Core value types: the rational codec and the chain renderer, the phase
+kernel i^(n-k) read from the Q1/Q2 tables, coefficient sequences, seeds,
+records and the singular position.
+
+Rational arithmetic itself is `fractions.Fraction`'s and is not tested here.
+"""
 
 import copy
 import decimal
@@ -40,6 +45,8 @@ from sixrde import (
 from sixrde.cli import ProblemSpec
 from sixrde.symmetry import Characteristic, PhaseSumReport, RootCheckFailure
 
+from conftest import count_fresh_conversions
+
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,7 +63,10 @@ def test_parse_rational_forms():
     assert parse_rational(" 5/1 ") == 5
 
 
-@pytest.mark.parametrize("bad", ["0.5", "1e3", "1/0", "1/-2", "2 / 3", "a", ""])
+# The last three are fullwidth and Arabic-Indic digits: Unicode decimal
+# digits, but not the ASCII digits a literal is written in.
+@pytest.mark.parametrize("bad", ["0.5", "1e3", "1/0", "1/-2", "2 / 3", "a", "",
+                                 "１２", "١", "1/２"])
 def test_parse_rational_rejects_inexact_forms(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
@@ -162,18 +172,7 @@ def test_a_value_whose_cofactors_are_large_restarts_its_chain(monkeypatch):
     rng = random.Random(25)
     values = [Fraction(rng.getrandbits(10_000) | 1 << 9_999 | 1) for _ in range(12)]
     want = [format_rational(v) for v in values]
-    real, depth, fresh = core._digits, [0], []
-
-    def counted(n):
-        if not depth[0]:
-            fresh.append(n)
-        depth[0] += 1
-        try:
-            return real(n)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(core, "_digits", counted)
+    fresh = count_fresh_conversions(monkeypatch)
     assert list(core._rendered(values)) == want
     assert fresh == [v.numerator for v in values]  # 12 of 12
 
@@ -208,22 +207,6 @@ def test_the_chain_renderer_needs_no_higher_int_str_limit(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "limited.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
-
-
-@given(rationals, rationals, rationals)
-def test_rational_field_axioms_and_canonical_form(p, q, r):
-    assert (p + q) + r == p + (q + r)
-    assert p * (q + r) == p * q + p * r
-    for value in (p + q, p * q, p - q):
-        assert value.denominator > 0
-        from math import gcd
-
-        assert gcd(abs(value.numerator), value.denominator) == 1
-
-
-def test_rational_division_by_zero_is_reported():
-    with pytest.raises(ZeroDivisionError):
-        Fraction(1) / Fraction(0)
 
 
 def test_as_rational_rejects_floats():

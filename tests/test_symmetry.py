@@ -1,6 +1,11 @@
-"""Symmetry layer: characteristics, LSC residuals, reduced system, generators."""
+"""Symmetry layer: the characteristics' tables against powers of i, the LSC
+residual's detector, and the phase-sum checks' reach and failure reports.
 
-import random
+That the residual vanishes for Q1 and Q2 at sampled points is acceptance
+criterion 5; that the phase sums hold to n = 50 is the pinned
+`verify-symmetry` output (`tests/test_cli.py`).
+"""
+
 from fractions import Fraction
 
 import pytest
@@ -17,20 +22,6 @@ from sixrde import (
     verify_reduced_system,
 )
 from sixrde.symmetry import _phase_sum_check
-
-from conftest import random_rational
-
-
-def random_sample(rng):
-    while True:
-        n = rng.randrange(0, 48)
-        u0 = random_rational(rng, nonzero=True)
-        u2 = random_rational(rng, nonzero=True)
-        u4 = random_rational(rng, nonzero=True)
-        a = random_rational(rng, lo=-5, hi=5, max_den=5)
-        b = random_rational(rng, lo=-5, hi=5, max_den=5)
-        if a + b * u0 * u2 != 0:
-            return LscSample(n=n, u0=u0, u2=u2, u4=u4, a=a, b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +45,8 @@ def test_characteristics_are_quarter_turns_of_i():
     # +-1, and Q1, Q2 are the real and imaginary parts of i^n * u, for every
     # n, negative ones included.
     us = (Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(22, 5))
-    phase_n = 1 + 0j  # i^-8
-    for n in range(-8, 61):
+    phase_n = -1j  # i^-9
+    for n in range(-9, 61):
         re, im = int(phase_n.real), int(phase_n.imag)
         for u in us:
             values = (Q1(n, u), Q2(n, u), counterfeit_characteristic(n, u))
@@ -74,14 +65,6 @@ def test_characteristics_have_period_four_and_kill_zero():
 # ---------------------------------------------------------------------------
 # Linearized symmetry condition
 # ---------------------------------------------------------------------------
-
-def test_lsc_residual_vanishes_for_both_characteristics():
-    rng = random.Random(404)
-    for _ in range(100):
-        sample = random_sample(rng)
-        assert not lsc_residual(Q1, sample)
-        assert not lsc_residual(Q2, sample)
-
 
 def test_lsc_residual_detects_counterfeit():
     sample = LscSample(n=0, u0=1, u2=1, u4=1, a=2, b=1)
@@ -103,34 +86,13 @@ def test_degenerate_samples_are_rejected():
 # Reduced determining system and generators
 # ---------------------------------------------------------------------------
 
-def test_reduced_system_roots_check_out():
-    report = verify_reduced_system(50)
-    assert report.ok
-    # spot values: Re(i^0 + i^2) = 0; Im(i^1 + i^3) = 0
-    assert Q1.coefficient(0) + Q1.coefficient(2) == 0
-    assert Q2.coefficient(1) + Q2.coefficient(3) == 0
-
-
 def test_reduced_system_detects_counterfeit_root():
+    # The one check behind the reduced system and both generators.
     report = _phase_sum_check(10, (("1^n", counterfeit_characteristic),))
     assert not report.ok
     first = report.failures[0]
     assert first.n == 0
     assert first.value == Fraction(2)
-
-
-def test_generators_annihilate_invariant():
-    for variant in ("X1", "X2"):
-        report = generator_annihilates_invariant(variant, 50)
-        assert report.ok
-    # X2 at n = 3: Im(i^3 + i^5) = -1 + 1 = 0
-    assert Q2.coefficient(3) + Q2.coefficient(5) == 0
-
-
-def test_generator_detects_counterfeit_phase():
-    report = _phase_sum_check(5, (("1^n", counterfeit_characteristic),))
-    assert not report.ok
-    assert report.failures[0].value == Fraction(2)
 
 
 def test_the_phase_sum_checks_reach_every_n_up_to_n_max(monkeypatch):

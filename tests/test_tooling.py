@@ -152,6 +152,16 @@ def test_every_name_the_benchmark_calls_resolves():
         assert hasattr(sixrde.CoefficientSequence, attr), attr
 
 
+def test_every_mutant_plants_exactly_one_change():
+    # `tools/mutants.py` plants each entry in a copy of the tree; an old text
+    # that occurs twice, or no longer occurs, would count a kill for nothing.
+    harness = runpy.run_path(str(ROOT / "tools" / "mutants.py"))
+    assert len(harness["MUTANTS"]) >= 20
+    for path, old, new, reason in harness["MUTANTS"]:
+        text = (ROOT / path).read_text(encoding="utf-8")
+        assert harness["mutated"](text, old, new) != text, reason
+
+
 def _bench_constants(*names):
     """The literal values `bench/workloads.py` assigns to `names`."""
     workloads = ast.parse((ROOT / "bench" / "workloads.py").read_text())

@@ -1,0 +1,214 @@
+"""A fixed list of mutants and how many of them the Tier-1 suite kills.
+
+Run from anywhere with `python3 tools/mutants.py` (standard library only, no
+options).  For each entry of `MUTANTS` it copies the repository, without
+`.git` and caches, to a temporary directory, replaces the entry's old text
+(which must occur exactly once) by its new text, and runs
+`python -m pytest -x -q -p no:cacheprovider` there.  It prints one JSON line
+per mutant, killed when the suite fails, and then the total.  With CPython
+3.11 on two shared vCPUs a killed mutant took 3 to 26 s and the whole list
+about 4 minutes; a survivor runs the whole suite, about 20 s.
+
+Each entry is (file, old text, new text, reason).  There is at least one per
+layer: the oracle step loop, the invariant V (along an orbit and as the
+closed form's table), telescoping, the special-case factors, the guard, the
+unified magnitude, rational parsing and rendering, CSV and JSON output, the
+CLI's files and exit codes, and the symmetry checks.  No entry changes which
+terms the oracle's step combines: term heights then grow exponentially rather
+than quadratically, and the suite runs for many minutes before it fails.
+"""
+
+import json
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = [
+    # Oracle step loop
+    ("src/sixrde/oracle.py",
+     "for n in range(count):",
+     "for n in range(count - 1):",
+     "oracle stops one step short"),
+    ("src/sixrde/oracle.py",
+     "F = a_num * b_den * Q + b_num * a_den * P",
+     "F = a_num * b_den * Q - b_num * a_den * P",
+     "oracle denominator factor takes b with the wrong sign"),
+    ("src/sixrde/oracle.py",
+     "halt = SingularityReport(n, SingularityCause.ZERO_DENOMINATOR_FACTOR)",
+     "halt = SingularityReport(n + 1, SingularityCause.ZERO_DENOMINATOR_FACTOR)",
+     "oracle reports its halt one step late"),
+    # The invariant V along an orbit, and its affine recurrence
+    ("src/sixrde/oracle.py",
+     "Fraction(Q, P) for P, Q in map(_product, terms, terms[2:])",
+     "Fraction(Q, P) for P, Q in map(_product, terms, terms[1:])",
+     "V_n pairs u_n with u_(n+1) instead of u_(n+2)"),
+    ("src/sixrde/oracle.py",
+     "num = a.numerator * b_den * v0.numerator + b.numerator * a_den * v0_den",
+     "num = a.numerator * b_den * v0.numerator - b.numerator * a_den * v0_den",
+     "invariant residual takes V_(n+4) = a V_n - b_n"),
+    # The closed form's V table
+    ("src/sixrde/closedform.py",
+     "a.numerator * b_d * v.numerator + b.numerator * a_d * v_d,",
+     "a.numerator * b_d * v.numerator - b.numerator * a_d * v_d,",
+     "V table steps with b of the wrong sign"),
+    ("src/sixrde/closedform.py",
+     "for k2 in range(l + 1, n):",
+     "for k2 in range(l, n):",
+     "v_closed's tail product takes one factor too many"),
+    # Telescoping and the per-thread slot
+    ("src/sixrde/core.py",
+     "blocks.append(blocks[-1] * (num / den))",
+     "blocks.append(blocks[-1] * (den / num))",
+     "telescope takes the inverse factor ratio"),
+    ("src/sixrde/core.py",
+     "raise SingularClosedForm(k + 2)",
+     "raise SingularClosedForm(k)",
+     "a vanishing denominator factor is reported at the numerator's index"),
+    ("src/sixrde/core.py",
+     "if last is None or last[0] != (ic, coeffs):",
+     "if last is None:",
+     "slot is reused for a different instance"),
+    # Special-case factors
+    ("src/sixrde/specialcases.py",
+     "_TOP = (4, 5, 0, 1)",
+     "_TOP = (4, 5, 1, 0)",
+     "classes 2 and 3 scale by each other's seed"),
+    ("src/sixrde/specialcases.py",
+     "p += 1",
+     "p += 2",
+     "a = 1 factor grows by 2k per block"),
+    # Well-definedness guard
+    ("src/sixrde/closedform.py",
+     "for v_index in range(4, 4 * horizon + 6):",
+     "for v_index in range(4, 4 * horizon + 5):",
+     "guard stops one V short of its horizon"),
+    ("src/sixrde/closedform.py",
+     "return (self.v_index - 2) // 4",
+     "return (self.v_index - 1) // 4",
+     "violation names the wrong block s"),
+    # Unified magnitude
+    ("src/sixrde/closedform.py",
+     "if n % 4 >= 2:",
+     "if n % 4 >= 3:",
+     "unified exponent keeps the seed's sign at n = 2 mod 4"),
+    ("src/sixrde/closedform.py",
+     "elif (n - k) % 4 == 2:",
+     "elif (n - k) % 4 == 3:",
+     "unified exponent subtracts the wrong class of ln|V|"),
+    # Rational parsing and rendering
+    ("src/sixrde/core.py",
+     "_PIECE_DIGITS = 640",
+     "_PIECE_DIGITS = 5000",
+     "pieces past the default int<->str digit limit fail to convert"),
+    ("src/sixrde/core.py",
+     "return _digits(high) + _digits(low).zfill(k)",
+     "return _digits(high) + _digits(low).zfill(k - 1)",
+     "long integers lose a leading zero of their low half"),
+    ("src/sixrde/core.py",
+     "if last is not None and abs(bits - last[0].bit_length()) * _CARRY_SHARE <= bits:",
+     "if False:",
+     "chain renderer restarts every chain: same text, quadratic time"),
+    ("src/sixrde/core.py",
+     "context.divide_int(context.create_decimal(digits), down), up)",
+     "context.divide_int(context.create_decimal(digits), up), down)",
+     "chain renderer carries digits by the inverse ratio"),
+    ("src/sixrde/core.py",
+     "return _integer(digits[:-half]) * 10**half + _integer(digits[-half:])",
+     "return _integer(digits[:-half]) * 10**half",
+     "long literals drop their low half"),
+    # CSV and JSON output, files and exit codes
+    ("src/sixrde/cli.py",
+     "return math.inf if value > 0 else -math.inf",
+     "return math.inf",
+     "float column reads inf for a huge negative term"),
+    ("src/sixrde/cli.py",
+     "return EXIT_OK if first_mismatch is None else EXIT_MISMATCH",
+     "return EXIT_OK",
+     "compare exits 0 on a mismatch"),
+    ("src/sixrde/cli.py",
+     "horizon=count // 4 + 2)",
+     "horizon=count // 4 + 1)",
+     "compare's guard misses a halt at the last step"),
+    ("src/sixrde/cli.py",
+     """special = f',\\n      "special": "{cells[1]}"'""",
+     """special = f',\\n      "special": "{cells[0]}"'""",
+     "compare's special column repeats the closed form's cell"),
+    ("src/sixrde/cli.py",
+     "            os.unlink(temp)",
+     "            pass",
+     "a failed run leaves its temporary file behind"),
+    ("src/sixrde/cli.py",
+     "or horizon < 0:",
+     "or horizon < -1:",
+     "a negative horizon is accepted"),
+    # Symmetry checks
+    ("src/sixrde/symmetry.py",
+     "- q(n, u0) * (c * u2)",
+     "+ q(n, u0) * (c * u2)",
+     "LSC residual adds its last term"),
+    ("src/sixrde/symmetry.py",
+     'Q2 = Characteristic("Q2", (0, 1, 0, -1))',
+     'Q2 = Characteristic("Q2", (0, -1, 0, 1))',
+     "Q2 is -Im(i^n) * u: still a symmetry, but not i^n's imaginary part"),
+    ("src/sixrde/symmetry.py",
+     'return _phase_sum_check(n_max, (("Re(i^n)", Q1), ("Im(i^n)", Q2)))',
+     'return _phase_sum_check(n_max, (("Re(i^n)", Q1), ("Im(i^n)", counterfeit_characteristic)))',
+     "reduced system checks the counterfeit in place of Im(i^n)"),
+    ("src/sixrde/symmetry.py",
+     '_GENERATORS = {"X1": Q1, "X2": Q2}',
+     '_GENERATORS = {"X1": Q1, "X2": counterfeit_characteristic}',
+     "generator X2 reads the counterfeit's table"),
+    ("src/sixrde/symmetry.py",
+     "value=first + second",
+     "value=first - second",
+     "a phase-sum failure reports alpha_n - alpha_(n+2)"),
+    ("src/sixrde/symmetry.py",
+     "for n in range(n_max + 1):",
+     "for n in range(min(n_max, 39) + 1):",
+     "phase-sum checks stop short of n_max"),
+]
+
+_CACHES = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".work")
+
+
+def mutated(text: str, old: str, new: str) -> str:
+    """`text` with its one occurrence of `old` replaced by `new`."""
+    count = text.count(old)
+    if count != 1:
+        raise ValueError(f"old text occurs {count} times, not once: {old!r}")
+    return text.replace(old, new)
+
+
+def run(path: str, old: str, new: str) -> tuple[bool, float]:
+    """Run the suite on a copy of the tree with one mutant planted: whether
+    it failed, and the seconds it took."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=_CACHES)
+        target = tree / path
+        target.write_text(mutated(target.read_text(encoding="utf-8"), old, new),
+                          encoding="utf-8")
+        start = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+            cwd=tree, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        return done.returncode != 0, round(time.monotonic() - start, 2)
+
+
+def main() -> None:
+    killed = 0
+    for path, old, new, reason in MUTANTS:
+        dead, seconds = run(path, old, new)
+        killed += dead
+        print(json.dumps({"file": path, "reason": reason, "killed": dead,
+                          "seconds": seconds}), flush=True)
+    print(json.dumps({"killed": killed, "total": len(MUTANTS)}), flush=True)
+
+
+if __name__ == "__main__":
+    main()
