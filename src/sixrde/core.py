@@ -137,9 +137,9 @@ class DegenerateSample(SixrdeError):
 # Rational helpers
 # ---------------------------------------------------------------------------
 
-# Accepted literals: "p" or "p/q" with q > 0, in ASCII digits.  Float/decimal
-# forms are rejected on purpose: the text boundary must stay exact.
-_RATIONAL_RE = _re.compile(r"([+-]?)(\d+)(?:/([1-9]\d*))?", _re.ASCII)
+# Accepted literals: "p" or "p/q" with q > 0, in ASCII digits, ASCII whitespace
+# around them.  Float/decimal forms are rejected: the text boundary stays exact.
+_RATIONAL_RE = _re.compile(r"\s*([+-]?)(\d+)(?:/([1-9]\d*))?\s*", _re.ASCII)
 
 # Longest decimal piece converted at once: the lowest int<->str digit limit the
 # interpreter accepts (`sys.int_info.str_digits_check_threshold`, 3.10.7 on),
@@ -171,7 +171,7 @@ def parse_rational(text: str) -> Fraction:
     Literals of any length are read, in pieces below the digit limit, so
     every `format_rational` output reads back as a seed or coefficient.
     """
-    match = _RATIONAL_RE.fullmatch(text.strip())
+    match = _RATIONAL_RE.fullmatch(text)
     if match is None:
         raise ValueError(f"not an exact rational literal: {text!r}")
     sign, p, q = match.groups()

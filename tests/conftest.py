@@ -1,4 +1,5 @@
-"""Shared random-instance helpers for the test suite.
+"""Shared random-instance helpers, the engine table and the per-test time
+limit for the test suite.
 
 Instance generation uses seeded `random.Random` so every run exercises the
 same instances.  Seeds live in [-10, 10] with denominators <= 10;
@@ -13,6 +14,7 @@ import hashlib
 import json
 import math
 import random
+import signal
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -29,7 +31,42 @@ from sixrde import (
     iterate,
     specialcases,
     term,
+    terms,
 )
+
+
+#: Wall-clock seconds one test call may take.  The slowest test takes about
+#: 1.3 s; a wrong index in the recurrence makes term heights grow
+#: exponentially, and the limit turns that hang into a failure.
+TEST_SECONDS = 30
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past `TEST_SECONDS`.  Not an `Exception`, so neither the
+    code under test nor hypothesis takes it for a result and carries on."""
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"{item.nodeid} ran past {TEST_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+#: The two product engines, (point query, range) each, by module.  Both take
+#: (m, ic, coeffs) and (lo, hi, ic, coeffs); the special cases refuse periods
+#: other than 1, 2 and 4 and explicit lists.
+ENGINES = {
+    "closedform": (term, terms),
+    "specialcases": (specialcases.term, specialcases.terms),
+}
 
 
 def random_rational(rng: random.Random, lo=-10, hi=10, max_den=10, nonzero=False):
@@ -120,8 +157,8 @@ _UNDRAWN = (InitialConditions((7,) * 6), CoefficientSequence.constant(1000, 1000
 def start_cold():
     """Point each engine's per-thread slot for the last solved instance at
     one no test draws, so the next query builds its state from the seeds."""
-    term(-5, *_UNDRAWN)
-    specialcases.term(-5, *_UNDRAWN)
+    for point, _ in ENGINES.values():
+        point(-5, *_UNDRAWN)
 
 
 def count_normalisations(monkeypatch) -> list:

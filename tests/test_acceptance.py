@@ -5,6 +5,7 @@ Every check is property-based equivalence at desk scale; tolerances are
 zero (exact) unless stated otherwise.
 """
 
+import functools
 import json
 import math
 import random
@@ -76,13 +77,18 @@ def seeded_instances(seed, count, steps, kinds=COEFF_KINDS):
     return out, halted
 
 
-INSTANCES_C1, HALTED_C1 = seeded_instances(seed=20260809, count=200, steps=60)
+@functools.cache
+def instances_c1():
+    """Criterion 1's instances and halted draws, read by criteria 1, 2 and 7;
+    built by the first test that asks, so collection does no sixrde work."""
+    return seeded_instances(seed=20260809, count=200, steps=60)
 
 
 def test_criterion_1_closed_form_equals_oracle():
     with criterion(1, "closed form == oracle, 200 instances, m in -5..55, exact"):
+        instances, _ = instances_c1()
         start = time.monotonic()
-        for ic, coeffs, orbit in INSTANCES_C1:
+        for ic, coeffs, orbit in instances:
             for m in range(-5, 56):
                 assert term(m, ic, coeffs) == orbit.x(m)
         elapsed = time.monotonic() - start
@@ -91,12 +97,13 @@ def test_criterion_1_closed_form_equals_oracle():
 
 def test_criterion_2_invariant_recurrence_residuals_zero():
     with criterion(2, "invariant recurrence residuals exactly zero"):
-        for ic, coeffs, orbit in INSTANCES_C1:
+        instances, halted = instances_c1()
+        for ic, coeffs, orbit in instances:
             v = invariant_sequence(orbit)
             assert all(r == 0 for r in check_invariant_recurrence(v, coeffs))
         # The draws give plenty of both outcomes: orbits that halt, and more
         # that survive to be checked.
-        assert 0 < HALTED_C1 < 200, HALTED_C1
+        assert 0 < halted < 200, halted
 
 
 def _special_case_instances(seed, count, builder, steps):
@@ -277,7 +284,7 @@ def test_criterion_6_unified_magnitude():
 def test_criterion_7_cli_contract(tmp_path, capsys):
     with criterion(7, "cmd_compare exits 0; spec round trip; reproducible runs"):
         # compare exits 0 on every criterion-1 instance
-        for index, (ic, coeffs, _orbit) in enumerate(INSTANCES_C1):
+        for index, (ic, coeffs, _orbit) in enumerate(instances_c1()[0]):
             spec_path = tmp_path / "instance.json"
             spec_path.write_text(json.dumps(spec_dict_from(ic, coeffs, 60)), encoding="utf-8")
             out_path = tmp_path / "report.json"

@@ -157,13 +157,16 @@ def test_a_repeated_spec_key_exits_64_and_is_named(tmp_path, capsys, raw, key):
 
 
 def test_a_literal_in_other_scripts_digits_exits_64_and_is_named(tmp_path, capsys):
-    data = ones_spec()
-    data["initial"][0] = "\u0661"  # ARABIC-INDIC DIGIT ONE
-    path = write_spec(tmp_path, data)
-    for extra in ([], ["--emit-spec"]):
-        assert cli.main(["iterate", "--spec", path, *extra]) == EXIT_SPEC
-        assert capsys.readouterr() == (
-            "", "error: malformed problem spec: not an exact rational literal: '\u0661'\n")
+    # ARABIC-INDIC DIGIT ONE, then a 5 behind a no-break space: only ASCII
+    # digits and ASCII whitespace make a literal.
+    for literal in ("\u0661", "\xa05"):
+        data = ones_spec()
+        data["initial"][0] = literal
+        path = write_spec(tmp_path, data)
+        for extra in ([], ["--emit-spec"]):
+            assert cli.main(["iterate", "--spec", path, *extra]) == EXIT_SPEC
+            assert capsys.readouterr() == ("", "error: malformed problem spec: "
+                                           f"not an exact rational literal: {literal!r}\n")
 
 
 def test_unreadable_and_non_json_specs_exit_64(tmp_path, capsys):
@@ -246,15 +249,6 @@ def test_iterate_one_step_value(tmp_path, capsys):
     assert cli.main(["iterate", "--spec", path, "--n", "1"]) == EXIT_OK
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == "1,1/2,0.5"
-
-
-def test_iterate_writes_csv_file_with_lf(tmp_path):
-    path = write_spec(tmp_path, ones_spec(horizon=2))
-    out = tmp_path / "orbit.csv"
-    assert cli.main(["iterate", "--spec", path, "--out", str(out)]) == EXIT_OK
-    raw = out.read_bytes()
-    assert b"\r" not in raw
-    assert raw.startswith(b"m,exact,float\n")
 
 
 # ---------------------------------------------------------------------------
@@ -696,12 +690,12 @@ def _with_coeffs(coeffs, horizon=8):
 
 @pytest.mark.parametrize("data, argv, corrupt, code, shape", [
     pytest.param(ones_spec(a="2", b="3", horizon=6), [], {"closedform": 3}, EXIT_MISMATCH,
-                 lambda report: report["summary"]["first_mismatch"] == 3,
+                 lambda report: _only_x3_is_off_by_one(report, "closed_form"),
                  id="closed-form-mismatch"),
     pytest.param(_with_coeffs({"kind": "periodic", "period": 4, "a": ["1", "2", "-1/2", "3"],
                                "b": ["1", "0", "2", "-1"]}, horizon=6),
                  [], {"specialcases": 3}, EXIT_MISMATCH,
-                 lambda report: report["summary"]["first_mismatch"] == 3,
+                 lambda report: _only_x3_is_off_by_one(report, "special"),
                  id="special-mismatch"),
     pytest.param(ones_spec(a="2", b="3", horizon=8), [],
                  {"closedform": 5, "specialcases": 3}, EXIT_MISMATCH,
@@ -743,37 +737,16 @@ def _corrupting(real_terms, at=3):
     return corrupted
 
 
-def _assert_x3_mismatch_reported(path, engine, capsys):
-    """compare exits 3 at x_3 and prints the corrupted engine's own value."""
-    assert cli.main(["compare", "--spec", path]) == EXIT_MISMATCH
-    report = json.loads(capsys.readouterr().out)
-    assert report["summary"]["first_mismatch"] == 3
-    spec = load_problem_spec(path)
-    x3 = iterate(spec.initial, spec.coeffs, 6).x(3)
-    other = {"closed_form": "special", "special": "closed_form"}[engine]
+def _only_x3_is_off_by_one(report, column):
+    """Whether compare stopped at x_3, where `column` prints the oracle's
+    value plus one; every other engine cell equals its row's oracle cell."""
     for row in report["rows"]:
-        assert row[other] == row["oracle"]
-        assert row["match"] == (row["m"] != 3)
-        if row["m"] == 3:
-            assert row["oracle"] == format_rational(x3)
-            assert row[engine] == format_rational(x3 + 1) != row["oracle"]
-        else:
-            assert row[engine] == row["oracle"]
-
-
-def test_compare_detects_corrupted_engine(tmp_path, monkeypatch, capsys):
-    path = write_spec(tmp_path, ones_spec(a="2", b="3", horizon=6))
-    monkeypatch.setattr(cli.closedform, "terms", _corrupting(cli.closedform.terms))
-    _assert_x3_mismatch_reported(path, "closed_form", capsys)
-
-
-def test_compare_detects_corrupted_special_engine(tmp_path, monkeypatch, capsys):
-    data = ones_spec(horizon=6)
-    data["coeffs"] = {"kind": "periodic", "period": 4,
-                      "a": ["1", "2", "-1/2", "3"], "b": ["1", "0", "2", "-1"]}
-    path = write_spec(tmp_path, data)
-    monkeypatch.setattr(cli.specialcases, "terms", _corrupting(cli.specialcases.terms))
-    _assert_x3_mismatch_reported(path, "special", capsys)
+        off = row["m"] == 3
+        assert row["match"] == (not off)
+        oracle = parse_rational(row["oracle"])
+        for key in ("closed_form", "special"):
+            assert row[key] == format_rational(oracle + (off and key == column)), row
+    return report["summary"]["first_mismatch"] == 3
 
 
 @pytest.mark.parametrize("kind", ["constant", "periodic"])
@@ -790,7 +763,8 @@ def test_a_neg1_runs_the_shared_product(tmp_path, monkeypatch, capsys, kind):
         return SimpleNamespace(x=lambda m: telescope.x(m) + 1 if m == 3 else telescope.x(m))
 
     monkeypatch.setattr(cli.specialcases, "_covered", corrupted)
-    _assert_x3_mismatch_reported(path, "special", capsys)
+    assert cli.main(["compare", "--spec", path]) == EXIT_MISMATCH
+    assert _only_x3_is_off_by_one(json.loads(capsys.readouterr().out), "special")
     assert cli.main(["solve", "--spec", path, "--engine", "auto"]) == EXIT_OK
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     spec = load_problem_spec(path)
@@ -898,16 +872,6 @@ def test_verify_symmetry_passes_and_is_reproducible(capsys):
         assert capsys.readouterr().out == golden
 
 
-def test_verify_symmetry_counterfeit_exits_3(capsys):
-    code = cli.main(["verify-symmetry", "--samples", "10", "--seed", "3", "--counterfeit"])
-    assert code == EXIT_MISMATCH
-    assert capsys.readouterr().out == (
-        "lsc counterfeit: samples=10 nonzero_residuals=10 FAIL\n"
-        + VERIFY_SYMMETRY_CHECKS
-        + "RESULT FAIL\n"
-    )
-
-
 def test_every_sample_tells_the_counterfeit_from_a_symmetry():
     # At b = 0 scaling, the counterfeit Q = u, is a true symmetry, so each
     # sample draws b != 0 and every one of them must catch the counterfeit.
@@ -917,12 +881,16 @@ def test_every_sample_tells_the_counterfeit_from_a_symmetry():
     assert all(lsc_residual(counterfeit_characteristic, sample) for sample in samples)
 
 
-@pytest.mark.parametrize("seed", ["1", "7", "42"])
-def test_verify_symmetry_counterfeit_is_caught_on_every_sample(capsys, seed):
-    code = cli.main(["verify-symmetry", "--samples", "60", "--seed", seed, "--counterfeit"])
+@pytest.mark.parametrize("seed, samples", [("3", "10"), ("1", "60"), ("7", "60"), ("42", "60")],
+                         ids=["3", "1", "7", "42"])
+def test_verify_symmetry_counterfeit_is_caught_on_every_sample(capsys, seed, samples):
+    code = cli.main(["verify-symmetry", "--samples", samples, "--seed", seed, "--counterfeit"])
     assert code == EXIT_MISMATCH
-    assert capsys.readouterr().out.startswith(
-        "lsc counterfeit: samples=60 nonzero_residuals=60 FAIL\n")
+    assert capsys.readouterr().out == (
+        f"lsc counterfeit: samples={samples} nonzero_residuals={samples} FAIL\n"
+        + VERIFY_SYMMETRY_CHECKS
+        + "RESULT FAIL\n"
+    )
 
 
 def test_verify_symmetry_rejects_bad_sample_count(capsys):

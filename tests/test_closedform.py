@@ -1,6 +1,10 @@
 """General closed form: the V solution, term products, the guard and the
 unified magnitude's float path, plus the phase-kernel checker's response to
-table entries planted wrong."""
+table entries planted wrong.
+
+The contracts both product engines keep (seeds, b = 0 telescoping, the hand
+singular position, range against point queries) are checked once, over every
+engine of `conftest.ENGINES`."""
 
 import math
 import random
@@ -17,7 +21,6 @@ from sixrde import (
     SingularClosedForm,
     invariant_sequence,
     iterate,
-    specialcases,
     symmetry,
     term,
     terms,
@@ -33,6 +36,7 @@ from sixrde.symmetry import Characteristic
 
 from conftest import (
     COEFF_KINDS,
+    ENGINES,
     count_normalisations,
     nonsingular_instance,
     random_instance,
@@ -147,22 +151,36 @@ def test_each_v_costs_one_normalisation_and_no_product_or_sum(monkeypatch, a):
 
 def test_term_returns_seeds_unchanged():
     ic = InitialConditions([2, 3, 5, 7, 11, 13])
-    for m in range(-5, 1):
-        assert term(m, ic, TRIVIAL) == ic.values[m + 5]
+    for coeffs in (TRIVIAL, CoefficientSequence.constant(2, 3),
+                   CoefficientSequence.constant(1, 3), CoefficientSequence.constant(-1, 3),
+                   CoefficientSequence.periodic((2, 3), (1, 4)),
+                   CoefficientSequence.periodic((2, 3, 4, 5), (1, 2, 3, 4))):
+        for name, (point, _) in ENGINES.items():
+            for m in range(-5, 1):
+                assert point(m, ic, coeffs) == ic.values[m + 5], (name, m)
 
 
 def test_term_telescopes_for_identity_coefficients():
+    # With b = 0 and a of period 1 or 2 every factor ratio is V_j / V_(j+2),
+    # so x_(4n-5) = g^n / c^(n-1); the whole orbit also matches iteration.
     ic = InitialConditions([2, 3, 5, 7, 11, 13])
     c, g = ic.values[0], ic.values[4]
-    for n in range(0, 8):
-        assert term(4 * n - 5, ic, TRIVIAL) == g**n / c ** (n - 1)
+    b_zero = CoefficientSequence.constant(3, 0)
+    orbit = iterate(ic, b_zero, 30)
+    for name, (point, _) in ENGINES.items():
+        for coeffs in (TRIVIAL, CoefficientSequence.constant(2, 0),
+                       CoefficientSequence.periodic((1, 1), (0, 0)),
+                       CoefficientSequence.periodic((1,) * 4, (0,) * 4)):
+            for n in range(0, 8):
+                assert point(4 * n - 5, ic, coeffs) == g**n / c ** (n - 1), (name, n)
+        assert [point(m, ic, b_zero) for m in range(-5, 31)] == list(orbit.terms), name
 
 
 def test_term_rejects_indices_below_seed():
     for coeffs in (TRIVIAL, CoefficientSequence.constant(2, 1), CoefficientSequence.constant(-1, 1),
                    CoefficientSequence.periodic((2, 3), (1, 0)),
                    CoefficientSequence.periodic((2, 3, 1, -1), (1, 0, 2, 1))):
-        for point in (term, specialcases.term):
+        for point, _ in ENGINES.values():
             with pytest.raises(IndexBelowSeed) as exc:
                 point(-6, ONES, coeffs)
             assert exc.value.m == -6
@@ -185,34 +203,40 @@ def test_each_index_out_of_range_is_named_with_its_value(call, message, index):
 def test_term_raises_singular_closed_form_with_position():
     # a=1, b=-1, all-ones seeds: V_4 = 0, so x_1 (class j=2, factor s=0) breaks
     coeffs = CoefficientSequence.constant(1, -1)
-    with pytest.raises(SingularClosedForm) as exc:
-        term(1, ONES, coeffs)
-    assert (exc.value.j, exc.value.s, exc.value.v_index) == (2, 0, 4)
-    assert exc.value.halt_step == 0
+    for name, (point, _) in ENGINES.items():
+        with pytest.raises(SingularClosedForm) as exc:
+            point(1, ONES, coeffs)
+        e = exc.value
+        assert (e.j, e.s, e.v_index, e.halt_step) == (2, 0, 4, 0), name
 
 
 @pytest.mark.parametrize("kind", COEFF_KINDS)
 def test_terms_range_equals_point_evaluation(kind):
-    """A range yields what `term` gives index by index, and on a halting
-    instance raises at the first singular index with the same position."""
+    """A range yields what the point query gives index by index, and on a
+    halting instance raises at the first singular index with the same
+    position; each engine runs on 8 halting and 8 surviving instances."""
+    # The special cases refuse period 3 (test_specialcases.py).
+    engines = {name: engine for name, engine in ENGINES.items()
+               if kind != "periodic3" or name == "closedform"}
     rng = random.Random(130 + COEFF_KINDS.index(kind))
     cases = {False: 0, True: 0}  # by whether the orbit halts
-    while min(cases.values()) < 5:
+    while min(cases.values()) < 8:
         ic, coeffs = random_instance(rng, kind)
         orbit = iterate(ic, coeffs, 60)
         halted = orbit.halt is not None
-        if cases[halted] == 5:
+        if cases[halted] == 8:
             continue
         cases[halted] += 1
         lo, hi = range_window(rng, orbit, 60)
-        start_cold()
-        want = values_until_error(term(m, ic, coeffs) for m in range(lo, hi + 1))
-        start_cold()
-        assert values_until_error(terms(lo, hi, ic, coeffs)) == want
-        assert want[0] == list(orbit.terms[lo + 5:lo + 5 + len(want[0])])
-        if halted:
-            assert len(want[0]) == orbit.last_m + 1 - lo
-            assert want[1][0] == "SingularClosedForm"
+        for name, (point, window) in engines.items():
+            start_cold()
+            want = values_until_error(point(m, ic, coeffs) for m in range(lo, hi + 1))
+            start_cold()
+            assert values_until_error(window(lo, hi, ic, coeffs)) == want, name
+            assert want[0] == list(orbit.terms[lo + 5:lo + 5 + len(want[0])])
+            if halted:
+                assert len(want[0]) == orbit.last_m + 1 - lo
+                assert want[1][0] == "SingularClosedForm"
 
 
 def test_terms_past_explicit_horizon_raises_like_term():

@@ -63,10 +63,12 @@ def test_parse_rational_forms():
     assert parse_rational(" 5/1 ") == 5
 
 
-# The last three are fullwidth and Arabic-Indic digits: Unicode decimal
-# digits, but not the ASCII digits a literal is written in.
+# Then fullwidth and Arabic-Indic digits: Unicode decimal digits, but not the
+# ASCII digits a literal is written in; last, whitespace that is not ASCII
+# (no-break space, ideographic space, line separator) and an ASCII separator.
 @pytest.mark.parametrize("bad", ["0.5", "1e3", "1/0", "1/-2", "2 / 3", "a", "",
-                                 "１２", "١", "1/２"])
+                                 "１２", "١", "1/２",
+                                 "\xa05", "5\u3000", "\u20281/2", "\x1c7"])
 def test_parse_rational_rejects_inexact_forms(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

@@ -22,6 +22,7 @@ from sixrde import (
 )
 
 from conftest import (
+    ENGINES,
     nonsingular_instance,
     random_initial_conditions,
     random_instance,
@@ -29,12 +30,6 @@ from conftest import (
     start_cold,
     values_until_error,
 )
-
-# (point query, range) per engine; both take 4-periodic coefficients.
-ENGINES = {
-    "closedform": (term, terms),
-    "specialcases": (specialcases.term, specialcases.terms),
-}
 
 TOP = 60
 engines = pytest.mark.parametrize("point, window", ENGINES.values(), ids=ENGINES)

@@ -1,4 +1,7 @@
-"""Dedicated special-case formulas against the oracle and the general path."""
+"""Dedicated special-case formulas against the oracle and the general path.
+
+The contracts both product engines keep are checked once, over
+`conftest.ENGINES`, in test_closedform.py."""
 
 import itertools
 import random
@@ -20,10 +23,10 @@ from sixrde import (
 from sixrde import closedform, specialcases
 
 from conftest import (
+    ENGINES,
     count_normalisations,
     random_initial_conditions,
     random_rational,
-    range_window,
     start_cold,
     values_until_error,
 )
@@ -33,45 +36,6 @@ ONES = InitialConditions([1] * 6)
 
 def small_coeff(rng):
     return random_rational(rng, lo=-5, hi=5, max_den=5)
-
-
-# ---------------------------------------------------------------------------
-# Seeds and b = 0 telescoping sanity
-# ---------------------------------------------------------------------------
-
-def test_all_cases_return_seeds_at_block_zero():
-    ic = InitialConditions([2, 3, 5, 7, 11, 13])
-    for coeffs in (ConstantCoeffs(2, 3), ConstantCoeffs(1, 3), ConstantCoeffs(-1, 3),
-                   PeriodicCoeffs2((2, 3), (1, 4)), PeriodicCoeffs4((2, 3, 4, 5), (1, 2, 3, 4))):
-        for m in range(-5, -1):
-            assert specialcases.term(m, ic, coeffs) == ic.values[m + 5]
-
-
-def test_b_zero_telescoping():
-    ic = InitialConditions([2, 3, 5, 7, 11, 13])
-    c, g = ic.values[0], ic.values[4]
-    for n in range(0, 8):
-        m = 4 * n - 5
-        expected = g**n / c ** (n - 1)
-        # with b = 0 every product factor is 1, regardless of a
-        assert specialcases.term(m, ic, ConstantCoeffs(2, 0)) == expected
-        assert specialcases.term(m, ic, ConstantCoeffs(1, 0)) == expected
-    # cross-check the whole b = 0 orbit against direct iteration
-    cc = ConstantCoeffs(3, 0)
-    orbit = iterate(ic, cc, 30)
-    for m in range(-5, 31):
-        assert specialcases.term(m, ic, cc) == orbit.x(m)
-
-
-def test_periodic_identity_coefficients_telescope():
-    ic = InitialConditions([2, 3, 5, 7, 11, 13])
-    c, g = ic.values[0], ic.values[4]
-    pc2 = PeriodicCoeffs2((1, 1), (0, 0))
-    pc4 = PeriodicCoeffs4((1, 1, 1, 1), (0, 0, 0, 0))
-    for n in range(0, 8):
-        m = 4 * n - 5
-        assert specialcases.term(m, ic, pc2) == g**n / c ** (n - 1)
-        assert specialcases.term(m, ic, pc4) == g**n / c ** (n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -104,23 +68,9 @@ def test_special_terms_rejects_uncovered_sequences_when_called():
         assert str(exc.value).endswith(got)
 
 
-def test_a1_flags_singular_factor():
-    # b*c*e = -1 makes 1 + bce*(s+1) vanish at s = 0: class j=2 factor
-    with pytest.raises(SingularClosedForm) as exc:
-        specialcases.term(1, ONES, ConstantCoeffs(1, -1))
-    assert (exc.value.j, exc.value.s, exc.value.v_index) == (2, 0, 4)
-
-
 def test_a_neg1_symmetric_seeds_are_constant():
     for n in range(0, 10):
         assert specialcases.term(4 * n - 5, ONES, ConstantCoeffs(-1, 2)) == 1
-
-
-def test_a_neg1_flags_singular_base():
-    # b*c*e = 1 makes (-1 + b*c*e) vanish; x_1 needs it in a denominator
-    with pytest.raises(SingularClosedForm) as exc:
-        specialcases.term(1, ONES, ConstantCoeffs(-1, 1))
-    assert exc.value.v_index == 4
 
 
 def test_vanishing_numerator_is_reported_by_its_own_index():
@@ -128,7 +78,7 @@ def test_vanishing_numerator_is_reported_by_its_own_index():
     # nonzero denominator V_6; every engine names V_4 (class 2, factor 0).
     ic = InitialConditions([1, 1, 1, 1, 2, 1])
     a, b = (1, 1, 1, 1), (-1, 0, 0, 0)
-    for engine in (term, specialcases.term):
+    for engine, _ in ENGINES.values():
         for coeffs in (PeriodicCoeffs4(a, b), ConstantCoeffs(-1, 1)):
             with pytest.raises(SingularClosedForm) as exc:
                 engine(3, ic, coeffs)
@@ -260,7 +210,7 @@ def test_a_zero_planted_at_block_40_is_found_by_every_engine(r):
     orbit = iterate(ic, coeffs, v_index)
     assert orbit.halt.step == v_index - 4
     positions = set()
-    for engine in (specialcases.terms, closedform.terms):
+    for _, engine in ENGINES.values():
         start_cold()
         got, error = values_until_error(engine(-5, v_index, ic, coeffs))
         assert got == list(orbit.terms)
@@ -295,25 +245,3 @@ def test_a_zero_and_one_ranges_match_the_closed_form_and_iteration(coeffs):
         assert values_until_error(specialcases.terms(-5, 55, ic, coeffs)) == want
         assert want[0] == list(orbit.terms)
 
-
-def test_special_terms_range_equals_point_evaluation():
-    rng = random.Random(107)
-    cases = {False: 0, True: 0}  # by whether the orbit halts
-    while min(cases.values()) < 8:
-        ic = random_initial_conditions(rng)
-        pc = PeriodicCoeffs4(tuple(small_coeff(rng) for _ in range(4)),
-                             tuple(small_coeff(rng) for _ in range(4)))
-        orbit = iterate(ic, pc, 60)
-        halted = orbit.halt is not None
-        if cases[halted] == 8:
-            continue
-        cases[halted] += 1
-        lo, hi = range_window(rng, orbit, 60)
-        start_cold()
-        want = values_until_error(specialcases.term(m, ic, pc) for m in range(lo, hi + 1))
-        start_cold()
-        assert values_until_error(specialcases.terms(lo, hi, ic, pc)) == want
-        assert want[0] == list(orbit.terms[lo + 5:lo + 5 + len(want[0])])
-        if halted:
-            assert len(want[0]) == orbit.last_m + 1 - lo
-            assert want[1][0] == "SingularClosedForm"

@@ -17,9 +17,9 @@ from pathlib import Path
 import pytest
 
 import sixrde
-from sixrde import SingularClosedForm, cli, closedform, specialcases
+from sixrde import SingularClosedForm, cli, specialcases
 
-from conftest import random_initial_conditions, random_rational, start_cold
+from conftest import ENGINES, random_initial_conditions, random_rational, start_cold
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -252,10 +252,9 @@ def test_the_case_names_the_benchmark_calls_keep_their_meaning():
 
 
 def test_both_engines_take_the_same_parameters():
-    for name in ("term", "terms"):
-        general, special = (inspect.signature(getattr(module, name)).parameters
-                            for module in (closedform, specialcases))
-        assert list(general) == list(special), name
+    for calls in zip(*ENGINES.values()):  # the point queries, then the ranges
+        parameters = {tuple(inspect.signature(call).parameters) for call in calls}
+        assert len(parameters) == 1, parameters
 
 
 @pytest.mark.parametrize(

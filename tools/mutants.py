@@ -5,17 +5,19 @@ options).  For each entry of `MUTANTS` it copies the repository, without
 `.git` and caches, to a temporary directory, replaces the entry's old text
 (which must occur exactly once) by its new text, and runs
 `python -m pytest -x -q -p no:cacheprovider` there.  It prints one JSON line
-per mutant, killed when the suite fails, and then the total.  With CPython
-3.11 on two shared vCPUs a killed mutant took 3 to 26 s and the whole list
-about 4 minutes; a survivor runs the whole suite, about 20 s.
+per mutant and then the total.  A mutant is killed when the suite fails
+(cause "test failure") or runs past `TIMEOUT_SECONDS` (cause "timeout").
+With CPython 3.11 on two shared vCPUs a killed mutant took 3 to 40 s and the
+whole list about 5 minutes; a survivor runs the whole suite, about 20 s.
 
 Each entry is (file, old text, new text, reason).  There is at least one per
 layer: the oracle step loop, the invariant V (along an orbit and as the
 closed form's table), telescoping, the special-case factors, the guard, the
 unified magnitude, rational parsing and rendering, CSV and JSON output, the
-CLI's files and exit codes, and the symmetry checks.  No entry changes which
-terms the oracle's step combines: term heights then grow exponentially rather
-than quadratically, and the suite runs for many minutes before it fails.
+CLI's files and exit codes, and the symmetry checks.  The entries that change
+which terms the oracle's step combines make term heights grow exponentially;
+the suite's per-test time limit (`tests/conftest.py`) turns that into a
+failure in about 30 s.
 """
 
 import json
@@ -28,6 +30,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+#: Seconds one suite run may take: about 15 times an unmutated run.
+TIMEOUT_SECONDS = 300
+
 MUTANTS = [
     # Oracle step loop
     ("src/sixrde/oracle.py",
@@ -38,6 +43,18 @@ MUTANTS = [
      "F = a_num * b_den * Q + b_num * a_den * P",
      "F = a_num * b_den * Q - b_num * a_den * P",
      "oracle denominator factor takes b with the wrong sign"),
+    ("src/sixrde/oracle.py",
+     "terms.append(Fraction(P * a_den * b_den, F) / terms[n + 4])",
+     "terms.append(Fraction(P * a_den * b_den, F) / terms[n + 3])",
+     "oracle divides by x_(n-2) instead of x_(n-1)"),
+    ("src/sixrde/oracle.py",
+     "P, Q = _product(terms[n], terms[n + 2])",
+     "P, Q = _product(terms[n], terms[n + 1])",
+     "oracle multiplies x_(n-5) by x_(n-4) instead of x_(n-3)"),
+    ("src/sixrde/oracle.py",
+     "a, b = coeffs.pair_at(n)\n        a_num, a_den",
+     "a, b = coeffs.pair_at(n + 1)\n        a_num, a_den",
+     "oracle step n reads the coefficients of step n + 1"),
     ("src/sixrde/oracle.py",
      "halt = SingularityReport(n, SingularityCause.ZERO_DENOMINATOR_FACTOR)",
      "halt = SingularityReport(n + 1, SingularityCause.ZERO_DENOMINATOR_FACTOR)",
@@ -61,6 +78,10 @@ MUTANTS = [
      "for k2 in range(l, n):",
      "v_closed's tail product takes one factor too many"),
     # Telescoping and the per-thread slot
+    ("src/sixrde/core.py",
+     "self._blocks = [[seeds[j]] for j in range(4)]",
+     "self._blocks = [[seeds[j + 1]] for j in range(4)]",
+     "each class starts from the next class's seed"),
     ("src/sixrde/core.py",
      "blocks.append(blocks[-1] * (num / den))",
      "blocks.append(blocks[-1] * (den / num))",
@@ -102,6 +123,10 @@ MUTANTS = [
      "unified exponent subtracts the wrong class of ln|V|"),
     # Rational parsing and rendering
     ("src/sixrde/core.py",
+     "match = _RATIONAL_RE.fullmatch(text)",
+     "match = _RATIONAL_RE.fullmatch(text.strip())",
+     "literals may carry Unicode whitespace and ASCII separators around them"),
+    ("src/sixrde/core.py",
      "_PIECE_DIGITS = 640",
      "_PIECE_DIGITS = 5000",
      "pieces past the default int<->str digit limit fail to convert"),
@@ -122,6 +147,10 @@ MUTANTS = [
      "return _integer(digits[:-half]) * 10**half",
      "long literals drop their low half"),
     # CSV and JSON output, files and exit codes
+    ("src/sixrde/cli.py",
+     r'yield f"{m},{text},{_as_float(value)!r}\n"',
+     r'yield f"{m},{text},{_as_float(value)!r}\r\n"',
+     "CSV rows end in CRLF"),
     ("src/sixrde/cli.py",
      "return math.inf if value > 0 else -math.inf",
      "return math.inf",
@@ -184,9 +213,10 @@ def mutated(text: str, old: str, new: str) -> str:
     return text.replace(old, new)
 
 
-def run(path: str, old: str, new: str) -> tuple[bool, float]:
-    """Run the suite on a copy of the tree with one mutant planted: whether
-    it failed, and the seconds it took."""
+def run(path: str, old: str, new: str) -> tuple[str | None, float]:
+    """Run the suite on a copy of the tree with one mutant planted: what
+    killed it ("test failure", "timeout", or None if it survived), and the
+    seconds it took."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=_CACHES)
@@ -194,19 +224,24 @@ def run(path: str, old: str, new: str) -> tuple[bool, float]:
         target.write_text(mutated(target.read_text(encoding="utf-8"), old, new),
                           encoding="utf-8")
         start = time.monotonic()
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
-            cwd=tree, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        return done.returncode != 0, round(time.monotonic() - start, 2)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+                cwd=tree, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                timeout=TIMEOUT_SECONDS)
+            cause = "test failure" if done.returncode else None
+        except subprocess.TimeoutExpired:
+            cause = "timeout"
+        return cause, round(time.monotonic() - start, 2)
 
 
 def main() -> None:
     killed = 0
     for path, old, new, reason in MUTANTS:
-        dead, seconds = run(path, old, new)
-        killed += dead
-        print(json.dumps({"file": path, "reason": reason, "killed": dead,
-                          "seconds": seconds}), flush=True)
+        cause, seconds = run(path, old, new)
+        killed += cause is not None
+        print(json.dumps({"file": path, "reason": reason, "killed": cause is not None,
+                          "cause": cause, "seconds": seconds}), flush=True)
     print(json.dumps({"killed": killed, "total": len(MUTANTS)}), flush=True)
 
 
