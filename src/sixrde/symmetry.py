@@ -65,7 +65,10 @@ class Characteristic(_Record):
         return self.alpha[n % 4]
 
     def __call__(self, n: int, u: RationalLike) -> Fraction:
-        return self.coefficient(n) * as_rational(u)
+        """alpha_n * u, one normalisation of the integer parts' products."""
+        c_num, c_den = self.coefficient(n).as_integer_ratio()
+        u_num, u_den = as_rational(u).as_integer_ratio()
+        return Fraction(c_num * u_num, c_den * u_den)
 
 
 #: The two independent characteristics, Re(i^n)*u and Im(i^n)*u: the paper's
@@ -110,7 +113,10 @@ class LscSample(_Record):
         for name in ("u0", "u2", "u4"):
             if getattr(self, name) == 0:
                 raise DegenerateSample(f"sample value {name} must be nonzero")
-        if self.a + self.b * self.u0 * self.u2 == 0:
+        (x0, y0), (x2, y2), (a_n, a_d), (b_n, b_d) = (
+            v.as_integer_ratio() for v in (self.u0, self.u2, self.a, self.b))
+        # a + b*u0*u2 = e/(a_d*b_d*y0*y2) with e as in `lsc_residual`.
+        if a_n * b_d * y0 * y2 + b_n * a_d * x0 * x2 == 0:
             raise DegenerateSample("sample has a + b*u0*u2 = 0")
 
 
@@ -124,24 +130,45 @@ def lsc_residual(q: CharacteristicFn, sample: LscSample) -> Fraction:
           - a*u_n*Q(n+2, u_(n+2)) / (u_(n+4) * D^2)
           - a*u_(n+2)*Q(n, u_n) / (u_(n+4) * D^2)
 
-    and vanishes identically for the true characteristics Q1 and Q2.  Each
-    real coefficient is formed once: P/(u_(n+4)^2 * D) = Psi/u_(n+4), and
-    a/(u_(n+4) * D^2) is shared by the last two terms.  `q` is called at
-    n, n+2, n+4 and n+6, so any real characteristic is evaluated exactly;
-    the residual is linear in Q, so that of (+-i)^n * u is Q1's +- i*Q2's.
+    and vanishes identically for the true characteristics Q1 and Q2.  `q` is
+    called at n, n+2, n+4 and n+6, so any real characteristic is evaluated
+    exactly; the residual is linear in Q, so that of (+-i)^n * u is Q1's
+    +- i*Q2's.
+
+    Everything else is integer arithmetic on the operands' lowest terms,
+    u_(n+k) = x_k/y_k, a = a_n/a_d, b = b_n/b_d and Q's four values
+    Q(n+k, .) = r_k/s_k.  With w = x_0*x_2, t = a_n*b_d*y_0*y_2 and
+    g = a_d*b_d,
+
+        D = e/(g*y_0*y_2),                 e = t + b_n*a_d*w,
+        Psi = w*y_4*g/(x_4*e),
+        P/(u_(n+4)^2 * D) = w*y_4^2*g/(x_4^2*e),
+        a/(u_(n+4) * D^2) = t*g*y_0*y_2*y_4/(x_4*e^2),
+
+    so over the common denominator s_6*x_4^2*e^2*s_0*s_2*s_4 the residual's
+    numerator is r_6*x_4^2*e^2*s_0*s_2*s_4 plus s_6*g*y_4 times
+
+        w*y_4*r_4*e*s_0*s_2 - t*x_4*s_4*(x_0*y_2*r_2*s_0 + x_2*y_0*r_0*s_2).
+
+    Psi and the result are one normalisation each, so a residual of Q1, Q2
+    or the counterfeit costs six gcds and no `Fraction` arithmetic.
     """
     n, u0, u2, u4 = sample.n, sample.u0, sample.u2, sample.u4
-    p = u0 * u2
-    d = sample.a + sample.b * p
-    u4d = u4 * d
-    psi = p / u4d
-    c = sample.a / (u4d * d)
-    return (
-        q(n + 6, psi)
-        + q(n + 4, u4) * (psi / u4)
-        - q(n + 2, u2) * (c * u0)
-        - q(n, u0) * (c * u2)
-    )
+    x0, y0 = u0.as_integer_ratio()
+    x2, y2 = u2.as_integer_ratio()
+    x4, y4 = u4.as_integer_ratio()
+    a_n, a_d = sample.a.as_integer_ratio()
+    b_n, b_d = sample.b.as_integer_ratio()
+    g, w, t = a_d * b_d, x0 * x2, a_n * b_d * y0 * y2
+    e = t + b_n * a_d * w
+    r0, s0 = q(n, u0).as_integer_ratio()
+    r2, s2 = q(n + 2, u2).as_integer_ratio()
+    r4, s4 = q(n + 4, u4).as_integer_ratio()
+    r6, s6 = q(n + 6, Fraction(w * y4 * g, x4 * e)).as_integer_ratio()
+    den = x4 * x4 * e * e * s0 * s2 * s4
+    inner = (w * y4 * r4 * e * s0 * s2
+             - t * x4 * s4 * (x0 * y2 * r2 * s0 + x2 * y0 * r0 * s2))
+    return Fraction(r6 * den + s6 * g * y4 * inner, s6 * den)
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +205,15 @@ def _phase_sum_check(
     n_max: int, pairs: "Sequence[tuple[str, Characteristic]]"
 ) -> PhaseSumReport:
     """Test alpha_n against -alpha_(n+2) from each named characteristic's
-    table; the sum is formed only for a failure."""
+    table; the sum is formed only for a failure.  Both are in lowest terms
+    with a positive denominator, so alpha_n = -alpha_(n+2) exactly when
+    their numerators are opposite and their denominators equal."""
     failures = []
     for name, q in pairs:
         for n in range(n_max + 1):
             first, second = q.coefficient(n), q.coefficient(n + 2)
-            if first != -second:
+            (num, den), (num2, den2) = first.as_integer_ratio(), second.as_integer_ratio()
+            if num != -num2 or den != den2:
                 failures.append(RootCheckFailure(root=name, n=n, value=first + second))
     return PhaseSumReport(n_max=n_max, failures=tuple(failures))
 

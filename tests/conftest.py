@@ -119,11 +119,34 @@ def random_instance(rng: random.Random, kind=None):
     return random_initial_conditions(rng), random_coefficients(rng, kind)
 
 
+#: Steps of the prefix `bounded_orbit` iterates first, and the bit height its
+#: terms may reach there.  Over every draw the suite's seeded instances make,
+#: the prefix's tallest term has 183 bits (about 0.2 * PREFIX_STEPS**2);
+#: a step that combines the wrong terms grows heights exponentially and has
+#: passed 660 bits by step 30 on the first draw.
+PREFIX_STEPS = 30
+PREFIX_BITS = PREFIX_STEPS**2 // 2
+
+
+def bounded_orbit(ic, coeffs, steps: int):
+    """`iterate(ic, coeffs, steps)`, after failing at once if the first
+    `PREFIX_STEPS` steps outgrow quadratic height, which a healthy orbit
+    never does: a wrong recurrence then fails in milliseconds instead of
+    running to the time limit on exponentially tall terms."""
+    prefix = iterate(ic, coeffs, PREFIX_STEPS)
+    bits = max(max(abs(t.numerator).bit_length(), t.denominator.bit_length())
+               for t in prefix.terms)
+    assert bits <= PREFIX_BITS, (
+        f"a term of the first {PREFIX_STEPS} steps has {bits} bits, "
+        f"past the quadratic-growth bound {PREFIX_BITS}")
+    return iterate(ic, coeffs, steps)
+
+
 def nonsingular_instance(rng: random.Random, steps: int, kind=None):
     """Draw instances until one survives `steps` iterations; return with orbit."""
     while True:
         ic, coeffs = random_instance(rng, kind)
-        orbit = iterate(ic, coeffs, steps)
+        orbit = bounded_orbit(ic, coeffs, steps)
         if orbit.halt is None:
             return ic, coeffs, orbit
 
@@ -162,13 +185,14 @@ def start_cold():
 
 
 def count_normalisations(monkeypatch) -> list:
-    """Make every `Fraction` product, sum and difference raise until
+    """Make every `Fraction` product, quotient, sum and difference raise until
     `monkeypatch.undo()`, and return a list that gains one entry per gcd
     that `Fraction` runs: one per `Fraction(num, den)` built from ints."""
     def forbidden(*args):
-        raise AssertionError("a Fraction product, sum or difference was made")
+        raise AssertionError("a Fraction product, quotient, sum or difference was made")
 
-    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                 "__add__", "__radd__", "__sub__", "__rsub__"):
         monkeypatch.setattr(Fraction, name, forbidden)
     calls = []
     gcd = math.gcd

@@ -43,6 +43,7 @@ from sixrde.symmetry import LscSample
 
 from conftest import (
     COEFF_KINDS,
+    bounded_orbit,
     random_coefficients,
     random_initial_conditions,
     random_rational,
@@ -69,7 +70,7 @@ def seeded_instances(seed, count, steps, kinds=COEFF_KINDS):
     while len(out) < count:
         ic = random_initial_conditions(rng)
         coeffs = random_coefficients(rng, kinds[len(out) % len(kinds)])
-        orbit = iterate(ic, coeffs, steps)
+        orbit = bounded_orbit(ic, coeffs, steps)
         if orbit.halt is None:
             out.append((ic, coeffs, orbit))
         else:

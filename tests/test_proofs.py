@@ -23,6 +23,8 @@ from sixrde import (
     specialcases,
 )
 
+from conftest import count_normalisations
+
 sp = pytest.importorskip("sympy")
 
 u0, u2, u4, a, b = sp.symbols("u0 u2 u4 a b")
@@ -131,6 +133,21 @@ def test_lsc_residual_equals_the_literal_formula_on_seeded_samples():
             # phase^4 = 1, so the formula at n is the one at n mod 4.
             formula = formulas[sign, sample.n % 4].subs(at)
             assert sp.expand(pair_residual(sample, sign) - formula) == 0
+
+
+@pytest.mark.parametrize("q", [Q1, Q2, counterfeit_characteristic], ids=lambda q: q.name)
+def test_each_residual_costs_six_normalisations_and_no_fraction_arithmetic(monkeypatch, q):
+    # Q's four values, Psi and the residual are one Fraction each, built from
+    # integer parts; nothing is multiplied, divided, added or subtracted as
+    # a Fraction.
+    rng = cli.Lcg(2024)
+    samples = [rng.lsc_sample() for _ in range(200)]
+    want = [literal_lsc_residual(q, sample) for sample in samples]
+    normalisations = count_normalisations(monkeypatch)
+    got = [lsc_residual(q, sample) for sample in samples]
+    monkeypatch.undo()
+    assert len(normalisations) == 6 * len(samples)
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,20 @@ def test_the_phase_sum_checks_reach_every_n_up_to_n_max(monkeypatch):
     assert verify_reduced_system(39).ok
 
 
+def test_a_passing_phase_sum_check_compares_integers_only(monkeypatch):
+    # Each coefficient pair is compared through its numerators and
+    # denominators: no Fraction is negated or compared while the checks hold.
+    def forbidden(*args):
+        raise AssertionError("a Fraction was negated or compared")
+
+    monkeypatch.setattr(Fraction, "__neg__", forbidden)
+    monkeypatch.setattr(Fraction, "__eq__", forbidden)
+    reports = (verify_reduced_system(50), generator_annihilates_invariant("X1", 50),
+               generator_annihilates_invariant("X2", 50))
+    monkeypatch.undo()
+    assert all(report.ok for report in reports)
+
+
 def test_generator_validates_variant():
     with pytest.raises(ValueError):
         generator_annihilates_invariant("X3", 5)

@@ -177,9 +177,21 @@ MUTANTS = [
      "a negative horizon is accepted"),
     # Symmetry checks
     ("src/sixrde/symmetry.py",
-     "- q(n, u0) * (c * u2)",
-     "+ q(n, u0) * (c * u2)",
+     "x0 * y2 * r2 * s0 + x2 * y0 * r0 * s2",
+     "x0 * y2 * r2 * s0 - x2 * y0 * r0 * s2",
      "LSC residual adds its last term"),
+    ("src/sixrde/symmetry.py",
+     "den = x4 * x4 * e * e * s0 * s2 * s4",
+     "den = x4 * e * e * s0 * s2 * s4",
+     "LSC residual divides by u_(n+4)'s numerator once where it squares it"),
+    ("src/sixrde/symmetry.py",
+     "if a_n * b_d * y0 * y2 + b_n * a_d * x0 * x2 == 0:",
+     "if a_n * b_d * y0 * y2 - b_n * a_d * x0 * x2 == 0:",
+     "a sample is refused where a - b*u0*u2 vanishes"),
+    ("src/sixrde/symmetry.py",
+     "return Fraction(c_num * u_num, c_den * u_den)",
+     "return Fraction(c_num * u_num, c_den)",
+     "Q(n, u) drops u's denominator"),
     ("src/sixrde/symmetry.py",
      'Q2 = Characteristic("Q2", (0, 1, 0, -1))',
      'Q2 = Characteristic("Q2", (0, -1, 0, 1))',
@@ -192,6 +204,10 @@ MUTANTS = [
      '_GENERATORS = {"X1": Q1, "X2": Q2}',
      '_GENERATORS = {"X1": Q1, "X2": counterfeit_characteristic}',
      "generator X2 reads the counterfeit's table"),
+    ("src/sixrde/symmetry.py",
+     "if num != -num2 or den != den2:",
+     "if num != num2 or den != den2:",
+     "phase-sum checks test alpha_n = alpha_(n+2)"),
     ("src/sixrde/symmetry.py",
      "value=first + second",
      "value=first - second",
