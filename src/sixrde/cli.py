@@ -101,13 +101,6 @@ class ProblemSpec(_Record):
 
     __slots__ = ("initial", "coeffs", "horizon")
 
-    def __init__(
-        self, initial: InitialConditions, coeffs: CoefficientSequence, horizon: int
-    ):
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "horizon", horizon)
-
 
 def _rational_list(data: dict, key: str, parsed: dict) -> list[Fraction]:
     """data[key] as rationals; it must be a JSON list of rational strings.

@@ -177,9 +177,6 @@ class WellDefViolation(_Record):
 
     __slots__ = ("v_index",)
 
-    def __init__(self, v_index: int):
-        object.__setattr__(self, "v_index", v_index)
-
     @property
     def j(self) -> int:
         return self.v_index % 4
@@ -197,10 +194,6 @@ class WellDefinednessReport(_Record):
     """Outcome of `well_defined`; violations are in ascending `v_index`."""
 
     __slots__ = ("horizon", "violations")
-
-    def __init__(self, horizon: int, violations: tuple[WellDefViolation, ...]):
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

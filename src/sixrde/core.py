@@ -12,7 +12,7 @@ is read or set.
 
 Every record in the package is a slotted class on one private base,
 `_Record`, rather than a dataclass, which would import `inspect` at
-start-up; its own `__init__` validates and stores its fields.
+start-up; the base's one constructor binds and stores every record's fields.
 
 `InitialConditions` and `CoefficientSequence` compare by value.  The
 closed-form and special-case engines key their per-thread slot for the last
@@ -276,16 +276,34 @@ def log_abs(value: Fraction) -> float:
 class _Record:
     """Base of the package's immutable records.
 
-    A subclass names its fields in `__slots__`, in the order its `__init__`
-    takes them positionally, and stores each with `object.__setattr__`.
-    Records of the same class are equal when their fields are, and then
-    hash equal; any other operand is left to its own `__eq__`.  The repr is
+    A subclass names its fields in `__slots__`.  The one constructor binds
+    its positional, then its keyword values to them in that order (a
+    missing, repeated or unknown field raises `TypeError`); a subclass that
+    coerces or checks its fields stores them through it.  Records of the
+    same class are equal when their fields are, and then hash equal; any
+    other operand is left to its own `__eq__`.  The repr is
     `Name(field=value, ...)`, assigning or deleting any attribute raises
-    `AttributeError`, and pickling and copying rebuild the record through its
-    `__init__` from its fields.
+    `AttributeError`, and pickling and copying rebuild the record from its
+    fields.
     """
 
     __slots__ = ()
+
+    def __init__(self, /, *values, **named):
+        slots = self.__slots__
+        if len(values) > len(slots):
+            raise TypeError(f"{type(self).__name__} takes {len(slots)} fields, "
+                            f"got {len(values)}")
+        for field, value in zip(slots, values):
+            object.__setattr__(self, field, value)
+        for field in slots[len(values):]:
+            if field not in named:
+                raise TypeError(f"{type(self).__name__} is missing field {field!r}")
+            object.__setattr__(self, field, named.pop(field))
+        if named:
+            field = next(iter(named))
+            raise TypeError(f"{type(self).__name__} got field {field!r} "
+                            + ("twice" if field in slots else "that it does not have"))
 
     def __init_subclass__(cls):
         cls.__match_args__ = cls.__slots__
@@ -437,7 +455,7 @@ class InitialConditions(_Record):
         for i, v in enumerate(vals):
             if v == 0:
                 raise ZeroInitialValue(i - 5)
-        object.__setattr__(self, "values", vals)
+        super().__init__(vals)
 
     def seed_product(self, j: int) -> Fraction:
         """u_j * u_(j+2) for j in 0..3; the reciprocal of the seed invariant."""

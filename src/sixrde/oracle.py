@@ -63,10 +63,6 @@ class SingularityReport(_Record):
 
     __slots__ = ("step", "cause")
 
-    def __init__(self, step: int, cause: SingularityCause):
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "cause", cause)
-
 
 class Orbit(_Record):
     """Computed trajectory x_(-5) .. x_N (equivalently u_0 .. u_(N+5)).
@@ -76,12 +72,6 @@ class Orbit(_Record):
     """
 
     __slots__ = ("terms", "halt")
-
-    def __init__(
-        self, terms: tuple[Fraction, ...], halt: "SingularityReport | None" = None
-    ):
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "halt", halt)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -143,9 +133,6 @@ class InvariantSequence(_Record):
     """Values V_n = 1 / (u_n * u_(n+2)) along an orbit."""
 
     __slots__ = ("values",)
-
-    def __init__(self, values: tuple[Fraction, ...]):
-        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)

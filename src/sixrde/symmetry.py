@@ -57,8 +57,7 @@ class Characteristic(_Record):
         alpha = tuple(map(as_rational, alpha))
         if len(alpha) != 4:
             raise ValueError(f"alpha must hold 4 coefficients, got {len(alpha)}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "alpha", alpha)
+        super().__init__(name, alpha)
 
     def coefficient(self, n: int) -> Fraction:
         """alpha_n, read from the period-4 table."""
@@ -93,21 +92,9 @@ class LscSample(_Record):
 
     __slots__ = ("n", "u0", "u2", "u4", "a", "b")
 
-    def __init__(
-        self,
-        n: int,
-        u0: RationalLike,
-        u2: RationalLike,
-        u4: RationalLike,
-        a: RationalLike,
-        b: RationalLike,
-    ):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "u0", as_rational(u0))
-        object.__setattr__(self, "u2", as_rational(u2))
-        object.__setattr__(self, "u4", as_rational(u4))
-        object.__setattr__(self, "a", as_rational(a))
-        object.__setattr__(self, "b", as_rational(b))
+    def __init__(self, n: int, u0: RationalLike, u2: RationalLike, u4: RationalLike,
+                 a: RationalLike, b: RationalLike):
+        super().__init__(n, *map(as_rational, (u0, u2, u4, a, b)))
         if n < 0:
             raise DegenerateSample(f"sample step must be >= 0, got {n}")
         for name in ("u0", "u2", "u4"):
@@ -181,20 +168,11 @@ class RootCheckFailure(_Record):
 
     __slots__ = ("root", "n", "value")
 
-    def __init__(self, root: str, n: int, value: Fraction):
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "value", value)
-
 
 class PhaseSumReport(_Record):
     """Outcome of checking alpha_n + alpha_(n+2) = 0 over n <= n_max."""
 
     __slots__ = ("n_max", "failures")
-
-    def __init__(self, n_max: int, failures: tuple[RootCheckFailure, ...]):
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self) -> bool:

@@ -35,9 +35,10 @@ from sixrde import (
 )
 
 
-#: Wall-clock seconds one test call may take.  The slowest test takes about
-#: 1.3 s; a wrong index in the recurrence makes term heights grow
-#: exponentially, and the limit turns that hang into a failure.
+#: Wall-clock seconds each phase of a test (setup with its fixtures, call,
+#: teardown) may take.  The slowest test takes about 1.3 s; a wrong index in
+#: the recurrence makes term heights grow exponentially, and the limit turns
+#: that hang into a failure.
 TEST_SECONDS = 30
 
 
@@ -46,8 +47,7 @@ class TimeLimitExceeded(BaseException):
     code under test nor hypothesis takes it for a result and carries on."""
 
 
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_call(item):
+def _time_limited(item):
     def expire(signum, frame):
         raise TimeLimitExceeded(f"{item.nodeid} ran past {TEST_SECONDS} s")
 
@@ -58,6 +58,11 @@ def pytest_runtest_call(item):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+pytest_runtest_setup = pytest.hookimpl(hookwrapper=True)(_time_limited)
+pytest_runtest_call = pytest.hookimpl(hookwrapper=True)(_time_limited)
+pytest_runtest_teardown = pytest.hookimpl(hookwrapper=True)(_time_limited)
 
 
 #: The two product engines, (point query, range) each, by module.  Both take

@@ -61,10 +61,6 @@ def _plant(monkeypatch, r, wrong):
         monkeypatch.setattr(symmetry, q.name, Characteristic(q.name, alpha))
 
 
-def test_gamma_identities_hold_up_to_16():
-    assert verify_gamma_identities(16) == []
-
-
 def _negate(re, im):
     return -re, -im
 
@@ -184,6 +180,9 @@ def test_term_rejects_indices_below_seed():
             with pytest.raises(IndexBelowSeed) as exc:
                 point(-6, ONES, coeffs)
             assert exc.value.m == -6
+    with pytest.raises(IndexBelowSeed) as exc:  # and so does the oracle's orbit
+        iterate(ONES, TRIVIAL, 3).x(-6)
+    assert exc.value.m == -6
 
 
 @pytest.mark.parametrize("call, message, index", [
@@ -274,6 +273,8 @@ def test_well_defined_trivial_coefficients():
     report = well_defined(ONES, TRIVIAL, horizon=10)
     assert report.ok
     assert report.first_halt_step is None
+    with pytest.raises(ValueError, match="horizon must be >= 0, got -1"):
+        well_defined(ONES, TRIVIAL, horizon=-1)
 
 
 def test_well_defined_flags_forced_violation():
@@ -383,6 +384,8 @@ def test_unified_exponent_is_the_log_magnitude_past_the_float_range():
         assert unified_exponent(n, ONES, coeffs) == pytest.approx(want, rel=1e-9)
     assert unified_magnitude(150, ONES, coeffs) == 0.0
     assert unified_magnitude(200, ONES, coeffs) == math.inf
+    with pytest.raises(ValueError, match=r"log_abs\(0\) is undefined"):
+        log_abs(Fraction(0))
 
 
 def test_unified_magnitude_propagates_singularity():

@@ -214,6 +214,7 @@ def test_the_chain_renderer_needs_no_higher_int_str_limit(tmp_path):
 def test_as_rational_rejects_floats():
     with pytest.raises(TypeError):
         as_rational(0.5)
+    assert as_rational(" -4/6 ") == Fraction(-2, 3)  # a string is parsed as a literal
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +223,6 @@ def test_as_rational_rejects_floats():
 
 def kernel(n, k):
     return complex(Q1.coefficient(n - k), Q2.coefficient(n - k))
-
-
-def test_imaginary_unit_structure():
-    i, minus_i = kernel(1, 0), kernel(0, 1)
-    assert (i, minus_i) == (1j, -1j)
-    assert i * i == -1
-    assert i * minus_i == 1
 
 
 @pytest.mark.parametrize("k", range(-9, 10))
@@ -240,15 +234,6 @@ def test_i_power_matches_repeated_multiplication(k):
     assert kernel(k, 0) == expected
     for n in range(8):
         assert kernel(n, k) == expected.conjugate() * 1j**n
-
-
-def test_i_power_parts_match_complex_powers_of_1j():
-    # Every part is exactly 0 or +-1, a Fraction, so the kernel stays real.
-    for k in range(-9, 10):
-        parts = Q1.coefficient(k), Q2.coefficient(k)
-        assert all(type(part) is Fraction for part in parts)
-        assert complex(*parts) == 1j**k
-        assert set(parts) <= {-1, 0, 1} and parts[0] ** 2 + parts[1] ** 2 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +269,8 @@ def test_sequence_rejects_bad_inputs():
         CoefficientSequence.periodic([], [])
     with pytest.raises(ValueError):
         CoefficientSequence.periodic([1], [1, 2])
+    with pytest.raises(ValueError, match="explicit a/b value lists must have equal length"):
+        CoefficientSequence.explicit([1], [])
     with pytest.raises(ValueError):
         CoefficientSequence.constant(1, 0).a_at(-1)
 
@@ -426,6 +413,12 @@ def test_records_are_immutable_values(cls, fields, changed, text):
     for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
         assert type(copied) is cls and copied == record
     assert repr(record) == text
+    # A field missing, one value too many, an unknown keyword, a field twice.
+    first = cls.__match_args__[0]
+    for args, named in ((fields[:-1], {}), ((*fields, fields[-1]), {}),
+                        (fields, {"other": 1}), (fields, {first: fields[0]})):
+        with pytest.raises(TypeError):
+            cls(*args, **named)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ def test_all_ones_is_a_fixed_point():
     assert orbit.halt is None
     assert all(t == 1 for t in orbit.terms)
     assert len(orbit.terms) == 26
+    with pytest.raises(ValueError, match="step count must be >= 0, got -1"):
+        iterate(ONES, TRIVIAL, -1)
 
 
 def test_one_step_hand_value():
@@ -81,7 +83,7 @@ def test_invariant_sequence_too_short():
     from sixrde import Orbit
 
     with pytest.raises(TooShort):
-        invariant_sequence(Orbit(terms=(Fraction(1), Fraction(2))))
+        invariant_sequence(Orbit(terms=(Fraction(1), Fraction(2)), halt=None))
     assert short.halt is not None
 
 

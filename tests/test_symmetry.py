@@ -127,4 +127,8 @@ def test_a_passing_phase_sum_check_compares_integers_only(monkeypatch):
 def test_generator_validates_variant():
     with pytest.raises(ValueError):
         generator_annihilates_invariant("X3", 5)
+    with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+        generator_annihilates_invariant("X1", -1)
+    with pytest.raises(ValueError, match="n_max must be >= 2, got 1"):
+        verify_reduced_system(1)
 

@@ -4,6 +4,7 @@ README's examples run as written."""
 import ast
 import importlib
 import inspect
+import json
 import random
 import re
 import os
@@ -160,6 +161,20 @@ def test_every_mutant_plants_exactly_one_change():
     for path, old, new, reason in harness["MUTANTS"]:
         text = (ROOT / path).read_text(encoding="utf-8")
         assert harness["mutated"](text, old, new) != text, reason
+
+
+def test_a_bench_record_keeps_the_result_line_and_how_it_was_run():
+    # `bench/run.py` prints one table line per metric, then the result JSON.
+    tool = runpy.run_path(str(ROOT / "tools" / "bench_record.py"))
+    result = {"correct": True, "attempted": 12, "failed": 0,
+              "metrics": {"ok_frac": {"value": 1.0, "unit": "frac"}}}
+    stdout = f"  sweep ok_frac                 1 frac\n{json.dumps(result)}\n"
+    got = tool["record"]("sweep", 20, stdout, "e82ed2a-dirty")
+    assert got["result"] == result
+    assert {key: got[key] for key in ("workload", "seed", "seconds", "trace", "commit")} == {
+        "workload": "sweep", "seed": 1, "seconds": 20, "trace": 0, "commit": "e82ed2a-dirty"}
+    assert got["python"] == sys.version
+    assert json.loads(json.dumps(got)) == got
 
 
 def _bench_constants(*names):

@@ -4,24 +4,29 @@ Run from anywhere with `python3 tools/mutants.py` (standard library only, no
 options).  For each entry of `MUTANTS` it copies the repository, without
 `.git` and caches, to a temporary directory, replaces the entry's old text
 (which must occur exactly once) by its new text, and runs
-`python -m pytest -x -q -p no:cacheprovider` there.  It prints one JSON line
-per mutant and then the total.  A mutant is killed when the suite fails
-(cause "test failure") or runs past `TIMEOUT_SECONDS` (cause "timeout").
+`python -m pytest -x -q -p no:cacheprovider` there, in a session of its own.
+It prints one JSON line per mutant and then the total.  A mutant is killed
+when the suite fails (cause "test failure") or runs past `TIMEOUT_SECONDS`
+(cause "timeout").  When a run ends, for either reason, its whole process
+group is killed: pytest and every `python -m sixrde` child the suite started.
 With CPython 3.11 on two shared vCPUs a killed mutant took 3 to 40 s and the
 whole list about 5 minutes; a survivor runs the whole suite, about 20 s.
 
 Each entry is (file, old text, new text, reason).  There is at least one per
 layer: the oracle step loop, the invariant V (along an orbit and as the
-closed form's table), telescoping, the special-case factors, the guard, the
-unified magnitude, rational parsing and rendering, CSV and JSON output, the
-CLI's files and exit codes, and the symmetry checks.  The entries that change
-which terms the oracle's step combines make term heights grow exponentially;
-the suite's per-test time limit (`tests/conftest.py`) turns that into a
-failure in about 30 s.
+closed form's table), telescoping, the records' one constructor, the
+special-case factors, the guard, the unified magnitude, rational parsing
+and rendering, CSV and JSON output, the CLI's files and exit codes, and the
+symmetry checks.  The entries that change which terms the oracle's step
+combines make term heights grow exponentially; the suite's per-test time
+limit (`tests/conftest.py`) turns that into a failure in about 30 s.
 """
 
+import contextlib
 import json
+import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -94,6 +99,15 @@ MUTANTS = [
      "if last is None or last[0] != (ic, coeffs):",
      "if last is None:",
      "slot is reused for a different instance"),
+    # Records
+    ("src/sixrde/core.py",
+     "if field not in named:\n                raise TypeError",
+     "if field not in named:\n                continue\n                raise TypeError",
+     "a record built without a field leaves that field unset"),
+    ("src/sixrde/core.py",
+     "if named:\n            field = next(iter(named))",
+     "if False:\n            field = next(iter(named))",
+     "a record drops an unknown or repeated keyword without an error"),
     # Special-case factors
     ("src/sixrde/specialcases.py",
      "_TOP = (4, 5, 0, 1)",
@@ -240,14 +254,17 @@ def run(path: str, old: str, new: str) -> tuple[str | None, float]:
         target.write_text(mutated(target.read_text(encoding="utf-8"), old, new),
                           encoding="utf-8")
         start = time.monotonic()
-        try:
-            done = subprocess.run(
+        with subprocess.Popen(
                 [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
                 cwd=tree, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                timeout=TIMEOUT_SECONDS)
-            cause = "test failure" if done.returncode else None
-        except subprocess.TimeoutExpired:
-            cause = "timeout"
+                start_new_session=True) as suite:
+            try:
+                cause = "test failure" if suite.wait(timeout=TIMEOUT_SECONDS) else None
+            except subprocess.TimeoutExpired:
+                cause = "timeout"
+            finally:
+                with contextlib.suppress(ProcessLookupError):  # the group is empty
+                    os.killpg(suite.pid, signal.SIGKILL)
         return cause, round(time.monotonic() - start, 2)
 
 
