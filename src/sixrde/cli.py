@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import os
@@ -238,23 +237,19 @@ class Lcg:
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _as_float(value: Fraction) -> float:
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
 _CSV_HEADER = "m,exact,float\n"
 
 
 def _csv_rows(m: int, values: Iterable[Fraction]) -> Iterator[str]:
     """The CSV lines of x_m, x_(m+1), ... for `values` under `_CSV_HEADER`,
     one per value as it comes.  No field (an int, p/q, a float repr) can
-    need quoting."""
-    values, rendered = itertools.tee(values)
-    for m, value, text in zip(itertools.count(m), values, _rendered(rendered)):
-        yield f"{m},{text},{_as_float(value)!r}\n"
+    need quoting; a float past the range reads inf or -inf."""
+    for m, (p, q, text) in enumerate(_rendered(values), m):
+        try:
+            number = p / q
+        except OverflowError:
+            number = math.inf if p > 0 else -math.inf
+        yield f"{m},{text},{number!r}\n"
 
 
 @contextlib.contextmanager
@@ -348,7 +343,7 @@ def _cmd_compare(spec: ProblemSpec, args, out: TextIO) -> int:
     first_mismatch = None
     out.write('{\n  "rows": [')
     columns = zip(orbit.terms, _rendered(orbit.terms), *engines)
-    for m, (expected, text, *values) in enumerate(columns, -5):
+    for m, (expected, (*_, text), *values) in enumerate(columns, -5):
         # An engine value equal to the oracle's reuses its text, so only a
         # mismatching value is formatted again.
         same = [value == expected for value in values]

@@ -195,8 +195,8 @@ def format_rational(value: Fraction) -> str:
 _CARRY_SHARE = 8
 
 
-def _rendered(values: Iterable[Fraction]) -> Iterator[str]:
-    """`format_rational(v)` for each v of `values`, in order.
+def _rendered(values: Iterable[Fraction]) -> Iterator[tuple[int, int, str]]:
+    """(p, q, `format_rational(v)`) for each v = p/q of `values`, in order.
 
     Values below the piece limit are formatted at once.  A larger value is
     rendered part by part (|numerator|, denominator), each carried from the
@@ -211,10 +211,10 @@ def _rendered(values: Iterable[Fraction]) -> Iterator[str]:
     for i, value in enumerate(values):
         p, q = value.numerator, value.denominator
         if -_PIECE_LIMIT < p < _PIECE_LIMIT and q < _PIECE_LIMIT:
-            yield f"{p}/{q}"
+            yield p, q, f"{p}/{q}"
             continue
         chain = chains[i % 4]
-        yield f"{'-' if p < 0 else ''}{_carried(chain, 0, abs(p))}/{_carried(chain, 1, q)}"
+        yield p, q, f"{'-' if p < 0 else ''}{_carried(chain, 0, abs(p))}/{_carried(chain, 1, q)}"
 
 
 def _carried(chain: list, k: int, n: int) -> str:

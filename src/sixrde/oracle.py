@@ -11,16 +11,17 @@ u_i = x_(i-5) the same map reads
 
 Each step evaluates that literal map, with no V and no closed form, in the
 order x_(n+1) = [p / (a_n + b_n p)] / x_(n-1), where p = x_(n-5) x_(n-3).
-The product p is formed as a reduced integer pair P/Q by cross-cancelling
-the two terms' numerators against each other's denominators; those gcds are
-cheap because consecutive same-parity terms share almost all of their
-height, so P and Q stay small.  The factor is the single integer
-F = a_num b_den Q + b_num a_den P, which is zero exactly when a_n + b_n p is.
-The quotient P a_den b_den / F is small, and the one full-height operation
-per term is its division by x_(n-1).  That division cross-cancels with
+The factor is the single integer F = a_num b_den Q + b_num a_den P for
+p = P/Q, which is zero exactly when a_n + b_n p is.  The quotient
+q_n = P a_den b_den / F is small, and the one full-height operation per
+term is its division by x_(n-1).  That division cross-cancels with
 small-by-big gcds; building the full-height result as `Fraction(num, den)`
 instead would run a full-height gcd per term (ROADMAP, "Measured and
-rejected").
+rejected").  The quotient is kept: it equals x_(n-1) x_(n+1), the p of step
+n + 4, so from step 4 on p is q_(n-4), read as its reduced pair.  Only the
+first four steps multiply two terms (seeds), cross-cancelling each one's
+numerator against the other's denominator.  As a number q_(n-4) is 1/V_n,
+but it comes from the map alone: the oracle names no V and reads no V table.
 
 A vanishing denominator factor is a legitimate query result, not a failure:
 the orbit is truncated and carries a `SingularityReport`.
@@ -99,15 +100,20 @@ def iterate(
     records the step and cause.
 
     Each term is the literal map with no V, evaluated as
-    [p / (a_n + b_n p)] / x_(n-1) at the cost of one full-height `Fraction`
-    division (module docstring).
+    q_n / x_(n-1) with q_n = p / (a_n + b_n p): one full-height `Fraction`
+    division, with p the small q_(n-4) kept from step n - 4 (module
+    docstring).
     """
     if count < 0:
         raise ValueError(f"step count must be >= 0, got {count}")
     terms = list(ic.values)
+    quotients = []  # q_n, step n's p / (a_n + b_n p) = x_(n-1) x_(n+1)
     halt = None
     for n in range(count):
-        P, Q = _product(terms[n], terms[n + 2])
+        if n < 4:
+            P, Q = _product(terms[n], terms[n + 2])
+        else:
+            P, Q = quotients[n - 4].as_integer_ratio()
         a, b = coeffs.pair_at(n)
         a_num, a_den = a.numerator, a.denominator
         b_num, b_den = b.numerator, b.denominator
@@ -115,7 +121,8 @@ def iterate(
         if F == 0:
             halt = SingularityReport(n, SingularityCause.ZERO_DENOMINATOR_FACTOR)
             break
-        terms.append(Fraction(P * a_den * b_den, F) / terms[n + 4])
+        quotients.append(Fraction(P * a_den * b_den, F))
+        terms.append(quotients[n] / terms[n + 4])
     return Orbit(tuple(terms), halt)
 
 

@@ -36,9 +36,9 @@ from sixrde import (
 
 
 #: Wall-clock seconds each phase of a test (setup with its fixtures, call,
-#: teardown) may take.  The slowest test takes about 1.3 s; a wrong index in
-#: the recurrence makes term heights grow exponentially, and the limit turns
-#: that hang into a failure.
+#: teardown) may take.  The slowest test takes about 1.3 s; a step that
+#: multiplies the wrong terms makes term heights grow exponentially, and the
+#: limit turns that hang into a failure.
 TEST_SECONDS = 30
 
 

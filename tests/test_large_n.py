@@ -6,11 +6,12 @@ command's output md5 and byte length must equal the pins.  `iterate` and
 `solve` run in-process, once per session through `conftest.run_on_baseline`,
 whose run also gives test_cli.py its count of the digit conversions each
 residue chain starts afresh; `compare` and `verify-symmetry` run in a child
-`python -m sixrde`.  `iterate` and `solve` at N = 1600 take about a
-second each, `compare` at N = 800 a third of one and `verify-symmetry` a
-fifth; they always run.  The rest (`compare` at N = 1600, `solve --engine
-auto` and the other N = 800 pins) take about as long again together and need
-about 100 MB of temporary space, so they are skipped unless SIXRDE_LARGE_N is
+`python -m sixrde`.  `iterate` and `solve` at N = 1600 take about 1.1 s
+each (0.3 s of `iterate` is the oracle, the rest rendering and writing),
+`compare` at N = 800 about 0.3 s and `verify-symmetry` under 0.1 s; they
+always run.  The rest (`compare` at N = 1600, `solve --engine auto` and the
+other N = 800 pins) take about as long again together and need about 100 MB
+of temporary space, so they are skipped unless SIXRDE_LARGE_N is
 set:
 
     SIXRDE_LARGE_N=1 pytest tests/test_large_n.py

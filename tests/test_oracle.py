@@ -17,6 +17,7 @@ from sixrde import (
     check_invariant_recurrence,
     invariant_sequence,
     iterate,
+    oracle,
 )
 
 from conftest import (
@@ -260,3 +261,18 @@ def test_each_term_costs_one_division_and_no_product_or_sum(monkeypatch):
     monkeypatch.undo()
     assert orbit == expected
     assert len(divisions) == 60
+
+
+def test_only_the_first_four_steps_multiply_two_terms(monkeypatch):
+    # From step 4 on, x_(n-5) x_(n-3) is the quotient step n - 4 divided by
+    # x_(n-5), so the oracle multiplies only the seed pairs.
+    ic = InitialConditions([2, 3, 5, 7, 11, 13])
+    coeffs = CoefficientSequence.periodic([2, Fraction(-1, 3), Fraction(3, 2)],
+                                          [1, Fraction(5, 7), Fraction(-2, 5)])
+    products = []
+    product = oracle._product
+    monkeypatch.setattr(oracle, "_product",
+                        lambda u, v: products.append((u, v)) or product(u, v))
+    orbit = iterate(ic, coeffs, 60)
+    assert orbit.halt is None and len(orbit) == 66
+    assert products == [(ic.values[n], ic.values[n + 2]) for n in range(4)]

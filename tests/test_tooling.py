@@ -73,6 +73,28 @@ def test_the_oracle_imports_nothing_from_the_package_but_core():
             assert node.module == "core", f"oracle.py:{node.lineno} imports .{node.module or ''}"
 
 
+def test_the_oracle_reaches_no_v_layer_by_any_route():
+    # The step reads p from the quotient it kept four steps back, which is
+    # 1/V_n as a number; it must stay a quotient of the map, never a read of
+    # the V table.  No import, name, attribute or string in the oracle (an
+    # `importlib` argument, say) may name a module that holds V.
+    layers = {"closedform", "specialcases", "symmetry"}
+    path = ROOT / "src" / "sixrde" / "oracle.py"
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            words = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            words = [node.id]
+        elif isinstance(node, ast.Attribute):
+            words = [node.attr]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            words = [node.value]
+        else:
+            continue
+        named = layers & set(re.findall(r"\w+", " ".join(words)))
+        assert not named, f"oracle.py:{node.lineno} names {sorted(named)}"
+
+
 def test_package_uses_no_private_fraction_api():
     # `_normalize=False` is gone in Python 3.12, and the others are private to
     # `fractions`; every value is built through the public `Fraction(num, den)`.

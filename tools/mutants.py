@@ -9,17 +9,19 @@ It prints one JSON line per mutant and then the total.  A mutant is killed
 when the suite fails (cause "test failure") or runs past `TIMEOUT_SECONDS`
 (cause "timeout").  When a run ends, for either reason, its whole process
 group is killed: pytest and every `python -m sixrde` child the suite started.
-With CPython 3.11 on two shared vCPUs a killed mutant took 3 to 40 s and the
-whole list about 5 minutes; a survivor runs the whole suite, about 20 s.
+With CPython 3.11 on two shared vCPUs a killed mutant took 3 to 41 s and the
+whole list about 7 minutes; a survivor runs the whole suite, about 20 s.
 
 Each entry is (file, old text, new text, reason).  There is at least one per
 layer: the oracle step loop, the invariant V (along an orbit and as the
 closed form's table), telescoping, the records' one constructor, the
 special-case factors, the guard, the unified magnitude, rational parsing
 and rendering, CSV and JSON output, the CLI's files and exit codes, and the
-symmetry checks.  The entries that change which terms the oracle's step
-combines make term heights grow exponentially; the suite's per-test time
-limit (`tests/conftest.py`) turns that into a failure in about 30 s.
+symmetry checks.  No oracle index entry makes term heights grow
+exponentially: the step multiplies two terms only for n < 4, and from step
+4 on its p is a carried quotient, which stays small, so each such entry
+dies on a wrong value.  The suite's per-test time limit
+(`tests/conftest.py`) turns any hang into a failure, in about 30 s.
 """
 
 import contextlib
@@ -49,13 +51,21 @@ MUTANTS = [
      "F = a_num * b_den * Q - b_num * a_den * P",
      "oracle denominator factor takes b with the wrong sign"),
     ("src/sixrde/oracle.py",
-     "terms.append(Fraction(P * a_den * b_den, F) / terms[n + 4])",
-     "terms.append(Fraction(P * a_den * b_den, F) / terms[n + 3])",
+     "terms.append(quotients[n] / terms[n + 4])",
+     "terms.append(quotients[n] / terms[n + 3])",
      "oracle divides by x_(n-2) instead of x_(n-1)"),
     ("src/sixrde/oracle.py",
      "P, Q = _product(terms[n], terms[n + 2])",
      "P, Q = _product(terms[n], terms[n + 1])",
-     "oracle multiplies x_(n-5) by x_(n-4) instead of x_(n-3)"),
+     "oracle's seed steps multiply x_(n-5) by x_(n-4) instead of x_(n-3)"),
+    ("src/sixrde/oracle.py",
+     "P, Q = quotients[n - 4].as_integer_ratio()",
+     "P, Q = quotients[n - 3].as_integer_ratio()",
+     "oracle takes p from the quotient three steps back, not four"),
+    ("src/sixrde/oracle.py",
+     "if n < 4:",
+     "if n < 3:",
+     "oracle's step 3 takes the last kept quotient, q_2, for its p"),
     ("src/sixrde/oracle.py",
      "a, b = coeffs.pair_at(n)\n        a_num, a_den",
      "a, b = coeffs.pair_at(n + 1)\n        a_num, a_den",
@@ -162,12 +172,12 @@ MUTANTS = [
      "long literals drop their low half"),
     # CSV and JSON output, files and exit codes
     ("src/sixrde/cli.py",
-     r'yield f"{m},{text},{_as_float(value)!r}\n"',
-     r'yield f"{m},{text},{_as_float(value)!r}\r\n"',
+     r'yield f"{m},{text},{number!r}\n"',
+     r'yield f"{m},{text},{number!r}\r\n"',
      "CSV rows end in CRLF"),
     ("src/sixrde/cli.py",
-     "return math.inf if value > 0 else -math.inf",
-     "return math.inf",
+     "number = math.inf if p > 0 else -math.inf",
+     "number = math.inf",
      "float column reads inf for a huge negative term"),
     ("src/sixrde/cli.py",
      "return EXIT_OK if first_mismatch is None else EXIT_MISMATCH",
