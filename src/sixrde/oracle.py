@@ -17,11 +17,12 @@ q_n = P a_den b_den / F is small, and the one full-height operation per
 term is its division by x_(n-1).  That division cross-cancels with
 small-by-big gcds; building the full-height result as `Fraction(num, den)`
 instead would run a full-height gcd per term (ROADMAP, "Measured and
-rejected").  The quotient is kept: it equals x_(n-1) x_(n+1), the p of step
-n + 4, so from step 4 on p is q_(n-4), read as its reduced pair.  Only the
-first four steps multiply two terms (seeds), cross-cancelling each one's
-numerator against the other's denominator.  As a number q_(n-4) is 1/V_n,
-but it comes from the map alone: the oracle names no V and reads no V table.
+rejected").  q_n equals x_(n-1) x_(n+1), the p of step n + 4, so p rides
+in four slots of reduced pairs: slot j starts as the seed product
+x_(j-5) x_(j-3) (numerators cross-cancelled against denominators), and step
+n reads slot n mod 4 and refills it with q_n, one path for every step.  As a
+number q_(n-4) is 1/V_n, but it comes from the map alone: the oracle names
+no V and reads no V table.
 
 A vanishing denominator factor is a legitimate query result, not a failure:
 the orbit is truncated and carries a `SingularityReport`.
@@ -101,19 +102,17 @@ def iterate(
 
     Each term is the literal map with no V, evaluated as
     q_n / x_(n-1) with q_n = p / (a_n + b_n p): one full-height `Fraction`
-    division, with p the small q_(n-4) kept from step n - 4 (module
-    docstring).
+    division.  p is read from slot n mod 4, which holds a seed product
+    until step n - 4 refills it with q_(n-4) (module docstring).
     """
     if count < 0:
         raise ValueError(f"step count must be >= 0, got {count}")
     terms = list(ic.values)
-    quotients = []  # q_n, step n's p / (a_n + b_n p) = x_(n-1) x_(n+1)
+    # slots[n % 4] is step n's p = x_(n-5) x_(n-3) as a reduced pair (P, Q)
+    slots = [_product(terms[j], terms[j + 2]) for j in range(4)]
     halt = None
     for n in range(count):
-        if n < 4:
-            P, Q = _product(terms[n], terms[n + 2])
-        else:
-            P, Q = quotients[n - 4].as_integer_ratio()
+        P, Q = slots[n % 4]
         a, b = coeffs.pair_at(n)
         a_num, a_den = a.numerator, a.denominator
         b_num, b_den = b.numerator, b.denominator
@@ -121,8 +120,9 @@ def iterate(
         if F == 0:
             halt = SingularityReport(n, SingularityCause.ZERO_DENOMINATOR_FACTOR)
             break
-        quotients.append(Fraction(P * a_den * b_den, F))
-        terms.append(quotients[n] / terms[n + 4])
+        q = Fraction(P * a_den * b_den, F)  # x_(n-1) x_(n+1), step n + 4's p
+        slots[n % 4] = q.as_integer_ratio()
+        terms.append(q / terms[n + 4])
     return Orbit(tuple(terms), halt)
 
 

@@ -1,5 +1,5 @@
-"""Shared random-instance helpers, the engine table and the per-test time
-limit for the test suite.
+"""Shared random-instance helpers, the engine table, the per-test time
+limit, the one-run cache and the child-`python` launcher for the test suite.
 
 Instance generation uses seeded `random.Random` so every run exercises the
 same instances.  Seeds live in [-10, 10] with denominators <= 10;
@@ -13,8 +13,11 @@ import functools
 import hashlib
 import json
 import math
+import os
 import random
 import signal
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -27,13 +30,14 @@ from sixrde import (
     SixrdeError,
     cli,
     core,
-    format_rational,
     iterate,
     specialcases,
     term,
     terms,
 )
 
+
+ROOT = Path(__file__).resolve().parent.parent
 
 #: Wall-clock seconds each phase of a test (setup with its fixtures, call,
 #: teardown) may take.  The slowest test takes about 1.3 s; a step that
@@ -63,6 +67,47 @@ def _time_limited(item):
 pytest_runtest_setup = pytest.hookimpl(hookwrapper=True)(_time_limited)
 pytest_runtest_call = pytest.hookimpl(hookwrapper=True)(_time_limited)
 pytest_runtest_teardown = pytest.hookimpl(hookwrapper=True)(_time_limited)
+
+
+def once(builder):
+    """`builder`, run once per set of arguments: later calls return its value
+    or raise its `Exception` or `TimeLimitExceeded` again.  pytest keeps a
+    fixture's error only when it is an `Exception` and `functools.cache`
+    keeps none, so a builder that ran past the limit would otherwise run to
+    it again for each later caller.  `KeyboardInterrupt` is not kept."""
+    outcomes = {}
+
+    @functools.wraps(builder)
+    def cached(*args):
+        if args not in outcomes:
+            try:
+                outcomes[args] = builder(*args), None, None
+            except (Exception, TimeLimitExceeded) as exc:
+                outcomes[args] = None, exc, exc.__traceback__
+        value, error, trace = outcomes[args]
+        if error is not None:
+            raise error.with_traceback(trace)  # each caller sees the first traceback
+        return value
+
+    return cached
+
+
+def child_env(**variables: str) -> dict[str, str]:
+    """The environment for a child `python`: this one with `src` on
+    PYTHONPATH, and PYTHONUNBUFFERED dropped unless `variables` sets it, so
+    the child's streams are buffered as Python's defaults have them."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(ROOT / "src"), **variables)
+    return env
+
+
+def run_python(*args: str, code: int = 0, cwd=None, timeout: float = 120):
+    """Run `python *args` to its end in `child_env()`, its output captured as
+    bytes; check that it exits with `code` and return the finished run."""
+    done = subprocess.run([sys.executable, *args], cwd=cwd, env=child_env(),
+                          capture_output=True, timeout=timeout)
+    assert done.returncode == code, done.stderr.decode(errors="replace")
+    return done
 
 
 #: The two product engines, (point query, range) each, by module.  Both take
@@ -104,18 +149,7 @@ COEFF_KINDS = ("constant", "periodic2", "periodic3", "periodic4")
 
 def spec_dict_from(ic, coeffs, horizon):
     """The spec file's JSON object for (ic, coeffs) with this horizon."""
-    data = {
-        "initial": [format_rational(v) for v in ic.values],
-        "coeffs": {
-            "kind": coeffs.kind,
-            "a": [format_rational(v) for v in coeffs.a_values()],
-            "b": [format_rational(v) for v in coeffs.b_values()],
-        },
-        "horizon": horizon,
-    }
-    if coeffs.kind == "periodic":
-        data["coeffs"]["period"] = coeffs.period
-    return data
+    return json.loads(cli.canonical_spec_json(cli.ProblemSpec(ic, coeffs, horizon)))
 
 
 def random_instance(rng: random.Random, kind=None):
@@ -238,7 +272,7 @@ BASELINE = {
 }
 
 
-@functools.cache
+@once
 def run_on_baseline(*argv: str) -> tuple[int, tuple[str, int]]:
     """Run `cli.main([*argv, "--spec", <BASELINE>, "--out", <file>])` once
     per session and return how many integers `core._digits` converted afresh

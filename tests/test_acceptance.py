@@ -5,7 +5,6 @@ Every check is property-based equivalence at desk scale; tolerances are
 zero (exact) unless stated otherwise.
 """
 
-import functools
 import json
 import math
 import random
@@ -44,6 +43,7 @@ from sixrde.symmetry import LscSample
 from conftest import (
     COEFF_KINDS,
     bounded_orbit,
+    once,
     random_coefficients,
     random_initial_conditions,
     random_rational,
@@ -78,7 +78,7 @@ def seeded_instances(seed, count, steps, kinds=COEFF_KINDS):
     return out, halted
 
 
-@functools.cache
+@once
 def instances_c1():
     """Criterion 1's instances and halted draws, read by criteria 1, 2 and 7;
     built by the first test that asks, so collection does no sixrde work."""

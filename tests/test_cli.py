@@ -15,7 +15,6 @@ import sys
 import tempfile
 import threading
 import time
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -47,13 +46,12 @@ from sixrde.cli import (
 from conftest import (
     BASELINE,
     FRESH_CONVERSIONS,
+    child_env,
     random_coefficients,
     random_initial_conditions,
     run_on_baseline,
     spec_dict_from,
 )
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_spec(tmp_path, data, name="spec.json"):
@@ -662,12 +660,7 @@ def test_compare_random_specs_exit_0(tmp_path):
 
 def test_compare_streams_its_report_with_the_bytes_of_json_dumps(
         tmp_path, monkeypatch, capsys):
-    data = {
-        "initial": ["2", "3", "5", "7", "11", "13"],
-        "coeffs": {"kind": "periodic", "period": 2, "a": ["2", "-1/3"], "b": ["1", "5/7"]},
-        "horizon": 300,
-    }
-    path = write_spec(tmp_path, data)
+    path = write_spec(tmp_path, dict(BASELINE, horizon=300))
     dumps = json.dumps
 
     def refuse(*args, **kwargs):
@@ -929,9 +922,7 @@ def _child(*argv: str, stdout=subprocess.PIPE, **variables: str):
     streams are buffered as Python's defaults have them, unless `variables`
     sets PYTHONUNBUFFERED.  The child is killed on the way out, before it is
     waited for, so a test that fails while it runs does not wait for its end."""
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env.update(PYTHONPATH=str(ROOT / "src"), **variables)
-    with subprocess.Popen([sys.executable, "-m", "sixrde", *argv], env=env,
+    with subprocess.Popen([sys.executable, "-m", "sixrde", *argv], env=child_env(**variables),
                           stdout=stdout, stderr=subprocess.PIPE) as child:
         try:
             yield child

@@ -1,6 +1,5 @@
-"""Core value types: the rational codec and the chain renderer, the phase
-kernel i^(n-k) read from the Q1/Q2 tables, coefficient sequences, seeds,
-records and the singular position.
+"""Core value types: the rational codec and the chain renderer, coefficient
+sequences, seeds, records and the singular position.
 
 Rational arithmetic itself is `fractions.Fraction`'s and is not tested here.
 """
@@ -8,13 +7,10 @@ Rational arithmetic itself is `fractions.Fraction`'s and is not tested here.
 import copy
 import decimal
 import json
-import os
 import pickle
 import random
-import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -27,8 +23,6 @@ from sixrde import (
     LscSample,
     Orbit,
     OutOfHorizon,
-    Q1,
-    Q2,
     SingularClosedForm,
     SingularityCause,
     SingularityReport,
@@ -45,11 +39,9 @@ from sixrde import (
 from sixrde.cli import ProblemSpec
 from sixrde.symmetry import Characteristic, PhaseSumReport, RootCheckFailure
 
-from conftest import count_fresh_conversions
+from conftest import BASELINE, count_fresh_conversions, once, run_python
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -120,17 +112,14 @@ def test_rational_codec_at_every_height(limit):
         sys.set_int_max_str_digits(previous)
 
 
-# The Baseline instance: seeds 2, 3, 5, 7, 11, 13, 2-periodic a = (2, -1/3),
-# b = (1, 5/7).  Its x_600 has about 5600 digits.
-BASELINE = (InitialConditions((2, 3, 5, 7, 11, 13)),
-            CoefficientSequence.periodic([2, Fraction(-1, 3)], [1, Fraction(5, 7)]))
-
-
+@once
 def _runs_to_render():
     """Seeded runs of values, each named: orbits, and runs built to leave
-    the orbit's shape."""
+    the orbit's shape.  The Baseline orbit's x_600 has about 5600 digits."""
     rng = random.Random(23)
-    orbit = list(iterate(*BASELINE, 600).terms)
+    spec = cli.parse_problem_spec(BASELINE)
+    ic, coeffs = spec.initial, spec.coeffs
+    orbit = list(iterate(ic, coeffs, 600).terms)
     assert len(format_rational(orbit[-1])) > 2 * 4300  # both parts past 4300 digits
     runs = {"orbit": orbit}
     runs["sign flips"] = [v if rng.random() < 0.5 else -v for v in orbit]
@@ -153,7 +142,7 @@ def _runs_to_render():
     # An explicit list whose coefficients have about a thousand digits each.
     big = [Fraction(rng.getrandbits(3_400) + 1, rng.getrandbits(3_400) + 1) for _ in range(32)]
     listed = CoefficientSequence.explicit(big[:16], big[16:])
-    runs["huge coefficients"] = list(iterate(BASELINE[0], listed, 16).terms)
+    runs["huge coefficients"] = list(iterate(ic, listed, 16).terms)
     return runs
 
 
@@ -197,18 +186,12 @@ def test_the_chain_renderer_needs_no_higher_int_str_limit(tmp_path):
     # The CSV written under the lowest digit limit the interpreter accepts is
     # the CSV written under the default one.
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({
-        "initial": ["2", "3", "5", "7", "11", "13"],
-        "coeffs": {"kind": "periodic", "a": ["2", "-1/3"], "b": ["1", "5/7"]},
-        "horizon": 600}), encoding="utf-8")
+    spec.write_text(json.dumps(dict(BASELINE, horizon=600)), encoding="utf-8")
     argv = ["iterate", "--spec", str(spec), "--out"]
     assert cli.main([*argv, str(tmp_path / "default.csv")]) == 0
     code = ("import sys; sys.set_int_max_str_digits(640); from sixrde import cli; "
             f"sys.exit(cli.main({[*argv, str(tmp_path / 'limited.csv')]!r}))")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    run_python("-c", code)
     assert (tmp_path / "limited.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
 
 
@@ -216,25 +199,6 @@ def test_as_rational_rejects_floats():
     with pytest.raises(TypeError):
         as_rational(0.5)
     assert as_rational(" -4/6 ") == Fraction(-2, 3)  # a string is parsed as a literal
-
-
-# ---------------------------------------------------------------------------
-# Powers of i: the phase kernel i^n * (-i)^k, read as Q1 + i*Q2 at d = n - k
-# ---------------------------------------------------------------------------
-
-def kernel(n, k):
-    return complex(Q1.coefficient(n - k), Q2.coefficient(n - k))
-
-
-@pytest.mark.parametrize("k", range(-9, 10))
-def test_i_power_matches_repeated_multiplication(k):
-    step = 1j if k >= 0 else -1j
-    expected = 1 + 0j
-    for _ in range(abs(k)):
-        expected *= step
-    assert kernel(k, 0) == expected
-    for n in range(8):
-        assert kernel(n, k) == expected.conjugate() * 1j**n
 
 
 # ---------------------------------------------------------------------------

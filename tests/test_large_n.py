@@ -20,18 +20,13 @@ set:
 import hashlib
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from conftest import BASELINE, file_digest, run_on_baseline
+from conftest import BASELINE, file_digest, run_on_baseline, run_python
 
 opt_in = pytest.mark.skipif(not os.environ.get("SIXRDE_LARGE_N"),
                             reason="set SIXRDE_LARGE_N=1 to run the large-N digests")
-
-ROOT = Path(__file__).resolve().parent.parent
 
 # iterate, solve and solve --engine auto write the same CSV.
 CSV_800 = ("fe14fb54f74a472326805c9deacb930a", 4346010)
@@ -54,12 +49,6 @@ PINS = [
 ]
 
 
-def _run(argv, cwd, stdout=subprocess.DEVNULL) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, "-m", "sixrde", *argv], cwd=cwd, env=env,
-                          stdout=stdout, stderr=subprocess.PIPE, timeout=600)
-
-
 @pytest.mark.parametrize("argv, pin", PINS)
 def test_spec_command_output_is_pinned(tmp_path, argv, pin):
     if argv[0] != "compare":
@@ -68,15 +57,14 @@ def test_spec_command_output_is_pinned(tmp_path, argv, pin):
     (tmp_path / "spec.json").write_text(json.dumps(BASELINE), encoding="utf-8")
     out = tmp_path / "out"
     try:
-        done = _run([*argv, "--spec", "spec.json", "--out", str(out)], tmp_path)
-        assert done.returncode == 0, done.stderr
+        run_python("-m", "sixrde", *argv, "--spec", "spec.json", "--out", str(out),
+                   cwd=tmp_path, timeout=600)
         assert file_digest(out) == pin
     finally:
         out.unlink(missing_ok=True)
 
 
 def test_verify_symmetry_output_is_pinned(tmp_path):
-    done = _run(["verify-symmetry"], tmp_path, stdout=subprocess.PIPE)
-    assert done.returncode == 0, done.stderr
+    done = run_python("-m", "sixrde", "verify-symmetry", cwd=tmp_path, timeout=600)
     assert (hashlib.md5(done.stdout).hexdigest(), len(done.stdout)) == (
         "d5f3db86bf34f4afa5941403332620a3", 247)

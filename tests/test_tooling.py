@@ -1,5 +1,5 @@
-"""The package runs on the standard library alone, its exports resolve, and
-README's examples run as written."""
+"""The package runs on the standard library alone, its exports resolve,
+README's examples run as written, and the suite's own helpers hold."""
 
 import ast
 import importlib
@@ -7,24 +7,29 @@ import inspect
 import json
 import random
 import re
-import os
 import runpy
 import shlex
-import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 import sixrde
 from sixrde import SingularClosedForm, cli, specialcases
 
-from conftest import ENGINES, random_initial_conditions, random_rational, start_cold
+from conftest import (
+    BASELINE,
+    ENGINES,
+    ROOT,
+    TimeLimitExceeded,
+    once,
+    random_initial_conditions,
+    random_rational,
+    run_python,
+    start_cold,
+)
 
 tomllib = pytest.importorskip("tomllib")
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_project_declares_no_runtime_dependencies():
@@ -185,6 +190,20 @@ def test_every_mutant_plants_exactly_one_change():
         assert harness["mutated"](text, old, new) != text, reason
 
 
+def test_a_builder_that_ran_past_the_time_limit_runs_once():
+    runs = []
+
+    @once
+    def build(n):
+        runs.append(n)
+        raise TimeLimitExceeded("ran past the limit")
+
+    for _ in range(3):
+        with pytest.raises(TimeLimitExceeded):
+            build(7)
+    assert runs == [7]
+
+
 def test_a_bench_record_keeps_the_result_line_and_how_it_was_run():
     # `bench/run.py` prints one table line per metric, then the result JSON.
     tool = runpy.run_path(str(ROOT / "tools" / "bench_record.py"))
@@ -299,11 +318,8 @@ def test_both_engines_take_the_same_parameters():
     [(["verify-symmetry", "--samples", "3"], 0), (["iterate", "--spec", "missing.json"], 64)],
 )
 def test_python_dash_m_entry_point_exits_with_the_cli_code(tmp_path, argv, code):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-m", "sixrde", *argv], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == code, done.stderr
-    assert "Traceback" not in done.stderr
+    done = run_python("-m", "sixrde", *argv, code=code, cwd=tmp_path)
+    assert b"Traceback" not in done.stderr
 
 
 def test_importing_the_cli_builds_no_argument_parser():
@@ -319,10 +335,7 @@ def test_importing_the_cli_builds_no_argument_parser():
         "sixrde.cli.build_parser()",
         "assert built, 'no parser construction was seen'",
     ])
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    run_python("-c", code)
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
@@ -336,10 +349,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         "loaded = {'dataclasses', 'inspect'} & set(sys.modules)",
         "assert not loaded, loaded",
     ])
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    run_python("-c", code)
 
 
 def test_decimal_is_imported_only_where_a_chain_is_carried(tmp_path):
@@ -362,8 +372,7 @@ def test_decimal_is_imported_only_where_a_chain_is_carried(tmp_path):
     # `fractions` itself imports `decimal` on CPython 3.10 to 3.13, so the
     # package can add nothing there; where it does not, neither may the CLI.
     spec = tmp_path / "spec.json"
-    spec.write_text('{"initial": ["2", "3", "5", "7", "11", "13"], "horizon": 150, '
-                    '"coeffs": {"kind": "periodic", "a": ["2", "-1/3"], "b": ["1", "5/7"]}}')
+    spec.write_text(json.dumps(dict(BASELINE, horizon=150)))
     code = "\n".join([
         "import sys, fractions",
         "by_fractions = 'decimal' in sys.modules",
@@ -373,10 +382,7 @@ def test_decimal_is_imported_only_where_a_chain_is_carried(tmp_path):
         f"assert cli.main(['iterate', '--spec', {str(spec)!r}, '--out', {str(spec)!r}]) == 0",
         "assert not core._exact.cache_info().currsize, 'small values built the context'",
     ])
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    run_python("-c", code)
     assert len(spec.read_text()) > 10**4  # x_150 has 392 digits
 
 

@@ -18,9 +18,9 @@ closed form's table), telescoping, the records' one constructor, the
 special-case factors, the guard, the unified magnitude, rational parsing
 and rendering, CSV and JSON output, the CLI's files and exit codes, and the
 symmetry checks.  No oracle index entry makes term heights grow
-exponentially: the step multiplies two terms only for n < 4, and from step
-4 on its p is a carried quotient, which stays small, so each such entry
-dies on a wrong value.  The suite's per-test time limit
+exponentially: only the four seed products multiply two terms, and every
+step reads its p from a slot of small carried quotients, so each such
+entry dies on a wrong value.  The suite's per-test time limit
 (`tests/conftest.py`) turns any hang into a failure, in about 30 s.
 """
 
@@ -51,21 +51,21 @@ MUTANTS = [
      "F = a_num * b_den * Q - b_num * a_den * P",
      "oracle denominator factor takes b with the wrong sign"),
     ("src/sixrde/oracle.py",
-     "terms.append(quotients[n] / terms[n + 4])",
-     "terms.append(quotients[n] / terms[n + 3])",
+     "terms.append(q / terms[n + 4])",
+     "terms.append(q / terms[n + 3])",
      "oracle divides by x_(n-2) instead of x_(n-1)"),
     ("src/sixrde/oracle.py",
-     "P, Q = _product(terms[n], terms[n + 2])",
-     "P, Q = _product(terms[n], terms[n + 1])",
-     "oracle's seed steps multiply x_(n-5) by x_(n-4) instead of x_(n-3)"),
+     "_product(terms[j], terms[j + 2])",
+     "_product(terms[j], terms[j + 1])",
+     "oracle's seed products multiply x_(j-5) by x_(j-4) instead of x_(j-3)"),
     ("src/sixrde/oracle.py",
-     "P, Q = quotients[n - 4].as_integer_ratio()",
-     "P, Q = quotients[n - 3].as_integer_ratio()",
-     "oracle takes p from the quotient three steps back, not four"),
+     "P, Q = slots[n % 4]",
+     "P, Q = slots[(n + 1) % 4]",
+     "oracle step n reads the p of step n + 1"),
     ("src/sixrde/oracle.py",
-     "if n < 4:",
-     "if n < 3:",
-     "oracle's step 3 takes the last kept quotient, q_2, for its p"),
+     "slots[n % 4] = q.as_integer_ratio()",
+     "slots[(n + 1) % 4] = q.as_integer_ratio()",
+     "oracle keeps q_n as the p of step n + 1, not n + 4"),
     ("src/sixrde/oracle.py",
      "a, b = coeffs.pair_at(n)\n        a_num, a_den",
      "a, b = coeffs.pair_at(n + 1)\n        a_num, a_den",
