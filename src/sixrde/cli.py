@@ -240,7 +240,7 @@ class Lcg:
 _CSV_HEADER = "m,exact,float\n"
 
 
-def _csv_rows(m: int, values: Iterable[Fraction]) -> Iterator[str]:
+def _csv_rows(m: int, values: Iterable) -> Iterator[str]:
     """The CSV lines of x_m, x_(m+1), ... for `values` under `_CSV_HEADER`,
     one per value as it comes.  No field (an int, p/q, a float repr) can
     need quoting; a float past the range reads inf or -inf."""
@@ -291,16 +291,16 @@ def _output(path: str) -> Iterator[TextIO]:
 # ---------------------------------------------------------------------------
 
 def _cmd_iterate(spec: ProblemSpec, args, out: TextIO) -> int:
+    """Write each row as the oracle forms its term, holding no orbit."""
     count = spec.horizon if args.n is None else args.n
-    orbit = oracle.iterate(spec.initial, spec.coeffs, count)
     out.write(_CSV_HEADER)
-    out.writelines(_csv_rows(-5, orbit.terms))
-    if orbit.halt is not None:
-        print(
-            f"singular at step {orbit.halt.step} ({orbit.halt.cause.value}); "
-            f"orbit truncated after x_{orbit.last_m}",
-            file=sys.stderr,
-        )
+    terms, last_m = oracle._terms(spec.initial, spec.coeffs, count), -6
+    for last_m, row in enumerate(_csv_rows(-5, terms), -5):
+        out.write(row)
+    if last_m < count:  # only a zero denominator factor stops the terms early
+        cause = oracle.SingularityCause.ZERO_DENOMINATOR_FACTOR.value
+        print(f"singular at step {last_m} ({cause}); orbit truncated after x_{last_m}",
+              file=sys.stderr)
         return EXIT_SINGULAR
     return EXIT_OK
 

@@ -195,8 +195,11 @@ def format_rational(value: Fraction) -> str:
 _CARRY_SHARE = 8
 
 
-def _rendered(values: Iterable[Fraction]) -> Iterator[tuple[int, int, str]]:
+def _rendered(values: Iterable) -> Iterator[tuple[int, int, str]]:
     """(p, q, `format_rational(v)`) for each v = p/q of `values`, in order.
+
+    An item is a `Fraction` or (p, q, hint), hint None or ((up, down),
+    (up, down)): |p| and q over the same parts four places earlier.
 
     Values below the piece limit are formatted at once.  A larger value is
     rendered part by part (|numerator|, denominator), each carried from the
@@ -209,24 +212,28 @@ def _rendered(values: Iterable[Fraction]) -> Iterator[tuple[int, int, str]]:
     """
     chains = [[None, None] for _ in range(4)]  # (part, its digits) per class
     for i, value in enumerate(values):
-        p, q = value.numerator, value.denominator
+        p, q, hint = value if value.__class__ is tuple else (value.numerator, value.denominator, None)
         if -_PIECE_LIMIT < p < _PIECE_LIMIT and q < _PIECE_LIMIT:
             yield p, q, f"{p}/{q}"
             continue
-        chain = chains[i % 4]
-        yield p, q, f"{'-' if p < 0 else ''}{_carried(chain, 0, abs(p))}/{_carried(chain, 1, q)}"
+        chain, (p_hint, q_hint) = chains[i % 4], hint or (None, None)
+        yield p, q, (f"{'-' if p < 0 else ''}{_carried(chain, 0, abs(p), p_hint)}"
+                     f"/{_carried(chain, 1, q, q_hint)}")
 
 
-def _carried(chain: list, k: int, n: int) -> str:
-    """str(n), carried from `chain[k]` when it can be; chain[k] becomes n's."""
+def _carried(chain: list, k: int, n: int, hint) -> str:
+    """str(n), carried from `chain[k]` when it can be; chain[k] becomes n's.
+    A `hint` (up, down) counts only if n * down == m * up for the last m."""
     if n < _PIECE_LIMIT:
         return str(n)
     last, bits = chain[k], n.bit_length()
     # n/m = up/down, so their lengths differ by at most up's or down's.
     if last is not None and abs(bits - last[0].bit_length()) * _CARRY_SHARE <= bits:
         m, digits = last
-        g = math.gcd(n, m)
-        up, down = n // g, m // g
+        # Reduce the confirmed hint, else n/m itself with a full-height gcd.
+        up, down = hint if hint is not None and n * hint[1] == m * hint[0] else (n, m)
+        g = math.gcd(up, down)
+        up, down = up // g, down // g
         if max(up, down).bit_length() * _CARRY_SHARE <= bits:
             context = _exact()
             digits = context.multiply(
@@ -249,6 +256,15 @@ def _exact():
         prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
         traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
                decimal.DivisionByZero, decimal.Overflow])
+
+
+def _reduced(numerator: int, denominator: int) -> Fraction:
+    """Fraction(numerator, denominator) of a coprime pair, denominator > 0,
+    with no gcd: the package's one write of `Fraction`'s two slots (CPython
+    3.10-3.13), pinned to the public constructor by a Tier-1 test."""
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = numerator, denominator
+    return value
 
 
 def as_rational(value: RationalLike) -> Fraction:

@@ -10,19 +10,21 @@ u_i = x_(i-5) the same map reads
     u_(n+6) = u_n * u_(n+2) / ( u_(n+4) * (a_n + b_n * u_n * u_(n+2)) ).
 
 Each step evaluates that literal map, with no V and no closed form, in the
-order x_(n+1) = [p / (a_n + b_n p)] / x_(n-1), where p = x_(n-5) x_(n-3).
-The factor is the single integer F = a_num b_den Q + b_num a_den P for
-p = P/Q, which is zero exactly when a_n + b_n p is.  The quotient
-q_n = P a_den b_den / F is small, and the one full-height operation per
-term is its division by x_(n-1).  That division cross-cancels with
-small-by-big gcds; building the full-height result as `Fraction(num, den)`
-instead would run a full-height gcd per term (ROADMAP, "Measured and
-rejected").  q_n equals x_(n-1) x_(n+1), the p of step n + 4, so p rides
-in four slots of reduced pairs: slot j starts as the seed product
-x_(j-5) x_(j-3) (numerators cross-cancelled against denominators), and step
-n reads slot n mod 4 and refills it with q_n, one path for every step.  As a
-number q_(n-4) is 1/V_n, but it comes from the map alone: the oracle names
-no V and reads no V table.
+order x_(n+1) = [p / (a_n + b_n p)] / x_(n-1), where p = x_(n-5) x_(n-3),
+on integer parts.  The factor is the single integer
+F = a_num b_den Q + b_num a_den P for p = P/Q, which is zero exactly when
+a_n + b_n p is.  The quotient q_n = P a_den b_den / F is small, and the one
+full-height operation per term is its division by x_(n-1), cross-cancelled
+as `Fraction` divides: g1 = gcd(q_num, x_num), g2 = gcd(q_den, x_den).
+q_n equals x_(n-1) x_(n+1), the p of step n + 4, so p rides in four slots
+of reduced pairs: slot j starts as the seed product x_(j-5) x_(j-3)
+(numerators cross-cancelled against denominators), and step n reads slot
+n mod 4 and refills it with q_n, one path for every step.  As a number
+q_(n-4) is 1/V_n, but it comes from the map alone: the oracle names no V
+and reads no V table.  The division makes
+|num_(n+1)| = den_(n-1) (|q_num|/g1)/g2 and den_(n+1) = |num_(n-1)| (q_den/g2)/g1,
+so two steps give each part's small ratio to the same part of x_(n-3): the
+hint `core._rendered` carries that part's digits by.
 
 A vanishing denominator factor is a legitimate query result, not a failure:
 the orbit is truncated and carries a `SingularityReport`.
@@ -41,6 +43,7 @@ from .core import (
     OutOfRange,
     TooShort,
     _Record,
+    _reduced,
 )
 
 __all__ = [
@@ -100,17 +103,31 @@ def iterate(
     (a_n, b_n).  On a zero denominator the orbit is truncated and `halt`
     records the step and cause.
 
-    Each term is the literal map with no V, evaluated as
-    q_n / x_(n-1) with q_n = p / (a_n + b_n p): one full-height `Fraction`
-    division.  p is read from slot n mod 4, which holds a seed product
-    until step n - 4 refills it with q_(n-4) (module docstring).
+    Each term is the literal map with no V, as `_terms` evaluates it.
     """
     if count < 0:
         raise ValueError(f"step count must be >= 0, got {count}")
-    terms = list(ic.values)
-    # slots[n % 4] is step n's p = x_(n-5) x_(n-3) as a reduced pair (P, Q)
-    slots = [_product(terms[j], terms[j + 2]) for j in range(4)]
+    terms = tuple(_reduced(num, den) for num, den, _ in _terms(ic, coeffs, count))
     halt = None
+    if len(terms) < count + 6:  # only a zero factor stops `_terms` early
+        halt = SingularityReport(len(terms) - 6, SingularityCause.ZERO_DENOMINATOR_FACTOR)
+    return Orbit(terms, halt)
+
+
+def _terms(ic: InitialConditions, coeffs: CoefficientSequence, count: int):
+    """Yield x_(-5), x_(-4), ... x_count as (num, den, hint), reduced with
+    den > 0, stopping after x_n if step n meets a zero factor.  Step n reads
+    p from slot n mod 4 (module docstring) and x_(n-1) from `last[n % 2]`,
+    with the cofactors (|q_num|/g1, g2, q_den/g2, g1) of the step that made
+    it.  From step 2 on, `hint` is ((up, down), (up, down)): |num| and den
+    over the same parts of x_(n-3), unreduced; before it, None.
+    """
+    seeds = ic.values
+    # slots[n % 4] is step n's p = x_(n-5) x_(n-3) as a reduced pair (P, Q)
+    slots = [_product(seeds[j], seeds[j + 2]) for j in range(4)]
+    for value in seeds:
+        yield value.numerator, value.denominator, None
+    last = [(*value.as_integer_ratio(), None) for value in seeds[4:]]
     for n in range(count):
         P, Q = slots[n % 4]
         a, b = coeffs.pair_at(n)
@@ -118,12 +135,23 @@ def iterate(
         b_num, b_den = b.numerator, b.denominator
         F = a_num * b_den * Q + b_num * a_den * P
         if F == 0:
-            halt = SingularityReport(n, SingularityCause.ZERO_DENOMINATOR_FACTOR)
-            break
-        q = Fraction(P * a_den * b_den, F)  # x_(n-1) x_(n+1), step n + 4's p
-        slots[n % 4] = q.as_integer_ratio()
-        terms.append(q / terms[n + 4])
-    return Orbit(tuple(terms), halt)
+            return
+        # q = x_(n-1) x_(n+1), step n + 4's p, reduced as `Fraction` does
+        N = P * a_den * b_den
+        g = gcd(N, F) if F > 0 else -gcd(N, F)
+        q_num, q_den = N // g, F // g
+        slots[n % 4] = q_num, q_den
+        x_num, x_den, before = last[n % 2]
+        g1, g2 = gcd(q_num, x_num), gcd(q_den, x_den)
+        up, down = q_num // g1, q_den // g2
+        num, den = up * (x_den // g2), down * (x_num // g1)
+        if den < 0:
+            num, den = -num, -den
+        kept = abs(up), g2, down, g1
+        hint = before and ((kept[0] * before[2], kept[1] * before[3]),
+                           (kept[2] * before[0], kept[3] * before[1]))
+        last[n % 2] = num, den, kept
+        yield num, den, hint
 
 
 def _product(u: Fraction, v: Fraction) -> tuple[int, int]:

@@ -34,12 +34,13 @@ from sixrde import (
     core,
     format_rational,
     iterate,
+    oracle,
     parse_rational,
 )
 from sixrde.cli import ProblemSpec
 from sixrde.symmetry import Characteristic, PhaseSumReport, RootCheckFailure
 
-from conftest import BASELINE, count_fresh_conversions, once, run_python
+from conftest import BASELINE, FRESH_CONVERSIONS, count_fresh_conversions, once, run_python
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 
@@ -193,6 +194,60 @@ def test_the_chain_renderer_needs_no_higher_int_str_limit(tmp_path):
             f"sys.exit(cli.main({[*argv, str(tmp_path / 'limited.csv')]!r}))")
     run_python("-c", code)
     assert (tmp_path / "limited.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+
+
+def _baseline_terms(count: int) -> list:
+    spec = cli.parse_problem_spec(BASELINE)
+    return list(oracle._terms(spec.initial, spec.coeffs, count))
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda up, down: (up + 1, down),
+    lambda up, down: (down, up),
+], ids=["up off by one", "up and down swapped"])
+def test_a_wrong_hint_writes_what_format_rational_writes(wrong):
+    items = _baseline_terms(600)
+    want = [(p, q, format_rational(Fraction(p, q))) for p, q, _ in items]
+    for variant in ([(p, q, h and (wrong(*h[0]), wrong(*h[1]))) for p, q, h in items],
+                    [(p, q, h and h[::-1]) for p, q, h in items]):  # the other part's
+        assert list(core._rendered(variant)) == want
+    assert list(core._rendered(items)) == want
+
+
+def test_the_oracle_hints_spare_the_renderer_every_full_height_gcd(monkeypatch):
+    # The hint's up/down is reduced by a gcd of two small operands; a part
+    # the renderer carries is at least the piece limit, so no gcd reaches it.
+    items = _baseline_terms(800)
+    want = [text for *_, text in core._rendered([Fraction(p, q) for p, q, _ in items])]
+    operands, gcd = [], core.math.gcd
+    monkeypatch.setattr(core.math, "gcd", lambda a, b: operands.append(max(a, b)) or gcd(a, b))
+    fresh = count_fresh_conversions(monkeypatch)
+    texts = [text for *_, text in core._rendered(items)]
+    monkeypatch.undo()
+    assert texts == want
+    assert 1 <= len(fresh) <= FRESH_CONVERSIONS
+    assert len(operands) > 1000 and max(operands) < core._PIECE_LIMIT
+
+
+def test_the_reduced_pair_builds_what_fraction_builds():
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+    rng = random.Random(29)
+    huge = rng.getrandbits(6_000) | 1 << 5_999 | 1  # odd, so coprime to 2**k
+    pairs = [(1, 1), (-1, 1), (0, 1), (-7, 3), (22, 7), (huge, 2**5_900),
+             (-huge, 2**5_990), (2**5_000 + 1, huge)]
+    for num, den in pairs:
+        value, want = core._reduced(num, den), Fraction(num, den)
+        assert type(value) is Fraction and value == want and hash(value) == hash(want)
+        assert (value.numerator, value.denominator) == (num, den)
+        assert {want: 1}[value] == 1
+        assert float(value) == float(want) and repr(value) == repr(want)
+        assert str(value) == str(want) and format_rational(value) == format_rational(want)
+        assert want - 1 < value < want + 1 and not value < want
+        assert value + want == 2 * want and value - want == 0
+        assert value * want == want * want and -value == -want and abs(value) == abs(want)
+        if num:
+            assert value / want == 1 and 1 / value == 1 / want
+        assert pickle.loads(pickle.dumps(value)) == want
 
 
 def test_as_rational_rejects_floats():

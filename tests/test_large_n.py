@@ -6,8 +6,8 @@ command's output md5 and byte length must equal the pins.  `iterate` and
 `solve` run in-process, once per session through `conftest.run_on_baseline`,
 whose run also gives test_cli.py its count of the digit conversions each
 residue chain starts afresh; `compare` and `verify-symmetry` run in a child
-`python -m sixrde`.  `iterate` and `solve` at N = 1600 take about 1.1 s
-each (0.3 s of `iterate` is the oracle, the rest rendering and writing),
+`python -m sixrde`.  `iterate` at N = 1600 takes about 0.55 s (0.25 s of
+it the oracle, the rest rendering and writing) and `solve` about 0.8 s,
 `compare` at N = 800 about 0.3 s and `verify-symmetry` under 0.1 s; they
 always run.  The rest (`compare` at N = 1600, `solve --engine auto` and the
 other N = 800 pins) take about as long again together and need about 100 MB

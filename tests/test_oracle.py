@@ -241,26 +241,57 @@ def test_each_term_is_the_literal_map(ic, coeffs, count, ending):
     assert v.values == tuple(1 / (t * u) for t, u in zip(terms, terms[2:]))
 
 
+@pytest.mark.parametrize("ic, coeffs, count, ending",
+                         [case for case in _pinned_instances() if case[3] != ("runs out", 33)])
+def test_each_hint_is_each_parts_ratio_to_the_same_part_four_terms_back(
+        ic, coeffs, count, ending):
+    items = list(oracle._terms(ic, coeffs, count))
+    terms, _ = _literal_iterate(ic, coeffs, count)
+    assert [(p, q) for p, q, _ in items] == [t.as_integer_ratio() for t in terms]
+    assert [hint for *_, hint in items[:8]] == [None] * min(8, len(items))
+    for (p, q, hint), (p4, q4, _) in zip(items[8:], items[4:]):
+        (up, down), (q_up, q_down) = hint
+        assert abs(p) * down == abs(p4) * up and q * q_down == q4 * q_up
+
+
 def test_each_term_costs_one_division_and_no_product_or_sum(monkeypatch):
+    # Step n divides q_n = x_(n-1) x_(n+1) by x_(n-1) on integer parts: no
+    # `Fraction` arithmetic at all, one small gcd that reduces q_n, and the
+    # two gcds of the division, each of a part of q_n with the same part of
+    # x_(n-1), the only full-height operands.
     ic = InitialConditions([2, 3, 5, 7, 11, 13])
     coeffs = CoefficientSequence.periodic([2, Fraction(-1, 3), Fraction(3, 2)],
                                           [1, Fraction(5, 7), Fraction(-2, 5)])
     expected = iterate(ic, coeffs, 60)
     assert expected.halt is None
+    terms = expected.terms
+    quotients = [terms[n + 4] * terms[n + 6] for n in range(60)]
+    products = [terms[n] * terms[n + 2] for n in range(60)]
 
     def forbidden(*args):
-        raise AssertionError("the oracle step made a Fraction product or sum")
+        raise AssertionError("the oracle step made Fraction arithmetic")
 
-    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                 "__add__", "__radd__", "__sub__", "__rsub__"):
         monkeypatch.setattr(Fraction, name, forbidden)
-    divisions = []
-    truediv = Fraction.__truediv__
-    monkeypatch.setattr(Fraction, "__truediv__",
-                        lambda a, b: divisions.append(1) or truediv(a, b))
+    steps = [[]]  # the gcd operands of the seed products, then of each step
+    pair_at, gcd = CoefficientSequence.pair_at, oracle.gcd
+    monkeypatch.setattr(CoefficientSequence, "pair_at",
+                        lambda self, n: steps.append([]) or pair_at(self, n))
+    monkeypatch.setattr(oracle, "gcd", lambda a, b: steps[-1].append((a, b)) or gcd(a, b))
     orbit = iterate(ic, coeffs, 60)
     monkeypatch.undo()
     assert orbit == expected
-    assert len(divisions) == 60
+    assert len(steps) == 61
+    for n, calls in enumerate(steps[1:]):
+        x, q, p = terms[n + 4], quotients[n], products[n]
+        assert calls[1:] == [(q.numerator, x.numerator), (q.denominator, x.denominator)], n
+        # The coefficients here have parts of at most three bits.
+        small = max(abs(v).bit_length() for v in (*p.as_integer_ratio(), *q.as_integer_ratio()))
+        assert len(calls) == 3 and max(abs(v) for v in calls[0]).bit_length() <= small + 7, n
+    # Past step 30, x_(n-1) is taller than any operand of the reduction.
+    assert min(min(abs(terms[n + 4].numerator), terms[n + 4].denominator)
+               for n in range(30, 60)) > max(max(map(abs, s[0])) for s in steps[1:])
 
 
 def test_only_the_first_four_steps_multiply_two_terms(monkeypatch):

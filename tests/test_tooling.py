@@ -101,15 +101,25 @@ def test_the_oracle_reaches_no_v_layer_by_any_route():
 
 
 def test_package_uses_no_private_fraction_api():
-    # `_normalize=False` is gone in Python 3.12, and the others are private to
-    # `fractions`; every value is built through the public `Fraction(num, den)`.
-    private = {"_normalize", "_numerator", "_denominator", "_from_coprime_ints"}
+    # `_normalize=False` is gone in Python 3.12 and `_from_coprime_ints` is
+    # private to `fractions`, so neither appears anywhere.  A reduced pair is
+    # built without a gcd by `core._reduced` alone, the one place that sets
+    # `Fraction`'s two slots; test_core.py pins it to `Fraction(num, den)`.
+    banned = {"_normalize", "_from_coprime_ints"}
+    slots = {"_numerator", "_denominator"}
     for path in sorted((ROOT / "src" / "sixrde").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        helper = set()
+        if path.name == "core.py":
+            [function] = [node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "_reduced"]
+            helper = {id(node) for node in ast.walk(function)}
+        for node in ast.walk(tree):
             names = {getattr(node, field, None) for field in ("attr", "arg", "id", "name")}
             if isinstance(node, ast.Constant):
                 names.add(node.value)
-            assert not names & private, f"{path.name}:{node.lineno} {names & private}"
+            allowed = slots if id(node) in helper else set()
+            assert not names & (banned | slots - allowed), f"{path.name}:{node.lineno} {names}"
 
 
 def test_package_holds_no_complex_value():

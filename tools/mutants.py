@@ -9,8 +9,8 @@ It prints one JSON line per mutant and then the total.  A mutant is killed
 when the suite fails (cause "test failure") or runs past `TIMEOUT_SECONDS`
 (cause "timeout").  When a run ends, for either reason, its whole process
 group is killed: pytest and every `python -m sixrde` child the suite started.
-With CPython 3.11 on two shared vCPUs a killed mutant took 3 to 41 s and the
-whole list about 7 minutes; a survivor runs the whole suite, about 20 s.
+With CPython 3.11 on two shared vCPUs a killed mutant took 3 to 39 s and the
+whole list about 8 minutes; a survivor runs the whole suite, about 20 s.
 
 Each entry is (file, old text, new text, reason).  There is at least one per
 layer: the oracle step loop, the invariant V (along an orbit and as the
@@ -51,29 +51,33 @@ MUTANTS = [
      "F = a_num * b_den * Q - b_num * a_den * P",
      "oracle denominator factor takes b with the wrong sign"),
     ("src/sixrde/oracle.py",
-     "terms.append(q / terms[n + 4])",
-     "terms.append(q / terms[n + 3])",
-     "oracle divides by x_(n-2) instead of x_(n-1)"),
+     "x_num, x_den, before = last[n % 2]",
+     "x_num, x_den, before = last[(n + 1) % 2]",
+     "oracle divides by x_n instead of x_(n-1)"),
     ("src/sixrde/oracle.py",
-     "_product(terms[j], terms[j + 2])",
-     "_product(terms[j], terms[j + 1])",
+     "_product(seeds[j], seeds[j + 2])",
+     "_product(seeds[j], seeds[j + 1])",
      "oracle's seed products multiply x_(j-5) by x_(j-4) instead of x_(j-3)"),
     ("src/sixrde/oracle.py",
      "P, Q = slots[n % 4]",
      "P, Q = slots[(n + 1) % 4]",
      "oracle step n reads the p of step n + 1"),
     ("src/sixrde/oracle.py",
-     "slots[n % 4] = q.as_integer_ratio()",
-     "slots[(n + 1) % 4] = q.as_integer_ratio()",
+     "slots[n % 4] = q_num, q_den",
+     "slots[(n + 1) % 4] = q_num, q_den",
      "oracle keeps q_n as the p of step n + 1, not n + 4"),
     ("src/sixrde/oracle.py",
      "a, b = coeffs.pair_at(n)\n        a_num, a_den",
      "a, b = coeffs.pair_at(n + 1)\n        a_num, a_den",
      "oracle step n reads the coefficients of step n + 1"),
     ("src/sixrde/oracle.py",
-     "halt = SingularityReport(n, SingularityCause.ZERO_DENOMINATOR_FACTOR)",
-     "halt = SingularityReport(n + 1, SingularityCause.ZERO_DENOMINATOR_FACTOR)",
+     "halt = SingularityReport(len(terms) - 6,",
+     "halt = SingularityReport(len(terms) - 5,",
      "oracle reports its halt one step late"),
+    ("src/sixrde/oracle.py",
+     "(kept[0] * before[2], kept[1] * before[3])",
+     "(kept[0] * before[2] + 1, kept[1] * before[3])",
+     "oracle hints a numerator ratio whose up is off by one"),
     # The invariant V along an orbit, and its affine recurrence
     ("src/sixrde/oracle.py",
      "Fraction(Q, P) for P, Q in map(_product, terms, terms[2:])",
@@ -166,6 +170,10 @@ MUTANTS = [
      "context.divide_int(context.create_decimal(digits), down), up)",
      "context.divide_int(context.create_decimal(digits), up), down)",
      "chain renderer carries digits by the inverse ratio"),
+    ("src/sixrde/core.py",
+     "hint is not None and n * hint[1] == m * hint[0]",
+     "hint is not None and True",
+     "chain renderer carries by a hint it never checks"),
     ("src/sixrde/core.py",
      "return _integer(digits[:-half]) * 10**half + _integer(digits[-half:])",
      "return _integer(digits[:-half]) * 10**half",
