@@ -238,6 +238,7 @@ class Lcg:
 # ---------------------------------------------------------------------------
 
 _CSV_HEADER = "m,exact,float\n"
+_HALT_CAUSE = oracle.SingularityCause.ZERO_DENOMINATOR_FACTOR.value  # the only cause
 
 
 def _csv_rows(m: int, values: Iterable) -> Iterator[str]:
@@ -298,8 +299,7 @@ def _cmd_iterate(spec: ProblemSpec, args, out: TextIO) -> int:
     for last_m, row in enumerate(_csv_rows(-5, terms), -5):
         out.write(row)
     if last_m < count:  # only a zero denominator factor stops the terms early
-        cause = oracle.SingularityCause.ZERO_DENOMINATOR_FACTOR.value
-        print(f"singular at step {last_m} ({cause}); orbit truncated after x_{last_m}",
+        print(f"singular at step {last_m} ({_HALT_CAUSE}); orbit truncated after x_{last_m}",
               file=sys.stderr)
         return EXIT_SINGULAR
     return EXIT_OK
@@ -327,26 +327,27 @@ def _cmd_solve(spec: ProblemSpec, args, out: TextIO) -> int:
 
 def _cmd_compare(spec: ProblemSpec, args, out: TextIO) -> int:
     """Write the report {"rows": [...], "summary": {...}} row by row, each
-    row as soon as it is formed.  Its bytes are those of
-    `json.dumps(report, indent=2, sort_keys=True) + "\\n"`: the templates
-    below lay out that encoder's indentation with the keys in sorted order,
-    and every field is an int, a bool, null, a p/q string or the fixed cause
-    string, none of which JSON escapes.  The orbit's six seeds make at least
-    one row."""
+    row as soon as the oracle forms its term, holding no orbit; as in
+    `_cmd_iterate`, a last index short of `count` is the oracle's halt.  The
+    bytes are those of `json.dumps(report, indent=2, sort_keys=True) + "\\n"`:
+    the templates lay out that encoder's indentation with the keys in sorted
+    order, and every field is an int, a bool, null, a p/q string or the
+    fixed cause string, none of which JSON escapes."""
     count = spec.horizon if args.n is None else args.n
-    orbit = oracle.iterate(spec.initial, spec.coeffs, count)
-    engines = [closedform.terms(-5, orbit.last_m, spec.initial, spec.coeffs)]
+    engines = [closedform.terms(-5, count, spec.initial, spec.coeffs)]
     try:
-        engines.append(specialcases.terms(-5, orbit.last_m, spec.initial, spec.coeffs))
+        engines.append(specialcases.terms(-5, count, spec.initial, spec.coeffs))
     except WrongCase:  # no special case covers these coefficients
         pass
-    first_mismatch = None
+    first_mismatch, m = None, -6
     out.write('{\n  "rows": [')
-    columns = zip(orbit.terms, _rendered(orbit.terms), *engines)
-    for m, (expected, (*_, text), *values) in enumerate(columns, -5):
+    # `zip` pulls the oracle first, so past a halt at step k no engine is
+    # asked for x_(k+1), where it would raise.
+    columns = zip(_rendered(oracle._terms(spec.initial, spec.coeffs, count)), *engines)
+    for m, ((p, q, text), *values) in enumerate(columns, -5):
         # An engine value equal to the oracle's reuses its text, so only a
         # mismatching value is formatted again.
-        same = [value == expected for value in values]
+        same = [value.as_integer_ratio() == (p, q) for value in values]
         cells = [text if ok else format_rational(value) for ok, value in zip(same, values)]
         match = all(same)
         if not match and first_mismatch is None:
@@ -357,10 +358,8 @@ def _cmd_compare(spec: ProblemSpec, args, out: TextIO) -> int:
             f'\n      "m": {m},\n      "match": {"true" if match else "false"},'
             f'\n      "oracle": "{text}"{special}\n    }}'
         )
-    halt = orbit.halt
-    singularity = "null" if halt is None else (
-        f'{{\n      "cause": "{halt.cause.value}",\n      "step": {halt.step}\n    }}'
-    )
+    singularity = (f'{{\n      "cause": "{_HALT_CAUSE}",\n      "step": {m}\n    }}'
+                   if m < count else "null")
     guard = closedform.well_defined(spec.initial, spec.coeffs, horizon=count // 4 + 2)
     violations = ",".join(
         f'\n      {{\n        "halt_step": {v.halt_step},\n        "j": {v.j},'

@@ -198,8 +198,9 @@ _CARRY_SHARE = 8
 def _rendered(values: Iterable) -> Iterator[tuple[int, int, str]]:
     """(p, q, `format_rational(v)`) for each v = p/q of `values`, in order.
 
-    An item is a `Fraction` or (p, q, hint), hint None or ((up, down),
-    (up, down)): |p| and q over the same parts four places earlier.
+    An item is a `Fraction`, as `solve`'s engines give, or (p, q, hint), as
+    `oracle._terms` gives (hinted from the ninth item on), hint None or
+    ((up, down), (up, down)): |p| and q over the same parts four places earlier.
 
     Values below the piece limit are formatted at once.  A larger value is
     rendered part by part (|numerator|, denominator), each carried from the

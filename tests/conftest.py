@@ -181,13 +181,20 @@ def bounded_orbit(ic, coeffs, steps: int):
     return iterate(ic, coeffs, steps)
 
 
+NONSINGULAR_DRAWS = 12  # four times the 3 draws the most demanding caller needs
+
+
 def nonsingular_instance(rng: random.Random, steps: int, kind=None):
-    """Draw instances until one survives `steps` iterations; return with orbit."""
-    while True:
+    """Draw instances until one survives `steps` iterations; return with orbit.
+    After `NONSINGULAR_DRAWS` halted draws it fails, so a fault that halts
+    every orbit fails at once instead of at the time limit."""
+    for _ in range(NONSINGULAR_DRAWS):
         ic, coeffs = random_instance(rng, kind)
         orbit = bounded_orbit(ic, coeffs, steps)
         if orbit.halt is None:
             return ic, coeffs, orbit
+    raise AssertionError(f"{NONSINGULAR_DRAWS} draws in a row halted within {steps} "
+                         "steps; no caller needs more than 3 draws")
 
 
 def range_window(rng: random.Random, orbit, top: int) -> tuple[int, int]:

@@ -63,11 +63,16 @@ def criterion(number, label):
 
 def seeded_instances(seed, count, steps, kinds=COEFF_KINDS):
     """`count` non-singular random instances surviving `steps` iterations,
-    and the number of draws that halted before them."""
+    and the number of draws that halted before them.  At most 5/4 of `count`
+    draws are made: the most any caller needs now is criterion 1's 215 for
+    200, so a fault that halts every orbit fails in under a second."""
     rng = random.Random(seed)
     out = []
     halted = 0
     while len(out) < count:
+        assert len(out) + halted < count * 5 // 4, (
+            f"{halted} of {count * 5 // 4} draws halted within {steps} steps, "
+            f"leaving {len(out)} of {count}; criterion 1 needs 215 draws for 200")
         ic = random_initial_conditions(rng)
         coeffs = random_coefficients(rng, kinds[len(out) % len(kinds)])
         orbit = bounded_orbit(ic, coeffs, steps)

@@ -292,7 +292,7 @@ def _refuse_to_compute(monkeypatch):
         raise AssertionError("computed before --out was opened")
 
     for engine in (cli.oracle, cli.closedform, cli.specialcases):
-        for name in ("iterate", "terms"):
+        for name in ("iterate", "_terms", "terms"):
             if hasattr(engine, name):
                 monkeypatch.setattr(engine, name, refuse)
 
@@ -677,6 +677,31 @@ def test_compare_streams_its_report_with_the_bytes_of_json_dumps(
     want = (dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
     assert printed == want
     assert out.read_bytes() == want
+
+
+def test_compare_renders_the_oracle_terms_and_holds_no_orbit(tmp_path, monkeypatch,
+                                                             capsys):
+    # The oracle column is `oracle._terms` itself, so the renderer gets its
+    # hints, which spare each carried part a full-height gcd.
+    path = write_spec(tmp_path, BASELINE)
+    argv = ["compare", "--spec", path, "--n", "400"]
+    assert cli.main(argv) == EXIT_OK
+    want = capsys.readouterr().out
+    real, rendered = cli._rendered, []
+
+    def refuse(*args):
+        raise AssertionError("compare built an orbit")
+
+    def recorded(values):
+        return real(rendered.append(item) or item for item in values)
+
+    monkeypatch.setattr(cli.oracle, "iterate", refuse)
+    monkeypatch.setattr(cli, "_rendered", recorded)
+    assert cli.main(argv) == EXIT_OK
+    assert capsys.readouterr().out == want
+    spec = load_problem_spec(path)
+    assert rendered == list(cli.oracle._terms(spec.initial, spec.coeffs, 400))
+    assert len(rendered) == 406 and all(hint is not None for *_, hint in rendered[8:])
 
 
 def _with_coeffs(coeffs, horizon=8):

@@ -8,7 +8,7 @@ whose run also gives test_cli.py its count of the digit conversions each
 residue chain starts afresh; `compare` and `verify-symmetry` run in a child
 `python -m sixrde`.  `iterate` at N = 1600 takes about 0.55 s (0.25 s of
 it the oracle, the rest rendering and writing) and `solve` about 0.8 s,
-`compare` at N = 800 about 0.3 s and `verify-symmetry` under 0.1 s; they
+`compare` at N = 800 about 0.17 s and `verify-symmetry` under 0.1 s; they
 always run.  The rest (`compare` at N = 1600, `solve --engine auto` and the
 other N = 800 pins) take about as long again together and need about 100 MB
 of temporary space, so they are skipped unless SIXRDE_LARGE_N is

@@ -192,6 +192,15 @@ MUTANTS = [
      "return EXIT_OK",
      "compare exits 0 on a mismatch"),
     ("src/sixrde/cli.py",
+     "columns = zip(_rendered(oracle._terms(spec.initial, spec.coeffs, count)), *engines)",
+     "columns = ((o, *e) for *e, o in zip(*engines, _rendered(oracle._terms(spec.initial,"
+     " spec.coeffs, count))))",
+     "compare's oracle column is not first: a halt makes the closed form raise"),
+    ("src/sixrde/cli.py",
+     'if m < count else "null")',
+     'if m <= count else "null")',
+     "compare reports a halt at the last index"),
+    ("src/sixrde/cli.py",
      "horizon=count // 4 + 2)",
      "horizon=count // 4 + 1)",
      "compare's guard misses a halt at the last step"),
