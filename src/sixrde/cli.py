@@ -308,7 +308,7 @@ def _cmd_iterate(spec: ProblemSpec, args, out: TextIO) -> int:
 def _cmd_solve(spec: ProblemSpec, args, out: TextIO) -> int:
     lo, hi = (-5, spec.horizon) if args.range is None else args.range
     engine = closedform if args.engine == "general" else specialcases
-    values = engine.terms(lo, hi, spec.initial, spec.coeffs)
+    values = engine._items(lo, hi, spec.initial, spec.coeffs)
     out.write(_CSV_HEADER)
     m = lo
     try:
@@ -334,9 +334,9 @@ def _cmd_compare(spec: ProblemSpec, args, out: TextIO) -> int:
     order, and every field is an int, a bool, null, a p/q string or the
     fixed cause string, none of which JSON escapes."""
     count = spec.horizon if args.n is None else args.n
-    engines = [closedform.terms(-5, count, spec.initial, spec.coeffs)]
+    engines = [closedform._items(-5, count, spec.initial, spec.coeffs)]
     try:
-        engines.append(specialcases.terms(-5, count, spec.initial, spec.coeffs))
+        engines.append(specialcases._items(-5, count, spec.initial, spec.coeffs))
     except WrongCase:  # no special case covers these coefficients
         pass
     first_mismatch, m = None, -6
@@ -347,8 +347,9 @@ def _cmd_compare(spec: ProblemSpec, args, out: TextIO) -> int:
     for m, ((p, q, text), *values) in enumerate(columns, -5):
         # An engine value equal to the oracle's reuses its text, so only a
         # mismatching value is formatted again.
-        same = [value.as_integer_ratio() == (p, q) for value in values]
-        cells = [text if ok else format_rational(value) for ok, value in zip(same, values)]
+        same = [(num, den) == (p, q) for num, den, _ in values]
+        cells = [text if ok else format_rational(Fraction(num, den))
+                 for ok, (num, den, _) in zip(same, values)]
         match = all(same)
         if not match and first_mismatch is None:
             first_mismatch = m

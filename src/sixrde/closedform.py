@@ -15,14 +15,16 @@ telescoping:
 `v_closed` transcribes the product/sum literally (O(n^2) per V) and
 serves as the independent check.  Everything else reads V from one
 lazily extended table: one column per residue class, grown by the affine
-step itself, each new V built from the integer parts of a, b and the last
-V with one rational normalisation (one gcd of small numbers).  The terms
+step itself, each new V a reduced integer pair built from the integer
+parts of a, b and the last V with one gcd of small numbers.  The terms
 are the shared telescoping product `core._Telescope` over the factor
 sequence f(k) = V_k of that table; it states the block memo, the check
-order and the per-thread slot rule.  `term`, `terms`, `well_defined` and
+order, the per-thread slot rule and the block step on integer parts.
+`term`, `terms`, `_items` (the CLI's), `well_defined` and
 `unified_exponent` all read this engine's slot, keyed on (ic, coeffs), so
 x_lo..x_hi costs O(1) rational operations per term whether asked as one
-range or index by index, in any order.  The slot holds every x formed, O(N^3) bits up to x_N.
+range or index by index, in any order.  The slot holds every x formed,
+O(N^3) bits up to x_N.
 
 A vanishing V in a denominator is exactly the well-definedness failure of
 the closed form, and corresponds one-to-one with the direct iteration
@@ -110,32 +112,32 @@ class _InvariantTable:
 
     Column j starts at the seed invariant V_j and grows by the affine step
     V_(k+4) = a_k * V_k + b_k, one coefficient pair per block, so it reads
-    no coefficient beyond what the largest requested V needs.  With
-    a_k = a_num/a_den, b_k = b_num/b_den and V_k = v_num/v_den, each step
-    is the single normalisation
+    no coefficient beyond what the largest requested V needs.  Each V is
+    stored as a reduced pair (v_num, v_den), v_den > 0.  With
+    a_k = a_num/a_den and b_k = b_num/b_den, each step reduces
 
-        V_(k+4) = Fraction(a_num*b_den*v_num + b_num*a_den*v_den,
-                           a_den*b_den*v_den)
+        (a_num*b_den*v_num + b_num*a_den*v_den) / (a_den*b_den*v_den)
 
-    of small integers, rather than a `Fraction` product and a sum, each
-    with its own gcds.  Called with k it returns V_k, the telescope's
-    factor sequence.
+    by one gcd of small integers, rather than a `Fraction` product and a
+    sum, each with its own gcds.  Called with k it returns V_k's pair, the
+    telescope's factor sequence.
     """
 
     def __init__(self, ic: InitialConditions, coeffs: CoefficientSequence):
         self._coeffs = coeffs
-        self._columns = [[1 / ic.seed_product(j)] for j in range(4)]
+        self._columns = [[(1 / ic.seed_product(j)).as_integer_ratio()] for j in range(4)]
 
-    def __call__(self, k: int) -> Fraction:
+    def __call__(self, k: int) -> tuple[int, int]:
         r, t = k % 4, k // 4
         column = self._columns[r]
         while len(column) <= t:
             a, b = self._coeffs.pair_at(4 * (len(column) - 1) + r)
-            v = column[-1]
-            a_d, b_d, v_d = a.denominator, b.denominator, v.denominator
-            column.append(Fraction(
-                a.numerator * b_d * v.numerator + b.numerator * a_d * v_d,
-                a_d * b_d * v_d))
+            v_num, v_den = column[-1]
+            a_d, b_d = a.denominator, b.denominator
+            num = a.numerator * b_d * v_num + b.numerator * a_d * v_den
+            den = a_d * b_d * v_den
+            g = math.gcd(num, den)
+            column.append((num // g, den // g))
         return column[t]
 
 
@@ -150,6 +152,11 @@ def terms(
     """
     telescope = _solved("closedform", _InvariantTable, ic, coeffs)
     return (telescope.x(m) for m in range(lo, hi + 1))
+
+
+def _items(lo: int, hi: int, ic: InitialConditions, coeffs: CoefficientSequence):
+    """`terms` as `_Telescope.items` gives them, (num, den, hint), for the CLI."""
+    return _solved("closedform", _InvariantTable, ic, coeffs).items(lo, hi)
 
 
 def term(m: int, ic: InitialConditions, coeffs: CoefficientSequence) -> Fraction:
@@ -232,10 +239,10 @@ def well_defined(
     violations = []
     for v_index in range(4, 4 * horizon + 6):
         try:
-            v = table(v_index)
+            v_num, _ = table(v_index)
         except OutOfHorizon:
             break
-        if v == 0:
+        if v_num == 0:
             violations.append(WellDefViolation(v_index))
     return WellDefinednessReport(horizon=horizon, violations=tuple(violations))
 
@@ -264,13 +271,13 @@ def unified_exponent(
     if n % 4 >= 2:
         total = -total
     for k in range(n):
-        v = table(k)
-        if v == 0:
+        v_num, v_den = table(k)
+        if v_num == 0:
             raise SingularClosedForm(k)
         if (n - k) % 4 == 0:
-            total += log_abs(v)
+            total += math.log(abs(v_num)) - math.log(v_den)
         elif (n - k) % 4 == 2:
-            total -= log_abs(v)
+            total -= math.log(abs(v_num)) - math.log(v_den)
     return total
 
 

@@ -4,11 +4,12 @@ All quantities are exact arbitrary-precision rationals (`fractions.Fraction`,
 always in canonical form): the recurrence, its coefficients and its symmetry
 characteristics are real, so the package holds no complex value.  Values
 are immutable and safe to share between threads; the mutable `_Telescope`
-block memos live in per-thread slots (`_solved`).  Text conversion touches
-no process state: it never reads or changes the int/str digit limit, and the
-run renderer (`_rendered`) does its `decimal` arithmetic in one private
-context, through that context's own methods, so no thread's decimal context
-is read or set.
+block memos live in per-thread slots (`_solved`), each block with the
+cofactors against the one before it that `_rendered` carries digits by.
+Text conversion touches no process state: it never reads or changes the
+int/str digit limit, and the run renderer (`_rendered`) does its `decimal`
+arithmetic in one private context, through that context's own methods, so
+no thread's decimal context is read or set.
 
 Every record in the package is a slotted class on one private base,
 `_Record`, rather than a dataclass, which would import `inspect` at
@@ -196,11 +197,10 @@ _CARRY_SHARE = 8
 
 
 def _rendered(values: Iterable) -> Iterator[tuple[int, int, str]]:
-    """(p, q, `format_rational(v)`) for each v = p/q of `values`, in order.
-
-    An item is a `Fraction`, as `solve`'s engines give, or (p, q, hint), as
-    `oracle._terms` gives (hinted from the ninth item on), hint None or
-    ((up, down), (up, down)): |p| and q over the same parts four places earlier.
+    """(p, q, `format_rational(p/q)`) for each item (p, q, hint) of
+    `values`, in order: a reduced pair, q > 0, and a hint None or
+    ((up, down), (up, down)), |p| and q over the same parts four places
+    earlier, as `oracle._terms` and `_Telescope.items` give.
 
     Values below the piece limit are formatted at once.  A larger value is
     rendered part by part (|numerator|, denominator), each carried from the
@@ -212,8 +212,7 @@ def _rendered(values: Iterable) -> Iterator[tuple[int, int, str]]:
     small restarts its chain with `_digits`.
     """
     chains = [[None, None] for _ in range(4)]  # (part, its digits) per class
-    for i, value in enumerate(values):
-        p, q, hint = value if value.__class__ is tuple else (value.numerator, value.denominator, None)
+    for i, (p, q, hint) in enumerate(values):
         if -_PIECE_LIMIT < p < _PIECE_LIMIT and q < _PIECE_LIMIT:
             yield p, q, f"{p}/{q}"
             continue
@@ -492,14 +491,20 @@ class _Telescope:
         x_(4n-5+j) = u_j * prod( f(4s+j) / f(4s+j+2), s < n ),   j = 0..3.
 
     The closed form reads f(k) = V_k and the special cases
-    f(4t+r) = u_top*F_r(t).  Each class keeps x at every block formed so far
-    (block 0 is the seed u_j), so a term past them costs one factor ratio per
-    missing block.  Every factor a query needs is formed before any is
-    checked, so a short explicit list raises `OutOfHorizon` first; then at
-    each new block, k = 4s+j, the denominator f(k+2) is checked before the
-    numerator f(k), each as `SingularClosedForm` of its own index, and a
-    block is stored only once both passed, so a failed query raises the same
-    error when repeated.
+    f(4t+r) = u_top*F_r(t), each as a reduced pair (num, den), den > 0.
+    Each class keeps x at every block formed so far (block 0 is the seed
+    u_j), so a term past them costs one factor ratio per missing block.
+    Every factor a query needs is formed before any is checked, so a short
+    explicit list raises `OutOfHorizon` first; then at each new block,
+    k = 4s+j, the denominator f(k+2) is checked before the numerator f(k),
+    each as `SingularClosedForm` of its own index, and a block is stored
+    only once both passed, so a failed query raises the same error when
+    repeated.
+
+    A block step runs on integer parts with the four gcds `Fraction` would
+    run, two to reduce f(k)/f(k+2) and two to cross-cancel it against x, and
+    keeps its parts' cofactors over the block before it: the hint that
+    `_rendered` carries their digits by.
 
     Each engine keeps the last instance it solved in one slot per thread
     (`_solved`), found again by equality of `(ic, coeffs)`.
@@ -508,6 +513,7 @@ class _Telescope:
     def __init__(self, seeds: Sequence[Fraction], f):
         self.f = f
         self._blocks = [[seeds[j]] for j in range(4)]
+        self._parts = [[(*seeds[j].as_integer_ratio(), None)] for j in range(4)]
 
     def x(self, m: int) -> Fraction:
         if m < -5:
@@ -519,17 +525,37 @@ class _Telescope:
             # Each column extends up to its last factor, forming every one.
             f(last)
             f(last + 2)
+            parts, gcd = self._parts[j], math.gcd
+            x_num, x_den, _ = parts[-1]
             for k in range(4 * len(blocks) - 4 + j, last + 1, 4):
-                den = f(k + 2)
-                if den == 0:
+                d_num, d_den = f(k + 2)
+                if d_num == 0:
                     raise SingularClosedForm(k + 2)
                 # A zero numerator means the orbit already died on the class
                 # where that factor is a denominator; its own index reports it.
-                num = f(k)
-                if num == 0:
+                n_num, n_den = f(k)
+                if n_num == 0:
                     raise SingularClosedForm(k)
-                blocks.append(blocks[-1] * (num / den))
+                # f(k)/f(k+2) = r_num/r_den, reduced as division does, r_den > 0
+                g1 = gcd(n_num, d_num) if d_num > 0 else -gcd(n_num, d_num)
+                g2 = gcd(d_den, n_den)
+                r_num, r_den = (n_num // g1) * (d_den // g2), (d_num // g1) * (n_den // g2)
+                g1, g2 = gcd(x_num, r_den), gcd(r_num, x_den)
+                if g1 > 1:  # as `Fraction.__mul__`: no full-height division by 1
+                    x_num, r_den = x_num // g1, r_den // g1
+                if g2 > 1:
+                    x_den, r_num = x_den // g2, r_num // g2
+                x_num, x_den = x_num * r_num, x_den * r_den
+                blocks.append(_reduced(x_num, x_den))
+                parts.append((x_num, x_den, ((abs(r_num), g1), (r_den, g2))))
         return blocks[n]
+
+    def items(self, lo: int, hi: int) -> Iterator[tuple]:
+        """(num, den, hint) of x_lo, ..., x_hi: hint None for a seed, else
+        the block's cofactors against the block before it."""
+        for m in range(lo, hi + 1):
+            self.x(m)
+            yield self._parts[(m + 5) % 4][(m + 5) // 4]
 
 
 _SLOTS = threading.local()

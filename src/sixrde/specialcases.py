@@ -14,13 +14,13 @@ C_r = k_r/(1 - a_r), D_r = 1 - C_r (1 + k_r*t when a_r = 1), and
 top = 4, 5, 0, 1 for r = 0..3.  That class states the block memo, the check
 order and the per-thread slot rule (this engine keeps its own slot, keyed
 on (ic, coeffs)).  C and D are formed once per class; a^t is carried as
-the integer pair (a_num^t, a_den^t), so each u_top*F is one rational
-normalisation of small integers, with no `Fraction` product or sum (F is
-never stepped by its affine recurrence, so the engine stays independent of
-the closed form's V table), and a block costs one multiply of the
-full-height x by the small factor ratio.  The factors are evaluated here
-rather than read from the general closed form, so the test suite can
-cross-check the two against each other and against direct iteration.
+the integer pair (a_num^t, a_den^t), so each u_top*F is a reduced pair
+made with one gcd of small integers (F is never stepped by its affine
+recurrence, so the engine stays independent of the closed form's V
+table), and a block multiplies each part of x by a small cofactor.  The
+factors are evaluated here rather than read from the general closed form,
+so the test suite can cross-check the two against each other and against
+direct iteration.
 
 The engine has the closed form's two entry points, `term(m, ic, coeffs)`
 and `terms(lo, hi, ic, coeffs)`.  A constant or 1-, 2- or 4-periodic
@@ -49,6 +49,7 @@ the constant sequence (1, b) or (-1, b).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -101,8 +102,8 @@ def _line(a: Fraction, k: Fraction, seed: Fraction) -> list:
 
 
 class _Factors:
-    """u_top*F_r(t) per class r at every t formed so far; called with
-    k = 4t+r, the telescope's factor sequence."""
+    """u_top*F_r(t) per class r at every t formed so far, a reduced pair
+    (num, den), den > 0; called with k = 4t+r, the telescope's factors."""
 
     def __init__(self, ic: InitialConditions, coeffs: CoefficientSequence):
         self._columns = [[] for _ in range(4)]
@@ -110,16 +111,18 @@ class _Factors:
                              ic.values[top])
                        for r, top in enumerate(_TOP)]
 
-    def __call__(self, k: int) -> Fraction:
-        """u_top*F_r(t), extending class r's column with one normalisation
-        of small integers per t and no `Fraction` product or sum."""
+    def __call__(self, k: int) -> tuple[int, int]:
+        """u_top*F_r(t), extending class r's column with one gcd of small
+        integers per t and no `Fraction` at all."""
         r, t = k % 4, k // 4
         column = self._columns[r]
         if len(column) <= t:
             line = self._lines[r]
             c, d, e, a_num, a_den, p, q = line
             while len(column) <= t:
-                column.append(Fraction(c * q + d * p, e * q))
+                num, den = c * q + d * p, e * q
+                g = math.gcd(num, den)
+                column.append((num // g, den // g))
                 if a_num == a_den:  # a = 1
                     p += 1
                 else:
@@ -159,6 +162,11 @@ def terms(
     there."""
     telescope = _covered(ic, coeffs)
     return (telescope.x(m) for m in range(lo, hi + 1))
+
+
+def _items(lo: int, hi: int, ic: InitialConditions, coeffs: CoefficientSequence):
+    """`terms` as `_Telescope.items` gives them, (num, den, hint), for the CLI."""
+    return _covered(ic, coeffs).items(lo, hi)
 
 
 term_const_general = term_periodic2 = term_periodic4 = term

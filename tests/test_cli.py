@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from sixrde import (
     cli,
+    core,
     counterfeit_characteristic,
     format_rational,
     iterate,
@@ -47,6 +48,7 @@ from conftest import (
     BASELINE,
     FRESH_CONVERSIONS,
     child_env,
+    count_fresh_conversions,
     random_coefficients,
     random_initial_conditions,
     run_on_baseline,
@@ -292,7 +294,7 @@ def _refuse_to_compute(monkeypatch):
         raise AssertionError("computed before --out was opened")
 
     for engine in (cli.oracle, cli.closedform, cli.specialcases):
-        for name in ("iterate", "_terms", "terms"):
+        for name in ("iterate", "_terms", "_items"):
             if hasattr(engine, name):
                 monkeypatch.setattr(engine, name, refuse)
 
@@ -433,14 +435,14 @@ def test_compare_fails_in_mid_report_before_its_engine_runs_out(tmp_path, monkey
     # compare writes each row as it is formed, so a write that fails early
     # stops the run before the closed form has yielded all 36 values.
     path = write_spec(tmp_path, ones_spec(a="2", b="1/3", horizon=30))
-    real, yielded = cli.closedform.terms, []
+    real, yielded = cli.closedform._items, []
 
     def counted(*args):
         for value in real(*args):
             yielded.append(value)
             yield value
 
-    monkeypatch.setattr(cli.closedform, "terms", counted)
+    monkeypatch.setattr(cli.closedform, "_items", counted)
     monkeypatch.setattr(cli, "_output", _output_failing_on_row(4))
     out = tmp_path / "report.json"
     out.write_text("earlier\n")
@@ -463,13 +465,13 @@ def test_a_list_solve_past_its_end_runs_the_engine_once(tmp_path, monkeypatch, c
     data["coeffs"] = {"kind": "list", "a": ["1"] * 3, "b": b}
     path = write_spec(tmp_path, data)
     calls = []
-    real_terms = cli.closedform.terms
+    real_items = cli.closedform._items
 
-    def counted_terms(*args):
+    def counted_items(*args):
         calls.append(args)
-        return real_terms(*args)
+        return real_items(*args)
 
-    monkeypatch.setattr(cli.closedform, "terms", counted_terms)
+    monkeypatch.setattr(cli.closedform, "_items", counted_items)
     assert cli.main(["solve", "--spec", path]) == code
     out = capsys.readouterr().out
     assert out.count("\n") == (rows + 1 if rows else 0)
@@ -704,6 +706,28 @@ def test_compare_renders_the_oracle_terms_and_holds_no_orbit(tmp_path, monkeypat
     assert len(rendered) == 406 and all(hint is not None for *_, hint in rendered[8:])
 
 
+@pytest.mark.parametrize("engine", ["general", "auto"])
+def test_the_engine_hints_spare_solves_renderer_every_full_height_gcd(tmp_path, monkeypatch,
+                                                                     capsys, engine):
+    # The first run fills the engine's slot, so every gcd of the second is
+    # the renderer's: each reduces a block's cofactors, two small operands,
+    # and a part the renderer carries is at least the piece limit.
+    path = write_spec(tmp_path, BASELINE)
+    assert cli.main(["iterate", "--spec", path, "--n", "800"]) == EXIT_OK
+    want = capsys.readouterr().out
+    argv = ["solve", "--spec", path, "--range", "-5..800", "--engine", engine]
+    assert cli.main(argv) == EXIT_OK
+    assert capsys.readouterr().out == want
+    operands, gcd = [], math.gcd
+    monkeypatch.setattr(math, "gcd", lambda a, b: operands.append(max(a, b)) or gcd(a, b))
+    fresh = count_fresh_conversions(monkeypatch)
+    assert cli.main(argv) == EXIT_OK
+    monkeypatch.undo()
+    assert capsys.readouterr().out == want
+    assert 1 <= len(fresh) <= FRESH_CONVERSIONS
+    assert len(operands) > 1000 and max(operands) < core._PIECE_LIMIT
+
+
 def _with_coeffs(coeffs, horizon=8):
     return dict(ones_spec(horizon=horizon), coeffs=coeffs)
 
@@ -747,7 +771,7 @@ def test_compare_report_has_the_bytes_of_json_dumps_in_every_shape(
         tmp_path, monkeypatch, capsys, data, argv, corrupt, code, shape):
     for name, at in corrupt.items():
         engine = getattr(cli, name)
-        monkeypatch.setattr(engine, "terms", _corrupting(engine.terms, at))
+        monkeypatch.setattr(engine, "_items", _corrupting(engine._items, at))
     assert cli.main(["compare", "--spec", write_spec(tmp_path, data), *argv]) == code
     printed = capsys.readouterr().out
     report = json.loads(printed)
@@ -755,11 +779,11 @@ def test_compare_report_has_the_bytes_of_json_dumps_in_every_shape(
     assert printed == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _corrupting(real_terms, at=3):
-    """A range engine like `real_terms` whose x_at is off by one."""
+def _corrupting(real_items, at=3):
+    """A range engine like `real_items` whose x_at is off by one."""
     def corrupted(lo, hi, *args):
-        for m, value in enumerate(real_terms(lo, hi, *args), lo):
-            yield value + 1 if m == at else value
+        for m, (num, den, hint) in enumerate(real_items(lo, hi, *args), lo):
+            yield (num + den, den, None) if m == at else (num, den, hint)
     return corrupted
 
 
@@ -786,7 +810,7 @@ def test_a_neg1_runs_the_shared_product(tmp_path, monkeypatch, capsys, kind):
 
     def corrupted(*instance):
         telescope = real(*instance)
-        return SimpleNamespace(x=lambda m: telescope.x(m) + 1 if m == 3 else telescope.x(m))
+        return SimpleNamespace(items=_corrupting(telescope.items))
 
     monkeypatch.setattr(cli.specialcases, "_covered", corrupted)
     assert cli.main(["compare", "--spec", path]) == EXIT_MISMATCH

@@ -136,9 +136,11 @@ def test_each_v_costs_one_normalisation_and_no_product_or_sum(monkeypatch, a):
     got = [table(k) for k in range(48)]
     monkeypatch.undo()
     assert len(normalisations) == 44  # every V past the four seeds
-    assert got == [v_closed(k % 4, k // 4, ic, coeffs) for k in range(48)]
+    # Each V is stored as its reduced pair, denominator positive.
+    assert got == [v_closed(k % 4, k // 4, ic, coeffs).as_integer_ratio() for k in range(48)]
+    v = [Fraction(*pair) for pair in got]
     for k in range(44):
-        assert got[k + 4] == coeffs.a_at(k) * got[k] + coeffs.b_at(k)
+        assert v[k + 4] == coeffs.a_at(k) * v[k] + coeffs.b_at(k)
 
 
 # ---------------------------------------------------------------------------

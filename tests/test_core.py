@@ -147,6 +147,11 @@ def _runs_to_render():
     return runs
 
 
+def unhinted(values):
+    """The renderer's items for `values`, with no hint."""
+    return ((v.numerator, v.denominator, None) for v in values)
+
+
 @pytest.fixture(scope="module")
 def runs_to_render():
     return _runs_to_render()
@@ -155,7 +160,7 @@ def runs_to_render():
 def test_the_chain_renderer_writes_what_format_rational_writes(runs_to_render):
     for name, values in runs_to_render.items():
         want = [(v.numerator, v.denominator, format_rational(v)) for v in values]
-        assert list(core._rendered(values)) == want, name
+        assert list(core._rendered(unhinted(values))) == want, name
 
 
 def test_a_value_whose_cofactors_are_large_restarts_its_chain(monkeypatch):
@@ -166,7 +171,7 @@ def test_a_value_whose_cofactors_are_large_restarts_its_chain(monkeypatch):
     values = [Fraction(rng.getrandbits(10_000) | 1 << 9_999 | 1) for _ in range(12)]
     want = [format_rational(v) for v in values]
     fresh = count_fresh_conversions(monkeypatch)
-    assert [text for *_, text in core._rendered(values)] == want
+    assert [text for *_, text in core._rendered(unhinted(values))] == want
     assert fresh == [v.numerator for v in values]  # 12 of 12
 
 
@@ -179,7 +184,7 @@ def test_the_chain_renderer_ignores_and_keeps_the_thread_decimal_context(runs_to
         decimal.FloatOperation])
     with decimal.localcontext(strict) as context:
         before = repr(context)
-        assert [text for *_, text in core._rendered(values)] == want
+        assert [text for *_, text in core._rendered(unhinted(values))] == want
         assert decimal.getcontext() is context and repr(context) == before
 
 
@@ -218,7 +223,7 @@ def test_the_oracle_hints_spare_the_renderer_every_full_height_gcd(monkeypatch):
     # The hint's up/down is reduced by a gcd of two small operands; a part
     # the renderer carries is at least the piece limit, so no gcd reaches it.
     items = _baseline_terms(800)
-    want = [text for *_, text in core._rendered([Fraction(p, q) for p, q, _ in items])]
+    want = [text for *_, text in core._rendered((p, q, None) for p, q, _ in items)]
     operands, gcd = [], core.math.gcd
     monkeypatch.setattr(core.math, "gcd", lambda a, b: operands.append(max(a, b)) or gcd(a, b))
     fresh = count_fresh_conversions(monkeypatch)

@@ -1,6 +1,7 @@
 """Each engine's per-thread slot for the last solved instance, checked
 against direct iteration: query order, instance switches, equal copies,
-repeated failures, threads, and the coefficient lookups point queries make."""
+repeated failures, threads, the coefficient lookups point queries make, and
+each block's cofactors and cost."""
 
 import random
 import sys
@@ -14,6 +15,8 @@ from sixrde import (
     InitialConditions,
     OutOfHorizon,
     SingularClosedForm,
+    closedform,
+    core,
     iterate,
     specialcases,
     term,
@@ -23,6 +26,7 @@ from sixrde import (
 
 from conftest import (
     ENGINES,
+    count_normalisations,
     nonsingular_instance,
     random_initial_conditions,
     random_instance,
@@ -252,3 +256,53 @@ def test_special_case_constants_are_formed_once_per_instance():
         assert len(list(specialcases.terms(-5, top, ic, coeffs))) == top + 6
         counts.append(ic.calls)
     assert counts[0] == counts[1] > 0
+
+
+#: Each engine's point query, range of (num, den, hint) items and factor sequence.
+ITEMS = {"closedform": (term, closedform._items, closedform._InvariantTable),
+         "specialcases": (specialcases.term, specialcases._items, specialcases._Factors)}
+items_engines = pytest.mark.parametrize("point, items, factors", ITEMS.values(), ids=ITEMS)
+
+
+@items_engines
+@pytest.mark.parametrize("instance", [regular(319), halting(332)], ids=["regular", "halting"])
+def test_each_hint_is_each_parts_ratio_to_the_same_part_four_terms_back(
+        point, items, factors, instance):
+    # Cold ranges from the first seed and from part-way through every class,
+    # and ranges that start behind the frontier an earlier query left.
+    ic, coeffs, orbit = instance
+    last = orbit.last_m
+    for lo, before in ((-5, None), (2, None), (2, last), (-3, 9), (6, last // 2)):
+        start_cold()
+        if before is not None:
+            point(before, ic, coeffs)
+        got = list(items(lo, last, ic, coeffs))
+        assert [(p, q) for p, q, _ in got] == [
+            orbit.x(m).as_integer_ratio() for m in range(lo, last + 1)]
+        for m, (p, q, hint) in enumerate(got, lo):
+            if m < -1:  # a seed block
+                assert hint is None
+                continue
+            (up, down), (q_up, q_down) = hint
+            p4, q4 = orbit.x(m - 4).as_integer_ratio()
+            assert abs(p) * down == abs(p4) * up and q * q_down == q4 * q_up
+    if orbit.halt is not None:
+        with pytest.raises(SingularClosedForm):
+            list(items(last + 1, last + 1, ic, coeffs))
+
+
+@items_engines
+def test_each_block_costs_four_gcds_and_no_fraction_arithmetic(monkeypatch, point, items,
+                                                                factors):
+    # With every factor formed first, a new block runs the two small gcds
+    # that reduce its factor ratio and the two that cross-cancel that ratio
+    # against the block before it, and no `Fraction` operation.
+    ic, coeffs, orbit = regular(320)
+    telescope = core._Telescope(ic.values, factors(ic, coeffs))
+    for k in range(TOP + 8):
+        telescope.f(k)
+    normalisations = count_normalisations(monkeypatch)
+    got = [telescope.x(m) for m in range(-5, TOP + 1)]
+    monkeypatch.undo()
+    assert len(normalisations) == 4 * (TOP + 2)  # every block past the four seeds
+    assert got == list(orbit.terms)

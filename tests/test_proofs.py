@@ -278,8 +278,8 @@ def test_factor_matches_the_code(coeff_a):
     for r, top in enumerate(specialcases._TOP):
         at = {a: coeff_a, k: AT[b] * ic.seed_product(r)}
         for step in range(6):
-            code = factors(4 * step + r)
-            assert code == SAMPLE_PARITY[r % 2] * table(4 * step + r)
+            code = Fraction(*factors(4 * step + r))
+            assert code == SAMPLE_PARITY[r % 2] * Fraction(*table(4 * step + r))
             assert sp.Rational(code / SAMPLE_SEEDS[top]) == factor(step).subs(at)
 
 
@@ -301,23 +301,41 @@ def test_top_seed_completes_the_parity_product():
 
 @pytest.mark.parametrize("j", range(4))
 def test_denominator_factor_is_two_past_the_numerator(j):
-    # Block s of class j divides by V_(4s+j+2), a class of the same parity
-    # as j; over a symbolic V the telescope reads exactly those V.
-    V = sp.Function("V")
-    telescope = core._Telescope(U, V)
+    # Block s of class j divides by f(4s+j+2), a class of the same parity as
+    # j.  With f(k) the (k+1)-th prime and the seeds primes past all of them,
+    # each term's factorisation names exactly the factors its blocks read,
+    # and each new block asks for f(k+2) before f(k).
+    prime = lambda i: int(sp.prime(i + 1))
+    asked = []
+
+    def f(k):
+        asked.append(k)
+        return prime(k), 1
+
+    telescope = core._Telescope([Fraction(prime(100 + i)) for i in range(6)], f)
     for n in range(5):
-        product = U[j] * sp.Mul(*(V(4 * i + j) / V(4 * i + j + 2) for i in range(n)))
-        assert sp.simplify(telescope.x(4 * n - 5 + j) - product) == 0
+        asked.clear()
+        x = telescope.x(4 * n - 5 + j)
+        k = 4 * n - 4 + j  # the factor index of the new block
+        assert asked == ([k, k + 2, k + 2, k] if n else [])
+        assert sp.factorint(x.numerator) == {prime(100 + j): 1,
+                                             **{prime(4 * i + j): 1 for i in range(n)}}
+        assert sp.factorint(x.denominator) == {prime(4 * i + j + 2): 1 for i in range(n)}
 
 
 @SAMPLE_A
 def test_special_case_blocks_take_the_v_ratio_at_the_sample(coeff_a):
+    # Read from the stored parts: each block over the one before it is the V
+    # ratio, and its cofactors are that ratio's magnitude part by part.
     ic, factors, table = sample_engines(coeff_a)
-    special = core._Telescope(ic.values, factors)
+    items = list(core._Telescope(ic.values, factors).items(-5, 22))
     for j in range(4):
         for n in range(6):
-            m = 4 * n - 5 + j
-            assert special.x(m + 4) / special.x(m) == table(4 * n + j) / table(4 * n + j + 2)
+            (num, den, _), (num4, den4, hint) = items[4 * n + j], items[4 * n + j + 4]
+            ratio = Fraction(num4 * den, den4 * num)
+            assert ratio == Fraction(*table(4 * n + j)) / Fraction(*table(4 * n + j + 2))
+            (up, down), (q_up, q_down) = hint
+            assert abs(ratio) == Fraction(up * q_down, down * q_up)
 
 
 # ---------------------------------------------------------------------------

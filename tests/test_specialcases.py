@@ -134,11 +134,12 @@ def test_each_factor_costs_one_normalisation_and_no_product_or_sum(monkeypatch, 
     got = [factors(k) for k in range(48)]
     monkeypatch.undo()
     assert len(normalisations) == 48
-    for k, value in enumerate(got):
+    for k, pair in enumerate(got):
         r, t = k % 4, k // 4
         a_r, k_r = coeffs.a_at(r), coeffs.b_at(r) * ic.seed_product(r)
         f = 1 + k_r * t if a_r == 1 else a_r**t + k_r * (1 - a_r**t) / (1 - a_r)
-        assert value == ic.values[(4, 5, 0, 1)[r]] * f
+        # Each factor is stored as its reduced pair, denominator positive.
+        assert pair == (ic.values[(4, 5, 0, 1)[r]] * f).as_integer_ratio()
 
 
 # ---------------------------------------------------------------------------

@@ -89,9 +89,13 @@ MUTANTS = [
      "invariant residual takes V_(n+4) = a V_n - b_n"),
     # The closed form's V table
     ("src/sixrde/closedform.py",
-     "a.numerator * b_d * v.numerator + b.numerator * a_d * v_d,",
-     "a.numerator * b_d * v.numerator - b.numerator * a_d * v_d,",
+     "num = a.numerator * b_d * v_num + b.numerator * a_d * v_den",
+     "num = a.numerator * b_d * v_num - b.numerator * a_d * v_den",
      "V table steps with b of the wrong sign"),
+    ("src/sixrde/closedform.py",
+     "column.append((num // g, den // g))",
+     "column.append((num, den))",
+     "V table stores each V unreduced"),
     ("src/sixrde/closedform.py",
      "for k2 in range(l + 1, n):",
      "for k2 in range(l, n):",
@@ -102,9 +106,17 @@ MUTANTS = [
      "self._blocks = [[seeds[j + 1]] for j in range(4)]",
      "each class starts from the next class's seed"),
     ("src/sixrde/core.py",
-     "blocks.append(blocks[-1] * (num / den))",
-     "blocks.append(blocks[-1] * (den / num))",
+     "r_num, r_den = (n_num // g1) * (d_den // g2), (d_num // g1) * (n_den // g2)",
+     "r_den, r_num = (n_num // g1) * (d_den // g2), (d_num // g1) * (n_den // g2)",
      "telescope takes the inverse factor ratio"),
+    ("src/sixrde/core.py",
+     "g2 = gcd(d_den, n_den)",
+     "g2 = 1",
+     "telescope reduces the factor ratio by the numerators' gcd only"),
+    ("src/sixrde/core.py",
+     "((abs(r_num), g1), (r_den, g2))",
+     "((abs(r_num), g2), (r_den, g1))",
+     "telescope hints each part by the other part's cross-cancelled gcd"),
     ("src/sixrde/core.py",
      "raise SingularClosedForm(k + 2)",
      "raise SingularClosedForm(k)",
