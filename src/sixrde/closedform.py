@@ -15,9 +15,9 @@ telescoping:
 `v_closed` transcribes the product/sum literally (O(n^2) per V) and
 serves as the independent check.  Everything else reads V from one
 lazily extended table: one column per residue class, grown by the affine
-step itself, each new V a reduced integer pair built from the integer
-parts of a, b and the last V with one gcd of small numbers.  The terms
-are the shared telescoping product `core._Telescope` over the factor
+step itself, each new V a reduced integer pair built from the
+coefficients' step-table row and the last V with one gcd of small numbers.
+The terms are the shared telescoping product `core._Telescope` over the factor
 sequence f(k) = V_k of that table; it states the block memo, the check
 order, the per-thread slot rule and the block step on integer parts.
 `term`, `terms`, `_items` (the CLI's), `well_defined` and
@@ -113,32 +113,31 @@ class _InvariantTable:
     Column j starts at the seed invariant V_j and grows by the affine step
     V_(k+4) = a_k * V_k + b_k, one coefficient pair per block, so it reads
     no coefficient beyond what the largest requested V needs.  Each V is
-    stored as a reduced pair (v_num, v_den), v_den > 0.  With
-    a_k = a_num/a_den and b_k = b_num/b_den, each step reduces
+    stored as a reduced pair (v_num, v_den), v_den > 0.  Step k reduces
 
-        (a_num*b_den*v_num + b_num*a_den*v_den) / (a_den*b_den*v_den)
+        (A*v_num + B*v_den) / (D*v_den)
 
-    by one gcd of small integers, rather than a `Fraction` product and a
-    sum, each with its own gcds.  Called with k it returns V_k's pair, the
-    telescope's factor sequence.
+    by one gcd of small integers, (A, B, D) being the oracle's step-table
+    row, rather than a `Fraction` product and a sum.  Called with k it
+    extends column k mod 4 (`_columns[r][t]` = V_(4t+r)) through V_k.
     """
 
     def __init__(self, ic: InitialConditions, coeffs: CoefficientSequence):
-        self._coeffs = coeffs
+        self._steps = coeffs._step_table()
         self._columns = [[(1 / ic.seed_product(j)).as_integer_ratio()] for j in range(4)]
 
     def __call__(self, k: int) -> tuple[int, int]:
-        r, t = k % 4, k // 4
-        column = self._columns[r]
-        while len(column) <= t:
-            a, b = self._coeffs.pair_at(4 * (len(column) - 1) + r)
-            v_num, v_den = column[-1]
-            a_d, b_d = a.denominator, b.denominator
-            num = a.numerator * b_d * v_num + b.numerator * a_d * v_den
-            den = a_d * b_d * v_den
+        column, (rows, horizon) = self._columns[k % 4], self._steps
+        v_num, v_den = column[-1]
+        for i in range(4 * len(column) - 4 + k % 4, k - 3, 4):  # V_(i+4) from V_i
+            if i >= horizon:
+                raise OutOfHorizon(i, horizon)
+            A, B, D = rows[i % len(rows)]
+            num, den = A * v_num + B * v_den, D * v_den
             g = math.gcd(num, den)
-            column.append((num // g, den // g))
-        return column[t]
+            v_num, v_den = num // g, den // g
+            column.append((v_num, v_den))
+        return column[k // 4]
 
 
 def terms(
@@ -236,14 +235,15 @@ def well_defined(
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     table = _solved("closedform", _InvariantTable, ic, coeffs).f
-    violations = []
-    for v_index in range(4, 4 * horizon + 6):
+    # Extend each column to its last V; a list of L stops the scan at V_(L+4).
+    stop = 4 * horizon + 6
+    for v_index in range(stop - 4, stop):
         try:
-            v_num, _ = table(v_index)
-        except OutOfHorizon:
-            break
-        if v_num == 0:
-            violations.append(WellDefViolation(v_index))
+            table(v_index)
+        except OutOfHorizon as error:
+            stop = min(stop, error.horizon + 4)
+    violations = [WellDefViolation(v_index) for v_index in range(4, stop)
+                  if table._columns[v_index % 4][v_index // 4][0] == 0]
     return WellDefinednessReport(horizon=horizon, violations=tuple(violations))
 
 
@@ -271,7 +271,7 @@ def unified_exponent(
     if n % 4 >= 2:
         total = -total
     for k in range(n):
-        v_num, v_den = table(k)
+        v_num, v_den = table._columns[k % 4][k // 4]
         if v_num == 0:
             raise SingularClosedForm(k)
         if (n - k) % 4 == 0:

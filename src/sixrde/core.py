@@ -18,7 +18,8 @@ start-up; the base's one constructor binds and stores every record's fields.
 `InitialConditions` and `CoefficientSequence` compare by value.  The
 closed-form and special-case engines key their per-thread slot for the last
 solved instance on that equality, so an equal copy reuses the state an
-earlier call built.
+earlier call built.  The oracle and the V table step on a sequence's integer
+rows (`CoefficientSequence._step_table`), the other engines on its values.
 """
 
 from __future__ import annotations
@@ -362,7 +363,7 @@ class CoefficientSequence:
     explicit list raise `OutOfHorizon`; the other kinds are total on n >= 0.
     """
 
-    __slots__ = ("_kind", "_a", "_b", "_period", "_key")
+    __slots__ = ("_kind", "_a", "_b", "_period", "_key", "_steps")
 
     def __init__(self, kind, a, b, period=None):
         self._kind = kind
@@ -370,6 +371,7 @@ class CoefficientSequence:
         self._b = b
         self._period = period
         self._key = None
+        self._steps = None
 
     @classmethod
     def constant(cls, a: RationalLike, b: RationalLike) -> "CoefficientSequence":
@@ -440,6 +442,16 @@ class CoefficientSequence:
                          [v.as_integer_ratio() for v in self._b])
         return self._key
 
+    def _step_table(self) -> tuple:
+        """(rows, horizon), horizon a list's length else inf, built once as `_key`
+        is: step n < horizon maps V to a_n*V + b_n = (A*V_num + B*V_den) / (D*V_den),
+        (A, B, D) = rows[n % len(rows)] = (a_num*b_den, b_num*a_den, a_den*b_den)."""
+        if self._steps is None:
+            rows = tuple((a.numerator * b.denominator, b.numerator * a.denominator,
+                          a.denominator * b.denominator) for a, b in zip(self._a, self._b))
+            self._steps = rows, len(rows) if self._period is None else math.inf
+        return self._steps
+
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -494,8 +506,9 @@ class _Telescope:
     f(4t+r) = u_top*F_r(t), each as a reduced pair (num, den), den > 0.
     Each class keeps x at every block formed so far (block 0 is the seed
     u_j), so a term past them costs one factor ratio per missing block.
-    Every factor a query needs is formed before any is checked, so a short
-    explicit list raises `OutOfHorizon` first; then at each new block,
+    A query first extends the two factor columns it reads (f(4t+r) is
+    `f._columns[r][t]`, extended through k by f(k)), so a short explicit
+    list raises `OutOfHorizon` before any check; then at each new block,
     k = 4s+j, the denominator f(k+2) is checked before the numerator f(k),
     each as `SingularClosedForm` of its own index, and a block is stored
     only once both passed, so a failed query raises the same error when
@@ -521,21 +534,23 @@ class _Telescope:
         n, j = divmod(m + 5, 4)
         blocks = self._blocks[j]
         if n >= len(blocks):
-            f, last = self.f, 4 * n + j - 4  # k = 4s+j of the last block
-            # Each column extends up to its last factor, forming every one.
-            f(last)
-            f(last + 2)
+            # f(4s+j) is numerators[s] and f(4s+j+2) denominators[s + shift].
+            f, shift = self.f, (j + 2) // 4
+            numerators, denominators = f._columns[j], f._columns[(j + 2) % 4]
+            if len(numerators) < n or len(denominators) < n + shift:
+                f(4 * n + j - 4)
+                f(4 * n + j - 2)
             parts, gcd = self._parts[j], math.gcd
             x_num, x_den, _ = parts[-1]
-            for k in range(4 * len(blocks) - 4 + j, last + 1, 4):
-                d_num, d_den = f(k + 2)
+            for s in range(len(blocks) - 1, n):
+                d_num, d_den = denominators[s + shift]
                 if d_num == 0:
-                    raise SingularClosedForm(k + 2)
+                    raise SingularClosedForm(4 * s + j + 2)
                 # A zero numerator means the orbit already died on the class
                 # where that factor is a denominator; its own index reports it.
-                n_num, n_den = f(k)
+                n_num, n_den = numerators[s]
                 if n_num == 0:
-                    raise SingularClosedForm(k)
+                    raise SingularClosedForm(4 * s + j)
                 # f(k)/f(k+2) = r_num/r_den, reduced as division does, r_den > 0
                 g1 = gcd(n_num, d_num) if d_num > 0 else -gcd(n_num, d_num)
                 g2 = gcd(d_den, n_den)

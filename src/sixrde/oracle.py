@@ -11,11 +11,12 @@ u_i = x_(i-5) the same map reads
 
 Each step evaluates that literal map, with no V and no closed form, in the
 order x_(n+1) = [p / (a_n + b_n p)] / x_(n-1), where p = x_(n-5) x_(n-3),
-on integer parts.  The factor is the single integer
-F = a_num b_den Q + b_num a_den P for p = P/Q, which is zero exactly when
-a_n + b_n p is.  The quotient q_n = P a_den b_den / F is small, and the one
-full-height operation per term is its division by x_(n-1), cross-cancelled
-as `Fraction` divides: g1 = gcd(q_num, x_num), g2 = gcd(q_den, x_den).
+on integer parts.  The factor is the single integer F = A Q + B P for
+p = P/Q, with (A, B, D) = (a_num b_den, b_num a_den, a_den b_den) the
+coefficients' step-table row; F is zero exactly when a_n + b_n p is.  The
+quotient q_n = D P / F is small, and the one full-height operation per term
+is its division by x_(n-1), cross-cancelled as `Fraction` divides (skipping
+a gcd of 1): g1 = gcd(q_num, x_num), g2 = gcd(q_den, x_den).
 q_n equals x_(n-1) x_(n+1), the p of step n + 4, so p rides in four slots
 of reduced pairs: slot j starts as the seed product x_(j-5) x_(j-3)
 (numerators cross-cancelled against denominators), and step n reads slot
@@ -40,6 +41,7 @@ from .core import (
     CoefficientSequence,
     IndexBelowSeed,
     InitialConditions,
+    OutOfHorizon,
     OutOfRange,
     TooShort,
     _Record,
@@ -116,11 +118,12 @@ def iterate(
 
 def _terms(ic: InitialConditions, coeffs: CoefficientSequence, count: int):
     """Yield x_(-5), x_(-4), ... x_count as (num, den, hint), reduced with
-    den > 0, stopping after x_n if step n meets a zero factor.  Step n reads
-    p from slot n mod 4 (module docstring) and x_(n-1) from `last[n % 2]`,
-    with the cofactors (|q_num|/g1, g2, q_den/g2, g1) of the step that made
-    it.  From step 2 on, `hint` is ((up, down), (up, down)): |num| and den
-    over the same parts of x_(n-3), unreduced; before it, None.
+    den > 0, stopping after x_n if step n meets a zero factor, and raising
+    `OutOfHorizon` at a step past an explicit list.  Step n reads its row of
+    the step table, p from slot n mod 4 (module docstring) and x_(n-1) from
+    `last[n % 2]`, with the cofactors (|q_num|/g1, g2, q_den/g2, g1) of the
+    step that made it.  From step 2 on, `hint` is ((up, down), (up, down)):
+    |num| and den over the same parts of x_(n-3), unreduced; before it, None.
     """
     seeds = ic.values
     # slots[n % 4] is step n's p = x_(n-5) x_(n-3) as a reduced pair (P, Q)
@@ -128,30 +131,35 @@ def _terms(ic: InitialConditions, coeffs: CoefficientSequence, count: int):
     for value in seeds:
         yield value.numerator, value.denominator, None
     last = [(*value.as_integer_ratio(), None) for value in seeds[4:]]
-    for n in range(count):
+    rows, horizon = coeffs._step_table()
+    period, stop = len(rows), min(count, horizon)
+    for n in range(stop):
         P, Q = slots[n % 4]
-        a, b = coeffs.pair_at(n)
-        a_num, a_den = a.numerator, a.denominator
-        b_num, b_den = b.numerator, b.denominator
-        F = a_num * b_den * Q + b_num * a_den * P
+        A, B, D = rows[n % period]
+        F = A * Q + B * P
         if F == 0:
             return
         # q = x_(n-1) x_(n+1), step n + 4's p, reduced as `Fraction` does
-        N = P * a_den * b_den
+        N = D * P
         g = gcd(N, F) if F > 0 else -gcd(N, F)
         q_num, q_den = N // g, F // g
         slots[n % 4] = q_num, q_den
         x_num, x_den, before = last[n % 2]
         g1, g2 = gcd(q_num, x_num), gcd(q_den, x_den)
-        up, down = q_num // g1, q_den // g2
-        num, den = up * (x_den // g2), down * (x_num // g1)
+        if g1 > 1:  # as `Fraction.__truediv__`: no full-height division by 1
+            q_num, x_num = q_num // g1, x_num // g1
+        if g2 > 1:
+            q_den, x_den = q_den // g2, x_den // g2
+        num, den = q_num * x_den, q_den * x_num
         if den < 0:
             num, den = -num, -den
-        kept = abs(up), g2, down, g1
+        kept = abs(q_num), g2, q_den, g1
         hint = before and ((kept[0] * before[2], kept[1] * before[3]),
                            (kept[2] * before[0], kept[3] * before[1]))
         last[n % 2] = num, den, kept
         yield num, den, hint
+    if stop < count:
+        raise OutOfHorizon(stop, horizon)
 
 
 def _product(u: Fraction, v: Fraction) -> tuple[int, int]:
@@ -182,7 +190,8 @@ def invariant_sequence(orbit: Orbit) -> InvariantSequence:
     if len(terms) < 3:
         raise TooShort("invariant sequence needs at least three orbit terms")
     return InvariantSequence(tuple(
-        Fraction(Q, P) for P, Q in map(_product, terms, terms[2:])
+        _reduced(Q, P) if P > 0 else _reduced(-Q, -P)
+        for P, Q in map(_product, terms, terms[2:])
     ))
 
 

@@ -44,11 +44,12 @@ the one product:
 
 `term_const_general`, `term_periodic2` and `term_periodic4` are `term`
 itself, so each accepts every covered sequence; the other two call it on
-the constant sequence (1, b) or (-1, b).
+the constant sequence (1, b) or (-1, b), one cached sequence per (a, b).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from fractions import Fraction
@@ -172,9 +173,14 @@ def _items(lo: int, hi: int, ic: InitialConditions, coeffs: CoefficientSequence)
 term_const_general = term_periodic2 = term_periodic4 = term
 
 
+@functools.lru_cache(maxsize=64, typed=True)  # typed: a float b never hits an int's
+def _constant(a: int, b: RationalLike) -> CoefficientSequence:
+    return CoefficientSequence.constant(a, b)
+
+
 def term_const_a1(m: int, ic: InitialConditions, b: RationalLike) -> Fraction:
-    return term(m, ic, ConstantCoeffs(1, b))
+    return term(m, ic, _constant(1, b))
 
 
 def term_const_a_neg1(m: int, ic: InitialConditions, b: RationalLike) -> Fraction:
-    return term(m, ic, ConstantCoeffs(-1, b))
+    return term(m, ic, _constant(-1, b))

@@ -7,6 +7,7 @@ Rational arithmetic itself is `fractions.Fraction`'s and is not tested here.
 import copy
 import decimal
 import json
+import math
 import pickle
 import random
 import sys
@@ -287,6 +288,38 @@ def test_explicit_list_reports_horizon():
         seq.a_at(9)
     assert exc.value.n == 9
     assert exc.value.horizon == 4
+
+
+#: Multi-thousand-digit literals, as a spec file may hold them.
+_TALL = core.parse_rational("-" + "9" * 3000 + "/" + "7" * 2500)
+_WIDE = core.parse_rational("8" * 2400 + "1/" + "3" * 4000 + "1")
+
+
+@pytest.mark.parametrize("seq", [
+    CoefficientSequence.constant(Fraction(-3, 7), 0),
+    CoefficientSequence.constant(_TALL, _WIDE),
+    CoefficientSequence.periodic([-2, Fraction(5, 3), _TALL], [0, Fraction(-1, 9), _WIDE]),
+    CoefficientSequence.explicit([Fraction(-1, 2), 0, _WIDE, 4, -7],
+                                 [_TALL, Fraction(3, 8), 0, -1, 0]),
+    CoefficientSequence.explicit([], []),
+], ids=["constant", "constant-tall", "periodic", "list", "empty-list"])
+def test_step_table_is_the_literal_integer_step(seq):
+    # Row n mod len(rows) is (a_num*b_den, b_num*a_den, a_den*b_den) of
+    # (a_n, b_n) = pair_at(n), for every n below the horizon; the table is
+    # built once and read whole from then on.
+    rows, horizon = seq._step_table()
+    assert seq._step_table()[0] is rows
+    assert len(rows) == len(seq.a_values())
+    explicit = seq.kind == "list"
+    assert horizon == (len(rows) if explicit else math.inf)
+    for n in range(len(rows) if explicit else 3 * len(rows)):
+        a, b = seq.pair_at(n)
+        assert rows[n % len(rows)] == (a.numerator * b.denominator,
+                                       b.numerator * a.denominator,
+                                       a.denominator * b.denominator), n
+    if explicit:
+        with pytest.raises(OutOfHorizon):
+            seq.pair_at(horizon)
 
 
 def test_sequence_rejects_bad_inputs():

@@ -18,6 +18,7 @@ from sixrde import (
     closedform,
     core,
     iterate,
+    oracle,
     specialcases,
     term,
     terms,
@@ -159,6 +160,83 @@ def test_an_explicit_list_still_runs_out_before_a_singular_v():
     assert [term(m, ones, coeffs) for m in range(-5, 1)] == [1] * 6
 
 
+def test_an_explicit_list_ends_every_engine_at_the_coefficient_it_lacks():
+    # Ten coefficients (2, 1): V_(k+4) = 2 V_k + 1 never vanishes, so each
+    # engine runs until it reads coefficient index 10, or a later one of its
+    # own class for a cold point query.
+    ones = InitialConditions([1] * 6)
+    coeffs = CoefficientSequence.explicit([2] * 10, [1] * 10)
+    assert iterate(ones, coeffs, 10).halt is None
+    got, error = values_until_error(oracle._terms(ones, coeffs, 30))
+    assert len(got) == 16 and error[2] == {"n": 10, "horizon": 10}
+    start_cold()
+    got, error = values_until_error(term(m, ones, coeffs) for m in range(-5, 30))
+    assert got == list(iterate(ones, coeffs, 10).terms)
+    assert error[2] == {"n": 10, "horizon": 10}
+    # Cold, x_20 extends V's class 1 (coefficients 1, 5, 9, 13) before its
+    # class 3 (3, 7, 11): the numerator column is formed first.
+    start_cold()
+    with pytest.raises(OutOfHorizon) as caught:
+        term(20, ones, coeffs)
+    assert caught.value.n == 13
+    # The guard stops at V_14, the first V that needs coefficient 10, having
+    # formed every V below it: V_0..V_13.
+    start_cold()
+    assert well_defined(ones, coeffs, 40).ok
+    table = closedform._solved("closedform", closedform._InvariantTable, ones, coeffs).f
+    assert [len(column) for column in table._columns] == [4, 4, 3, 3]
+
+
+def test_an_explicit_list_that_halts_first_reports_its_halt():
+    # b_3 = -1 makes V_7 = 1 - 1 = 0: direct iteration halts at step 3, well
+    # inside the twelve coefficients, and no engine reads past them.
+    ones = InitialConditions([1] * 6)
+    coeffs = CoefficientSequence.explicit([1] * 12, [0, 0, 0, -1] + [0] * 8)
+    orbit = iterate(ones, coeffs, 40)
+    assert orbit.halt.step == 3 and orbit.last_m == 3
+    start_cold()
+    got, error = values_until_error(term(m, ones, coeffs) for m in range(-5, 30))
+    assert got == list(orbit.terms) and error[2]["v_index"] == 7
+    report = well_defined(ones, coeffs, 40)
+    assert report.first_halt_step == 3
+    # V_7 = 0 carries on as V_11 = V_15 = 0; V_16 needs coefficient 12.
+    assert [v.v_index for v in report.violations] == [7, 11, 15]
+
+
+def test_two_threads_on_one_fresh_sequence_get_the_same_values():
+    # The step table is built on first use and assigned whole, so threads
+    # that race to build it each read a complete one.
+    ic, base, orbit = regular(321)
+    for _ in range(8):
+        coeffs = CoefficientSequence.periodic(base.a_values(), base.b_values())
+        start = threading.Barrier(2, timeout=60)
+        results = [None, None]
+
+        def work(index):
+            try:
+                start.wait()
+                results[index] = (iterate(ic, coeffs, TOP).terms,
+                                  list(terms(-5, TOP, ic, coeffs)),
+                                  [specialcases.term(m, ic, coeffs) for m in range(-5, TOP + 1)])
+            except Exception as exc:  # reported through `results`
+                results[index] = exc
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        want = list(orbit.terms)
+        assert results[0] == results[1]
+        assert [list(values) for values in results[0]] == [want] * 3
+
+
 @engines
 def test_threads_keep_their_own_slot(point, window):
     instances = [regular(seed) for seed in range(313, 317)]  # one per thread
@@ -208,8 +286,22 @@ def test_each_engine_keeps_its_own_slot_on_one_thread():
                for (x, y), g, s in zip(ranges, general, special, strict=True))
 
 
+class CountedRows(tuple):
+    """A step table that counts each row read from it on its sequence."""
+
+    def __new__(cls, rows, owner):
+        counted = super().__new__(cls, rows)
+        counted.owner = owner
+        return counted
+
+    def __getitem__(self, i):
+        self.owner.lookups += 1
+        return super().__getitem__(i)
+
+
 class CountingCoefficients(CoefficientSequence):
-    """A coefficient sequence that counts its `pair_at` lookups."""
+    """A coefficient sequence that counts its coefficient reads: `pair_at`
+    lookups and rows read from its step table."""
 
     __slots__ = ("lookups",)
 
@@ -220,6 +312,10 @@ class CountingCoefficients(CoefficientSequence):
     def pair_at(self, n):
         self.lookups += 1
         return super().pair_at(n)
+
+    def _step_table(self):
+        rows, horizon = super()._step_table()
+        return CountedRows(rows, self), horizon
 
 
 def test_point_queries_look_up_no_more_coefficients_than_one_range():

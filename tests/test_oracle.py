@@ -275,9 +275,20 @@ def test_each_term_costs_one_division_and_no_product_or_sum(monkeypatch):
                  "__add__", "__radd__", "__sub__", "__rsub__"):
         monkeypatch.setattr(Fraction, name, forbidden)
     steps = [[]]  # the gcd operands of the seed products, then of each step
-    pair_at, gcd = CoefficientSequence.pair_at, oracle.gcd
-    monkeypatch.setattr(CoefficientSequence, "pair_at",
-                        lambda self, n: steps.append([]) or pair_at(self, n))
+
+    class MarkedRows(tuple):
+        """A step table whose every row read starts a new step."""
+
+        def __getitem__(self, i):
+            steps.append([])
+            return super().__getitem__(i)
+
+    def marked(self):
+        rows, horizon = step_table(self)
+        return MarkedRows(rows), horizon
+
+    step_table, gcd = CoefficientSequence._step_table, oracle.gcd
+    monkeypatch.setattr(CoefficientSequence, "_step_table", marked)
     monkeypatch.setattr(oracle, "gcd", lambda a, b: steps[-1].append((a, b)) or gcd(a, b))
     orbit = iterate(ic, coeffs, 60)
     monkeypatch.undo()

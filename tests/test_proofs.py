@@ -299,28 +299,45 @@ def test_top_seed_completes_the_parity_product():
         assert sp.expand(U[top] * U[r] * U[r + 2] - parity[r % 2]) == 0
 
 
+class PrimeFactors:
+    """f(k) = the (k+1)-th prime, or 0 at the indices in `zeros`, in the
+    layout of both engines' factor classes: called with k it extends column
+    k mod 4, which holds f(4t+r) at t."""
+
+    def __init__(self, zeros=()):
+        self.zeros = set(zeros)
+        self._columns = [[] for _ in range(4)]
+
+    def __call__(self, k):
+        column = self._columns[k % 4]
+        while len(column) <= k // 4:
+            i = 4 * len(column) + k % 4
+            column.append((0 if i in self.zeros else int(sp.prime(i + 1)), 1))
+        return column[k // 4]
+
+
 @pytest.mark.parametrize("j", range(4))
 def test_denominator_factor_is_two_past_the_numerator(j):
     # Block s of class j divides by f(4s+j+2), a class of the same parity as
     # j.  With f(k) the (k+1)-th prime and the seeds primes past all of them,
-    # each term's factorisation names exactly the factors its blocks read,
-    # and each new block asks for f(k+2) before f(k).
+    # each term's factorisation names exactly the factors its blocks read.
     prime = lambda i: int(sp.prime(i + 1))
-    asked = []
-
-    def f(k):
-        asked.append(k)
-        return prime(k), 1
-
-    telescope = core._Telescope([Fraction(prime(100 + i)) for i in range(6)], f)
+    telescope = core._Telescope([Fraction(prime(100 + i)) for i in range(6)], PrimeFactors())
     for n in range(5):
-        asked.clear()
         x = telescope.x(4 * n - 5 + j)
-        k = 4 * n - 4 + j  # the factor index of the new block
-        assert asked == ([k, k + 2, k + 2, k] if n else [])
         assert sp.factorint(x.numerator) == {prime(100 + j): 1,
                                              **{prime(4 * i + j): 1 for i in range(n)}}
         assert sp.factorint(x.denominator) == {prime(4 * i + j + 2): 1 for i in range(n)}
+    # A new block checks f(k+2) before f(k): with both zero, the raised
+    # index is the denominator's; with f(k) alone zero, the numerator's.
+    for n in range(1, 5):
+        k = 4 * n - 4 + j  # the factor index of the new block
+        for zeros, index in (({k, k + 2}, k + 2), ({k}, k)):
+            telescope = core._Telescope([Fraction(prime(100 + i)) for i in range(6)],
+                                        PrimeFactors(zeros))
+            with pytest.raises(core.SingularClosedForm) as raised:
+                telescope.x(4 * n - 5 + j)
+            assert raised.value.v_index == index
 
 
 @SAMPLE_A

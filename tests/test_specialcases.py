@@ -246,3 +246,23 @@ def test_a_zero_and_one_ranges_match_the_closed_form_and_iteration(coeffs):
         assert values_until_error(specialcases.terms(-5, 55, ic, coeffs)) == want
         assert want[0] == list(orbit.terms)
 
+
+def test_the_a_plus_minus_one_names_build_one_sequence_per_b(monkeypatch):
+    # Repeated calls with an equal b reuse one cached constant sequence per
+    # sign of a, so a warm query compares no fresh sequence against its slot.
+    built = []
+    constant = CoefficientSequence.constant.__func__
+    monkeypatch.setattr(CoefficientSequence, "constant", classmethod(
+        lambda cls, a, b: built.append((a, b)) or constant(cls, a, b)))
+    ic, b = InitialConditions([2, 3, 5, 7, 11, 13]), Fraction(5, 7919)  # b no other test uses
+    for name, a in (("term_const_a1", 1), ("term_const_a_neg1", -1)):
+        want = [specialcases.term(m, ic, constant(CoefficientSequence, a, b))
+                for m in range(-5, 30)]
+        for _ in range(3):
+            got = [getattr(specialcases, name)(m, ic, Fraction(5, 7919)) for m in range(-5, 30)]
+            assert got == want, name
+    assert built == [(1, b), (-1, b)]
+    # A float is no exact rational, even where it equals a cached b.
+    specialcases.term_const_a1(0, ic, 2)
+    with pytest.raises(TypeError):
+        specialcases.term_const_a1(0, ic, 2.0)

@@ -100,6 +100,26 @@ def test_the_oracle_reaches_no_v_layer_by_any_route():
         assert not named, f"oracle.py:{node.lineno} names {sorted(named)}"
 
 
+def test_the_residual_check_and_the_special_cases_never_read_the_step_table():
+    # The oracle and the V table step from `CoefficientSequence._step_table`.
+    # The invariant residual check and the third engine read the `Fraction`
+    # coefficients themselves, so a wrong row shows up as nonzero residuals
+    # and as a special-case mismatch instead of agreeing with itself.
+    def names(node):
+        return {getattr(part, field, None) for part in ast.walk(node)
+                for field in ("attr", "id", "name", "arg")} | {
+            part.value for part in ast.walk(node) if isinstance(part, ast.Constant)}
+
+    source = ROOT / "src" / "sixrde"
+    special = ast.parse((source / "specialcases.py").read_text())
+    oracle = ast.parse((source / "oracle.py").read_text())
+    [check] = [node for node in oracle.body if isinstance(node, ast.FunctionDef)
+               and node.name == "check_invariant_recurrence"]
+    assert "_step_table" in names(oracle)  # the name this test looks for
+    for where, tree in (("specialcases.py", special), ("check_invariant_recurrence", check)):
+        assert not names(tree) & {"_step_table", "_steps"}, where
+
+
 def test_package_uses_no_private_fraction_api():
     # `_normalize=False` is gone in Python 3.12 and `_from_coprime_ints` is
     # private to `fractions`, so neither appears anywhere.  A reduced pair is
@@ -226,6 +246,26 @@ def test_a_bench_record_keeps_the_result_line_and_how_it_was_run():
         "workload": "sweep", "seed": 1, "seconds": 20, "trace": 0, "commit": "e82ed2a-dirty"}
     assert got["python"] == sys.version
     assert json.loads(json.dumps(got)) == got
+
+
+def test_the_interpreter_tool_reads_the_pins_and_pytests_summary_line():
+    # `tools/interpreters.py` reads the N = 800 pins from test_large_n.py's
+    # source, never from a copy, and Tier-1's outcome from the last line
+    # `pytest -q` prints.
+    import test_large_n
+
+    tool = runpy.run_path(str(ROOT / "tools" / "interpreters.py"))
+    pins = tool["pins"]((ROOT / "tests" / "test_large_n.py").read_text(encoding="utf-8"))
+    want = [tuple(pin.values) for pin in test_large_n.PINS
+            if not any("1600" in arg for arg in pin.values[0])]
+    assert len(want) == 4 and pins[:-1] == want
+    argv, (md5, length) = pins[-1]
+    assert argv == ["verify-symmetry"] and re.fullmatch(r"[0-9a-f]{32}", md5) and length > 0
+    stdout = "....ss..\n363 passed, 5 skipped in 14.77s\n"
+    assert tool["tier1_counts"](stdout) == {"passed": 363, "skipped": 5, "seconds": 14.77}
+    assert tool["tier1_counts"]("1 failed, 9 passed, 2 errors in 3.50s") == {
+        "failed": 1, "passed": 9, "errors": 2, "seconds": 3.5}
+    assert tool["tier1_counts"]("") == {}
 
 
 def _bench_constants(*names):

@@ -13,8 +13,9 @@ With CPython 3.11 on two shared vCPUs a killed mutant took 3 to 39 s and the
 whole list about 8 minutes; a survivor runs the whole suite, about 20 s.
 
 Each entry is (file, old text, new text, reason).  There is at least one per
-layer: the oracle step loop, the invariant V (along an orbit and as the
-closed form's table), telescoping, the records' one constructor, the
+layer: the oracle step loop, the step table it shares with the closed
+form's V table, the invariant V (along an orbit and as that table),
+telescoping, the records' one constructor, the
 special-case factors, the guard, the unified magnitude, rational parsing
 and rendering, CSV and JSON output, the CLI's files and exit codes, and the
 symmetry checks.  No oracle index entry makes term heights grow
@@ -43,12 +44,12 @@ TIMEOUT_SECONDS = 300
 MUTANTS = [
     # Oracle step loop
     ("src/sixrde/oracle.py",
-     "for n in range(count):",
-     "for n in range(count - 1):",
+     "for n in range(stop):",
+     "for n in range(stop - 1):",
      "oracle stops one step short"),
     ("src/sixrde/oracle.py",
-     "F = a_num * b_den * Q + b_num * a_den * P",
-     "F = a_num * b_den * Q - b_num * a_den * P",
+     "F = A * Q + B * P",
+     "F = A * Q - B * P",
      "oracle denominator factor takes b with the wrong sign"),
     ("src/sixrde/oracle.py",
      "x_num, x_den, before = last[n % 2]",
@@ -67,8 +68,8 @@ MUTANTS = [
      "slots[(n + 1) % 4] = q_num, q_den",
      "oracle keeps q_n as the p of step n + 1, not n + 4"),
     ("src/sixrde/oracle.py",
-     "a, b = coeffs.pair_at(n)\n        a_num, a_den",
-     "a, b = coeffs.pair_at(n + 1)\n        a_num, a_den",
+     "A, B, D = rows[n % period]",
+     "A, B, D = rows[(n + 1) % period]",
      "oracle step n reads the coefficients of step n + 1"),
     ("src/sixrde/oracle.py",
      "halt = SingularityReport(len(terms) - 6,",
@@ -78,10 +79,15 @@ MUTANTS = [
      "(kept[0] * before[2], kept[1] * before[3])",
      "(kept[0] * before[2] + 1, kept[1] * before[3])",
      "oracle hints a numerator ratio whose up is off by one"),
+    # The step table both the oracle and the V table read
+    ("src/sixrde/core.py",
+     "(a.numerator * b.denominator, b.numerator * a.denominator,",
+     "(a.numerator * b.denominator, b.numerator * b.denominator,",
+     "step table multiplies b_num by b_den instead of a_den"),
     # The invariant V along an orbit, and its affine recurrence
     ("src/sixrde/oracle.py",
-     "Fraction(Q, P) for P, Q in map(_product, terms, terms[2:])",
-     "Fraction(Q, P) for P, Q in map(_product, terms, terms[1:])",
+     "for P, Q in map(_product, terms, terms[2:])",
+     "for P, Q in map(_product, terms, terms[1:])",
      "V_n pairs u_n with u_(n+1) instead of u_(n+2)"),
     ("src/sixrde/oracle.py",
      "num = a.numerator * b_den * v0.numerator + b.numerator * a_den * v0_den",
@@ -89,12 +95,12 @@ MUTANTS = [
      "invariant residual takes V_(n+4) = a V_n - b_n"),
     # The closed form's V table
     ("src/sixrde/closedform.py",
-     "num = a.numerator * b_d * v_num + b.numerator * a_d * v_den",
-     "num = a.numerator * b_d * v_num - b.numerator * a_d * v_den",
+     "num, den = A * v_num + B * v_den, D * v_den",
+     "num, den = A * v_num - B * v_den, D * v_den",
      "V table steps with b of the wrong sign"),
     ("src/sixrde/closedform.py",
-     "column.append((num // g, den // g))",
-     "column.append((num, den))",
+     "v_num, v_den = num // g, den // g",
+     "v_num, v_den = num, den",
      "V table stores each V unreduced"),
     ("src/sixrde/closedform.py",
      "for k2 in range(l + 1, n):",
@@ -110,6 +116,10 @@ MUTANTS = [
      "r_den, r_num = (n_num // g1) * (d_den // g2), (d_num // g1) * (n_den // g2)",
      "telescope takes the inverse factor ratio"),
     ("src/sixrde/core.py",
+     "f, shift = self.f, (j + 2) // 4",
+     "f, shift = self.f, 0",
+     "telescope reads the denominator column without its block shift"),
+    ("src/sixrde/core.py",
      "g2 = gcd(d_den, n_den)",
      "g2 = 1",
      "telescope reduces the factor ratio by the numerators' gcd only"),
@@ -118,8 +128,8 @@ MUTANTS = [
      "((abs(r_num), g2), (r_den, g1))",
      "telescope hints each part by the other part's cross-cancelled gcd"),
     ("src/sixrde/core.py",
-     "raise SingularClosedForm(k + 2)",
-     "raise SingularClosedForm(k)",
+     "raise SingularClosedForm(4 * s + j + 2)",
+     "raise SingularClosedForm(4 * s + j)",
      "a vanishing denominator factor is reported at the numerator's index"),
     ("src/sixrde/core.py",
      "if last is None or last[0] != (ic, coeffs):",
@@ -140,13 +150,19 @@ MUTANTS = [
      "_TOP = (4, 5, 1, 0)",
      "classes 2 and 3 scale by each other's seed"),
     ("src/sixrde/specialcases.py",
+     "def _constant(a: int, b: RationalLike) -> CoefficientSequence:\n"
+     "    return CoefficientSequence.constant(a, b)",
+     "def _constant(a: int, b: RationalLike, _by_b={}) -> CoefficientSequence:\n"
+     "    return _by_b.setdefault(b, CoefficientSequence.constant(a, b))",
+     "a = +-1 cache keyed on b alone: a = -1 reuses a = 1's sequence"),
+    ("src/sixrde/specialcases.py",
      "p += 1",
      "p += 2",
      "a = 1 factor grows by 2k per block"),
     # Well-definedness guard
     ("src/sixrde/closedform.py",
-     "for v_index in range(4, 4 * horizon + 6):",
-     "for v_index in range(4, 4 * horizon + 5):",
+     "stop = 4 * horizon + 6",
+     "stop = 4 * horizon + 5",
      "guard stops one V short of its horizon"),
     ("src/sixrde/closedform.py",
      "return (self.v_index - 2) // 4",
