@@ -107,10 +107,19 @@ def v_closed(
 # Closed form for orbit terms
 # ---------------------------------------------------------------------------
 
+def _reciprocal_product(u: Fraction, v: Fraction) -> tuple[int, int]:
+    """1/(u*v) as a reduced pair (num, den), den > 0, with one gcd."""
+    (u_num, u_den), (v_num, v_den) = u.as_integer_ratio(), v.as_integer_ratio()
+    num, den = u_den * v_den, u_num * v_num
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return num // g, den // g
+
+
 class _InvariantTable:
     """V_k for k >= 0, one column per residue class, extended on demand.
 
-    Column j starts at the seed invariant V_j and grows by the affine step
+    Column j starts at the seed invariant V_j = 1/(u_j*u_(j+2)), reduced from
+    the seeds' integer parts by one gcd, and grows by the affine step
     V_(k+4) = a_k * V_k + b_k, one coefficient pair per block, so it reads
     no coefficient beyond what the largest requested V needs.  Each V is
     stored as a reduced pair (v_num, v_den), v_den > 0.  Step k reduces
@@ -124,7 +133,8 @@ class _InvariantTable:
 
     def __init__(self, ic: InitialConditions, coeffs: CoefficientSequence):
         self._steps = coeffs._step_table()
-        self._columns = [[(1 / ic.seed_product(j)).as_integer_ratio()] for j in range(4)]
+        self._columns = [[_reciprocal_product(u, v)]
+                         for u, v in zip(ic.values, ic.values[2:])]
 
     def __call__(self, k: int) -> tuple[int, int]:
         column, (rows, horizon) = self._columns[k % 4], self._steps

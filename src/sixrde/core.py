@@ -537,8 +537,9 @@ class _Telescope:
             # f(4s+j) is numerators[s] and f(4s+j+2) denominators[s + shift].
             f, shift = self.f, (j + 2) // 4
             numerators, denominators = f._columns[j], f._columns[(j + 2) % 4]
-            if len(numerators) < n or len(denominators) < n + shift:
+            if len(numerators) < n:
                 f(4 * n + j - 4)
+            if len(denominators) < n + shift:
                 f(4 * n + j - 2)
             parts, gcd = self._parts[j], math.gcd
             x_num, x_den, _ = parts[-1]

@@ -13,9 +13,11 @@ with (a_r, b_r) = (a_at(r), b_at(r)), k_r = b_r*u_r*u_(r+2),
 C_r = k_r/(1 - a_r), D_r = 1 - C_r (1 + k_r*t when a_r = 1), and
 top = 4, 5, 0, 1 for r = 0..3.  That class states the block memo, the check
 order and the per-thread slot rule (this engine keeps its own slot, keyed
-on (ic, coeffs)).  C and D are formed once per class; a^t is carried as
-the integer pair (a_num^t, a_den^t), so each u_top*F is a reduced pair
-made with one gcd of small integers (F is never stepped by its affine
+on (ic, coeffs)).  C and D are formed once per class, on the integer
+parts of a_r, b_r, u_r, u_(r+2) and u_top over one positive common
+denominator, with no `Fraction` operation; a^t is carried as the integer
+pair (a_num^t, a_den^t), so each u_top*F is a reduced pair made with one
+gcd of small integers (F is never stepped by its affine
 recurrence, so the engine stays independent of the closed form's V
 table), and a block multiplies each part of x by a small cofactor.  The
 factors are evaluated here rather than read from the general closed form,
@@ -24,7 +26,8 @@ direct iteration.
 
 The engine has the closed form's two entry points, `term(m, ic, coeffs)`
 and `terms(lo, hi, ic, coeffs)`.  A constant or 1-, 2- or 4-periodic
-`coeffs` is read per class as above, and any other raises `WrongCase`.
+`coeffs` is read per class as above, and any other raises `WrongCase`
+when the slot for it would be built, so a warm query makes no case test.
 The paper's cases, under the names the benchmark calls, are readings of
 the one product:
 
@@ -59,8 +62,9 @@ from .core import (
     InitialConditions,
     RationalLike,
     WrongCase,
+    _reduced,
     _solved,
-    _Telescope,
+    as_rational,
 )
 
 __all__ = [
@@ -90,27 +94,46 @@ PeriodicCoeffs2 = PeriodicCoeffs4 = CoefficientSequence.periodic
 _TOP = (4, 5, 0, 1)
 
 
-def _line(a: Fraction, k: Fraction, seed: Fraction) -> list:
-    """Class state [c, d, e, a_num, a_den, p, q] at t = 0, with
+def _line(a: tuple, b: tuple, u_r: tuple, u_r2: tuple, seed: tuple) -> list:
+    """Class state [c, d, e, a_num, a_den, p, q] at t = 0 from the integer
+    ratios of a, b and the seeds u_r, u_(r+2), u_top, with e > 0 and
     seed*F(t) = (c*q + d*p) / (e*q): F(t) = C + D*a^t, C = k/(1 - a),
-    D = 1 - C and p/q = a^t as the integer pair (a_num^t, a_den^t), or
-    F(t) = 1 + k*t and p/q = t/1 when a = 1."""
-    c, d = (1, k) if a == 1 else (k / (1 - a), 1 - k / (1 - a))
-    c, d = seed * c, seed * d
-    return [c.numerator * d.denominator, d.numerator * c.denominator,
-            c.denominator * d.denominator, a.numerator, a.denominator,
-            0 if a == 1 else 1, 1]
+    D = 1 - C, k = b*u_r*u_(r+2), and p/q = a^t as the integer pair
+    (a_num^t, a_den^t), or F(t) = 1 + k*t and p/q = t/1 when a = 1."""
+    (a_num, a_den), (s_num, s_den) = a, seed
+    k_num, k_den = b[0] * u_r[0] * u_r2[0], b[1] * u_r[1] * u_r2[1]  # k_den > 0
+    if a_num == a_den:
+        return [s_num * k_den, s_num * k_num, s_den * k_den, 1, 1, 0, 1]
+    # C = k_num*a_den / E and D = (E - k_num*a_den) / E, E = k_den*(a_den - a_num)
+    E, kc = k_den * (a_den - a_num), k_num * a_den
+    c, d, e = s_num * kc, s_num * (E - kc), s_den * E
+    if e < 0:
+        c, d, e = -c, -d, -e
+    return [c, d, e, a_num, a_den, 1, 1]
 
 
 class _Factors:
     """u_top*F_r(t) per class r at every t formed so far, a reduced pair
-    (num, den), den > 0; called with k = 4t+r, the telescope's factors."""
+    (num, den), den > 0; called with k = 4t+r, the telescope's factors.
+    Built only for a sequence a special case covers: a constant or 1-, 2-
+    or 4-periodic one; any other raises `WrongCase`."""
 
     def __init__(self, ic: InitialConditions, coeffs: CoefficientSequence):
-        self._columns = [[] for _ in range(4)]
-        self._lines = [_line(coeffs.a_at(r), coeffs.b_at(r) * ic.seed_product(r),
-                             ic.values[top])
-                       for r, top in enumerate(_TOP)]
+        if coeffs.kind not in ("constant", "periodic"):
+            got = f"kind {coeffs.kind!r}"
+        elif 4 % coeffs.period:
+            got = f"period {coeffs.period}"
+        else:
+            seeds = [u.as_integer_ratio() for u in ic.values]
+            self._columns = [[] for _ in range(4)]
+            self._lines = [_line(coeffs.a_at(r).as_integer_ratio(),
+                                 coeffs.b_at(r).as_integer_ratio(),
+                                 seeds[r], seeds[r + 2], seeds[top])
+                           for r, top in enumerate(_TOP)]
+            return
+        raise WrongCase(
+            f"special cases need constant or 1-, 2- or 4-periodic coefficients, got {got}"
+        )
 
     def __call__(self, k: int) -> tuple[int, int]:
         """u_top*F_r(t), extending class r's column with one gcd of small
@@ -132,18 +155,10 @@ class _Factors:
         return column[t]
 
 
-def _covered(ic: InitialConditions, coeffs: CoefficientSequence) -> _Telescope:
-    """This engine's slot for (ic, coeffs) when a special case covers
-    `coeffs`, a constant or 1-, 2- or 4-periodic sequence; else `WrongCase`."""
-    if coeffs.kind not in ("constant", "periodic"):
-        got = f"kind {coeffs.kind!r}"
-    elif 4 % coeffs.period:
-        got = f"period {coeffs.period}"
-    else:
-        return _solved("specialcases", _Factors, ic, coeffs)
-    raise WrongCase(
-        f"special cases need constant or 1-, 2- or 4-periodic coefficients, got {got}"
-    )
+def _covered(ic: InitialConditions, coeffs: CoefficientSequence):
+    """This engine's slot for (ic, coeffs), a `_Telescope` over `_Factors`;
+    `WrongCase` when no special case covers `coeffs`."""
+    return _solved("specialcases", _Factors, ic, coeffs)
 
 
 def term(m: int, ic: InitialConditions, coeffs: CoefficientSequence) -> Fraction:
@@ -173,14 +188,14 @@ def _items(lo: int, hi: int, ic: InitialConditions, coeffs: CoefficientSequence)
 term_const_general = term_periodic2 = term_periodic4 = term
 
 
-@functools.lru_cache(maxsize=64, typed=True)  # typed: a float b never hits an int's
-def _constant(a: int, b: RationalLike) -> CoefficientSequence:
-    return CoefficientSequence.constant(a, b)
+@functools.lru_cache(maxsize=64)  # keyed on ints: a warm call hashes no Fraction
+def _constant(a: int, b_num: int, b_den: int) -> CoefficientSequence:
+    return CoefficientSequence.constant(a, _reduced(b_num, b_den))
 
 
 def term_const_a1(m: int, ic: InitialConditions, b: RationalLike) -> Fraction:
-    return term(m, ic, _constant(1, b))
+    return term(m, ic, _constant(1, *as_rational(b).as_integer_ratio()))
 
 
 def term_const_a_neg1(m: int, ic: InitialConditions, b: RationalLike) -> Fraction:
-    return term(m, ic, _constant(-1, b))
+    return term(m, ic, _constant(-1, *as_rational(b).as_integer_ratio()))

@@ -131,11 +131,11 @@ def test_v_closed_matches_oracle_invariants():
 def test_each_v_costs_one_normalisation_and_no_product_or_sum(monkeypatch, a):
     ic = InitialConditions([2, 3, 5, 7, 11, 13])
     coeffs = CoefficientSequence.periodic([a, Fraction(3, 2)], [Fraction(5, 7), -1])
-    table = _InvariantTable(ic, coeffs)
     normalisations = count_normalisations(monkeypatch)
+    table = _InvariantTable(ic, coeffs)
     got = [table(k) for k in range(48)]
     monkeypatch.undo()
-    assert len(normalisations) == 44  # every V past the four seeds
+    assert len(normalisations) == 48  # the four seed V's and the 44 steps
     # Each V is stored as its reduced pair, denominator positive.
     assert got == [v_closed(k % 4, k // 4, ic, coeffs).as_integer_ratio() for k in range(48)]
     v = [Fraction(*pair) for pair in got]

@@ -300,14 +300,22 @@ class CountedRows(tuple):
 
 
 class CountingCoefficients(CoefficientSequence):
-    """A coefficient sequence that counts its coefficient reads: `pair_at`
-    lookups and rows read from its step table."""
+    """A coefficient sequence that counts its coefficient reads: `a_at`,
+    `b_at` and `pair_at` lookups and rows read from its step table."""
 
     __slots__ = ("lookups",)
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.lookups = 0
+
+    def a_at(self, n):
+        self.lookups += 1
+        return super().a_at(n)
+
+    def b_at(self, n):
+        self.lookups += 1
+        return super().b_at(n)
 
     def pair_at(self, n):
         self.lookups += 1
@@ -329,28 +337,16 @@ def test_point_queries_look_up_no_more_coefficients_than_one_range():
     assert 0 < pointed.lookups <= ranged.lookups
 
 
-class CountingSeeds(InitialConditions):
-    """Initial conditions that count their `seed_product` calls."""
-
-    def __init__(self, values):
-        super().__init__(values)
-        object.__setattr__(self, "calls", 0)
-
-    def seed_product(self, j):
-        object.__setattr__(self, "calls", self.calls + 1)
-        return super().seed_product(j)
-
-
 def test_special_case_constants_are_formed_once_per_instance():
     # Each block reads the per-class constants; re-forming them per block
-    # would make the count grow with the range.
-    coeffs = CoefficientSequence.periodic((2, Fraction(-1, 3)), (1, Fraction(5, 7)))
+    # would read the coefficients again and make the count grow with the range.
+    ic = InitialConditions((2, 3, 5, 7, 11, 13))
     counts = []
     for top in (50, 400):
-        ic = CountingSeeds((2, 3, 5, 7, 11, 13))
+        coeffs = CountingCoefficients.periodic((2, Fraction(-1, 3)), (1, Fraction(5, 7)))
         start_cold()
         assert len(list(specialcases.terms(-5, top, ic, coeffs))) == top + 6
-        counts.append(ic.calls)
+        counts.append(coeffs.lookups)
     assert counts[0] == counts[1] > 0
 
 

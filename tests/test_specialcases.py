@@ -125,21 +125,27 @@ def test_geometric_sum_identity_across_cases():
             assert specialcases.term(m, ic, pc4) == want
 
 
-@pytest.mark.parametrize("a", [0, 1, -1, Fraction(-1, 2), 2])
+@pytest.mark.parametrize("a", [0, 1, -1, Fraction(-1, 2), 2, Fraction(3, 5)])
 def test_each_factor_costs_one_normalisation_and_no_product_or_sum(monkeypatch, a):
-    ic = InitialConditions([2, 3, 5, 7, 11, 13])
-    coeffs = PeriodicCoeffs4((a, Fraction(3, 2), a, -3), (Fraction(5, 7), -1, 2, 1))
-    factors = specialcases._Factors(ic, coeffs)
-    normalisations = count_normalisations(monkeypatch)
-    got = [factors(k) for k in range(48)]
-    monkeypatch.undo()
-    assert len(normalisations) == 48
-    for k, pair in enumerate(got):
-        r, t = k % 4, k // 4
-        a_r, k_r = coeffs.a_at(r), coeffs.b_at(r) * ic.seed_product(r)
-        f = 1 + k_r * t if a_r == 1 else a_r**t + k_r * (1 - a_r**t) / (1 - a_r)
-        # Each factor is stored as its reduced pair, denominator positive.
-        assert pair == (ic.values[(4, 5, 0, 1)[r]] * f).as_integer_ratio()
+    # Classes 0 and 2 take a, class 1 has 1 - a < 0 and class 3 has 1 - a > 0;
+    # the second seeds have both signs and denominators other than 1.  Set-up
+    # makes no gcd and no `Fraction` operation.
+    coeffs = PeriodicCoeffs4((a, Fraction(3, 2), a, -3), (Fraction(5, 7), -1, 2, Fraction(-1, 4)))
+    for seeds in ((2, 3, 5, 7, 11, 13),
+                  (-2, Fraction(3, 4), Fraction(-5, 3), 7, -11, Fraction(-13, 2))):
+        ic = InitialConditions(seeds)
+        normalisations = count_normalisations(monkeypatch)
+        factors = specialcases._Factors(ic, coeffs)
+        got = [factors(k) for k in range(48)]
+        monkeypatch.undo()
+        assert len(normalisations) == 48
+        for k, (num, den) in enumerate(got):
+            r, t = k % 4, k // 4
+            a_r, k_r = coeffs.a_at(r), coeffs.b_at(r) * ic.seed_product(r)
+            f = 1 + k_r * t if a_r == 1 else a_r**t + k_r * (1 - a_r**t) / (1 - a_r)
+            # Each factor is stored as its reduced pair, denominator positive.
+            assert den > 0
+            assert (num, den) == (ic.values[(4, 5, 0, 1)[r]] * f).as_integer_ratio()
 
 
 # ---------------------------------------------------------------------------

@@ -90,9 +90,13 @@ MUTANTS = [
      "for P, Q in map(_product, terms, terms[1:])",
      "V_n pairs u_n with u_(n+1) instead of u_(n+2)"),
     ("src/sixrde/oracle.py",
-     "num = a.numerator * b_den * v0.numerator + b.numerator * a_den * v0_den",
-     "num = a.numerator * b_den * v0.numerator - b.numerator * a_den * v0_den",
+     "num = a_num * b_den * v_num + b_num * a_den * v_den",
+     "num = a_num * b_den * v_num - b_num * a_den * v_den",
      "invariant residual takes V_(n+4) = a V_n - b_n"),
+    ("src/sixrde/oracle.py",
+     "Fraction(r, w_den * den) if r else zero",
+     "zero",
+     "invariant residual check reports zero for every residual"),
     # The closed form's V table
     ("src/sixrde/closedform.py",
      "num, den = A * v_num + B * v_den, D * v_den",
@@ -150,11 +154,16 @@ MUTANTS = [
      "_TOP = (4, 5, 1, 0)",
      "classes 2 and 3 scale by each other's seed"),
     ("src/sixrde/specialcases.py",
-     "def _constant(a: int, b: RationalLike) -> CoefficientSequence:\n"
-     "    return CoefficientSequence.constant(a, b)",
-     "def _constant(a: int, b: RationalLike, _by_b={}) -> CoefficientSequence:\n"
-     "    return _by_b.setdefault(b, CoefficientSequence.constant(a, b))",
+     "def _constant(a: int, b_num: int, b_den: int) -> CoefficientSequence:\n"
+     "    return CoefficientSequence.constant(a, _reduced(b_num, b_den))",
+     "def _constant(a: int, b_num: int, b_den: int, _by_b={}) -> CoefficientSequence:\n"
+     "    return _by_b.setdefault((b_num, b_den),\n"
+     "                            CoefficientSequence.constant(a, _reduced(b_num, b_den)))",
      "a = +-1 cache keyed on b alone: a = -1 reuses a = 1's sequence"),
+    ("src/sixrde/specialcases.py",
+     "if e < 0:",
+     "if False:",
+     "special-case set-up keeps a negative common denominator e"),
     ("src/sixrde/specialcases.py",
      "p += 1",
      "p += 2",
