@@ -18,8 +18,9 @@ start-up; the base's one constructor binds and stores every record's fields.
 `InitialConditions` and `CoefficientSequence` compare by value.  The
 closed-form and special-case engines key their per-thread slot for the last
 solved instance on that equality, so an equal copy reuses the state an
-earlier call built.  The oracle and the V table step on a sequence's integer
-rows (`CoefficientSequence._step_table`), the other engines on its values.
+earlier call built.  A sequence holds one derived cache, its integer rows
+(`CoefficientSequence._step_table`): equality compares them, and the oracle
+and the V table step on them; the other engines read its values.
 """
 
 from __future__ import annotations
@@ -190,8 +191,8 @@ def format_rational(value: Fraction) -> str:
     return f"{'-' if p < 0 else ''}{_digits(abs(p))}/{_digits(value.denominator)}"
 
 
-# A part is carried from the last one of its chain only while both cofactors
-# n//g and m//g have at most 1/_CARRY_SHARE of its bits: a carry costs
+# A part is carried from the last one of its chain only while both reduced
+# cofactors of its hint have at most 1/_CARRY_SHARE of its bits: a carry costs
 # O(bits * cofactor bits), a restart with `_digits` O(bits**2).  Along the
 # Baseline orbit to N = 1600 the cofactors, V values, stay below 4%.
 _CARRY_SHARE = 8
@@ -209,8 +210,10 @@ def _rendered(values: Iterable) -> Iterator[tuple[int, int, str]]:
     Along an orbit those differ by a V ratio, so the new digits are the last
     ones divided by one small cofactor and multiplied by another, exactly, in
     `decimal` (linear time), rather than converted afresh (quadratic).  The
-    arithmetic is exact for any two values; a part whose cofactors are not
-    small restarts its chain with `_digits`.
+    cofactors are the hint's, once n * down == m * up confirms it, so no
+    gcd runs at full height.  The arithmetic is exact for any two values; a
+    part with no hint, a wrong one, or cofactors that are not small
+    restarts its chain with `_digits`.
     """
     chains = [[None, None] for _ in range(4)]  # (part, its digits) per class
     for i, (p, q, hint) in enumerate(values):
@@ -224,23 +227,22 @@ def _rendered(values: Iterable) -> Iterator[tuple[int, int, str]]:
 
 def _carried(chain: list, k: int, n: int, hint) -> str:
     """str(n), carried from `chain[k]` when it can be; chain[k] becomes n's.
-    A `hint` (up, down) counts only if n * down == m * up for the last m."""
+    Only a `hint` (up, down) with n * down == m * up for the last m carries."""
     if n < _PIECE_LIMIT:
         return str(n)
     last, bits = chain[k], n.bit_length()
     # n/m = up/down, so their lengths differ by at most up's or down's.
     if last is not None and abs(bits - last[0].bit_length()) * _CARRY_SHARE <= bits:
         m, digits = last
-        # Reduce the confirmed hint, else n/m itself with a full-height gcd.
-        up, down = hint if hint is not None and n * hint[1] == m * hint[0] else (n, m)
-        g = math.gcd(up, down)
-        up, down = up // g, down // g
-        if max(up, down).bit_length() * _CARRY_SHARE <= bits:
-            context = _exact()
-            digits = context.multiply(
-                context.divide_int(context.create_decimal(digits), down), up)
-            chain[k] = (n, digits)
-            return context.to_sci_string(digits)
+        if hint is not None and n * hint[1] == m * hint[0]:
+            g = math.gcd(*hint)
+            up, down = hint[0] // g, hint[1] // g
+            if max(up, down).bit_length() * _CARRY_SHARE <= bits:
+                context = _exact()
+                digits = context.multiply(
+                    context.divide_int(context.create_decimal(digits), down), up)
+                chain[k] = (n, digits)
+                return context.to_sci_string(digits)
     text = _digits(n)
     chain[k] = (n, text)
     return text
@@ -363,14 +365,13 @@ class CoefficientSequence:
     explicit list raise `OutOfHorizon`; the other kinds are total on n >= 0.
     """
 
-    __slots__ = ("_kind", "_a", "_b", "_period", "_key", "_steps")
+    __slots__ = ("_kind", "_a", "_b", "_period", "_steps")
 
     def __init__(self, kind, a, b, period=None):
         self._kind = kind
         self._a = a
         self._b = b
         self._period = period
-        self._key = None
         self._steps = None
 
     @classmethod
@@ -430,25 +431,17 @@ class CoefficientSequence:
     def b_values(self) -> tuple[Fraction, ...]:
         return self._b
 
-    def _ints(self) -> tuple:
-        """What equality compares, built on first use: kind, period and the
-        (numerator, denominator) pairs of a and b as plain ints, so comparing
-        two long lists makes no Fraction comparison per coefficient.  A
-        comprehension rather than `map`: CPython runs the Python-level
-        `Fraction.as_integer_ratio` faster when called from bytecode."""
-        if self._key is None:
-            self._key = (self._kind, self._period,
-                         [v.as_integer_ratio() for v in self._a],
-                         [v.as_integer_ratio() for v in self._b])
-        return self._key
-
     def _step_table(self) -> tuple:
-        """(rows, horizon), horizon a list's length else inf, built once as `_key`
-        is: step n < horizon maps V to a_n*V + b_n = (A*V_num + B*V_den) / (D*V_den),
-        (A, B, D) = rows[n % len(rows)] = (a_num*b_den, b_num*a_den, a_den*b_den)."""
+        """(rows, horizon), horizon a list's length else inf, built on first
+        use with one `as_integer_ratio` per coefficient and assigned whole:
+        step n < horizon maps V to a_n*V + b_n = (A*V_num + B*V_den) / (D*V_den),
+        (A, B, D) = rows[n % len(rows)] = (a_num*b_den, b_num*a_den, a_den*b_den).
+        Equality compares the rows too, as a = A/D and b = B/D."""
         if self._steps is None:
-            rows = tuple((a.numerator * b.denominator, b.numerator * a.denominator,
-                          a.denominator * b.denominator) for a, b in zip(self._a, self._b))
+            rows = tuple([(a_num * b_den, b_num * a_den, a_den * b_den)
+                          for (a_num, a_den), (b_num, b_den)
+                          in zip([a.as_integer_ratio() for a in self._a],
+                                 [b.as_integer_ratio() for b in self._b])])
             self._steps = rows, len(rows) if self._period is None else math.inf
         return self._steps
 
@@ -457,7 +450,9 @@ class CoefficientSequence:
             return True
         if not isinstance(other, CoefficientSequence):
             return NotImplemented
-        return self._ints() == other._ints()
+        rows = CoefficientSequence._step_table  # never a subclass's override
+        return (self._kind == other._kind and self._period == other._period
+                and rows(self)[0] == rows(other)[0])
 
     __hash__ = None  # mutable-looking API surface; equality is structural
 
@@ -504,8 +499,10 @@ class _Telescope:
 
     The closed form reads f(k) = V_k and the special cases
     f(4t+r) = u_top*F_r(t), each as a reduced pair (num, den), den > 0.
-    Each class keeps x at every block formed so far (block 0 is the seed
-    u_j), so a term past them costs one factor ratio per missing block.
+    Each class keeps one list, an entry per block formed so far (block 0 is
+    the seed u_j), so a term past them costs one factor ratio per missing
+    block.  An entry is (item, value): the (num, den, hint) that `items`
+    yields, and the `Fraction` that `x` returns, made from the same two ints.
     A query first extends the two factor columns it reads (f(4t+r) is
     `f._columns[r][t]`, extended through k by f(k)), so a short explicit
     list raises `OutOfHorizon` before any check; then at each new block,
@@ -515,9 +512,9 @@ class _Telescope:
     repeated.
 
     A block step runs on integer parts with the four gcds `Fraction` would
-    run, two to reduce f(k)/f(k+2) and two to cross-cancel it against x, and
-    keeps its parts' cofactors over the block before it: the hint that
-    `_rendered` carries their digits by.
+    run, two to reduce f(k)/f(k+2) and two to cross-cancel it against x; its
+    hint is its parts' cofactors over the block before it, which `_rendered`
+    carries their digits by.
 
     Each engine keeps the last instance it solved in one slot per thread
     (`_solved`), found again by equality of `(ic, coeffs)`.
@@ -525,8 +522,7 @@ class _Telescope:
 
     def __init__(self, seeds: Sequence[Fraction], f):
         self.f = f
-        self._blocks = [[seeds[j]] for j in range(4)]
-        self._parts = [[(*seeds[j].as_integer_ratio(), None)] for j in range(4)]
+        self._blocks = [[((*seed.as_integer_ratio(), None), seed)] for seed in seeds[:4]]
 
     def x(self, m: int) -> Fraction:
         if m < -5:
@@ -541,8 +537,8 @@ class _Telescope:
                 f(4 * n + j - 4)
             if len(denominators) < n + shift:
                 f(4 * n + j - 2)
-            parts, gcd = self._parts[j], math.gcd
-            x_num, x_den, _ = parts[-1]
+            gcd = math.gcd
+            (x_num, x_den, _), _ = blocks[-1]
             for s in range(len(blocks) - 1, n):
                 d_num, d_den = denominators[s + shift]
                 if d_num == 0:
@@ -562,16 +558,16 @@ class _Telescope:
                 if g2 > 1:
                     x_den, r_num = x_den // g2, r_num // g2
                 x_num, x_den = x_num * r_num, x_den * r_den
-                blocks.append(_reduced(x_num, x_den))
-                parts.append((x_num, x_den, ((abs(r_num), g1), (r_den, g2))))
-        return blocks[n]
+                blocks.append(((x_num, x_den, ((abs(r_num), g1), (r_den, g2))),
+                               _reduced(x_num, x_den)))
+        return blocks[n][1]
 
     def items(self, lo: int, hi: int) -> Iterator[tuple]:
         """(num, den, hint) of x_lo, ..., x_hi: hint None for a seed, else
         the block's cofactors against the block before it."""
         for m in range(lo, hi + 1):
             self.x(m)
-            yield self._parts[(m + 5) % 4][(m + 5) // 4]
+            yield self._blocks[(m + 5) % 4][(m + 5) // 4][0]
 
 
 _SLOTS = threading.local()

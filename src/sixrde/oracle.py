@@ -208,15 +208,20 @@ def check_invariant_recurrence(
     N/D = (a_num b_den V_num + b_num a_den V_den) / (a_den b_den V_den), and
     r_n = (W_num D - W_den N) / (W_den D) for V_(n+4) = W_num/W_den.  A zero
     numerator gives one shared `Fraction(0)`, with no gcd; any other is
-    normalised once, as `Fraction(num, den)`.
+    normalised once, as `Fraction(num, den)`.  Each distinct coefficient's
+    integer ratio is read once per call, from `a_values()`/`b_values()`.
     """
     if len(v) < 5:
         raise TooShort("invariant recurrence check needs at least five values")
     zero, residuals = Fraction(0), []
     parts = [value.as_integer_ratio() for value in v.values]
-    for n in range(len(parts) - 4):
-        a, b = coeffs.pair_at(n)
-        (a_num, a_den), (b_num, b_den) = a.as_integer_ratio(), b.as_integer_ratio()
+    count, index = len(parts) - 4, coeffs._index
+    # Entry i of these is coefficient i's ratio, for every i that n < count reads.
+    a_parts = [a.as_integer_ratio() for a in coeffs.a_values()[:count]]
+    b_parts = [b.as_integer_ratio() for b in coeffs.b_values()[:count]]
+    for n in range(count):
+        i = index(n)  # past an explicit list: OutOfHorizon at this n
+        (a_num, a_den), (b_num, b_den) = a_parts[i], b_parts[i]
         (v_num, v_den), (w_num, w_den) = parts[n], parts[n + 4]
         num = a_num * b_den * v_num + b_num * a_den * v_den
         den = a_den * b_den * v_den

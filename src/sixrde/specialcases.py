@@ -155,17 +155,11 @@ class _Factors:
         return column[t]
 
 
-def _covered(ic: InitialConditions, coeffs: CoefficientSequence):
-    """This engine's slot for (ic, coeffs), a `_Telescope` over `_Factors`;
-    `WrongCase` when no special case covers `coeffs`."""
-    return _solved("specialcases", _Factors, ic, coeffs)
-
-
 def term(m: int, ic: InitialConditions, coeffs: CoefficientSequence) -> Fraction:
     """Exact x_m by the shared product over the special case covering
     `coeffs`.  Raises `WrongCase` for a sequence no case covers, and
     `SingularClosedForm` where the closed form does."""
-    return _covered(ic, coeffs).x(m)
+    return _solved("specialcases", _Factors, ic, coeffs).x(m)
 
 
 def terms(
@@ -176,13 +170,13 @@ def terms(
     no case covers, and at the first singular index what `term` raises
     there.  The iterator extends the calling thread's slot; consume it
     there."""
-    telescope = _covered(ic, coeffs)
+    telescope = _solved("specialcases", _Factors, ic, coeffs)
     return (telescope.x(m) for m in range(lo, hi + 1))
 
 
 def _items(lo: int, hi: int, ic: InitialConditions, coeffs: CoefficientSequence):
     """`terms` as `_Telescope.items` gives them, (num, den, hint), for the CLI."""
-    return _covered(ic, coeffs).items(lo, hi)
+    return _solved("specialcases", _Factors, ic, coeffs).items(lo, hi)
 
 
 term_const_general = term_periodic2 = term_periodic4 = term

@@ -153,6 +153,21 @@ def unhinted(values):
     return ((v.numerator, v.denominator, None) for v in values)
 
 
+def hinted(values):
+    """The renderer's items for `values`, each hinted with the exact
+    ratios of its parts to those of the value four places back."""
+    for i, v in enumerate(values):
+        back, hint = values[i - 4] if i >= 4 else 0, None
+        if back:
+            hint = (Fraction(abs(v.numerator), abs(back.numerator)).as_integer_ratio(),
+                    Fraction(v.denominator, back.denominator).as_integer_ratio())
+        yield v.numerator, v.denominator, hint
+
+
+#: Each way the tests below hand a run of values to the renderer.
+HINTS = {"unhinted": unhinted, "hinted": hinted}
+
+
 @pytest.fixture(scope="module")
 def runs_to_render():
     return _runs_to_render()
@@ -161,7 +176,8 @@ def runs_to_render():
 def test_the_chain_renderer_writes_what_format_rational_writes(runs_to_render):
     for name, values in runs_to_render.items():
         want = [(v.numerator, v.denominator, format_rational(v)) for v in values]
-        assert list(core._rendered(unhinted(values))) == want, name
+        for how, items in HINTS.items():
+            assert list(core._rendered(items(values))) == want, (name, how)
 
 
 def test_a_value_whose_cofactors_are_large_restarts_its_chain(monkeypatch):
@@ -172,8 +188,10 @@ def test_a_value_whose_cofactors_are_large_restarts_its_chain(monkeypatch):
     values = [Fraction(rng.getrandbits(10_000) | 1 << 9_999 | 1) for _ in range(12)]
     want = [format_rational(v) for v in values]
     fresh = count_fresh_conversions(monkeypatch)
-    assert [text for *_, text in core._rendered(unhinted(values))] == want
-    assert fresh == [v.numerator for v in values]  # 12 of 12
+    for how, items in HINTS.items():
+        fresh.clear()
+        assert [text for *_, text in core._rendered(items(values))] == want, how
+        assert fresh == [v.numerator for v in values], how  # 12 of 12
 
 
 def test_the_chain_renderer_ignores_and_keeps_the_thread_decimal_context(runs_to_render):
@@ -185,8 +203,9 @@ def test_the_chain_renderer_ignores_and_keeps_the_thread_decimal_context(runs_to
         decimal.FloatOperation])
     with decimal.localcontext(strict) as context:
         before = repr(context)
-        assert [text for *_, text in core._rendered(unhinted(values))] == want
-        assert decimal.getcontext() is context and repr(context) == before
+        for how, items in HINTS.items():
+            assert [text for *_, text in core._rendered(items(values))] == want, how
+            assert decimal.getcontext() is context and repr(context) == before, how
 
 
 def test_the_chain_renderer_needs_no_higher_int_str_limit(tmp_path):
@@ -233,6 +252,22 @@ def test_the_oracle_hints_spare_the_renderer_every_full_height_gcd(monkeypatch):
     assert texts == want
     assert 1 <= len(fresh) <= FRESH_CONVERSIONS
     assert len(operands) > 1000 and max(operands) < core._PIECE_LIMIT
+
+
+def test_a_value_without_a_confirmed_hint_runs_no_full_height_gcd(monkeypatch):
+    # The Baseline oracle's run with its hints stripped, then with each one
+    # off by one: every large part restarts its chain, the text is
+    # `format_rational`'s, and no gcd operand reaches the piece limit.
+    items = _baseline_terms(600)
+    want = [format_rational(Fraction(p, q)) for p, q, _ in items]
+    operands, gcd = [], core.math.gcd
+    monkeypatch.setattr(core.math, "gcd", lambda a, b: operands.append(max(a, b)) or gcd(a, b))
+    for variant in ([(p, q, None) for p, q, _ in items],
+                    [(p, q, h and tuple((up + 1, down) for up, down in h))
+                     for p, q, h in items]):
+        assert [text for *_, text in core._rendered(variant)] == want
+    monkeypatch.undo()
+    assert max(operands, default=0) < core._PIECE_LIMIT
 
 
 def test_the_reduced_pair_builds_what_fraction_builds():

@@ -81,9 +81,14 @@ MUTANTS = [
      "oracle hints a numerator ratio whose up is off by one"),
     # The step table both the oracle and the V table read
     ("src/sixrde/core.py",
-     "(a.numerator * b.denominator, b.numerator * a.denominator,",
-     "(a.numerator * b.denominator, b.numerator * b.denominator,",
+     "(a_num * b_den, b_num * a_den, a_den * b_den)",
+     "(a_num * b_den, b_num * b_den, a_den * b_den)",
      "step table multiplies b_num by b_den instead of a_den"),
+    # Coefficient equality, which the per-thread slot keys on
+    ("src/sixrde/core.py",
+     "self._kind == other._kind and self._period == other._period",
+     "self._kind == other._kind",
+     "equality key drops period"),
     # The invariant V along an orbit, and its affine recurrence
     ("src/sixrde/oracle.py",
      "for P, Q in map(_product, terms, terms[2:])",
@@ -112,9 +117,13 @@ MUTANTS = [
      "v_closed's tail product takes one factor too many"),
     # Telescoping and the per-thread slot
     ("src/sixrde/core.py",
-     "self._blocks = [[seeds[j]] for j in range(4)]",
-     "self._blocks = [[seeds[j + 1]] for j in range(4)]",
+     "for seed in seeds[:4]]",
+     "for seed in seeds[1:5]]",
      "each class starts from the next class's seed"),
+    ("src/sixrde/core.py",
+     "_reduced(x_num, x_den)))",
+     "_reduced(x_num, x_den) if s else blocks[0][1]))",
+     "block value and item diverge: x's first block past the seed repeats the seed"),
     ("src/sixrde/core.py",
      "r_num, r_den = (n_num // g1) * (d_den // g2), (d_num // g1) * (n_den // g2)",
      "r_den, r_num = (n_num // g1) * (d_den // g2), (d_num // g1) * (n_den // g2)",
