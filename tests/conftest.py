@@ -296,9 +296,15 @@ def run_on_baseline(*argv: str) -> tuple[int, tuple[str, int]]:
 
 def file_digest(path: Path) -> tuple[str, int]:
     """Return the md5 hex digest and byte length of the file at `path`."""
-    md5, size = hashlib.md5(), 0
     with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            md5.update(chunk)
-            size += len(chunk)
+        return stream_digest(fh)
+
+
+def stream_digest(fh) -> tuple[str, int]:
+    """Return the md5 hex digest and byte length of what binary `fh` reads
+    to its end, read in 1 MiB chunks."""
+    md5, size = hashlib.md5(), 0
+    while chunk := fh.read(1 << 20):
+        md5.update(chunk)
+        size += len(chunk)
     return md5.hexdigest(), size

@@ -1,9 +1,9 @@
 """Symmetry layer: the characteristics' tables against powers of i, the LSC
 residual's detector, and the phase-sum checks' reach and failure reports.
 
-That the residual vanishes for Q1 and Q2 at sampled points is acceptance
-criterion 5; that the phase sums hold to n = 50 is the pinned
-`verify-symmetry` output (`tests/test_cli.py`).
+That the residual vanishes for Q1 and Q2 at sampled points, and that the
+phase sums hold to n = 50, is acceptance criterion 5; the `verify-symmetry`
+output (`tests/test_cli.py`) reports the residual only.
 """
 
 from fractions import Fraction

@@ -243,9 +243,13 @@ MUTANTS = [
      " spec.coeffs, count))))",
      "compare's oracle column is not first: a halt makes the closed form raise"),
     ("src/sixrde/cli.py",
-     'if m < count else "null")',
-     'if m <= count else "null")',
+     "if m < count else None,",
+     "if m <= count else None,",
      "compare reports a halt at the last index"),
+    ("src/sixrde/cli.py",
+     "json.dumps(summary, indent=2, sort_keys=True)",
+     "json.dumps(summary, indent=2)",
+     "compare's summary drops sort_keys"),
     ("src/sixrde/cli.py",
      "horizon=count // 4 + 2)",
      "horizon=count // 4 + 1)",
@@ -262,6 +266,10 @@ MUTANTS = [
      "or horizon < 0:",
      "or horizon < -1:",
      "a negative horizon is accepted"),
+    ("src/sixrde/cli.py",
+     "ok = nonzero == 0",
+     "ok = nonzero >= 0",
+     "verify-symmetry reports ok with nonzero residuals"),
     # Symmetry checks
     ("src/sixrde/symmetry.py",
      "x0 * y2 * r2 * s0 + x2 * y0 * r0 * s2",
