@@ -25,9 +25,10 @@ nonzero residual, 64 malformed spec file, 65 usage error; 141 (quietly)
 when the reader of the output closed it early, and 130 after one
 "interrupted" line on SIGINT.
 
-Randomness for verify-symmetry comes from a 64-bit linear congruential
-generator (Knuth's MMIX multiplier), so equal seeds give byte-identical
-reports.
+verify-symmetry draws its samples with `random.Random(--seed)`.  Its
+report cannot depend on the draw: the residuals of Q1 and Q2 vanish
+identically, and the counterfeit's is nonzero wherever b is, and every
+sample draws b nonzero.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import functools
 import json
 import math
 import os
+import random
 import re as _re
 import shutil
 import sys
@@ -72,7 +74,6 @@ __all__ = [
     "parse_problem_spec",
     "load_problem_spec",
     "canonical_spec_json",
-    "Lcg",
     "build_parser",
     "main",
     "entry",
@@ -188,49 +189,6 @@ def canonical_spec_json(spec: ProblemSpec) -> str:
         "horizon": spec.horizon,
     }
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Deterministic sampling
-# ---------------------------------------------------------------------------
-
-class Lcg:
-    """64-bit linear congruential generator, state' = 6364136223846793005*state
-    + 1442695040888963407 (mod 2^64)."""
-
-    _MULT = 6364136223846793005
-    _INC = 1442695040888963407
-    _MASK = (1 << 64) - 1
-    _LIMIT = 9  # `rational` draws numerators in -9..9 and denominators in 1..9
-
-    def __init__(self, seed: int):
-        self.state = seed & self._MASK
-
-    def next_u64(self) -> int:
-        self.state = (self.state * self._MULT + self._INC) & self._MASK
-        return self.state
-
-    def below(self, bound: int) -> int:
-        return self.next_u64() % bound
-
-    def rational(self, nonzero: bool = False) -> Fraction:
-        while True:
-            num = self.below(2 * self._LIMIT + 1) - self._LIMIT
-            if num or not nonzero:
-                return Fraction(num, self.below(self._LIMIT) + 1)
-
-    def lsc_sample(self) -> symmetry.LscSample:
-        while True:
-            n = self.below(48)
-            u0 = self.rational(nonzero=True)
-            u2 = self.rational(nonzero=True)
-            u4 = self.rational(nonzero=True)
-            a = self.rational()
-            b = self.rational(nonzero=True)
-            try:
-                return symmetry.LscSample(n=n, u0=u0, u2=u2, u4=u4, a=a, b=b)
-            except DegenerateSample:  # a + b*u0*u2 = 0: draw again
-                continue
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +332,33 @@ def _cmd_compare(spec: ProblemSpec, args, out: TextIO) -> int:
     return EXIT_OK if first_mismatch is None else EXIT_MISMATCH
 
 
+def _lsc_samples(seed: int, count: int) -> list[symmetry.LscSample]:
+    """`count` samples drawn by `random.Random(seed)`: n in 0..47, and u0,
+    u2, u4, a, b with numerators in -9..9 and denominators in 1..9, all but
+    a nonzero.  A draw `LscSample` refuses (a + b*u0*u2 = 0) is drawn again."""
+    rng = random.Random(seed)
+
+    def rational(nonzero: bool = True) -> Fraction:
+        while True:
+            num = rng.randint(-9, 9)
+            if num or not nonzero:
+                return Fraction(num, rng.randint(1, 9))
+
+    samples = []
+    while len(samples) < count:
+        n, u0, u2, u4 = rng.randrange(48), rational(), rational(), rational()
+        a, b = rational(nonzero=False), rational()
+        with contextlib.suppress(DegenerateSample):  # a + b*u0*u2 = 0: draw again
+            samples.append(symmetry.LscSample(n=n, u0=u0, u2=u2, u4=u4, a=a, b=b))
+    return samples
+
+
 def _cmd_verify_symmetry(args) -> int:
-    rng = Lcg(args.seed)
     characteristics = [symmetry.Q1, symmetry.Q2]
     if args.counterfeit:
         characteristics = [symmetry.counterfeit_characteristic]
     failed = False
-    samples = [rng.lsc_sample() for _ in range(args.samples)]
+    samples = _lsc_samples(args.seed, args.samples)
     for q in characteristics:
         nonzero = sum(1 for s in samples if symmetry.lsc_residual(q, s))
         ok = nonzero == 0

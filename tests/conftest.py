@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from pins import BASELINE
 from sixrde import (
     CoefficientSequence,
     InitialConditions,
@@ -269,14 +270,6 @@ def count_fresh_conversions(monkeypatch) -> list:
 
     monkeypatch.setattr(core, "_digits", counted)
     return fresh
-
-
-#: Seeds 2, 3, 5, 7, 11, 13 and 2-periodic a = (2, -1/3), b = (1, 5/7).
-BASELINE = {
-    "initial": ["2", "3", "5", "7", "11", "13"],
-    "coeffs": {"kind": "periodic", "period": 2, "a": ["2", "-1/3"], "b": ["1", "5/7"]},
-    "horizon": 40,
-}
 
 
 @once

@@ -2,8 +2,8 @@
 
 Each value there runs to tens of thousands of digits, a regime the rest of
 the suite, which compares the engines at small heights, never reaches.  Each
-command's output md5 and byte length must equal the pins.  `iterate` and
-`solve` up to N = 1600 run in-process, once per session through
+command's output md5 and byte length must equal its pin in `pins.py`.
+`iterate` and `solve` up to N = 1600 run in-process, once per session through
 `conftest.run_on_baseline`, whose run also gives test_cli.py its count of the
 digit conversions each residue chain starts afresh; `compare`,
 `verify-symmetry` and the N = 3200 pins run in a child `python -m sixrde`.
@@ -27,15 +27,12 @@ import sys
 
 import pytest
 
-from conftest import BASELINE, child_env, file_digest, run_on_baseline, run_python, stream_digest
+from conftest import child_env, file_digest, run_on_baseline, run_python, stream_digest
+from pins import (BASELINE, COMPARE_800, COMPARE_1600, CSV_800, CSV_1600, CSV_3200,
+                  VERIFY_SYMMETRY)
 
 opt_in = pytest.mark.skipif(not os.environ.get("SIXRDE_LARGE_N"),
                             reason="set SIXRDE_LARGE_N=1 to run the large-N digests")
-
-# iterate, solve and solve --engine auto write the same CSV.
-CSV_800 = ("fe14fb54f74a472326805c9deacb930a", 4346010)
-CSV_1600 = ("34820e634918d0f03105df708b10fbe0", 33844858)
-CSV_3200 = ("ee2041e4b0fa99bbe62492b49f8898d5", 267634192)
 
 
 def _pin(argv, pin, *marks):
@@ -46,11 +43,11 @@ PINS = [
     _pin(["iterate", "--n", "800"], CSV_800, opt_in),
     _pin(["solve", "--range", "-5..800"], CSV_800, opt_in),
     _pin(["solve", "--range", "-5..800", "--engine", "auto"], CSV_800, opt_in),
-    _pin(["compare", "--n", "800"], ("306648bc51aca33ad056d0b60339c7a6", 13071549)),
+    _pin(["compare", "--n", "800"], COMPARE_800),
     _pin(["iterate", "--n", "1600"], CSV_1600),
     _pin(["solve", "--range", "-5..1600"], CSV_1600),
     _pin(["solve", "--range", "-5..1600", "--engine", "auto"], CSV_1600, opt_in),
-    _pin(["compare", "--n", "1600"], ("61c10832c7d468b76836cc204d4cdaf2", 101599311), opt_in),
+    _pin(["compare", "--n", "1600"], COMPARE_1600, opt_in),
 ]
 
 
@@ -71,8 +68,7 @@ def test_spec_command_output_is_pinned(tmp_path, argv, pin):
 
 def test_verify_symmetry_output_is_pinned(tmp_path):
     done = run_python("-m", "sixrde", "verify-symmetry", cwd=tmp_path, timeout=600)
-    assert (hashlib.md5(done.stdout).hexdigest(), len(done.stdout)) == (
-        "7b40b7188ae077a96ca487cc1fd6a3d7", 96)
+    assert (hashlib.md5(done.stdout).hexdigest(), len(done.stdout)) == VERIFY_SYMMETRY
 
 
 @opt_in

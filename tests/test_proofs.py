@@ -122,10 +122,8 @@ def test_lsc_residual_equals_the_literal_formula_on_seeded_samples():
     # or not: every residual equals the docstring expression evaluated
     # literally in Fraction arithmetic, and the real pair's residuals make
     # the paper's complex one at every sample.
-    rng = cli.Lcg(2024)
     formulas = {(sign, r): lsc_formula(sign * sp.I, r) for sign in (1, -1) for r in range(4)}
-    for _ in range(200):
-        sample = rng.lsc_sample()
+    for sample in cli._lsc_samples(2024, 200):
         for q in (Q1, Q2, *(q for q, _phase in CHARACTERISTICS)):
             assert lsc_residual(q, sample) == literal_lsc_residual(q, sample)
         at = {u0: sample.u0, u2: sample.u2, u4: sample.u4, a: sample.a, b: sample.b}
@@ -140,8 +138,7 @@ def test_each_residual_costs_six_normalisations_and_no_fraction_arithmetic(monke
     # Q's four values, Psi and the residual are one Fraction each, built from
     # integer parts; nothing is multiplied, divided, added or subtracted as
     # a Fraction.
-    rng = cli.Lcg(2024)
-    samples = [rng.lsc_sample() for _ in range(200)]
+    samples = cli._lsc_samples(2024, 200)
     want = [literal_lsc_residual(q, sample) for sample in samples]
     normalisations = count_normalisations(monkeypatch)
     got = [lsc_residual(q, sample) for sample in samples]

@@ -249,18 +249,17 @@ def test_a_bench_record_keeps_the_result_line_and_how_it_was_run():
 
 
 def test_the_interpreter_tool_reads_the_pins_and_pytests_summary_line():
-    # `tools/interpreters.py` reads the N = 800 pins from test_large_n.py's
-    # source, never from a copy, and Tier-1's outcome from the last line
-    # `pytest -q` prints.
+    # `tools/interpreters.py` runs `pins.MATRIX`, each entry of which
+    # test_large_n.py checks too, and reads Tier-1's outcome from the last
+    # line `pytest -q` prints.
+    import pins
     import test_large_n
 
+    checked = [tuple(pin.values) for pin in test_large_n.PINS
+               if not any("1600" in arg for arg in pin.values[0])]
+    checked.append((["verify-symmetry"], test_large_n.VERIFY_SYMMETRY))
+    assert len(checked) == 5 and pins.MATRIX == checked
     tool = runpy.run_path(str(ROOT / "tools" / "interpreters.py"))
-    pins = tool["pins"]((ROOT / "tests" / "test_large_n.py").read_text(encoding="utf-8"))
-    want = [tuple(pin.values) for pin in test_large_n.PINS
-            if not any("1600" in arg for arg in pin.values[0])]
-    assert len(want) == 4 and pins[:-1] == want
-    argv, (md5, length) = pins[-1]
-    assert argv == ["verify-symmetry"] and re.fullmatch(r"[0-9a-f]{32}", md5) and length > 0
     stdout = "....ss..\n363 passed, 5 skipped in 14.77s\n"
     assert tool["tier1_counts"](stdout) == {"passed": 363, "skipped": 5, "seconds": 14.77}
     assert tool["tier1_counts"]("1 failed, 9 passed, 2 errors in 3.50s") == {
@@ -284,9 +283,8 @@ def test_the_symmetry_results_the_benchmark_reads_keep_their_meaning():
     # under the same names (a residual returned as a tuple is always true)
     # would pass the test above and fail only in the benchmark.
     limits = _bench_constants("SYMMETRY_N_MAX", "GAMMA_LIMIT")
-    rng = cli.Lcg(1)
     counterfeits = []
-    for sample in (rng.lsc_sample() for _ in range(20)):
+    for sample in cli._lsc_samples(1, 20):
         q1, q2, counterfeit = (sixrde.lsc_residual(q, sample) for q in
                                (sixrde.Q1, sixrde.Q2, sixrde.counterfeit_characteristic))
         assert type(q1) is type(q2) is type(counterfeit) is Fraction

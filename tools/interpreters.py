@@ -7,10 +7,10 @@ every `<root>/versions/*/bin/python3.N` it can select, since a shim runs
 only the one version pyenv has selected.  Each interpreter, counted once by
 its real path, then
 
-- runs the N = 800 CLI pins and the `verify-symmetry` pin, read from the
-  source of `tests/test_large_n.py` (the spec from `tests/conftest.py`'s
-  `BASELINE`), each as a child `python -m sixrde` with `src` on
-  `PYTHONPATH`, and compares each output's md5 and length with its pin;
+- runs the N = 800 CLI pins and the `verify-symmetry` pin, `MATRIX` in
+  `tests/pins.py` (on that file's `BASELINE` spec), each as a child
+  `python -m sixrde` with `src` on `PYTHONPATH`, and compares each output's
+  md5 and length with its pin;
 - runs Tier-1 (`python -m pytest -q -p no:cacheprovider`) where
   `import pytest` works, and otherwise gives the reason it cannot.
 
@@ -19,11 +19,11 @@ interpreter runs with what it has installed itself.  The pins take a few
 seconds per interpreter and Tier-1 about 20 s where it runs.
 """
 
-import ast
 import hashlib
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -33,43 +33,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: Seconds one child run may take: the pins, or the whole of Tier-1.
 TIMEOUT_SECONDS = 600
-
-
-def _assigned(tree: ast.Module) -> dict:
-    """The module-level names `tree` assigns a literal to, with their values."""
-    found = {}
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            try:
-                value = ast.literal_eval(node.value)
-            except ValueError:
-                continue
-            found.update((target.id, value) for target in node.targets
-                         if isinstance(target, ast.Name))
-    return found
-
-
-def pins(source: str) -> list:
-    """[(argv, (md5, length)), ...]: the N = 800 spec command pins of
-    `tests/test_large_n.py`'s `PINS` and its `verify-symmetry` pin, from the
-    file's `source`."""
-    tree = ast.parse(source)
-    names = _assigned(tree)
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "PINS":
-            for call in node.value.elts:
-                argv, pin = call.args[:2]
-                argv = ast.literal_eval(argv)
-                if "800" in argv or "-5..800" in argv:
-                    found.append((argv, names[pin.id] if isinstance(pin, ast.Name)
-                                  else ast.literal_eval(pin)))
-        if isinstance(node, ast.FunctionDef) and node.name == "test_verify_symmetry_output_is_pinned":
-            [pin] = [ast.literal_eval(part) for part in ast.walk(node)
-                     if isinstance(part, ast.Tuple) and len(part.elts) == 2
-                     and all(isinstance(elt, ast.Constant) for elt in part.elts)]
-            found.append((["verify-symmetry"], pin))
-    return found
 
 
 def tier1_counts(stdout: str) -> dict:
@@ -126,7 +89,7 @@ def check(python: str, pinned: list, spec: dict) -> dict:
             data = done.stdout if not extra else out.read_bytes() if out.exists() else b""
             out.unlink(missing_ok=True)
             got = (hashlib.md5(data).hexdigest(), len(data))
-            line["pins"][" ".join(argv)] = done.returncode == 0 and got == tuple(pin)
+            line["pins"][" ".join(argv)] = done.returncode == 0 and got == pin
     line["pins_ok"] = all(line["pins"].values())
     probe = _run(python, "-c", "import pytest", cwd=ROOT)
     if probe.returncode:
@@ -140,11 +103,9 @@ def check(python: str, pinned: list, spec: dict) -> dict:
 
 
 def main() -> None:
-    tests = ROOT / "tests"
-    pinned = pins((tests / "test_large_n.py").read_text(encoding="utf-8"))
-    spec = _assigned(ast.parse((tests / "conftest.py").read_text(encoding="utf-8")))["BASELINE"]
+    pins = runpy.run_path(str(ROOT / "tests" / "pins.py"))
     for python in interpreters():
-        print(json.dumps(check(python, pinned, spec)), flush=True)
+        print(json.dumps(check(python, pins["MATRIX"], pins["BASELINE"])), flush=True)
 
 
 if __name__ == "__main__":
