@@ -25,7 +25,7 @@ and the V table step on them; the other engines read its values.
 
 from __future__ import annotations
 
-import functools
+import decimal
 import math
 import re as _re
 import threading
@@ -150,6 +150,16 @@ _RATIONAL_RE = _re.compile(r"\s*([+-]?)(\d+)(?:/([1-9]\d*))?\s*", _re.ASCII)
 _PIECE_DIGITS = 640
 _PIECE_LIMIT = 10**_PIECE_DIGITS
 
+# The one context chains are carried in: integers of any length fit, and
+# rounding of any kind raises.  `divide_int` truncates without a signal, so
+# `_carried` divides only by a divisor its check confirms.  Only the
+# context's own methods are called, so no thread's decimal context is read
+# or changed.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+           decimal.DivisionByZero, decimal.Overflow])
+
 
 def _integer(digits: str) -> int:
     """int(digits) for a decimal digit string of any length."""
@@ -191,13 +201,6 @@ def format_rational(value: Fraction) -> str:
     return f"{'-' if p < 0 else ''}{_digits(abs(p))}/{_digits(value.denominator)}"
 
 
-# A part is carried from the last one of its chain only while both reduced
-# cofactors of its hint have at most 1/_CARRY_SHARE of its bits: a carry costs
-# O(bits * cofactor bits), a restart with `_digits` O(bits**2).  Along the
-# Baseline orbit to N = 1600 the cofactors, V values, stay below 4%.
-_CARRY_SHARE = 8
-
-
 def _rendered(values: Iterable) -> Iterator[tuple[int, int, str]]:
     """(p, q, `format_rational(p/q)`) for each item (p, q, hint) of
     `values`, in order: a reduced pair, q > 0, and a hint None or
@@ -212,8 +215,7 @@ def _rendered(values: Iterable) -> Iterator[tuple[int, int, str]]:
     `decimal` (linear time), rather than converted afresh (quadratic).  The
     cofactors are the hint's, once n * down == m * up confirms it, so no
     gcd runs at full height.  The arithmetic is exact for any two values; a
-    part with no hint, a wrong one, or cofactors that are not small
-    restarts its chain with `_digits`.
+    part with no hint, or a wrong one, restarts its chain with `_digits`.
     """
     chains = [[None, None] for _ in range(4)]  # (part, its digits) per class
     for i, (p, q, hint) in enumerate(values):
@@ -230,35 +232,16 @@ def _carried(chain: list, k: int, n: int, hint) -> str:
     Only a `hint` (up, down) with n * down == m * up for the last m carries."""
     if n < _PIECE_LIMIT:
         return str(n)
-    last, bits = chain[k], n.bit_length()
-    # n/m = up/down, so their lengths differ by at most up's or down's.
-    if last is not None and abs(bits - last[0].bit_length()) * _CARRY_SHARE <= bits:
-        m, digits = last
-        if hint is not None and n * hint[1] == m * hint[0]:
-            g = math.gcd(*hint)
-            up, down = hint[0] // g, hint[1] // g
-            if max(up, down).bit_length() * _CARRY_SHARE <= bits:
-                context = _exact()
-                digits = context.multiply(
-                    context.divide_int(context.create_decimal(digits), down), up)
-                chain[k] = (n, digits)
-                return context.to_sci_string(digits)
+    last = chain[k]
+    if last is not None and hint is not None and n * hint[1] == last[0] * hint[0]:
+        g = math.gcd(*hint)
+        digits = _EXACT.multiply(
+            _EXACT.divide_int(_EXACT.create_decimal(last[1]), hint[1] // g), hint[0] // g)
+        chain[k] = (n, digits)
+        return _EXACT.to_sci_string(digits)
     text = _digits(n)
     chain[k] = (n, text)
     return text
-
-
-@functools.cache
-def _exact():
-    """The one `decimal.Context` chains are carried in, built on first use
-    (so `decimal` is imported only then): integers of any length fit, and
-    rounding of any kind raises.  Only its own methods are called, so no
-    thread's decimal context is read or changed."""
-    import decimal
-    return decimal.Context(
-        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
-        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
-               decimal.DivisionByZero, decimal.Overflow])
 
 
 def _reduced(numerator: int, denominator: int) -> Fraction:

@@ -166,16 +166,16 @@ def terms(
     lo: int, hi: int, ic: InitialConditions, coeffs: CoefficientSequence
 ) -> Iterator[Fraction]:
     """x_lo..x_hi by the shared product over the special case covering
-    `coeffs` (`--engine auto`).  Raises `WrongCase` at once for a sequence
-    no case covers, and at the first singular index what `term` raises
-    there.  The iterator extends the calling thread's slot; consume it
-    there."""
+    `coeffs`.  Raises `WrongCase` at once for a sequence no case covers,
+    and at the first singular index what `term` raises there.  The
+    iterator extends the calling thread's slot; consume it there."""
     telescope = _solved("specialcases", _Factors, ic, coeffs)
     return (telescope.x(m) for m in range(lo, hi + 1))
 
 
 def _items(lo: int, hi: int, ic: InitialConditions, coeffs: CoefficientSequence):
-    """`terms` as `_Telescope.items` gives them, (num, den, hint), for the CLI."""
+    """`terms` as `_Telescope.items` gives them, (num, den, hint), for the
+    CLI's `solve --engine auto` and `compare`."""
     return _solved("specialcases", _Factors, ic, coeffs).items(lo, hi)
 
 

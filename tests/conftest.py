@@ -41,9 +41,10 @@ from sixrde import (
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Wall-clock seconds each phase of a test (setup with its fixtures, call,
-#: teardown) may take.  The slowest test takes about 1.3 s; a step that
+#: teardown) may take.  The slowest test takes about 2.0 s; a step that
 #: multiplies the wrong terms makes term heights grow exponentially, and the
-#: limit turns that hang into a failure.
+#: limit turns that hang into a failure.  pytest's `faulthandler_timeout`
+#: (pyproject.toml), 25 s, prints every thread's stack first.
 TEST_SECONDS = 30
 
 

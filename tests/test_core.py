@@ -181,17 +181,15 @@ def test_the_chain_renderer_writes_what_format_rational_writes(runs_to_render):
 
 
 def test_a_value_whose_cofactors_are_large_restarts_its_chain(monkeypatch):
-    # Twelve unrelated odd 10 000-bit integers: each shares no small ratio
-    # with the value four places earlier, so a carry would divide by a
-    # cofactor as long as the value itself.  Every one restarts its chain.
+    # Twelve unrelated odd 10 000-bit integers with no hint: each shares no
+    # small ratio with the value four places earlier.  Every one restarts
+    # its chain.
     rng = random.Random(25)
     values = [Fraction(rng.getrandbits(10_000) | 1 << 9_999 | 1) for _ in range(12)]
     want = [format_rational(v) for v in values]
     fresh = count_fresh_conversions(monkeypatch)
-    for how, items in HINTS.items():
-        fresh.clear()
-        assert [text for *_, text in core._rendered(items(values))] == want, how
-        assert fresh == [v.numerator for v in values], how  # 12 of 12
+    assert [text for *_, text in core._rendered(unhinted(values))] == want
+    assert fresh == [v.numerator for v in values]  # 12 of 12
 
 
 def test_the_chain_renderer_ignores_and_keeps_the_thread_decimal_context(runs_to_render):

@@ -18,7 +18,6 @@ import sixrde
 from sixrde import SingularClosedForm, cli, specialcases
 
 from conftest import (
-    BASELINE,
     ENGINES,
     ROOT,
     TimeLimitExceeded,
@@ -398,40 +397,6 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         "assert not loaded, loaded",
     ])
     run_python("-c", code)
-
-
-def test_decimal_is_imported_only_where_a_chain_is_carried(tmp_path):
-    # `decimal` is imported inside the function that builds the renderer's
-    # context, on the first carried part; a desk-scale run carries none.
-    for path in sorted((ROOT / "src" / "sixrde").glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        functions = [node for node in ast.walk(tree)
-                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        inner = {id(node) for function in functions for node in ast.walk(function)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            if "decimal" in modules or "_decimal" in modules:
-                assert id(node) in inner, f"{path.name}:{node.lineno} imports decimal eagerly"
-    # `fractions` itself imports `decimal` on CPython 3.10 to 3.13, so the
-    # package can add nothing there; where it does not, neither may the CLI.
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(dict(BASELINE, horizon=150)))
-    code = "\n".join([
-        "import sys, fractions",
-        "by_fractions = 'decimal' in sys.modules",
-        "from sixrde import cli, core",
-        "assert by_fractions or not {'decimal', '_decimal'} & set(sys.modules)",
-        "assert not core._exact.cache_info().currsize, 'the context was built at import'",
-        f"assert cli.main(['iterate', '--spec', {str(spec)!r}, '--out', {str(spec)!r}]) == 0",
-        "assert not core._exact.cache_info().currsize, 'small values built the context'",
-    ])
-    run_python("-c", code)
-    assert len(spec.read_text()) > 10**4  # x_150 has 392 digits
 
 
 def test_package_never_reads_or_sets_a_thread_decimal_context():

@@ -209,17 +209,21 @@ MUTANTS = [
      "return _digits(high) + _digits(low).zfill(k - 1)",
      "long integers lose a leading zero of their low half"),
     ("src/sixrde/core.py",
-     "if last is not None and abs(bits - last[0].bit_length()) * _CARRY_SHARE <= bits:",
+     "if last is not None and hint is not None and n * hint[1] == last[0] * hint[0]:",
      "if False:",
      "chain renderer restarts every chain: same text, quadratic time"),
     ("src/sixrde/core.py",
-     "context.divide_int(context.create_decimal(digits), down), up)",
-     "context.divide_int(context.create_decimal(digits), up), down)",
+     "hint[1] // g), hint[0] // g)",
+     "hint[0] // g), hint[1] // g)",
      "chain renderer carries digits by the inverse ratio"),
     ("src/sixrde/core.py",
-     "hint is not None and n * hint[1] == m * hint[0]",
+     "hint is not None and n * hint[1] == last[0] * hint[0]",
      "hint is not None and True",
      "chain renderer carries by a hint it never checks"),
+    ("src/sixrde/core.py",
+     "hint[1] // g), hint[0] // g)",
+     "hint[1]), hint[0])",
+     "chain renderer divides by the unreduced hint"),
     ("src/sixrde/core.py",
      "return _integer(digits[:-half]) * 10**half + _integer(digits[-half:])",
      "return _integer(digits[:-half]) * 10**half",
