@@ -245,13 +245,12 @@ def well_defined(
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     table = _solved("closedform", _InvariantTable, ic, coeffs).f
-    # Extend each column to its last V; a list of L stops the scan at V_(L+4).
-    stop = 4 * horizon + 6
+    # V_k needs coefficient k - 4, so a list of `length` (inf for a period)
+    # ends the scan before V_(length+4).  Extend each column to its last V.
+    length = table._steps[1]
+    stop = min(4 * horizon + 6, length + 4)
     for v_index in range(stop - 4, stop):
-        try:
-            table(v_index)
-        except OutOfHorizon as error:
-            stop = min(stop, error.horizon + 4)
+        table(v_index)
     violations = [WellDefViolation(v_index) for v_index in range(4, stop)
                   if table._columns[v_index % 4][v_index // 4][0] == 0]
     return WellDefinednessReport(horizon=horizon, violations=tuple(violations))

@@ -19,6 +19,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,11 +42,16 @@ from sixrde import (
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Wall-clock seconds each phase of a test (setup with its fixtures, call,
-#: teardown) may take.  The slowest test takes about 2.0 s; a step that
+#: teardown) may take.  The slowest test takes about 2.6 s; a step that
 #: multiplies the wrong terms makes term heights grow exponentially, and the
 #: limit turns that hang into a failure.  pytest's `faulthandler_timeout`
 #: (pyproject.toml), 25 s, prints every thread's stack first.
 TEST_SECONDS = 30
+
+#: Seconds a test waits for a child process or for the threads it started.
+#: Below pytest's 25 s `faulthandler_timeout`, so a hung child or thread
+#: fails with its own error before the stack dump and the per-test limit.
+WAIT_SECONDS = 15
 
 
 class TimeLimitExceeded(BaseException):
@@ -103,13 +109,20 @@ def child_env(**variables: str) -> dict[str, str]:
     return env
 
 
-def run_python(*args: str, code: int = 0, cwd=None, timeout: float = 120):
+def run_python(*args: str, code: int = 0, cwd=None, timeout: float = WAIT_SECONDS):
     """Run `python *args` to its end in `child_env()`, its output captured as
     bytes; check that it exits with `code` and return the finished run."""
     done = subprocess.run([sys.executable, *args], cwd=cwd, env=child_env(),
                           capture_output=True, timeout=timeout)
     assert done.returncode == code, done.stderr.decode(errors="replace")
     return done
+
+
+def join_all(threads) -> None:
+    """Join each of `threads`, all within one `WAIT_SECONDS` from now."""
+    deadline = time.monotonic() + WAIT_SECONDS
+    for thread in threads:
+        thread.join(max(0.0, deadline - time.monotonic()))
 
 
 #: The two product engines, (point query, range) each, by module.  Both take

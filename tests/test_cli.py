@@ -46,8 +46,10 @@ from sixrde.cli import (
 from conftest import (
     BASELINE,
     FRESH_CONVERSIONS,
+    WAIT_SECONDS,
     child_env,
     count_fresh_conversions,
+    join_all,
     random_coefficients,
     random_initial_conditions,
     run_on_baseline,
@@ -367,7 +369,7 @@ def test_out_writes_through_a_pipe_and_a_symlink(tmp_path, capsys):
                               daemon=True)
     reader.start()
     assert cli.main(["iterate", "--spec", path, "--out", str(pipe)]) == EXIT_OK
-    reader.join(timeout=30)
+    reader.join(timeout=WAIT_SECONDS)
     assert received == [want]
     assert stat.S_ISFIFO(os.stat(pipe).st_mode)
     # A symlink keeps pointing at its target, which gets the output.
@@ -424,7 +426,7 @@ def test_a_failed_run_writes_nothing_to_stdout_or_a_pipe(tmp_path, monkeypatch, 
     reader.start()
     monkeypatch.setattr(cli, "_output", _output_failing_on_row(4))
     assert cli.main(["iterate", "--spec", path, "--out", str(pipe)]) == EXIT_USAGE
-    reader.join(timeout=30)
+    reader.join(timeout=WAIT_SECONDS)
     assert received == [b""]
     assert capsys.readouterr() == ("", "error: no space left on device\n")
 
@@ -718,18 +720,22 @@ def test_compare_renders_the_oracle_terms_and_holds_no_orbit(tmp_path, monkeypat
     assert len(rendered) == 406 and all(hint is not None for *_, hint in rendered[8:])
 
 
-@pytest.mark.parametrize("engine", ["general", "auto"])
-def test_the_engine_hints_spare_solves_renderer_every_full_height_gcd(tmp_path, monkeypatch,
+@pytest.mark.parametrize("engine", ["oracle", "general", "auto"])
+def test_each_engines_hints_spare_the_renderer_every_full_height_gcd(tmp_path, monkeypatch,
                                                                      capsys, engine):
-    # The first run fills the engine's slot, so every gcd of the second is
-    # the renderer's: each reduces a block's cofactors, two small operands,
-    # and a part the renderer carries is at least the piece limit.
+    # `iterate` renders the oracle's hints and `solve` a range engine's.  The
+    # first run fills a range engine's slot, and the oracle's own gcds are
+    # `oracle.gcd`, bound at import, so every `math.gcd` of the second run is
+    # the renderer's: each reduces a hint, two small operands, and a part
+    # the renderer carries is at least the piece limit.
     path = write_spec(tmp_path, BASELINE)
-    assert cli.main(["iterate", "--spec", path, "--n", "800"]) == EXIT_OK
-    want = capsys.readouterr().out
-    argv = ["solve", "--spec", path, "--range", "-5..800", "--engine", engine]
+    argv = ["iterate", "--spec", path, "--n", "800"]
     assert cli.main(argv) == EXIT_OK
-    assert capsys.readouterr().out == want
+    want = capsys.readouterr().out
+    if engine != "oracle":
+        argv = ["solve", "--spec", path, "--range", "-5..800", "--engine", engine]
+        assert cli.main(argv) == EXIT_OK
+        assert capsys.readouterr().out == want
     operands, gcd = [], math.gcd
     monkeypatch.setattr(math, "gcd", lambda a, b: operands.append(max(a, b)) or gcd(a, b))
     fresh = count_fresh_conversions(monkeypatch)
@@ -991,7 +997,7 @@ def test_a_reader_that_closes_the_pipe_early_gets_exit_141_and_no_message(tmp_pa
     with _child("iterate", "--spec", write_spec(tmp_path, BASELINE), "--n", "400") as child:
         assert child.stdout.read(5) == b"m,exa"
         child.stdout.close()
-        assert child.wait(timeout=120) == EXIT_BROKEN_PIPE == 141
+        assert child.wait(timeout=WAIT_SECONDS) == EXIT_BROKEN_PIPE == 141
         assert child.stderr.read() == b""
 
 
@@ -1004,7 +1010,7 @@ def test_printing_into_a_pipe_nobody_reads_gets_exit_141_and_no_message(unbuffer
     with _child("verify-symmetry", "--samples", "3", stdout=write_end,
                 PYTHONUNBUFFERED=unbuffered) as child:
         os.close(write_end)
-        assert child.wait(timeout=120) == EXIT_BROKEN_PIPE
+        assert child.wait(timeout=WAIT_SECONDS) == EXIT_BROKEN_PIPE
         assert child.stderr.read() == b""
 
 
@@ -1015,7 +1021,7 @@ def test_sigint_prints_one_line_and_exits_130(tmp_path):
     with _child("solve", "--spec", str(fifo)) as child:
         # The write end opens once the child has opened the read end, so
         # it is then inside `main`, waiting for the spec's bytes.
-        deadline = time.monotonic() + 60
+        deadline = time.monotonic() + WAIT_SECONDS
         while True:
             try:
                 fd = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
@@ -1026,7 +1032,7 @@ def test_sigint_prints_one_line_and_exits_130(tmp_path):
                 time.sleep(0.01)
         try:
             child.send_signal(signal.SIGINT)
-            out, err = child.communicate(timeout=60)
+            out, err = child.communicate(timeout=WAIT_SECONDS)
         finally:
             os.close(fd)
     assert child.returncode == EXIT_INTERRUPTED == 130
@@ -1081,7 +1087,7 @@ def test_concurrent_calls_write_what_sequential_calls_write(tmp_path, capsys):
 
     def run(i, argv, tag, codes):
         if tag == "thr":
-            start.wait(timeout=60)
+            start.wait(timeout=WAIT_SECONDS)
         codes[i] = cli.main(argv + ["--out", str(tmp_path / f"{tag}{i}.out")])
 
     sequential = {}
@@ -1093,8 +1099,7 @@ def test_concurrent_calls_write_what_sequential_calls_write(tmp_path, capsys):
                for i, argv in enumerate(argvs)]
     for thread in threads:
         thread.start()
-    for thread in threads:
-        thread.join(timeout=120)
+    join_all(threads)
     assert concurrent == sequential == dict.fromkeys(range(len(argvs)), EXIT_OK)
     for i in range(len(argvs)):
         assert (tmp_path / f"thr{i}.out").read_bytes() == (tmp_path / f"seq{i}.out").read_bytes()

@@ -257,16 +257,6 @@ def test_terms_past_explicit_horizon_raises_like_term():
         assert values_until_error(terms(lo, hi, ic, coeffs)) == want
 
 
-def test_term_past_explicit_horizon_raises_before_singular_check():
-    # V_4 = a_0 + b_0 = 0 sits in x_13's product, but x_13 also needs
-    # coefficients 6 and 8 past the list's end: every V is formed first.
-    coeffs = CoefficientSequence.explicit([1] * 4, [-1, 0, 0, 0])
-    with pytest.raises(OutOfHorizon, match="coefficient index 6 is past"):
-        term(13, ONES, coeffs)
-    with pytest.raises(OutOfHorizon, match="coefficient index 6 is past"):
-        list(terms(13, 20, ONES, coeffs))
-
-
 # ---------------------------------------------------------------------------
 # Well-definedness guard
 # ---------------------------------------------------------------------------
@@ -352,12 +342,6 @@ def test_well_defined_equals_per_class_scan():
         total += len(want)
     assert classes == {0, 1, 2, 3}
     assert total > 300
-
-
-def test_well_defined_stops_at_explicit_horizon():
-    seq = CoefficientSequence.explicit([1, 1], [0, 0])
-    report = well_defined(ONES, seq, horizon=10)
-    assert report.ok
 
 
 # ---------------------------------------------------------------------------

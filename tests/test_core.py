@@ -41,7 +41,7 @@ from sixrde import (
 from sixrde.cli import ProblemSpec
 from sixrde.symmetry import Characteristic, PhaseSumReport, RootCheckFailure
 
-from conftest import BASELINE, FRESH_CONVERSIONS, count_fresh_conversions, once, run_python
+from conftest import BASELINE, count_fresh_conversions, once, run_python
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 
@@ -174,10 +174,19 @@ def runs_to_render():
 
 
 def test_the_chain_renderer_writes_what_format_rational_writes(runs_to_render):
-    for name, values in runs_to_render.items():
-        want = [(v.numerator, v.denominator, format_rational(v)) for v in values]
-        for how, items in HINTS.items():
-            assert list(core._rendered(items(values))) == want, (name, how)
+    # Under a thread context that traps on any inexact or rounded step: the
+    # renderer neither reads it nor changes it.
+    strict = decimal.Context(prec=3, traps=[
+        decimal.Clamped, decimal.DivisionByZero, decimal.Inexact, decimal.InvalidOperation,
+        decimal.Overflow, decimal.Rounded, decimal.Subnormal, decimal.Underflow,
+        decimal.FloatOperation])
+    with decimal.localcontext(strict) as context:
+        before = repr(context)
+        for name, values in runs_to_render.items():
+            want = [(v.numerator, v.denominator, format_rational(v)) for v in values]
+            for how, items in HINTS.items():
+                assert list(core._rendered(items(values))) == want, (name, how)
+                assert decimal.getcontext() is context and repr(context) == before, (name, how)
 
 
 def test_a_value_whose_cofactors_are_large_restarts_its_chain(monkeypatch):
@@ -190,20 +199,6 @@ def test_a_value_whose_cofactors_are_large_restarts_its_chain(monkeypatch):
     fresh = count_fresh_conversions(monkeypatch)
     assert [text for *_, text in core._rendered(unhinted(values))] == want
     assert fresh == [v.numerator for v in values]  # 12 of 12
-
-
-def test_the_chain_renderer_ignores_and_keeps_the_thread_decimal_context(runs_to_render):
-    values = runs_to_render["orbit"]
-    want = [format_rational(v) for v in values]
-    strict = decimal.Context(prec=3, traps=[
-        decimal.Clamped, decimal.DivisionByZero, decimal.Inexact, decimal.InvalidOperation,
-        decimal.Overflow, decimal.Rounded, decimal.Subnormal, decimal.Underflow,
-        decimal.FloatOperation])
-    with decimal.localcontext(strict) as context:
-        before = repr(context)
-        for how, items in HINTS.items():
-            assert [text for *_, text in core._rendered(items(values))] == want, how
-            assert decimal.getcontext() is context and repr(context) == before, how
 
 
 def test_the_chain_renderer_needs_no_higher_int_str_limit(tmp_path):
@@ -224,46 +219,20 @@ def _baseline_terms(count: int) -> list:
     return list(oracle._terms(spec.initial, spec.coeffs, count))
 
 
-@pytest.mark.parametrize("wrong", [
-    lambda up, down: (up + 1, down),
-    lambda up, down: (down, up),
-], ids=["up off by one", "up and down swapped"])
-def test_a_wrong_hint_writes_what_format_rational_writes(wrong):
-    items = _baseline_terms(600)
-    want = [(p, q, format_rational(Fraction(p, q))) for p, q, _ in items]
-    for variant in ([(p, q, h and (wrong(*h[0]), wrong(*h[1]))) for p, q, h in items],
-                    [(p, q, h and h[::-1]) for p, q, h in items]):  # the other part's
-        assert list(core._rendered(variant)) == want
-    assert list(core._rendered(items)) == want
-
-
-def test_the_oracle_hints_spare_the_renderer_every_full_height_gcd(monkeypatch):
-    # The hint's up/down is reduced by a gcd of two small operands; a part
-    # the renderer carries is at least the piece limit, so no gcd reaches it.
-    items = _baseline_terms(800)
-    want = [text for *_, text in core._rendered((p, q, None) for p, q, _ in items)]
-    operands, gcd = [], core.math.gcd
-    monkeypatch.setattr(core.math, "gcd", lambda a, b: operands.append(max(a, b)) or gcd(a, b))
-    fresh = count_fresh_conversions(monkeypatch)
-    texts = [text for *_, text in core._rendered(items)]
-    monkeypatch.undo()
-    assert texts == want
-    assert 1 <= len(fresh) <= FRESH_CONVERSIONS
-    assert len(operands) > 1000 and max(operands) < core._PIECE_LIMIT
-
-
 def test_a_value_without_a_confirmed_hint_runs_no_full_height_gcd(monkeypatch):
     # The Baseline oracle's run with its hints stripped, then with each one
-    # off by one: every large part restarts its chain, the text is
+    # off by one, with up and down swapped, and with the other part's: every
+    # large part whose hint fails its check restarts its chain, the text is
     # `format_rational`'s, and no gcd operand reaches the piece limit.
     items = _baseline_terms(600)
-    want = [format_rational(Fraction(p, q)) for p, q, _ in items]
+    want = [(p, q, format_rational(Fraction(p, q))) for p, q, _ in items]
     operands, gcd = [], core.math.gcd
     monkeypatch.setattr(core.math, "gcd", lambda a, b: operands.append(max(a, b)) or gcd(a, b))
-    for variant in ([(p, q, None) for p, q, _ in items],
-                    [(p, q, h and tuple((up + 1, down) for up, down in h))
-                     for p, q, h in items]):
-        assert [text for *_, text in core._rendered(variant)] == want
+    for wrong in (lambda h: None,
+                  lambda h: h and tuple((up + 1, down) for up, down in h),
+                  lambda h: h and tuple((down, up) for up, down in h),
+                  lambda h: h and h[::-1]):
+        assert list(core._rendered((p, q, wrong(h)) for p, q, h in items)) == want
     monkeypatch.undo()
     assert max(operands, default=0) < core._PIECE_LIMIT
 

@@ -67,7 +67,7 @@ def test_spec_command_output_is_pinned(tmp_path, argv, pin):
 
 
 def test_verify_symmetry_output_is_pinned(tmp_path):
-    done = run_python("-m", "sixrde", "verify-symmetry", cwd=tmp_path, timeout=600)
+    done = run_python("-m", "sixrde", "verify-symmetry", cwd=tmp_path)
     assert (hashlib.md5(done.stdout).hexdigest(), len(done.stdout)) == VERIFY_SYMMETRY
 
 

@@ -27,7 +27,9 @@ from sixrde import (
 
 from conftest import (
     ENGINES,
+    WAIT_SECONDS,
     count_normalisations,
+    join_all,
     nonsingular_instance,
     random_initial_conditions,
     random_instance,
@@ -146,7 +148,8 @@ def test_a_singular_query_fails_alike_each_time_and_keeps_earlier_terms(point, w
 
 def test_an_explicit_list_still_runs_out_before_a_singular_v():
     # V_4 = a_0 + b_0 = 0 makes x_1 singular; x_13 also needs coefficient 6,
-    # past the list's end, and says so however warm the slot is.
+    # past the list's end, and says so however warm the slot is, as a point
+    # query and as a range: every V is formed before any is checked.
     ones = InitialConditions([1] * 6)
     coeffs = CoefficientSequence.explicit([1] * 4, [-1, 0, 0, 0])
     start_cold()
@@ -157,6 +160,8 @@ def test_an_explicit_list_still_runs_out_before_a_singular_v():
         assert well_defined(ones, coeffs, 3).violations[0].v_index == 4
         with pytest.raises(OutOfHorizon, match="coefficient index 6 is past"):
             term(13, ones, coeffs)
+        with pytest.raises(OutOfHorizon, match="coefficient index 6 is past"):
+            list(terms(13, 20, ones, coeffs))
     assert [term(m, ones, coeffs) for m in range(-5, 1)] == [1] * 6
 
 
@@ -209,7 +214,7 @@ def test_two_threads_on_one_fresh_sequence_get_the_same_values():
     ic, base, orbit = regular(321)
     for _ in range(8):
         coeffs = CoefficientSequence.periodic(base.a_values(), base.b_values())
-        start = threading.Barrier(2, timeout=60)
+        start = threading.Barrier(2, timeout=WAIT_SECONDS)
         results = [None, None]
 
         def work(index):
@@ -227,8 +232,7 @@ def test_two_threads_on_one_fresh_sequence_get_the_same_values():
         try:
             for thread in threads:
                 thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
+            join_all(threads)
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
@@ -240,7 +244,7 @@ def test_two_threads_on_one_fresh_sequence_get_the_same_values():
 @engines
 def test_threads_keep_their_own_slot(point, window):
     instances = [regular(seed) for seed in range(313, 317)]  # one per thread
-    passes = threading.Barrier(len(instances), timeout=60)
+    passes = threading.Barrier(len(instances), timeout=WAIT_SECONDS)
     results = {}
 
     def work(index, ic, coeffs, orbit):
@@ -261,8 +265,7 @@ def test_threads_keep_their_own_slot(point, window):
     try:
         for thread in threads:
             thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
+        join_all(threads)
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)

@@ -1,9 +1,10 @@
 """Symmetry layer: the characteristics' tables against powers of i, the LSC
-residual's detector, and the phase-sum checks' reach and failure reports.
+sample's refusals, and the phase-sum checks' reach and failure reports.
 
-That the residual vanishes for Q1 and Q2 at sampled points, and that the
-phase sums hold to n = 50, is acceptance criterion 5; the `verify-symmetry`
-output (`tests/test_cli.py`) reports the residual only.
+That the residual vanishes for Q1 and Q2 at sampled points and not for the
+counterfeit, and that the phase sums hold to n = 50, is acceptance
+criterion 5; the residual's formula is `tests/test_proofs.py`'s, and the
+`verify-symmetry` output (`tests/test_cli.py`) reports the residual only.
 """
 
 from fractions import Fraction
@@ -18,7 +19,6 @@ from sixrde import (
     Q2,
     counterfeit_characteristic,
     generator_annihilates_invariant,
-    lsc_residual,
     verify_reduced_system,
 )
 from sixrde.symmetry import _phase_sum_check
@@ -65,13 +65,6 @@ def test_characteristics_have_period_four_and_kill_zero():
 # ---------------------------------------------------------------------------
 # Linearized symmetry condition
 # ---------------------------------------------------------------------------
-
-def test_lsc_residual_detects_counterfeit():
-    sample = LscSample(n=0, u0=1, u2=1, u4=1, a=2, b=1)
-    residual = lsc_residual(counterfeit_characteristic, sample)
-    # direct evaluation: 2*b*P^2/(u4*D^2) with P=1, D=3
-    assert type(residual) is Fraction and residual == Fraction(2, 9)
-
 
 def test_degenerate_samples_are_rejected():
     with pytest.raises(DegenerateSample):

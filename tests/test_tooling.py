@@ -11,6 +11,7 @@ import runpy
 import shlex
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +218,31 @@ def test_every_mutant_plants_exactly_one_change():
     for path, old, new, reason in harness["MUTANTS"]:
         text = (ROOT / path).read_text(encoding="utf-8")
         assert harness["mutated"](text, old, new) != text, reason
+
+
+def test_the_mutant_tool_deselects_the_plant_check_and_no_other_test():
+    # In a planted copy the entry's old text is gone, so the plant check
+    # fails on every mutant; the tool deselects it by this node id, and
+    # pytest deselects nothing for an id that names no test.
+    harness = runpy.run_path(str(ROOT / "tools" / "mutants.py"))
+    name = test_every_mutant_plants_exactly_one_change.__name__
+    assert harness["PLANT_CHECK"] == f"tests/{Path(__file__).name}::{name}"
+
+
+def test_the_mutant_tool_names_the_first_test_of_the_short_summary():
+    killer = runpy.run_path(str(ROOT / "tools" / "mutants.py"))["killer"]
+    failed = ("....F\n==== short test summary info ====\n"
+              "FAILED tests/test_cli.py::test_x[a - b] - AssertionError: 1 != 2\n"
+              "FAILED tests/test_core.py::test_y\n"
+              "!!!! stopping after 1 failures !!!!\n"
+              "1 failed, 4 passed in 1.20s\n")
+    assert killer(failed) == "tests/test_cli.py::test_x[a - b]"
+    collection = ("==== short test summary info ====\n"
+                  "ERROR tests/test_memo.py - AssertionError: 12 draws in a row halted\n"
+                  "!!!! Interrupted: 1 error during collection !!!!\n"
+                  "1 error in 2.10s\n")
+    assert killer(collection) == "tests/test_memo.py"
+    assert killer("....ss..\n363 passed, 5 skipped in 14.77s\n") is None
 
 
 def test_a_builder_that_ran_past_the_time_limit_runs_once():

@@ -4,13 +4,19 @@ Run from anywhere with `python3 tools/mutants.py` (standard library only, no
 options).  For each entry of `MUTANTS` it copies the repository, without
 `.git` and caches, to a temporary directory, replaces the entry's old text
 (which must occur exactly once) by its new text, and runs
-`python -m pytest -x -q -p no:cacheprovider` there, in a session of its own.
-It prints one JSON line per mutant and then the total.  A mutant is killed
-when the suite fails (cause "test failure") or runs past `TIMEOUT_SECONDS`
-(cause "timeout").  When a run ends, for either reason, its whole process
-group is killed: pytest and every `python -m sixrde` child the suite started.
-With CPython 3.11 on two shared vCPUs a killed mutant took 1 to 26 s and the
-whole list about 7 minutes; a survivor runs the whole suite, about 20 s.
+`python -m pytest -x -q -p no:cacheprovider -rfE --deselect PLANT_CHECK`
+there, in a session of its own.  `PLANT_CHECK` is the tooling test that
+finds each old text in the tree; in a planted copy one old text is gone, so
+it would fail on every mutant and count a kill that no behavioural test
+made.  `mutated` refuses the same faults before the copy runs.  The tool
+prints one JSON line per mutant and then the total.  A mutant is killed when
+the suite fails (cause "test failure") or runs past `TIMEOUT_SECONDS` (cause
+"timeout"); its line names the first test id of pytest's short summary, the
+killer (null when no line names one).  When a run ends, for either reason,
+its whole process group is killed: pytest and every `python -m sixrde` child
+the suite started.  With CPython 3.11 on two shared vCPUs a killed mutant
+took 2 to 33 s and the whole list about ten minutes; a survivor runs the
+whole suite, about 25 s.
 
 Each entry is (file, old text, new text, reason).  There is at least one per
 layer: the oracle step loop, the step table it shares with the closed
@@ -28,6 +34,7 @@ entry dies on a wrong value.  The suite's per-test time limit
 import contextlib
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -40,6 +47,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: Seconds one suite run may take: about 15 times an unmutated run.
 TIMEOUT_SECONDS = 300
+
+#: The node id of the test that checks every entry's old text occurs once.
+PLANT_CHECK = "tests/test_tooling.py::test_every_mutant_plants_exactly_one_change"
 
 MUTANTS = [
     # Oracle step loop
@@ -179,9 +189,13 @@ MUTANTS = [
      "a = 1 factor grows by 2k per block"),
     # Well-definedness guard
     ("src/sixrde/closedform.py",
-     "stop = 4 * horizon + 6",
-     "stop = 4 * horizon + 5",
+     "stop = min(4 * horizon + 6, length + 4)",
+     "stop = min(4 * horizon + 5, length + 4)",
      "guard stops one V short of its horizon"),
+    ("src/sixrde/closedform.py",
+     "stop = min(4 * horizon + 6, length + 4)",
+     "stop = min(4 * horizon + 6, length + 3)",
+     "guard stops one V short of an explicit list's end"),
     ("src/sixrde/closedform.py",
      "return (self.v_index - 2) // 4",
      "return (self.v_index - 1) // 4",
@@ -332,20 +346,31 @@ def mutated(text: str, old: str, new: str) -> str:
     return text.replace(old, new)
 
 
-def run(path: str, old: str, new: str) -> tuple[str | None, float]:
+def killer(summary: str) -> str | None:
+    """The test id of the first FAILED or ERROR line of pytest's `-rfE`
+    short summary in `summary`, or None if it has none.  An id is a path,
+    `::` names, and parameters in brackets, which may hold spaces."""
+    match = re.search(r"^(?:FAILED|ERROR) ([^\s\[]+(?:\[[^\]]*\])?)", summary,
+                      flags=re.MULTILINE)
+    return match and match[1]
+
+
+def run(path: str, old: str, new: str) -> tuple[str | None, str | None, float]:
     """Run the suite on a copy of the tree with one mutant planted: what
-    killed it ("test failure", "timeout", or None if it survived), and the
-    seconds it took."""
+    killed it ("test failure", "timeout", or None if it survived), the first
+    failing test id, and the seconds it took."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=_CACHES)
         target = tree / path
         target.write_text(mutated(target.read_text(encoding="utf-8"), old, new),
                           encoding="utf-8")
+        log = Path(tmp) / "pytest.out"
         start = time.monotonic()
-        with subprocess.Popen(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
-                cwd=tree, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        with open(log, "wb") as out, subprocess.Popen(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                 "-rfE", "--deselect", PLANT_CHECK],
+                cwd=tree, stdout=out, stderr=subprocess.DEVNULL,
                 start_new_session=True) as suite:
             try:
                 cause = "test failure" if suite.wait(timeout=TIMEOUT_SECONDS) else None
@@ -354,16 +379,17 @@ def run(path: str, old: str, new: str) -> tuple[str | None, float]:
             finally:
                 with contextlib.suppress(ProcessLookupError):  # the group is empty
                     os.killpg(suite.pid, signal.SIGKILL)
-        return cause, round(time.monotonic() - start, 2)
+        seconds = round(time.monotonic() - start, 2)
+        return cause, killer(log.read_text(encoding="utf-8", errors="replace")), seconds
 
 
 def main() -> None:
     killed = 0
     for path, old, new, reason in MUTANTS:
-        cause, seconds = run(path, old, new)
+        cause, first, seconds = run(path, old, new)
         killed += cause is not None
         print(json.dumps({"file": path, "reason": reason, "killed": cause is not None,
-                          "cause": cause, "seconds": seconds}), flush=True)
+                          "cause": cause, "killer": first, "seconds": seconds}), flush=True)
     print(json.dumps({"killed": killed, "total": len(MUTANTS)}), flush=True)
 
 
